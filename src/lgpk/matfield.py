@@ -11,11 +11,21 @@ Only the public constructors, which codec decoding uses, validate. Arithmetic
 results are built unchecked by `_trusted`: on validated inputs each operation
 keeps entries reduced mod p, products invertible and, over the field F_p, the
 index of a nonzero multiple of a nilpotent matrix.
+
+Exponentials are evaluated from a table of the terms X^m/m! (1 <= m < index):
+exp(tX) = I + sum of t^m * X^m/m!, one scalar-times-matrix pass per term and
+no matrix products. Building the table costs index-2 products. Only the two
+generators of a public key keep their table (about 12 KB at the paper
+profile), because every encryption and decryption exponentiates them again.
+Every other nilpotent matrix, such as the thousands of generators the attack
+solvers plant, builds a table per call and drops it, so memory stays bounded
+by the number of live keys rather than the number of matrices ever made.
 """
 
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -109,6 +119,14 @@ def _trusted(cls, **fields):
     return obj
 
 
+def _inverse(x: int, p: int) -> int:
+    """x^-1 mod p. A nonzero residue without one means p is composite."""
+    try:
+        return pow(x, -1, p)
+    except ValueError:
+        raise ParameterError(f"{x % p} has no inverse mod {p}: the modulus must be prime") from None
+
+
 def _is_zero(a: "FieldMatrix") -> bool:
     return not any(map(any, a.rows))
 
@@ -181,7 +199,7 @@ def mat_mul(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
     n, p = a.n, a.p
     bcols = tuple(zip(*b.rows))
     out = tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) % p for col in bcols)
+        tuple(sum(map(operator.mul, row, col)) % p for col in bcols)
         for row in a.rows
     )
     return _trusted(FieldMatrix, n=n, p=p, rows=out)
@@ -199,7 +217,7 @@ def det(a: FieldMatrix) -> int:
         if pivot != col:
             m[col], m[pivot] = m[pivot], m[col]
             d = -d
-        inv = pow(m[col][col], p - 2, p)
+        inv = _inverse(m[col][col], p)
         d = d * m[col][col] % p
         for r in range(col + 1, n):
             factor = m[r][col] * inv % p
@@ -217,7 +235,7 @@ def mat_inv(a: FieldMatrix) -> "GroupElement":
         if pivot is None:
             raise NotInvertibleError(f"matrix is singular mod {p}")
         m[col], m[pivot] = m[pivot], m[col]
-        inv = pow(m[col][col], p - 2, p)
+        inv = _inverse(m[col][col], p)
         m[col] = [x * inv % p for x in m[col]]
         for r in range(n):
             if r != col and m[r][col]:
@@ -252,6 +270,14 @@ class NilpotentMatrix:
 
     base: FieldMatrix
     index: int
+    # The X^m/m! table that exp_scaled reads, or None to build one per call.
+    # A class attribute, not a field: equality, hash, repr and the codec ignore it.
+    _terms = None
+
+    def keep_exp_terms(self) -> None:
+        """Store this matrix's exponential table on it, for a generator that
+        is exponentiated again and again (a public key's)."""
+        object.__setattr__(self, "_terms", _exp_terms(self))
 
     def __post_init__(self):
         n = self.base.n
@@ -293,6 +319,28 @@ def group_mul(a: GroupElement, b: GroupElement) -> GroupElement:
     return _trusted(GroupElement, mat=mat_mul(a.mat, b.mat))
 
 
+def _exp_terms(x: NilpotentMatrix) -> tuple[Rows, ...]:
+    """The rows of X^m/m! mod p for 1 <= m < index, from index-2 products.
+
+    The m=1 term is x.base.rows itself. Raises ParameterError when p <= n or
+    when some m! has no inverse mod p (a composite p).
+    """
+    base = x.base
+    n, p = base.n, base.p
+    if p <= n:
+        raise ParameterError(f"need p > n for factorial inverses (p={p}, n={n})")
+    terms = []
+    power = base
+    fact = 1
+    for m in range(1, x.index):
+        if m > 1:
+            power = mat_mul(power, base)
+        fact = fact * m % p
+        c = _inverse(fact, p)
+        terms.append(tuple(tuple(c * e % p for e in row) for row in power.rows) if m > 1 else power.rows)
+    return tuple(terms)
+
+
 def mat_exp(x: NilpotentMatrix) -> GroupElement:
     """Truncated exponential sum over m < index of x^m / m!, taken mod p.
 
@@ -300,23 +348,7 @@ def mat_exp(x: NilpotentMatrix) -> GroupElement:
     exists because index <= n < p. The result is unipotent, hence invertible
     with determinant 1.
     """
-    base = x.base
-    n, p = base.n, base.p
-    if p <= n:
-        raise ParameterError(f"need p > n for factorial inverses (p={p}, n={n})")
-    acc = [[int(i == j) for j in range(n)] for i in range(n)]
-    power = base
-    fact = 1
-    for m in range(1, x.index):
-        if m > 1:
-            power = mat_mul(power, base)
-        fact = fact * m % p
-        c = pow(fact, -1, p)
-        for acc_row, row in zip(acc, power.rows):
-            for j, e in enumerate(row):
-                acc_row[j] += c * e
-    rows = tuple(tuple(e % p for e in row) for row in acc)
-    return _trusted(GroupElement, mat=_trusted(FieldMatrix, n=n, p=p, rows=rows))
+    return exp_scaled(1, x)
 
 
 def exp_scaled(t: int, x: NilpotentMatrix) -> GroupElement:
@@ -324,14 +356,21 @@ def exp_scaled(t: int, x: NilpotentMatrix) -> GroupElement:
 
     t -> exp_scaled(t, x) is a one-parameter subgroup of GL_n(p): it maps 0 to
     the identity and addition of scalars (mod p) to multiplication of images.
+    Uses x's stored term table when it has one, else builds one for this call.
     """
     if t < 0:
         raise ParameterError("scalar must be non-negative")
-    p = x.base.p
-    tm = t % p
-    if tm == 0:
-        return mat_exp(NilpotentMatrix(zeros(x.base.n, p), 1))
-    return mat_exp(_trusted(NilpotentMatrix, base=mat_scale(tm, x.base), index=x.index))
+    terms = x._terms if x._terms is not None else _exp_terms(x)
+    n, p = x.base.n, x.base.p
+    acc = [[int(i == j) for j in range(n)] for i in range(n)]
+    c = 1
+    for term in terms:
+        c = c * t % p
+        for acc_row, row in zip(acc, term):
+            for j, e in enumerate(row):
+                acc_row[j] += c * e
+    rows = tuple(tuple(e % p for e in row) for row in acc)
+    return _trusted(GroupElement, mat=_trusted(FieldMatrix, n=n, p=p, rows=rows))
 
 
 def canonical_bytes(a: FieldMatrix) -> bytes:

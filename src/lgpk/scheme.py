@@ -76,6 +76,9 @@ class PublicKey:
         expected = (self.params.kappa2, self.params.kappa3, self.params.kappa4, self.params.msg_len)
         if (cfg.kappa2, cfg.kappa3, cfg.kappa4, cfg.msg_len) != expected:
             raise ParameterError("hash configuration disagrees with the parameter set")
+        # every encrypt and decrypt exponentiates both generators again
+        self.left_gen.keep_exp_terms()
+        self.right_gen.keep_exp_terms()
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
+import dataclasses
 import random
 
 import pytest
 from conftest import mat, rational_exp, slow_det, slow_mat_mul, trial_division_prime
 
+from lgpk.cryptanalysis import NafInstance, naf_bruteforce, naf_mitm
 from lgpk.errors import NotInvertibleError, NotNilpotentError, ParameterError
 from lgpk.matfield import (
     FieldMatrix,
@@ -26,6 +28,8 @@ from lgpk.matfield import (
 )
 
 SHIFT3 = ((0, 1, 0), (0, 0, 1), (0, 0, 0))
+P256 = 2**255 - 19
+SHIFT4_MOD6 = [[int(j == i + 1) for j in range(4)] for i in range(4)]
 
 
 def random_matrix(rng, n, p):
@@ -106,6 +110,16 @@ def test_mat_inv_roundtrip():
         assert mat_mul(mat_inv(a).mat, a) == identity(n, p)
 
 
+def test_composite_modulus_inverse_raises_parameter_error():
+    # det 1 mod 6, but elimination needs an inverse of the pivot 2
+    a = mat([[2, 1], [1, 1]], 6)
+    with pytest.raises(ParameterError, match="modulus must be prime"):
+        det(a)
+    with pytest.raises(ParameterError, match="modulus must be prime"):
+        mat_inv(a)
+    assert det(identity(3, 6)) == 1
+
+
 def test_mat_inv_singular_raises():
     with pytest.raises(NotInvertibleError):
         mat_inv(mat([[1, 2], [2, 4]], 7))
@@ -152,7 +166,7 @@ def test_mat_exp_against_rational_oracle():
     rng = random.Random(505)
     for _ in range(40):
         n = rng.choice([2, 3, 5])
-        p = rng.choice([7, 101, 2**31 - 1])
+        p = rng.choice([7, 101, 2**31 - 1, P256])
         nm = NilpotentMatrix.from_matrix(random_nilpotent(rng, n, p))
         got = mat_exp(nm).mat.rows
         want = rational_exp([list(r) for r in nm.base.rows], nm.index, p)
@@ -185,12 +199,50 @@ def test_exp_scaled_zero_and_negative():
 def test_exp_scaled_one_parameter_law():
     rng = random.Random(707)
     for _ in range(50):
-        p = rng.choice([7, 101, 2**31 - 1])
+        p = rng.choice([7, 101, 2**31 - 1, P256])
         n = rng.choice([2, 3, 5])
         nm = NilpotentMatrix.from_matrix(random_nilpotent(rng, n, p))
         t, s = rng.randrange(2 * p), rng.randrange(2 * p)
         lhs = mat_mul(exp_scaled(t, nm).mat, exp_scaled(s, nm).mat)
         assert lhs == exp_scaled(t + s, nm).mat
+        scaled = [[t * e for e in row] for row in nm.base.rows]
+        want = rational_exp(scaled, nm.index, p)
+        assert [list(r) for r in exp_scaled(t, nm).mat.rows] == want
+
+
+def test_exp_composite_modulus_raises_parameter_error():
+    nm = NilpotentMatrix.from_matrix(mat(SHIFT4_MOD6, 6))
+    for evaluate in (mat_exp, lambda x: exp_scaled(5, x), NilpotentMatrix.keep_exp_terms):
+        with pytest.raises(ParameterError, match="modulus must be prime"):
+            evaluate(nm)
+
+
+def test_stored_table_is_invisible_to_value_semantics():
+    assert [f.name for f in dataclasses.fields(NilpotentMatrix)] == ["base", "index"]
+    rng = random.Random(717)
+    for p in (101, P256):
+        nm = NilpotentMatrix.from_matrix(random_nilpotent(rng, 5, p))
+        fresh = NilpotentMatrix(FieldMatrix(5, p, nm.base.rows), nm.index)
+        nm.keep_exp_terms()
+        assert nm._terms is not None and fresh._terms is None
+        assert nm == fresh and hash(nm) == hash(fresh) and repr(nm) == repr(fresh)
+        assert canonical_bytes(nm.base) == canonical_bytes(fresh.base)
+        t = rng.randrange(p)
+        assert exp_scaled(t, nm) == exp_scaled(t, fresh)
+        assert mat_exp(nm) == mat_exp(fresh)
+
+
+def test_unowned_generators_keep_no_table():
+    p = 101
+    upper = NilpotentMatrix.from_matrix(mat([[0, 1], [0, 0]], p))
+    lower = NilpotentMatrix.from_matrix(mat([[0, 0], [1, 0]], p))
+    exp_scaled(3, upper)
+    mat_exp(lower)
+    target = group_mul(exp_scaled(4, upper), exp_scaled(5, lower))
+    inst = NafInstance(upper, lower, target, 8, 8)
+    assert naf_bruteforce(inst) is not None
+    assert naf_mitm(inst) is not None
+    assert upper._terms is None and lower._terms is None
 
 
 def test_commutes():

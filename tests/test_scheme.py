@@ -1,7 +1,8 @@
 import pytest
 
+from lgpk import matfield
 from lgpk.bitstrings import BitStr
-from lgpk.codec import pk_fingerprint
+from lgpk.codec import decode, encode, pk_fingerprint
 from lgpk.errors import EncodingError, KeyMismatchError, NotInvertibleError
 from lgpk.hashsuite import HashSuiteConfig, h1
 from lgpk.matfield import (
@@ -20,6 +21,9 @@ SEED = b"\x07" * 32
 
 TOY = ParameterSet(kappa1=8, n=2, p=251, kappa2=64, kappa3=8, kappa4=8, msg_len=128)
 TINY = ParameterSet(kappa1=3, n=2, p=7, kappa2=16, kappa3=3, kappa4=3, msg_len=16)
+SMALL = ParameterSet(
+    kappa1=32, n=3, p=4294967291, kappa2=64, kappa3=32, kappa4=32, msg_len=128
+)
 
 
 def toy_keypair(seed=SEED, params=TOY):
@@ -79,6 +83,28 @@ def test_decrypt_operation_counts():
     ops = OpCounter()
     decrypt(sk, pk, ct, ops)
     assert (ops.exp_maps, ops.group_mults) == (2, 5)
+
+
+def test_key_generators_exponentiate_without_products(monkeypatch):
+    pk, _ = toy_keypair(params=SMALL)
+    decoded = decode(encode(pk))
+    calls = []
+    real_mul = matfield.mat_mul
+    monkeypatch.setattr(matfield, "mat_mul", lambda a, b: calls.append(1) or real_mul(a, b))
+    for key in (pk, decoded):
+        for gen in (key.left_gen, key.right_gen):
+            assert gen.index == SMALL.n  # so a table built per call would need a product
+            exp_scaled(123456789, gen)
+    assert calls == []
+
+
+def test_key_generator_tables_leave_wire_bytes_unchanged():
+    pk, _ = toy_keypair(params=SMALL)
+    wire = encode(pk)
+    for gen in (pk.left_gen, pk.right_gen):
+        assert gen._terms is not None
+        object.__delattr__(gen, "_terms")
+    assert encode(pk) == wire
 
 
 def test_encryption_is_randomized():

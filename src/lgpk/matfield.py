@@ -24,9 +24,9 @@ by the number of live keys rather than the number of matrices ever made.
 
 from __future__ import annotations
 
-import hashlib
 import operator
 from dataclasses import dataclass
+from math import gcd, isqrt
 from typing import Optional
 
 from .errors import NotInvertibleError, NotNilpotentError, ParameterError
@@ -34,38 +34,91 @@ from .errors import NotInvertibleError, NotNilpotentError, ParameterError
 Rows = tuple[tuple[int, ...], ...]
 
 
-def is_probable_prime(n: int, rounds: int = 64) -> bool:
-    """Miller-Rabin with bases drawn from a SHAKE-256 stream seeded by n.
+def is_probable_prime(n: int) -> bool:
+    """Baillie-PSW: trial division, a strong probable-prime test to base 2,
+    then a strong Lucas test with Selfridge's parameters.
 
-    Deterministic for a given n, so parameter validation gives the same
-    verdict everywhere. 64 rounds puts the error probability below 2^-128.
+    Deterministic, so parameter validation gives the same verdict everywhere.
+    No composite is known to pass (Baillie and Wagstaff, "Lucas
+    Pseudoprimes", Math. Comp. 35, 1980), and none below 2^64 does: every
+    base-2 strong pseudoprime below 2^64 is enumerated (Feitsma and Galway)
+    and each fails the Lucas test.
     """
     if n < 2:
         return False
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % q == 0:
             return n == q
-    d = n - 1
-    r = 0
+    if not _strong_base2(n):
+        return False
+    # a square has no D with (D/n) = -1, so the search below would not end
+    if isqrt(n) ** 2 == n:
+        return False
+    d = 5  # Selfridge: the first of 5, -7, 9, -11, ... with (d/n) = -1
+    while (j := _jacobi(d, n)) != -1:
+        if j == 0 and abs(d) != n:
+            return False
+        d = -d - 2 if d > 0 else -d + 2
+    return _strong_lucas(n, d, (1 - d) // 4)
+
+
+def _strong_base2(n: int) -> bool:
+    """Strong probable-prime test to base 2 for odd n > 2."""
+    d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
-        r += 1
-    nbytes = (n.bit_length() + 7) // 8
-    xof = hashlib.shake_256(b"lgpk.primecheck.v1" + n.to_bytes(nbytes, "big"))
-    stream = xof.digest(rounds * (nbytes + 8))
-    for i in range(rounds):
-        chunk = stream[i * (nbytes + 8):(i + 1) * (nbytes + 8)]
-        a = 2 + int.from_bytes(chunk, "big") % (n - 3)
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = (x * x) % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+        s += 1
+    x = pow(2, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas(n: int, d: int, q: int) -> bool:
+    """Strong Lucas probable-prime test for odd n with P = 1, D = 1 - 4Q.
+
+    With n + 1 = k * 2^s and k odd, n passes when U_k = 0 or V_(k*2^r) = 0
+    (mod n) for some 0 <= r < s. The ladder doubles with U_2m = U_m V_m and
+    V_2m = V_m^2 - 2Q^m, and steps with U_(m+1) = (U_m + V_m)/2 and
+    V_(m+1) = (D U_m + V_m)/2.
+    """
+    k, s = n + 1, 0
+    while k % 2 == 0:
+        k //= 2
+        s += 1
+    half = (n + 1) // 2  # 1/2 mod n
+    u, v, qm = 1, 1, q % n  # U_1, V_1, Q^1
+    for bit in bin(k)[3:]:
+        u, v, qm = u * v % n, (v * v - 2 * qm) % n, qm * qm % n
+        if bit == "1":
+            u, v, qm = (u + v) * half % n, (d * u + v) * half % n, qm * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qm = (v * v - 2 * qm) % n, qm * qm % n
+        if v == 0:
+            return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -119,12 +172,16 @@ def _trusted(cls, **fields):
     return obj
 
 
+def _not_prime(x: int, p: int) -> ParameterError:
+    return ParameterError(f"{x % p} has no inverse mod {p}: the modulus must be prime")
+
+
 def _inverse(x: int, p: int) -> int:
     """x^-1 mod p. A nonzero residue without one means p is composite."""
     try:
         return pow(x, -1, p)
     except ValueError:
-        raise ParameterError(f"{x % p} has no inverse mod {p}: the modulus must be prime") from None
+        raise _not_prime(x, p) from None
 
 
 def _is_zero(a: "FieldMatrix") -> bool:
@@ -205,25 +262,48 @@ def mat_mul(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
     return _trusted(FieldMatrix, n=n, p=p, rows=out)
 
 
-def det(a: FieldMatrix) -> int:
-    """Determinant mod p by Gaussian elimination with row swaps."""
-    n, p = a.n, a.p
+def _eliminate(a: FieldMatrix) -> tuple[int, int]:
+    """Fraction-free Gaussian elimination mod p, taking no modular inverse.
+
+    Each step replaces row_r by pivot*row_r - f*row_c, which multiplies the
+    determinant by the pivot. Returns (d, s): d is the signed product of the
+    pivots, s the product of the scalings, and det(a) = d/s mod p; d is 0
+    exactly when a is singular. A pivot sharing a factor with p means p is
+    composite and raises ParameterError, as taking its inverse would.
+    """
+    p = a.p
     m = [list(row) for row in a.rows]
-    d = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] % p != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
+    d = s = 1
+    while m:
+        top = next((i for i, row in enumerate(m) if row[0]), None)
+        if top is None:
+            return 0, s
+        if top:
+            m[0], m[top] = m[top], m[0]
             d = -d
-        inv = _inverse(m[col][col], p)
-        d = d * m[col][col] % p
-        for r in range(col + 1, n):
-            factor = m[r][col] * inv % p
-            if factor:
-                m[r] = [(x - factor * y) % p for x, y in zip(m[r], m[col])]
-    return d % p
+        pivot, *head = m[0]
+        if gcd(pivot, p) != 1:
+            raise _not_prime(pivot, p)
+        d = d * pivot % p
+        rest = []
+        for f, *row in m[1:]:
+            if f:
+                row = [(pivot * x - f * y) % p for x, y in zip(row, head)]
+                s = s * pivot % p
+            rest.append(row)
+        m = rest
+    return d % p, s
+
+
+def det(a: FieldMatrix) -> int:
+    """Determinant mod p by fraction-free elimination and one inverse."""
+    d, s = _eliminate(a)
+    return d * _inverse(s, a.p) % a.p
+
+
+def is_invertible(a: FieldMatrix) -> bool:
+    """Whether det(a) != 0 mod p, decided without any modular inverse."""
+    return _eliminate(a)[0] != 0
 
 
 def mat_inv(a: FieldMatrix) -> "GroupElement":
@@ -248,11 +328,12 @@ def mat_inv(a: FieldMatrix) -> "GroupElement":
 def is_nilpotent(a: FieldMatrix) -> tuple[bool, Optional[int]]:
     """Return (True, l) with the minimal l <= n such that a^l = 0, else (False, None).
 
-    Over a field the nilpotency index never exceeds n, so n iterated products
-    settle the question.
+    Over a field the nilpotency index never exceeds n, so n-1 iterated products
+    settle the question. Over Z_p with p composite a matrix whose n-th power
+    is nonzero is reported as not nilpotent, even if a higher power vanishes.
     """
     power = a
-    for ell in range(1, a.n + 1):
+    for ell in range(1, a.n):
         if _is_zero(power):
             return True, ell
         power = mat_mul(power, a)
@@ -276,20 +357,20 @@ class NilpotentMatrix:
 
     def keep_exp_terms(self) -> None:
         """Store this matrix's exponential table on it, for a generator that
-        is exponentiated again and again (a public key's)."""
-        object.__setattr__(self, "_terms", _exp_terms(self))
+        is exponentiated again and again (a public key's). A stored table is
+        kept, not rebuilt."""
+        if self._terms is None:
+            object.__setattr__(self, "_terms", _exp_terms(self))
 
     def __post_init__(self):
         n = self.base.n
         if not 1 <= self.index <= n:
             raise NotNilpotentError(f"nilpotency index {self.index} outside [1, {n}]")
-        power = identity(n, self.base.p)
-        for _ in range(self.index - 1):
-            power = mat_mul(power, self.base)
-        if self.index > 1 and _is_zero(power):
-            raise NotNilpotentError(f"index {self.index} is not minimal")
-        if not _is_zero(mat_mul(power, self.base)):
+        ok, ell = is_nilpotent(self.base)
+        if not ok:
             raise NotNilpotentError(f"matrix is not nilpotent of index {self.index}")
+        if ell != self.index:
+            raise NotNilpotentError(f"nilpotency index is {ell}, not {self.index}")
 
     @classmethod
     def from_matrix(cls, a: FieldMatrix) -> "NilpotentMatrix":
@@ -307,7 +388,7 @@ class GroupElement:
     mat: FieldMatrix
 
     def __post_init__(self):
-        if det(self.mat) == 0:
+        if not is_invertible(self.mat):
             raise NotInvertibleError("group element must be invertible")
 
     def inverse(self) -> "GroupElement":
@@ -315,7 +396,7 @@ class GroupElement:
 
 
 def group_mul(a: GroupElement, b: GroupElement) -> GroupElement:
-    """Product in GL_n(p). Invertibility is closed, so skip the determinant check."""
+    """Product in GL_n(p). Invertibility is closed, so skip the invertibility check."""
     return _trusted(GroupElement, mat=mat_mul(a.mat, b.mat))
 
 

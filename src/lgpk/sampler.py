@@ -12,13 +12,12 @@ import hashlib
 import os
 
 from .bitstrings import BitStr
-from .errors import ParameterError, SamplingError
+from .errors import NotInvertibleError, ParameterError, SamplingError
 from .matfield import (
     FieldMatrix,
     GroupElement,
     NilpotentMatrix,
     commutes,
-    det,
     is_probable_prime,
     mat_inv,
     mat_mul,
@@ -101,7 +100,8 @@ def sample_prime(bits: int, rng: RngHandle) -> int:
     """Probable prime of exactly `bits` bits (top bit forced, odd).
 
     Candidates failing trial division by small primes are skipped before the
-    Miller-Rabin check (64 rounds).
+    Baillie-PSW check `is_probable_prime`; the first candidate that passes is
+    returned.
     """
     if bits < 3:
         raise ParameterError("prime bit length must be >= 3")
@@ -121,15 +121,16 @@ def sample_matrix(n: int, p: int, rng: RngHandle) -> FieldMatrix:
 
 
 def sample_invertible(n: int, p: int, rng: RngHandle) -> GroupElement:
-    """Uniform element of GL_n(p) by rejection: redraw until the determinant
-    is nonzero. Acceptance probability is prod_{k=1..n}(1 - p^-k), close to 1
+    """Uniform element of GL_n(p) by rejection: redraw until the matrix is
+    invertible. Acceptance probability is prod_{k=1..n}(1 - p^-k), close to 1
     for any p of cryptographic size."""
     if n < 1:
         raise ParameterError("dimension must be >= 1")
     while True:
-        a = sample_matrix(n, p, rng)
-        if det(a) != 0:
-            return GroupElement(a)
+        try:
+            return GroupElement(sample_matrix(n, p, rng))
+        except NotInvertibleError:
+            pass
 
 
 def sample_nilpotent(n: int, p: int, rng: RngHandle) -> NilpotentMatrix:

@@ -119,6 +119,9 @@ def keygen(params: ParameterSet, rng: RngHandle) -> tuple[PublicKey, PrivateKey]
     memory scrubbing); only their exponential images survive in the private key.
     """
     left_gen, right_gen = sample_noncommuting_pair(params.n, params.p, rng)
+    # the tables PublicKey keeps, built once and used for the secret factors too
+    left_gen.keep_exp_terms()
+    right_gen.keep_exp_terms()
     left_secret = rng.randbits(params.kappa3)
     right_secret = rng.randbits(params.kappa4)
     left_factor = exp_scaled(left_secret, left_gen)

@@ -6,6 +6,7 @@ over a common denominator, trial division — so a bug in the package cannot
 hide in its own oracle.
 """
 
+import hashlib
 from math import factorial
 
 from lgpk.matfield import FieldMatrix
@@ -62,6 +63,41 @@ def slow_det(rows, p):
         sign = -1 if j % 2 else 1
         total += sign * rows[0][j] * slow_det(minor, p)
     return total % p
+
+
+def miller_rabin_prime(n, rounds=64):
+    """Miller-Rabin with `rounds` bases drawn from a SHAKE-256 stream seeded
+    by n; error below 4^-rounds, so 2^-128 at the default.
+
+    The package's own test (Baillie-PSW) shares no step with this one beyond
+    trial division, and is checked against it on random candidates.
+    """
+    if n < 2:
+        return False
+    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % q == 0:
+            return n == q
+    d = n - 1
+    r = 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    nbytes = (n.bit_length() + 7) // 8
+    xof = hashlib.shake_256(b"lgpk.primecheck.v1" + n.to_bytes(nbytes, "big"))
+    stream = xof.digest(rounds * (nbytes + 8))
+    for i in range(rounds):
+        chunk = stream[i * (nbytes + 8):(i + 1) * (nbytes + 8)]
+        a = 2 + int.from_bytes(chunk, "big") % (n - 3)
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = (x * x) % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def trial_division_prime(n):

@@ -167,6 +167,18 @@ def test_singular_rand_product_is_semantic():
         decode(reframe(data.replace(good, bad)))
 
 
+def test_composite_modulus_ciphertext_is_semantic():
+    # a ciphertext carries its own modulus; over Z_9 the first pivot 3 is a
+    # zero divisor, which the invertibility check reports without an inverse
+    _, _, _, ct = sample_objects(TINY)
+    data = encode(ct)
+    good = canonical_bytes(ct.rand_product.mat)
+    bad = canonical_bytes(FieldMatrix(2, 9, ((3, 1), (1, 1))))
+    assert len(good) == len(bad)
+    with pytest.raises(SemanticDecodeError, match="modulus must be prime"):
+        decode(reframe(data.replace(good, bad)))
+
+
 def test_mismatched_secret_factor_groups_is_semantic():
     _, _, sk, _ = sample_objects(TINY)
     data = encode(sk)

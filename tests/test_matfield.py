@@ -1,12 +1,25 @@
 import dataclasses
+import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
-from conftest import mat, rational_exp, slow_det, slow_mat_mul, trial_division_prime
+from conftest import (
+    mat,
+    miller_rabin_prime,
+    rational_exp,
+    slow_det,
+    slow_mat_mul,
+    trial_division_prime,
+)
 
 from lgpk.cryptanalysis import NafInstance, naf_bruteforce, naf_mitm
 from lgpk.errors import NotInvertibleError, NotNilpotentError, ParameterError
 from lgpk.matfield import (
+    _jacobi,
+    _strong_base2,
+    _strong_lucas,
     FieldMatrix,
     GroupElement,
     NilpotentMatrix,
@@ -17,6 +30,7 @@ from lgpk.matfield import (
     exp_scaled,
     group_mul,
     identity,
+    is_invertible,
     is_nilpotent,
     is_probable_prime,
     mat_add,
@@ -29,6 +43,7 @@ from lgpk.matfield import (
 
 SHIFT3 = ((0, 1, 0), (0, 0, 1), (0, 0, 0))
 P256 = 2**255 - 19
+KAT_DATA = Path(__file__).parent / "data"
 SHIFT4_MOD6 = [[int(j == i + 1) for j in range(4)] for i in range(4)]
 
 
@@ -149,6 +164,18 @@ def test_nilpotent_matrix_validates_index():
         NilpotentMatrix(zeros(3, 7), 2)  # index not minimal
     with pytest.raises(NotNilpotentError):
         NilpotentMatrix.from_matrix(identity(3, 7))
+
+
+def test_nilpotency_over_composite_modulus_stops_at_n():
+    # (2I)^2 = 4I != 0 but (2I)^3 = 0 mod 8: no index within [1, n] exists
+    a = mat([[2, 0], [0, 2]], 8)
+    assert is_nilpotent(a) == (False, None)
+    with pytest.raises(NotNilpotentError):
+        NilpotentMatrix(a, 2)
+    with pytest.raises(NotNilpotentError):
+        NilpotentMatrix.from_matrix(a)
+    with pytest.raises(NotNilpotentError):
+        NilpotentMatrix(mat([[2]], 4), 1)
 
 
 def test_mat_exp_shift3_mod7_known_value():
@@ -296,6 +323,85 @@ def test_is_probable_prime_matches_trial_division():
     assert is_probable_prime(2**31 - 1)
     assert not is_probable_prime(561)  # Carmichael number
     assert not is_probable_prime(2**31 - 3)
+
+
+def test_is_probable_prime_agrees_with_miller_rabin_oracle():
+    for n in range(2000, 20000):
+        assert is_probable_prime(n) == trial_division_prime(n), n
+    rng = random.Random(1313)
+    primes = 0
+    for bits in (16, 24, 32, 64, 128, 256):
+        for _ in range(1000):
+            n = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+            verdict = is_probable_prime(n)
+            assert verdict == miller_rabin_prime(n), n
+            primes += verdict
+    assert primes > 200  # both verdicts are exercised
+
+
+def _selfridge(n):
+    d = 5
+    while _jacobi(d, n) != -1:
+        d = -d - 2 if d > 0 else -d + 2
+    return d, (1 - d) // 4
+
+
+BASE2_PSEUDOPRIMES = (2047, 3277, 4033, 1093**2, 3511**2)
+LUCAS_PSEUDOPRIMES = (5459, 5777, 10877, 16109, 18971)
+
+
+def test_is_probable_prime_rejects_pseudoprimes():
+    # each half of the test lets through what the other must catch
+    for n in BASE2_PSEUDOPRIMES:
+        assert _strong_base2(n), n
+    for n in LUCAS_PSEUDOPRIMES:
+        assert not _strong_base2(n), n
+        assert _strong_lucas(n, *_selfridge(n)), n
+    carmichael = (561, 1105)
+    psp_first_nine_prime_bases = 3825123056304260017
+    for n in BASE2_PSEUDOPRIMES + LUCAS_PSEUDOPRIMES + carmichael + (psp_first_nine_prime_bases,):
+        assert not miller_rabin_prime(n), n  # composite by the oracle too
+        assert not is_probable_prime(n), n
+    with pytest.raises(ParameterError, match="not prime"):
+        ParameterSet(kappa1=11, n=2, p=2047, kappa2=64, kappa3=8, kappa4=8, msg_len=128)
+
+
+def test_is_probable_prime_accepts_known_primes():
+    kat_primes = []
+    for path in sorted(KAT_DATA.glob("kat_*.jsonl")):
+        for line in path.read_text().splitlines():
+            record = json.loads(line)
+            if record["op"] == "sample_prime":
+                kat_primes.append(int(record["out"], 16))
+    assert len(kat_primes) == 2
+    for p in [2**127 - 1, P256, *kat_primes]:
+        assert is_probable_prime(p), p
+
+
+def test_is_invertible_agrees_with_cofactor_det():
+    for p in (5, 7):
+        for entries in itertools.product(range(p), repeat=4):
+            rows = [list(entries[:2]), list(entries[2:])]
+            a = mat(rows, p)
+            expected = slow_det(rows, p)
+            assert is_invertible(a) == (expected != 0), (rows, p)
+            assert det(a) == expected
+    rng = random.Random(1414)
+    for _ in range(500):
+        p = rng.choice([2, 3, 5, 7, 11, 101, P256])
+        a = random_matrix(rng, 3, p)
+        expected = slow_det([list(r) for r in a.rows], p)
+        assert is_invertible(a) == (expected != 0)
+        assert det(a) == expected
+
+
+def test_is_invertible_composite_modulus_raises_parameter_error():
+    a = mat([[2, 1], [1, 1]], 6)
+    with pytest.raises(ParameterError, match="modulus must be prime"):
+        is_invertible(a)
+    with pytest.raises(ParameterError, match="modulus must be prime"):
+        GroupElement(a)
+    assert is_invertible(identity(3, 6))
 
 
 def test_parameter_set_validation():

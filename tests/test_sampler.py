@@ -1,6 +1,7 @@
 import pytest
-from conftest import trial_division_prime
+from conftest import miller_rabin_prime, trial_division_prime
 
+from lgpk import sampler
 from lgpk.errors import ParameterError
 from lgpk.matfield import commutes, det, is_nilpotent, mat_exp, mat_mul
 from lgpk.sampler import (
@@ -89,6 +90,17 @@ def test_sample_prime_large_has_exact_bits():
     p = sample_prime(256, rng)
     assert p.bit_length() == 256
     assert p % 2 == 1
+
+
+def test_sample_prime_same_under_miller_rabin_oracle(monkeypatch):
+    # sample_prime returns the first candidate that passes, so the two tests
+    # must agree on every candidate drawn before it, composites included
+    seeds = [bytes([i]) * 32 for i in range(8)]
+    sizes = (64, 128, 256)
+    ours = [sample_prime(bits, RngHandle(seed)) for seed in seeds for bits in sizes]
+    monkeypatch.setattr(sampler, "is_probable_prime", miller_rabin_prime)
+    oracle = [sample_prime(bits, RngHandle(seed)) for seed in seeds for bits in sizes]
+    assert ours == oracle
 
 
 def test_sample_prime_rejects_tiny_request():

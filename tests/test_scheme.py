@@ -1,7 +1,8 @@
 import pytest
 
-from lgpk import matfield
+from lgpk import matfield, sampler
 from lgpk.bitstrings import BitStr
+from lgpk.cli import make_params
 from lgpk.codec import decode, encode, pk_fingerprint
 from lgpk.errors import EncodingError, KeyMismatchError, NotInvertibleError
 from lgpk.hashsuite import HashSuiteConfig, h1
@@ -96,6 +97,48 @@ def test_key_generators_exponentiate_without_products(monkeypatch):
             assert gen.index == SMALL.n  # so a table built per call would need a product
             exp_scaled(123456789, gen)
     assert calls == []
+
+
+def count_calls(monkeypatch, module, name, aliases=()):
+    """Count calls to module.name, also through `from module import name` aliases."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    for owner in (module, *aliases):
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_paper_keygen_builds_each_table_once(monkeypatch):
+    params = make_params("paper", RngHandle(SEED))
+    muls = count_calls(monkeypatch, matfield, "mat_mul", aliases=(sampler,))
+    tables = count_calls(monkeypatch, matfield, "_exp_terms")
+    pk, _ = keygen(params, RngHandle(SEED))
+    assert len(tables) == 2
+    # 2 x (2 conjugation products + 4 nilpotency products) sampling, 2 for
+    # commutes, 2 x 3 for the tables, 1 for the key product, 2 in PublicKey
+    assert len(muls) == 23
+    assert pk.left_gen._terms is not None and pk.right_gen._terms is not None
+
+
+def test_decode_checks_primality_once_and_takes_no_det(monkeypatch):
+    params = make_params("paper", RngHandle(SEED))
+    pk, _ = keygen(params, RngHandle(SEED))
+    rng = RngHandle(b"\x09" * 32)
+    pk_wire = encode(pk)
+    ct_wire = encode(encrypt(pk, rng.bitstr(params.msg_len), rng))
+    primes = count_calls(monkeypatch, matfield, "is_probable_prime")
+    dets = count_calls(monkeypatch, matfield, "det")
+    muls = count_calls(monkeypatch, matfield, "mat_mul")
+    assert decode(pk_wire) == pk
+    # 2 x 4 nilpotency products, 2 for commutes, 2 x 3 for the key's tables
+    assert (len(primes), len(dets), len(muls)) == (1, 0, 16)
+    decode(ct_wire)
+    assert (len(primes), len(dets), len(muls)) == (1, 0, 16)
 
 
 def test_key_generator_tables_leave_wire_bytes_unchanged():

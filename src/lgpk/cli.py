@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import codec
 from .bitstrings import BitStr
@@ -70,21 +69,23 @@ class IntegrityError(LgpkError):
     pass
 
 
-@dataclass(frozen=True)
-class Profile:
-    kappa1: int
-    n: int
-    kappa2: int
-    kappa3: int
-    kappa4: int
-    msg_len: int
-    toy: bool
+# (exception type, exit code, stderr prefix); main() reports the first match
+EXIT_TABLE = (
+    (UsageError, EXIT_USAGE, "error: "),
+    (ParameterError, EXIT_USAGE, "error: "),
+    (OSError, EXIT_IO, "error: "),
+    (IntegrityError, EXIT_INTEGRITY, "error: "),
+    (CodecError, EXIT_INTEGRITY, "error: integrity failure: "),
+    (KeyMismatchError, EXIT_KEY_MISMATCH, "error: "),
+    (BudgetRefusal, EXIT_BUDGET, "refused: "),
+)
 
 
+# ParameterSet fields per profile; make_params samples the prime p
 PROFILES = {
-    "toy": Profile(kappa1=8, n=2, kappa2=64, kappa3=8, kappa4=8, msg_len=128, toy=True),
-    "small": Profile(kappa1=32, n=3, kappa2=64, kappa3=16, kappa4=16, msg_len=128, toy=True),
-    "paper": Profile(kappa1=256, n=5, kappa2=256, kappa3=128, kappa4=128, msg_len=256, toy=False),
+    "toy": dict(kappa1=8, n=2, kappa2=64, kappa3=8, kappa4=8, msg_len=128, toy=True),
+    "small": dict(kappa1=32, n=3, kappa2=64, kappa3=16, kappa4=16, msg_len=128, toy=True),
+    "paper": dict(kappa1=256, n=5, kappa2=256, kappa3=128, kappa4=128, msg_len=256, toy=False),
 }
 
 
@@ -111,18 +112,8 @@ def parse_int_list(text: str, flag: str) -> list[int]:
 
 
 def make_params(profile_name: str, rng: RngHandle) -> ParameterSet:
-    profile = PROFILES[profile_name]
-    p = sample_prime(profile.kappa1, rng)
-    return ParameterSet(
-        kappa1=profile.kappa1,
-        n=profile.n,
-        p=p,
-        kappa2=profile.kappa2,
-        kappa3=profile.kappa3,
-        kappa4=profile.kappa4,
-        msg_len=profile.msg_len,
-        toy=profile.toy,
-    )
+    fields = PROFILES[profile_name]
+    return ParameterSet(p=sample_prime(fields["kappa1"], rng), **fields)
 
 
 def read_file(path: str) -> bytes:
@@ -327,23 +318,17 @@ def build_kat_bundle(profile_name: str, seed: bytes) -> str:
     regenerating with the same seed reproduces the bundle byte for byte.
     Sweep timings are omitted; they are the only non-deterministic output.
     """
-    profile = PROFILES[profile_name]
     rng = RngHandle(seed)
     lines: list[str] = []
 
     def emit(**fields):
         lines.append(json.dumps(fields, separators=(",", ":")))
 
-    p = sample_prime(profile.kappa1, rng)
-    emit(op="sample_prime", bits=profile.kappa1, out=hex(p))
-    params = ParameterSet(
-        kappa1=profile.kappa1, n=profile.n, p=p, kappa2=profile.kappa2,
-        kappa3=profile.kappa3, kappa4=profile.kappa4, msg_len=profile.msg_len,
-        toy=profile.toy,
-    )
+    params = make_params(profile_name, rng)
+    n, p = params.n, params.p
+    emit(op="sample_prime", bits=params.kappa1, out=hex(p))
     emit(op="encode", kind="params", out=codec.encode(params).hex())
 
-    n = profile.n
     unit = sample_invertible(n, p, rng)
     emit(op="sample_invertible", n=n, out=canonical_bytes(unit.mat).hex())
     nil = sample_nilpotent(n, p, rng)
@@ -378,14 +363,14 @@ def build_kat_bundle(profile_name: str, seed: bytes) -> str:
          b=canonical_bytes(right.base).hex(), out=commutes(left.base, right.base))
 
     pk, sk = keygen(params, rng)
-    cfg = pk.hash_cfg
+    suite = pk.suite_id
     sigma = rng.bitstr(params.kappa2)
     message = rng.bitstr(params.msg_len)
-    r_left, r_right = h1(cfg, sigma, message)
+    r_left, r_right = h1(params, suite, sigma, message)
     emit(op="h1", sigma=sigma.hex(), m=message.hex(),
          r_left=r_left.hex(), r_right=r_right.hex())
-    emit(op="h2", g=canonical_bytes(unit.mat).hex(), out=h2(cfg, unit).hex())
-    emit(op="h3", sigma=sigma.hex(), out=h3(cfg, sigma).hex())
+    emit(op="h2", g=canonical_bytes(unit.mat).hex(), out=h2(params, suite, unit).hex())
+    emit(op="h3", sigma=sigma.hex(), out=h3(params, suite, sigma).hex())
 
     emit(op="keygen", pk=codec.encode(pk).hex(), sk=codec.encode(sk).hex())
     ops_enc = OpCounter()
@@ -510,27 +495,11 @@ def main(argv=None) -> int:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except ParameterError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
-    except IntegrityError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INTEGRITY
-    except CodecError as e:
-        print(f"error: integrity failure: {e}", file=sys.stderr)
-        return EXIT_INTEGRITY
-    except KeyMismatchError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_KEY_MISMATCH
-    except BudgetRefusal as e:
-        print(f"refused: {e}", file=sys.stderr)
-        return EXIT_BUDGET
+    except tuple(kind for kind, _, _ in EXIT_TABLE) as e:
+        for kind, code, prefix in EXIT_TABLE:
+            if isinstance(e, kind):
+                print(f"{prefix}{e}", file=sys.stderr)
+                return code
 
 
 def main_entry():

@@ -10,8 +10,13 @@ Decoding is two-phase. The structural phase rejects bad frames: truncation,
 wrong magic/version/kind, CRC mismatch, and non-canonical primitive bytes
 (a prime with a leading zero byte, set padding bits in a bit string's last
 byte). The semantic phase rebuilds the typed objects and rejects any frame
-whose content violates a type invariant: composite modulus, entries >= p,
-wrong nilpotency index, singular matrices, mismatched dimensions.
+whose content violates a type invariant: entries >= p, wrong nilpotency
+index, singular matrices, mismatched dimensions, and a composite modulus in
+parameter and public-key frames. Ciphertext and private-key frames carry a
+bare modulus that is not tested for primality: a composite one is caught
+only when an elimination pivot shares a factor with it. Its modulus then
+differs from the public key's prime, so `decrypt` returns None for such a
+ciphertext and raises KeyMismatchError for such a private key.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .errors import (
     SemanticDecodeError,
     StructuralDecodeError,
 )
-from .hashsuite import DOMAIN_FINGERPRINT, HashSuiteConfig, xof_bits
+from .hashsuite import DOMAIN_FINGERPRINT, xof_bits
 from .matfield import (
     FieldMatrix,
     GroupElement,
@@ -88,7 +93,7 @@ def _encode_pk_body(pk: PublicKey) -> bytes:
     return b"".join(
         (
             _encode_params_body(pk.params),
-            bytes([pk.hash_cfg.suite_id]),
+            bytes([pk.suite_id]),
             canonical_bytes(pk.left_gen.base),
             bytes([pk.left_gen.index]),
             canonical_bytes(pk.right_gen.base),
@@ -133,9 +138,7 @@ def encode(obj: Encodable) -> bytes:
 
 def pk_fingerprint(pk: PublicKey) -> bytes:
     """Digest binding a private key to its public key: XOF over the encoded pk."""
-    return xof_bits(
-        DOMAIN_FINGERPRINT, pk.hash_cfg.suite_id, encode(pk), 8 * FINGERPRINT_BYTES
-    ).data
+    return xof_bits(DOMAIN_FINGERPRINT, pk.suite_id, encode(pk), 8 * FINGERPRINT_BYTES).data
 
 
 # ----------------------------------------------------------------- decoding
@@ -250,15 +253,10 @@ def _build_object(kind: int, raw):
     if kind == KIND_PUBLIC_KEY:
         params_raw, suite_id, left, left_index, right, right_index, product = raw
         params = _build_params(params_raw)
-        cfg = _semantic(
-            lambda: HashSuiteConfig(
-                params.kappa2, params.kappa3, params.kappa4, params.msg_len, suite_id
-            )
-        )
         left_gen = _semantic(lambda: NilpotentMatrix(_build_matrix(left), left_index))
         right_gen = _semantic(lambda: NilpotentMatrix(_build_matrix(right), right_index))
         key_product = _semantic(lambda: GroupElement(_build_matrix(product)))
-        return _semantic(lambda: PublicKey(params, left_gen, right_gen, key_product, cfg))
+        return _semantic(lambda: PublicKey(params, left_gen, right_gen, key_product, suite_id))
     if kind == KIND_PRIVATE_KEY:
         fingerprint, left, right = raw
         left_factor = _semantic(lambda: GroupElement(_build_matrix(left)))

@@ -8,11 +8,10 @@ invalidates every known-answer vector.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 from .bitstrings import BitStr, mask_tail
-from .errors import EncodingError, ParameterError
-from .matfield import GroupElement, canonical_bytes
+from .errors import EncodingError
+from .matfield import GroupElement, ParameterSet, canonical_bytes
 
 SUITE_ID = 0x01
 
@@ -20,24 +19,6 @@ DOMAIN_H1 = 0x01
 DOMAIN_H2 = 0x02
 DOMAIN_H3 = 0x03
 DOMAIN_FINGERPRINT = 0x04
-
-
-@dataclass(frozen=True)
-class HashSuiteConfig:
-    """Output lengths (bits) for the three oracles, plus the suite version."""
-
-    kappa2: int
-    kappa3: int
-    kappa4: int
-    msg_len: int
-    suite_id: int = SUITE_ID
-
-    def __post_init__(self):
-        for name in ("kappa2", "kappa3", "kappa4", "msg_len"):
-            if getattr(self, name) < 1:
-                raise ParameterError(f"{name} must be positive")
-        if not 0 <= self.suite_id <= 0xFF:
-            raise ParameterError("suite_id must fit in one byte")
 
 
 def xof_bits(domain: int, suite_id: int, payload: bytes, nbits: int) -> BitStr:
@@ -50,30 +31,32 @@ def xof_bits(domain: int, suite_id: int, payload: bytes, nbits: int) -> BitStr:
     return BitStr(nbits, mask_tail(digest, nbits))
 
 
-def h1(cfg: HashSuiteConfig, sigma: BitStr, m: BitStr) -> tuple[BitStr, BitStr]:
+def h1(
+    params: ParameterSet, suite_id: int, sigma: BitStr, m: BitStr
+) -> tuple[BitStr, BitStr]:
     """Derive the two exponent scalars from (σ, m).
 
     The XOF output is truncated to κ3+κ4 bits; the first κ3 bits become r_s
     and the remaining κ4 bits become r_t.
     """
-    if sigma.nbits != cfg.kappa2:
-        raise EncodingError(f"sigma must be {cfg.kappa2} bits, got {sigma.nbits}")
-    if m.nbits != cfg.msg_len:
-        raise EncodingError(f"message must be {cfg.msg_len} bits, got {m.nbits}")
-    joint = xof_bits(DOMAIN_H1, cfg.suite_id, sigma.data + m.data, cfg.kappa3 + cfg.kappa4)
+    if sigma.nbits != params.kappa2:
+        raise EncodingError(f"sigma must be {params.kappa2} bits, got {sigma.nbits}")
+    if m.nbits != params.msg_len:
+        raise EncodingError(f"message must be {params.msg_len} bits, got {m.nbits}")
+    joint = xof_bits(DOMAIN_H1, suite_id, sigma.data + m.data, params.kappa3 + params.kappa4)
     v = joint.to_int()
-    r_s = BitStr.from_int(v & ((1 << cfg.kappa3) - 1), cfg.kappa3)
-    r_t = BitStr.from_int(v >> cfg.kappa3, cfg.kappa4)
+    r_s = BitStr.from_int(v & ((1 << params.kappa3) - 1), params.kappa3)
+    r_t = BitStr.from_int(v >> params.kappa3, params.kappa4)
     return r_s, r_t
 
 
-def h2(cfg: HashSuiteConfig, g: GroupElement) -> BitStr:
+def h2(params: ParameterSet, suite_id: int, g: GroupElement) -> BitStr:
     """Hash a group element to κ2 bits via its canonical byte encoding."""
-    return xof_bits(DOMAIN_H2, cfg.suite_id, canonical_bytes(g.mat), cfg.kappa2)
+    return xof_bits(DOMAIN_H2, suite_id, canonical_bytes(g.mat), params.kappa2)
 
 
-def h3(cfg: HashSuiteConfig, sigma: BitStr) -> BitStr:
+def h3(params: ParameterSet, suite_id: int, sigma: BitStr) -> BitStr:
     """Expand σ to a message-length pad."""
-    if sigma.nbits != cfg.kappa2:
-        raise EncodingError(f"sigma must be {cfg.kappa2} bits, got {sigma.nbits}")
-    return xof_bits(DOMAIN_H3, cfg.suite_id, sigma.data, cfg.msg_len)
+    if sigma.nbits != params.kappa2:
+        raise EncodingError(f"sigma must be {params.kappa2} bits, got {sigma.nbits}")
+    return xof_bits(DOMAIN_H3, suite_id, sigma.data, params.msg_len)

@@ -218,10 +218,6 @@ def identity(n: int, p: int) -> FieldMatrix:
     return FieldMatrix(n, p, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
 
-def zeros(n: int, p: int) -> FieldMatrix:
-    return FieldMatrix(n, p, tuple((0,) * n for _ in range(n)))
-
-
 def _check_compatible(a: FieldMatrix, b: FieldMatrix):
     if a.n != b.n or a.p != b.p:
         raise ParameterError(
@@ -229,24 +225,9 @@ def _check_compatible(a: FieldMatrix, b: FieldMatrix):
         )
 
 
-def mat_add(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
-    _check_compatible(a, b)
-    p = a.p
-    return _trusted(FieldMatrix, n=a.n, p=p, rows=tuple(
-        tuple((x + y) % p for x, y in zip(ra, rb)) for ra, rb in zip(a.rows, b.rows)
-    ))
-
-
 def mat_neg(a: FieldMatrix) -> FieldMatrix:
     p = a.p
     rows = tuple(tuple((-x) % p for x in row) for row in a.rows)
-    return _trusted(FieldMatrix, n=a.n, p=p, rows=rows)
-
-
-def mat_scale(c: int, a: FieldMatrix) -> FieldMatrix:
-    p = a.p
-    c %= p
-    rows = tuple(tuple((c * x) % p for x in row) for row in a.rows)
     return _trusted(FieldMatrix, n=a.n, p=p, rows=rows)
 
 

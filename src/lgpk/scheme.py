@@ -19,7 +19,7 @@ from typing import Optional
 
 from .bitstrings import BitStr
 from .errors import EncodingError, KeyMismatchError, ParameterError
-from .hashsuite import HashSuiteConfig, h1, h2, h3
+from .hashsuite import SUITE_ID, h1, h2, h3
 from .matfield import (
     GroupElement,
     NilpotentMatrix,
@@ -50,13 +50,14 @@ class OpCounter:
 @dataclass(frozen=True)
 class PublicKey:
     """Parameters, the two nilpotent generators, and the published product
-    key_product = exp(left_secret * left_gen) * exp(right_secret * right_gen)."""
+    key_product = exp(left_secret * left_gen) * exp(right_secret * right_gen),
+    and the version byte of the hash suite that every oracle call carries."""
 
     params: ParameterSet
     left_gen: NilpotentMatrix
     right_gen: NilpotentMatrix
     key_product: GroupElement
-    hash_cfg: HashSuiteConfig
+    suite_id: int = SUITE_ID
 
     def __post_init__(self):
         n, p = self.params.n, self.params.p
@@ -72,10 +73,8 @@ class PublicKey:
             raise ParameterError("generators must be distinct")
         if commutes(self.left_gen.base, self.right_gen.base):
             raise ParameterError("generators must not commute")
-        cfg = self.hash_cfg
-        expected = (self.params.kappa2, self.params.kappa3, self.params.kappa4, self.params.msg_len)
-        if (cfg.kappa2, cfg.kappa3, cfg.kappa4, cfg.msg_len) != expected:
-            raise ParameterError("hash configuration disagrees with the parameter set")
+        if not 0 <= self.suite_id <= 0xFF:
+            raise ParameterError("suite_id must fit in one byte")
         # every encrypt and decrypt exponentiates both generators again
         self.left_gen.keep_exp_terms()
         self.right_gen.keep_exp_terms()
@@ -128,24 +127,19 @@ def keygen(params: ParameterSet, rng: RngHandle) -> tuple[PublicKey, PrivateKey]
     right_factor = exp_scaled(right_secret, right_gen)
     del left_secret, right_secret
     key_product = group_mul(left_factor, right_factor)
-    cfg = HashSuiteConfig(params.kappa2, params.kappa3, params.kappa4, params.msg_len)
-    pk = PublicKey(params, left_gen, right_gen, key_product, cfg)
+    pk = PublicKey(params, left_gen, right_gen, key_product)
     from .codec import pk_fingerprint  # deferred: codec imports this module's types
 
     sk = PrivateKey(left_factor, right_factor, pk_fingerprint(pk))
     return pk, sk
 
 
-def encrypt(
-    pk: PublicKey, m: BitStr, rng: RngHandle, ops: Optional[OpCounter] = None
-) -> Ciphertext:
-    """Encrypt an msg_len-bit message: 2 exponential maps, 3 group multiplications."""
-    ops = ops if ops is not None else OpCounter()
-    cfg = pk.hash_cfg
-    if m.nbits != cfg.msg_len:
-        raise EncodingError(f"message must be {cfg.msg_len} bits, got {m.nbits}")
-    seed = rng.bitstr(cfg.kappa2)
-    r_left, r_right = (r.to_int() for r in h1(cfg, seed, m))
+def _seal(pk: PublicKey, seed: BitStr, m: BitStr, ops: OpCounter) -> Ciphertext:
+    """The deterministic core of encryption: 2 exponential maps, 3 group
+    multiplications. Encryption seals a fresh seed; decryption re-seals the
+    seed it recovered and compares, so the scheme encrypts in one place."""
+    params, suite = pk.params, pk.suite_id
+    r_left, r_right = (r.to_int() for r in h1(params, suite, seed, m))
     left_rand = exp_scaled(r_left, pk.left_gen)
     ops.count_exp()
     right_rand = exp_scaled(r_right, pk.right_gen)
@@ -156,9 +150,19 @@ def encrypt(
     ops.count_mul()
     rand_product = group_mul(left_rand, right_rand)
     ops.count_mul()
-    sealed_seed = h2(cfg, sandwich) ^ seed
-    masked_msg = h3(cfg, seed) ^ m
+    sealed_seed = h2(params, suite, sandwich) ^ seed
+    masked_msg = h3(params, suite, seed) ^ m
     return Ciphertext(sealed_seed, rand_product, masked_msg)
+
+
+def encrypt(
+    pk: PublicKey, m: BitStr, rng: RngHandle, ops: Optional[OpCounter] = None
+) -> Ciphertext:
+    """Encrypt an msg_len-bit message: 2 exponential maps, 3 group multiplications."""
+    if m.nbits != pk.params.msg_len:
+        raise EncodingError(f"message must be {pk.params.msg_len} bits, got {m.nbits}")
+    ops = ops if ops is not None else OpCounter()
+    return _seal(pk, rng.bitstr(pk.params.kappa2), m, ops)
 
 
 def decrypt(
@@ -175,33 +179,21 @@ def decrypt(
 
     if sk.pk_fingerprint != pk_fingerprint(pk):
         raise KeyMismatchError("private key is not bound to this public key")
+    params, suite = pk.params, pk.suite_id
+    sm = sk.left_factor.mat
+    if sm.n != params.n or sm.p != params.p:
+        raise KeyMismatchError("private key factors do not live in the public key's group")
     ops = ops if ops is not None else OpCounter()
-    cfg = pk.hash_cfg
-    if ct.sealed_seed.nbits != cfg.kappa2 or ct.masked_msg.nbits != cfg.msg_len:
+    if ct.sealed_seed.nbits != params.kappa2 or ct.masked_msg.nbits != params.msg_len:
         return None
     cm = ct.rand_product.mat
-    if cm.n != pk.params.n or cm.p != pk.params.p:
+    if cm.n != params.n or cm.p != params.p:
         return None
     inner = group_mul(sk.left_factor, ct.rand_product)
     ops.count_mul()
     sandwich = group_mul(inner, sk.right_factor)
     ops.count_mul()
-    seed = ct.sealed_seed ^ h2(cfg, sandwich)
-    m = ct.masked_msg ^ h3(cfg, seed)
-    r_left, r_right = (r.to_int() for r in h1(cfg, seed, m))
-    left_rand = exp_scaled(r_left, pk.left_gen)
-    ops.count_exp()
-    right_rand = exp_scaled(r_right, pk.right_gen)
-    ops.count_exp()
-    re_inner = group_mul(left_rand, pk.key_product)
-    ops.count_mul()
-    re_sandwich = group_mul(re_inner, right_rand)
-    ops.count_mul()
-    re_product = group_mul(left_rand, right_rand)
-    ops.count_mul()
+    seed = ct.sealed_seed ^ h2(params, suite, sandwich)
+    m = ct.masked_msg ^ h3(params, suite, seed)
     # comparisons are bitwise on the canonical representations
-    seed_ok = (h2(cfg, re_sandwich) ^ seed) == ct.sealed_seed
-    product_ok = re_product.mat == cm
-    if seed_ok and product_ok:
-        return m
-    return None
+    return m if _seal(pk, seed, m, ops) == ct else None

@@ -113,3 +113,14 @@ def trial_division_prime(n):
 
 def mat(rows, p):
     return FieldMatrix.from_rows(rows, p)
+
+
+def zeros(n, p):
+    return FieldMatrix(n, p, tuple((0,) * n for _ in range(n)))
+
+
+def lin_comb(*terms):
+    """sum of c * a over (c, a) terms of n x n matrices mod p, entry by entry."""
+    n, p = terms[0][1].n, terms[0][1].p
+    rows = [[sum(c * a.rows[i][j] for c, a in terms) for j in range(n)] for i in range(n)]
+    return FieldMatrix.from_rows(rows, p)

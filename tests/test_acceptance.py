@@ -11,7 +11,7 @@ from statistics import median
 
 import pytest
 
-from conftest import rational_exp
+from conftest import lin_comb, rational_exp
 from lgpk import codec
 from lgpk.bitstrings import BitStr
 from lgpk.cli import build_kat_bundle, make_params
@@ -26,11 +26,9 @@ from lgpk.matfield import (
     exp_scaled,
     group_mul,
     identity,
-    mat_add,
     mat_exp,
     mat_mul,
     mat_neg,
-    mat_scale,
 )
 from lgpk.sampler import RngHandle, sample_nilpotent, sample_noncommuting_pair
 from lgpk.scheme import Ciphertext, OpCounter, decrypt, encrypt, keygen
@@ -61,12 +59,12 @@ def test_criterion_1_exponential_algebra():
                 both = exp_scaled((alpha + beta) % p, x)
                 assert group_mul(exp_scaled(alpha, x), exp_scaled(beta, x)).mat == both.mat
                 # a polynomial in X commutes with X and the sum law holds
-                y = mat_add(
-                    mat_scale(rng.below(p), x.base),
-                    mat_scale(rng.below(p), mat_mul(x.base, x.base)),
+                y = lin_comb(
+                    (rng.below(p), x.base),
+                    (rng.below(p), mat_mul(x.base, x.base)),
                 )
                 assert commutes(x.base, y)
-                exp_sum = mat_exp(NilpotentMatrix.from_matrix(mat_add(x.base, y)))
+                exp_sum = mat_exp(NilpotentMatrix.from_matrix(lin_comb((1, x.base), (1, y))))
                 exp_y = mat_exp(NilpotentMatrix.from_matrix(y))
                 assert group_mul(mat_exp(x), exp_y).mat == exp_sum.mat
                 checked += 1

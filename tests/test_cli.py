@@ -5,7 +5,17 @@ import os
 
 import pytest
 
+from lgpk import cli, codec
 from lgpk.cli import PROFILES, build_kat_bundle, main, pad_message, unpad_message
+from lgpk.errors import (
+    BudgetRefusal,
+    KeyMismatchError,
+    ParameterError,
+    SamplingError,
+    SemanticDecodeError,
+)
+from lgpk.matfield import GroupElement, identity
+from lgpk.scheme import PrivateKey
 
 SEED_A = "ab" * 32
 SEED_B = "cd" * 32
@@ -136,6 +146,51 @@ def test_wrong_private_key_exits_5(tmp_path, keypair):
     code = run("decrypt", str(tmp_path / "other.lgsk"), pk_path, ct,
                "--out", str(tmp_path / "m.out"))
     assert code == 5
+
+
+@pytest.mark.parametrize("foreign", [identity(2, 9), identity(3, 251)], ids=["mod9", "3x3"])
+def test_private_key_outside_the_public_group_exits_5(tmp_path, keypair, capsys, foreign):
+    pk_path, sk_path = keypair
+    sk = codec.decode((tmp_path / "key.lgsk").read_bytes())
+    alien = tmp_path / "alien.lgsk"
+    factor = GroupElement(foreign)
+    alien.write_bytes(codec.encode(PrivateKey(factor, factor, sk.pk_fingerprint)))
+    msg = tmp_path / "m.bin"
+    msg.write_bytes(b"secret")
+    ct = str(tmp_path / "m.lgct")
+    out = tmp_path / "m.out"
+    assert run("encrypt", pk_path, str(msg), "--out", ct) == 0
+    capsys.readouterr()
+    assert run("decrypt", str(alien), pk_path, ct, "--out", str(out)) == 5
+    assert capsys.readouterr().err.startswith("error: private key factors")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("error, code, stderr", [
+    (cli.UsageError("u"), 2, "error: u\n"),
+    (ParameterError("p"), 2, "error: p\n"),
+    (FileNotFoundError("f"), 3, "error: f\n"),
+    (cli.IntegrityError("i"), 4, "error: i\n"),
+    (SemanticDecodeError("c"), 4, "error: integrity failure: c\n"),
+    (KeyMismatchError("k"), 5, "error: k\n"),
+    (BudgetRefusal("b"), 6, "refused: b\n"),
+])
+def test_exit_code_and_stderr_per_error_type(monkeypatch, capsys, error, code, stderr):
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_inspect", fail)
+    assert run("inspect", "any.lgpk") == code
+    assert capsys.readouterr().err == stderr
+
+
+def test_unlisted_error_propagates(monkeypatch):
+    def fail(args):
+        raise SamplingError("s")
+
+    monkeypatch.setattr(cli, "cmd_inspect", fail)
+    with pytest.raises(SamplingError):
+        run("inspect", "any.lgpk")
 
 
 def test_missing_input_exits_3(tmp_path):

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from conftest import zeros
 
 from lgpk.bitstrings import BitStr
 from lgpk.codec import (
@@ -25,10 +26,9 @@ from lgpk.matfield import (
     ParameterSet,
     canonical_bytes,
     identity,
-    zeros,
 )
 from lgpk.sampler import RngHandle
-from lgpk.scheme import Ciphertext, encrypt, keygen
+from lgpk.scheme import Ciphertext, PublicKey, decrypt, encrypt, keygen
 
 import zlib
 
@@ -254,3 +254,25 @@ def test_toy_pk_wire_length_is_computable():
     matrix = 4 + 4 + plen + n * n * plen
     body = params_body + 1 + (matrix + 1) * 2 + matrix
     assert len(encode(pk)) == 4 + 1 + 1 + body + 4
+
+
+def test_composite_modulus_ciphertext_decodes_and_decrypts_to_none():
+    # primality is tested for params and public-key frames only: the identity
+    # mod 9 has unit pivots, so no elimination step exposes the modulus
+    _, pk, sk, ct = sample_objects(TINY)
+    data = encode(ct)
+    good = canonical_bytes(ct.rand_product.mat)
+    bad = canonical_bytes(identity(2, 9))
+    assert len(good) == len(bad)
+    forged = decode(reframe(data.replace(good, bad)))
+    assert forged.rand_product.mat.p == 9
+    assert decrypt(sk, pk, forged) is None
+
+
+def test_suite_id_round_trips_and_enters_the_fingerprint():
+    _, pk, _, _ = sample_objects()
+    other = PublicKey(pk.params, pk.left_gen, pk.right_gen, pk.key_product, suite_id=2)
+    back = decode(encode(other))
+    assert back == other and back.suite_id == 2
+    assert encode(other) != encode(pk)
+    assert pk_fingerprint(other) != pk_fingerprint(pk)

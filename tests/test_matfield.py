@@ -6,12 +6,14 @@ from pathlib import Path
 
 import pytest
 from conftest import (
+    lin_comb,
     mat,
     miller_rabin_prime,
     rational_exp,
     slow_det,
     slow_mat_mul,
     trial_division_prime,
+    zeros,
 )
 
 from lgpk.cryptanalysis import NafInstance, naf_bruteforce, naf_mitm
@@ -33,12 +35,9 @@ from lgpk.matfield import (
     is_invertible,
     is_nilpotent,
     is_probable_prime,
-    mat_add,
     mat_exp,
     mat_inv,
     mat_mul,
-    mat_scale,
-    zeros,
 )
 
 SHIFT3 = ((0, 1, 0), (0, 0, 1), (0, 0, 0))
@@ -206,7 +205,7 @@ def test_mat_exp_is_unipotent():
         nm = NilpotentMatrix.from_matrix(random_nilpotent(rng, 3, 101))
         g = mat_exp(nm)
         assert det(g.mat) == 1
-        diff = mat_add(g.mat, mat_scale(-1, identity(3, 101)))
+        diff = lin_comb((1, g.mat), (-1, identity(3, 101)))
         assert is_nilpotent(diff)[0]
 
 
@@ -416,3 +415,12 @@ def test_parameter_set_validation():
         ParameterSet(kappa1=8, n=2, p=251, kappa2=64, kappa3=16, kappa4=8, msg_len=128)
     with pytest.raises(ParameterError):  # p must exceed n
         ParameterSet(kappa1=3, n=5, p=5, kappa2=64, kappa3=3, kappa4=3, msg_len=128)
+
+
+@pytest.mark.parametrize("name", ["kappa2", "kappa3", "kappa4", "msg_len"])
+def test_parameter_set_rejects_nonpositive_lengths(name):
+    fields = dict(kappa1=8, n=2, p=251, kappa2=64, kappa3=8, kappa4=8, msg_len=128)
+    ParameterSet(**fields)
+    for bad in (0, -1):
+        with pytest.raises(ParameterError, match=f"{name} must be positive"):
+            ParameterSet(**{**fields, name: bad})

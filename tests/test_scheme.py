@@ -5,7 +5,7 @@ from lgpk.bitstrings import BitStr
 from lgpk.cli import make_params
 from lgpk.codec import decode, encode, pk_fingerprint
 from lgpk.errors import EncodingError, KeyMismatchError, NotInvertibleError
-from lgpk.hashsuite import HashSuiteConfig, h1
+from lgpk.hashsuite import SUITE_ID, h1
 from lgpk.matfield import (
     FieldMatrix,
     GroupElement,
@@ -13,6 +13,7 @@ from lgpk.matfield import (
     ParameterSet,
     exp_scaled,
     group_mul,
+    identity,
     mat_mul,
 )
 from lgpk.sampler import RngHandle
@@ -170,7 +171,7 @@ def test_correctness_identity_at_group_level():
         rng = RngHandle(seed + b"!")
         m = rng.bitstr(TOY.msg_len)
         sigma = rng.bitstr(TOY.kappa2)
-        r_left, r_right = (r.to_int() for r in h1(pk.hash_cfg, sigma, m))
+        r_left, r_right = (r.to_int() for r in h1(pk.params, pk.suite_id, sigma, m))
         left_rand = exp_scaled(r_left, pk.left_gen)
         right_rand = exp_scaled(r_right, pk.right_gen)
         lhs = mat_mul(mat_mul(left_rand.mat, pk.key_product.mat), right_rand.mat)
@@ -187,8 +188,7 @@ def test_toy_closed_form_of_rand_product():
     left_factor = GroupElement(FieldMatrix(2, p, ((1, 2), (0, 1))))   # exp(2*upper)
     right_factor = GroupElement(FieldMatrix(2, p, ((1, 0), (3, 1))))  # exp(3*lower)
     key_product = group_mul(left_factor, right_factor)
-    cfg = HashSuiteConfig(TINY.kappa2, TINY.kappa3, TINY.kappa4, TINY.msg_len)
-    pk = PublicKey(TINY, upper, lower, key_product, cfg)
+    pk = PublicKey(TINY, upper, lower, key_product, SUITE_ID)
     sk = PrivateKey(left_factor, right_factor, pk_fingerprint(pk))
 
     rng = RngHandle(SEED)
@@ -197,7 +197,7 @@ def test_toy_closed_form_of_rand_product():
 
     replay = RngHandle(SEED)
     sigma = replay.bitstr(TINY.kappa2)
-    r_left, r_right = (r.to_int() % p for r in h1(cfg, sigma, m))
+    r_left, r_right = (r.to_int() % p for r in h1(TINY, SUITE_ID, sigma, m))
     expected = ((1 + r_left * r_right) % p, r_left), (r_right, 1)
     assert ct.rand_product.mat.rows == expected
     assert decrypt(sk, pk, ct) == m
@@ -246,3 +246,14 @@ def test_decrypt_returns_none_on_shape_mismatch():
     assert decrypt(sk, pk, Ciphertext(short_seed, ct.rand_product, ct.masked_msg)) is None
     other_group = GroupElement(FieldMatrix(2, 7, ((1, 0), (0, 1))))
     assert decrypt(sk, pk, Ciphertext(ct.sealed_seed, other_group, ct.masked_msg)) is None
+
+
+@pytest.mark.parametrize("foreign", [identity(2, 9), identity(3, 251)], ids=["mod9", "3x3"])
+def test_decrypt_rejects_private_key_outside_the_public_group(foreign):
+    # the fingerprint is just bytes, so a key can carry the right one while
+    # its factors live in another group; it must be refused, not multiplied
+    pk, sk = toy_keypair()
+    ct = encrypt(pk, BitStr.from_int(5, TOY.msg_len), RngHandle(SEED))
+    alien = PrivateKey(GroupElement(foreign), GroupElement(foreign), sk.pk_fingerprint)
+    with pytest.raises(KeyMismatchError, match="public key's group"):
+        decrypt(alien, pk, ct)

@@ -137,8 +137,15 @@ def encode(obj: Encodable) -> bytes:
 
 
 def pk_fingerprint(pk: PublicKey) -> bytes:
-    """Digest binding a private key to its public key: XOF over the encoded pk."""
-    return xof_bits(DOMAIN_FINGERPRINT, pk.suite_id, encode(pk), 8 * FINGERPRINT_BYTES).data
+    """Digest binding a private key to its public key: XOF over the encoded pk.
+
+    Computed once per key object and kept on it; the key is frozen, so the
+    digest cannot go stale.
+    """
+    if pk._fingerprint is None:
+        digest = xof_bits(DOMAIN_FINGERPRINT, pk.suite_id, encode(pk), 8 * FINGERPRINT_BYTES)
+        object.__setattr__(pk, "_fingerprint", digest.data)
+    return pk._fingerprint
 
 
 # ----------------------------------------------------------------- decoding

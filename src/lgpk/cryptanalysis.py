@@ -3,10 +3,14 @@
 Factoring: given a product exp(x*L)*exp(y*R) of exponentials of known
 non-commuting nilpotent generators, recover the scalar pair. The brute-force
 solver scans the full (x, y) grid; the meet-in-the-middle solver tabulates
-the right factor's image set and probes with left-inverses, trading memory
-for a linear-time scan. Insertion: given two such products, produce the
-product with component-wise summed scalars; solved here by factoring both
-inputs and re-exponentiating.
+the right factor's images for every y and probes them with left-inverses
+applied to the target, trading memory for a linear-time scan. Both carry
+only row 0 of each running product, a row-times-matrix step of n^2
+multiplications, and confirm a row-0 hit by the full matrix product before
+reporting it; the meet-in-the-middle table is keyed by that row packed into
+one int. Insertion: given two such products, produce the product with
+component-wise summed scalars; solved here by factoring both inputs and
+re-exponentiating.
 
 Both solvers refuse instances whose cost exceeds an explicit budget instead
 of grinding forever — at production parameters the refusal arithmetic *is*
@@ -16,6 +20,7 @@ the point. `hardness_sweep` turns that into measured scaling curves over a
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -24,14 +29,11 @@ from .errors import BudgetRefusal, ParameterError
 from .matfield import (
     GroupElement,
     NilpotentMatrix,
-    canonical_bytes,
+    Rows,
     commutes,
     exp_scaled,
     group_mul,
-    identity,
     mat_exp,
-    mat_mul,
-    mat_neg,
 )
 from .sampler import RngHandle, sample_noncommuting_pair, sample_prime
 
@@ -92,15 +94,31 @@ class NafSolution:
     ops: int
 
 
+def _row_times(row: tuple[int, ...], cols: Rows, p: int) -> tuple[int, ...]:
+    """Row vector times the matrix whose columns are `cols`, reduced mod p."""
+    return tuple([sum(map(operator.mul, row, col)) % p for col in cols])
+
+
+def _confirm(inst: NafInstance, x: int, y: int, ops: int) -> Optional[NafSolution]:
+    """The full check behind a row-0 hit: exp(x*L)*exp(y*R) == target."""
+    left_image = exp_scaled(x, inst.left_gen)
+    right_image = exp_scaled(y, inst.right_gen)
+    if group_mul(left_image, right_image).mat != inst.target.mat:
+        return None
+    return NafSolution(x, y, left_image, right_image, ops)
+
+
 def naf_bruteforce(
     inst: NafInstance, pair_budget: int = BRUTE_PAIR_BUDGET
 ) -> Optional[NafSolution]:
     """Exhaustive scan of the (x, y) grid, x-major, so the smallest x (and for
     it the smallest y) wins. `ops` reports the number of pairs tried.
 
-    Each step multiplies the running product by a precomputed one-step
-    exponential instead of re-evaluating the series, using that
-    exp((x+1)*L) = exp(x*L)*exp(L).
+    The scan carries only row 0 of the running product exp(x*L)*exp(y*R):
+    that row is (row 0 of exp(L)^x) * exp(R)^y, so each step is one
+    row-times-matrix product. A pair whose row 0 equals the target's is
+    confirmed by the full product before it is returned; a pair matching in
+    row 0 alone is passed over.
     """
     total = inst.bound_left * inst.bound_right
     if total > pair_budget:
@@ -108,32 +126,36 @@ def naf_bruteforce(
             f"brute force needs {inst.bound_left} * {inst.bound_right} = {total} "
             f"pair trials, over the budget of {pair_budget}"
         )
-    step_left = mat_exp(inst.left_gen).mat
-    step_right = mat_exp(inst.right_gen).mat
-    target = inst.target.mat
-    n, p = target.n, target.p
-    ops = 0
-    left = identity(n, p)
+    n, p = inst.target.mat.n, inst.target.mat.p
+    left_cols = tuple(zip(*mat_exp(inst.left_gen).mat.rows))
+    right_cols = tuple(zip(*mat_exp(inst.right_gen).mat.rows))
+    goal = inst.target.mat.rows[0]
+    start = (1,) + (0,) * (n - 1)
     for x in range(inst.bound_left):
-        cur = left
+        row = start
         for y in range(inst.bound_right):
-            ops += 1
-            if cur == target:
-                return NafSolution(
-                    x, y, exp_scaled(x, inst.left_gen), exp_scaled(y, inst.right_gen), ops
-                )
-            cur = mat_mul(cur, step_right)
-        left = mat_mul(left, step_left)
+            if row == goal:
+                sol = _confirm(inst, x, y, x * inst.bound_right + y + 1)
+                if sol is not None:
+                    return sol
+            row = _row_times(row, right_cols, p)
+        start = _row_times(start, left_cols, p)
     return None
 
 
 def naf_mitm(
     inst: NafInstance, table_budget: int = MITM_TABLE_BUDGET
 ) -> Optional[NafSolution]:
-    """Meet-in-the-middle: tabulate exp(y*R) for all y, then probe
-    exp(x*L)^-1 * target for each x. Cost is bound_left + bound_right group
-    operations instead of their product; `ops` counts table entries built
-    plus probes made. Ties resolve to the smallest x, then the smallest y.
+    """Meet-in-the-middle: tabulate row 0 of exp(y*R) for all y, then probe
+    row 0 of exp(x*L)^-1 * target for each x. Cost is bound_left + bound_right
+    row-times-matrix products instead of their product; `ops` counts table
+    entries built plus probes made. Ties resolve to the smallest x, then the
+    smallest y.
+
+    Each row is packed into one int, and the table maps it to its first y;
+    later y's with the same row, which occur only when rows repeat, wait in a
+    side dict. A probe that hits confirms its candidates by the full product,
+    smallest y first.
     """
     if inst.bound_right > table_budget:
         raise BudgetRefusal(
@@ -141,27 +163,36 @@ def naf_mitm(
             f"over the budget of {table_budget}"
         )
     n, p = inst.target.mat.n, inst.target.mat.p
-    step_right = mat_exp(inst.right_gen).mat
-    ops = 0
-    table: dict[bytes, int] = {}
-    cur = identity(n, p)
+
+    def pack(row: tuple[int, ...]) -> int:
+        key = 0
+        for e in row:
+            key = key * p + e
+        return key
+
+    start = (1,) + (0,) * (n - 1)
+    right_cols = tuple(zip(*mat_exp(inst.right_gen).mat.rows))
+    table: dict[int, int] = {}
+    later: dict[int, list[int]] = {}
+    row = start
     for y in range(inst.bound_right):
-        ops += 1
-        table.setdefault(canonical_bytes(cur), y)
-        cur = mat_mul(cur, step_right)
-    # exp(L)^-1 = exp(-L): negation stays nilpotent with the same index
-    step_left_inv = mat_exp(
-        NilpotentMatrix(mat_neg(inst.left_gen.base), inst.left_gen.index)
-    ).mat
-    inv = identity(n, p)
+        key = pack(row)
+        if table.setdefault(key, y) != y:
+            later.setdefault(key, []).append(y)
+        row = _row_times(row, right_cols, p)
+    # exp(L)^-1 = exp(-L) = exp((p-1)*L): scalars act mod p
+    inv_cols = tuple(zip(*exp_scaled(p - 1, inst.left_gen).mat.rows))
+    target_cols = tuple(zip(*inst.target.mat.rows))
+    row = start
     for x in range(inst.bound_left):
-        ops += 1
-        y = table.get(canonical_bytes(mat_mul(inv, inst.target.mat)))
-        if y is not None:
-            return NafSolution(
-                x, y, exp_scaled(x, inst.left_gen), exp_scaled(y, inst.right_gen), ops
-            )
-        inv = mat_mul(inv, step_left_inv)
+        key = pack(_row_times(row, target_cols, p))
+        first = table.get(key)
+        if first is not None:
+            for y in (first, *later.get(key, ())):
+                sol = _confirm(inst, x, y, inst.bound_right + x + 1)
+                if sol is not None:
+                    return sol
+        row = _row_times(row, inv_cols, p)
     return None
 
 

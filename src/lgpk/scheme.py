@@ -58,6 +58,9 @@ class PublicKey:
     right_gen: NilpotentMatrix
     key_product: GroupElement
     suite_id: int = SUITE_ID
+    # codec.pk_fingerprint's digest, kept once computed. A class attribute,
+    # not a field: equality, hash, repr and the codec ignore it.
+    _fingerprint = None
 
     def __post_init__(self):
         n, p = self.params.n, self.params.p

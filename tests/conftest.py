@@ -100,6 +100,60 @@ def miller_rabin_prime(n, rounds=64):
     return True
 
 
+def _identity_rows(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def slow_naf_bruteforce(left, right, target, p, bound_left, bound_right):
+    """Full-matrix brute-force factoring: the scan the row-0 solver replaced.
+
+    left and right are the generators' row lists with their nilpotency
+    indices, as (rows, index); target is a row list. Walks exp(L)^x exp(R)^y
+    x-major, comparing whole matrices, and returns (x, y, pairs tried) at the
+    first match, else None.
+    """
+    step_left = rational_exp(*left, p)
+    step_right = rational_exp(*right, p)
+    target = [list(row) for row in target]
+    ops = 0
+    start = _identity_rows(len(target))
+    for x in range(bound_left):
+        cur = start
+        for y in range(bound_right):
+            ops += 1
+            if cur == target:
+                return x, y, ops
+            cur = slow_mat_mul(cur, step_right, p)
+        start = slow_mat_mul(start, step_left, p)
+    return None
+
+
+def slow_naf_mitm(left, right, target, p, bound_left, bound_right):
+    """Full-matrix meet-in-the-middle: a table of whole exp(R)^y matrices,
+    each mapped to its first y, probed with exp(-L)^x * target for x = 0, 1,
+    ...; returns (x, y, table entries + probes) at the first hit, else None.
+    """
+    rows, index = left
+    step_left_inv = rational_exp([[-e for e in row] for row in rows], index, p)
+    step_right = rational_exp(*right, p)
+    target = [list(row) for row in target]
+    ops = 0
+    table = {}
+    cur = _identity_rows(len(target))
+    for y in range(bound_right):
+        ops += 1
+        table.setdefault(tuple(map(tuple, cur)), y)
+        cur = slow_mat_mul(cur, step_right, p)
+    inv = _identity_rows(len(target))
+    for x in range(bound_left):
+        ops += 1
+        y = table.get(tuple(map(tuple, slow_mat_mul(inv, target, p))))
+        if y is not None:
+            return x, y, ops
+        inv = slow_mat_mul(inv, step_left_inv, p)
+    return None
+
+
 def trial_division_prime(n):
     if n < 2:
         return False

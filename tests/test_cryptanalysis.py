@@ -1,5 +1,7 @@
 import pytest
+from conftest import slow_naf_bruteforce, slow_naf_mitm
 
+from lgpk import cryptanalysis, matfield
 from lgpk.cryptanalysis import (
     BRUTE_PAIR_BUDGET,
     SWEEP_CSV_HEADER,
@@ -21,9 +23,10 @@ from lgpk.matfield import (
     exp_scaled,
     group_mul,
     identity,
+    is_invertible,
     mat_mul,
 )
-from lgpk.sampler import RngHandle, sample_noncommuting_pair
+from lgpk.sampler import RngHandle, sample_noncommuting_pair, sample_prime
 
 SEED = b"\x99" * 32
 
@@ -105,6 +108,103 @@ def test_smallest_scalars_win_when_bounds_exceed_modulus():
     for solver in (naf_bruteforce, naf_mitm):
         sol = solver(inst)
         assert (sol.left_scalar, sol.right_scalar) == (1, 2)
+
+
+def grid_generators():
+    rng = RngHandle(b"\x5a" * 32)
+    pairs = [sample_noncommuting_pair(n, p, rng) for n, p in ((2, 7), (2, 11), (3, 7), (3, 11))]
+    # every exp(y*lower) has row 0 = (1, 0): all of its row-0 table keys collide
+    return pairs + [shift_pair(7)]
+
+
+GRID = grid_generators()
+GRID_IDS = [f"n{left.base.n}-p{left.base.p}" for left, _ in GRID[:-1]] + ["shift-p7"]
+
+
+def assert_solvers_match_oracle(inst):
+    """Both solvers return the full-matrix oracle's (x, y, ops), or None with it."""
+    gens = [([list(r) for r in g.base.rows], g.index) for g in (inst.left_gen, inst.right_gen)]
+    args = (*gens, inst.target.mat.rows, inst.target.mat.p, inst.bound_left, inst.bound_right)
+    results = []
+    for solver, oracle in ((naf_bruteforce, slow_naf_bruteforce), (naf_mitm, slow_naf_mitm)):
+        sol = solver(inst)
+        got = None if sol is None else (sol.left_scalar, sol.right_scalar, sol.ops)
+        assert got == oracle(*args), solver.__name__
+        if sol is not None:
+            assert sol.left_image == exp_scaled(sol.left_scalar, inst.left_gen)
+            assert sol.right_image == exp_scaled(sol.right_scalar, inst.right_gen)
+        results.append(got)
+    return results
+
+
+@pytest.mark.parametrize("left, right", GRID, ids=GRID_IDS)
+def test_solvers_match_full_matrix_oracle_on_every_grid_target(left, right):
+    # bounds below p miss some targets; bounds above p repeat images, so the
+    # smallest-y tie-break decides
+    p = left.base.p
+    for bound_left, bound_right in ((p // 2, p - 2), (p, p), (p + 2, 2 * p + 1)):
+        for a in range(p):
+            for b in range(p):
+                target = group_mul(exp_scaled(a, left), exp_scaled(b, right))
+                inst = NafInstance(left, right, target, bound_left, bound_right)
+                brute, mitm = assert_solvers_match_oracle(inst)
+                if a < bound_left and b < bound_right:
+                    assert brute is not None and mitm is not None
+
+
+def row0_decoy(good):
+    """An invertible matrix with good's row 0 and a different row 1."""
+    n, p = good.n, good.p
+    rows = [list(r) for r in good.rows]
+    for delta in range(1, p):
+        rows[1][0] = (good.rows[1][0] + delta) % p
+        decoy = FieldMatrix(n, p, tuple(map(tuple, rows)))
+        if is_invertible(decoy):
+            return GroupElement(decoy)
+    raise AssertionError("no invertible decoy")
+
+
+@pytest.mark.parametrize("left, right", GRID, ids=GRID_IDS)
+def test_row0_decoys_are_not_reported(left, right):
+    # brute force sees row 0 of exp(aL)exp(bR) in the first kind; the
+    # meet-in-the-middle probe at x = a sees row 0 of exp(bR) in the second
+    p = left.base.p
+    for a in range(p):
+        for b in range(p):
+            honest = group_mul(exp_scaled(a, left), exp_scaled(b, right))
+            decoys = (
+                row0_decoy(honest.mat),
+                group_mul(exp_scaled(a, left), row0_decoy(exp_scaled(b, right).mat)),
+            )
+            for decoy in decoys:
+                assert decoy.mat != honest.mat
+                for got in assert_solvers_match_oracle(NafInstance(left, right, decoy, p, p)):
+                    assert got is None or got[:2] != (a, b)
+
+
+def test_solves_make_a_constant_number_of_products(monkeypatch):
+    rng = RngHandle(SEED)
+    p = sample_prime(16, rng)
+    left, right = sample_noncommuting_pair(3, p, rng)
+    calls = {"mat_mul": [], "group_mul": []}
+    for name, seen in calls.items():
+        real = getattr(matfield, name)
+        for module in (matfield, cryptanalysis):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, lambda *a, r=real, s=seen: s.append(1) or r(*a))
+    counts = {}
+    for bound in (16, 64):
+        inst = planted(left, right, 13, 11, bound, bound)
+        for solver in (naf_bruteforce, naf_mitm):
+            for seen in calls.values():
+                seen.clear()
+            sol = solver(inst)
+            assert (sol.left_scalar, sol.right_scalar) == (13, 11)
+            counts[solver.__name__, bound] = (len(calls["mat_mul"]), len(calls["group_mul"]))
+    for solver in ("naf_bruteforce", "naf_mitm"):
+        muls, group_muls = counts[solver, 64]
+        assert counts[solver, 16] == (muls, group_muls)  # not one per pair tried
+        assert muls <= 8 and group_muls == 1
 
 
 def image_census(left, right, p):

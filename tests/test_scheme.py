@@ -1,11 +1,11 @@
 import pytest
 
-from lgpk import matfield, sampler
+from lgpk import codec, matfield, sampler
 from lgpk.bitstrings import BitStr
 from lgpk.cli import make_params
 from lgpk.codec import decode, encode, pk_fingerprint
 from lgpk.errors import EncodingError, KeyMismatchError, NotInvertibleError
-from lgpk.hashsuite import SUITE_ID, h1
+from lgpk.hashsuite import SUITE_ID, h1, h2
 from lgpk.matfield import (
     FieldMatrix,
     GroupElement,
@@ -229,6 +229,54 @@ def test_decrypt_rejects_rand_product_perturbation():
         except NotInvertibleError:
             continue
         assert decrypt(sk, pk, Ciphertext(ct.sealed_seed, perturbed, ct.masked_msg)) is None
+
+
+def test_decrypt_rejects_rand_product_forged_under_an_h2_collision():
+    # At kappa2 = 8, a perturbed rand_product whose sandwich collides with the
+    # honest one under h2 (about 256 tries) recovers the same seed and message,
+    # so only the comparison of rand_product in the re-encryption catches it.
+    params = ParameterSet(kappa1=8, n=2, p=251, kappa2=8, kappa3=8, kappa4=8, msg_len=128)
+    pk, sk = keygen(params, RngHandle(SEED))
+    rng = RngHandle(b"\x44" * 32)
+    m = rng.bitstr(params.msg_len)
+    ct = encrypt(pk, m, rng)
+
+    def h2_of_sandwich(rand):
+        sandwich = group_mul(group_mul(sk.left_factor, rand), sk.right_factor)
+        return h2(params, pk.suite_id, sandwich)
+
+    honest = h2_of_sandwich(ct.rand_product)
+    seed = ct.sealed_seed ^ honest
+    for _ in range(4096):
+        rows = tuple(tuple(rng.below(params.p) for _ in range(2)) for _ in range(2))
+        if not matfield.is_invertible(FieldMatrix(2, params.p, rows)):
+            continue
+        forged_rand = group_mul(ct.rand_product, GroupElement(FieldMatrix(2, params.p, rows)))
+        digest = h2_of_sandwich(forged_rand)
+        if digest == honest and forged_rand != ct.rand_product:
+            break
+    else:
+        pytest.fail("no h2 collision in 4096 tries")
+    forged = Ciphertext(digest ^ seed, forged_rand, ct.masked_msg)
+    assert forged.sealed_seed == ct.sealed_seed and forged != ct
+    assert decrypt(sk, pk, ct) == m
+    assert decrypt(sk, pk, forged) is None
+
+
+def test_decrypt_fingerprints_the_public_key_once(monkeypatch):
+    pk, sk = toy_keypair()
+    fresh = decode(encode(pk))  # no fingerprint computed on it yet
+    rng = RngHandle(b"\x55" * 32)
+    messages = [rng.bitstr(TOY.msg_len) for _ in range(10)]
+    cts = [encrypt(fresh, m, rng) for m in messages]
+    encodes = count_calls(monkeypatch, codec, "encode")
+    for m, ct in zip(messages, cts):
+        assert decrypt(sk, fresh, ct) == m
+    assert len(encodes) == 1
+    # the kept digest is invisible to equality, repr and the wire
+    assert fresh == pk and repr(fresh) == repr(pk)
+    monkeypatch.undo()
+    assert encode(fresh) == encode(pk)
 
 
 def test_decrypt_with_foreign_key_raises():

@@ -424,71 +424,101 @@ def cmd_kat(args) -> int:
 
 # ------------------------------------------------------------------ parser
 
-def build_parser() -> argparse.ArgumentParser:
+def _params_args(p):
+    p.add_argument("--profile", choices=sorted(PROFILES), default="toy")
+    p.add_argument("--seed", help="32-byte hex seed for reproducibility")
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=cmd_params)
+
+
+def _keygen_args(p):
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--profile", choices=sorted(PROFILES), default="toy")
+    group.add_argument("--params", help="read parameters from a .lgparams file")
+    p.add_argument("--seed", help="32-byte hex seed for reproducibility")
+    p.add_argument("--out", required=True, help="output path prefix")
+    p.set_defaults(func=cmd_keygen)
+
+
+def _encrypt_args(p):
+    p.add_argument("pk", help="public-key file")
+    p.add_argument("infile", help="plaintext input file")
+    p.add_argument("--out", required=True)
+    p.add_argument("--seed", help="32-byte hex seed for reproducibility")
+    p.set_defaults(func=cmd_encrypt)
+
+
+def _decrypt_args(p):
+    p.add_argument("sk", help="private-key file")
+    p.add_argument("pk", help="matching public-key file")
+    p.add_argument("infile", help="ciphertext input file")
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=cmd_decrypt)
+
+
+def _inspect_args(p):
+    p.add_argument("file")
+    p.add_argument("--pk", help="cross-check a private key against this public key")
+    p.set_defaults(func=cmd_inspect)
+
+
+def _attack_args(p):
+    p.add_argument("pk_file", nargs="?", help="public-key file to attack")
+    p.add_argument("--solver", choices=("brute", "mitm"), default="brute")
+    p.add_argument("--bounds-bits", dest="bounds_bits",
+                   help="total searched pair bits (comma list with --sweep)")
+    p.add_argument("--sweep", action="store_true",
+                   help="emit a cost-scaling CSV over a parameter grid")
+    p.add_argument("--n", type=int, default=2, help="matrix rank for --sweep")
+    p.add_argument("--p-bits", dest="p_bits", default="8",
+                   help="comma list of prime sizes for --sweep")
+    p.add_argument("--seed", help="32-byte hex seed for reproducibility")
+    p.add_argument("--out", help="write the sweep CSV here instead of stdout")
+    p.set_defaults(func=cmd_attack)
+
+
+def _kat_args(p):
+    p.add_argument("--profile", choices=sorted(PROFILES), default="toy")
+    p.add_argument("--seed", required=True, help="32-byte hex seed")
+    p.add_argument("--out", help="write the bundle here instead of stdout")
+    p.set_defaults(func=cmd_kat)
+
+
+# command name -> (help line, function adding its arguments), in help order
+COMMANDS = {
+    "params": ("generate a parameter file", _params_args),
+    "keygen": ("generate a key pair", _keygen_args),
+    "encrypt": ("encrypt a file under a public key", _encrypt_args),
+    "decrypt": ("decrypt a file with a private key", _decrypt_args),
+    "inspect": ("validate and describe a wire file", _inspect_args),
+    "attack": ("factor a public product, or run a sweep", _attack_args),
+    "kat": ("emit a known-answer-test bundle", _kat_args),
+}
+
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The `lgpk` parser with every command, or with the one named `only`.
+
+    Either way the usage line lists every command, so a parse error reads the
+    same whichever parser reports it.
+    """
     parser = argparse.ArgumentParser(
         prog="lgpk",
         description="Public-key encryption over matrix Lie groups, with attack tooling.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_params = sub.add_parser("params", help="generate a parameter file")
-    p_params.add_argument("--profile", choices=sorted(PROFILES), default="toy")
-    p_params.add_argument("--seed", help="32-byte hex seed for reproducibility")
-    p_params.add_argument("--out", required=True)
-    p_params.set_defaults(func=cmd_params)
-
-    p_keygen = sub.add_parser("keygen", help="generate a key pair")
-    group = p_keygen.add_mutually_exclusive_group()
-    group.add_argument("--profile", choices=sorted(PROFILES), default="toy")
-    group.add_argument("--params", help="read parameters from a .lgparams file")
-    p_keygen.add_argument("--seed", help="32-byte hex seed for reproducibility")
-    p_keygen.add_argument("--out", required=True, help="output path prefix")
-    p_keygen.set_defaults(func=cmd_keygen)
-
-    p_encrypt = sub.add_parser("encrypt", help="encrypt a file under a public key")
-    p_encrypt.add_argument("pk", help="public-key file")
-    p_encrypt.add_argument("infile", help="plaintext input file")
-    p_encrypt.add_argument("--out", required=True)
-    p_encrypt.add_argument("--seed", help="32-byte hex seed for reproducibility")
-    p_encrypt.set_defaults(func=cmd_encrypt)
-
-    p_decrypt = sub.add_parser("decrypt", help="decrypt a file with a private key")
-    p_decrypt.add_argument("sk", help="private-key file")
-    p_decrypt.add_argument("pk", help="matching public-key file")
-    p_decrypt.add_argument("infile", help="ciphertext input file")
-    p_decrypt.add_argument("--out", required=True)
-    p_decrypt.set_defaults(func=cmd_decrypt)
-
-    p_inspect = sub.add_parser("inspect", help="validate and describe a wire file")
-    p_inspect.add_argument("file")
-    p_inspect.add_argument("--pk", help="cross-check a private key against this public key")
-    p_inspect.set_defaults(func=cmd_inspect)
-
-    p_attack = sub.add_parser("attack", help="factor a public product, or run a sweep")
-    p_attack.add_argument("pk_file", nargs="?", help="public-key file to attack")
-    p_attack.add_argument("--solver", choices=("brute", "mitm"), default="brute")
-    p_attack.add_argument("--bounds-bits", dest="bounds_bits",
-                          help="total searched pair bits (comma list with --sweep)")
-    p_attack.add_argument("--sweep", action="store_true",
-                          help="emit a cost-scaling CSV over a parameter grid")
-    p_attack.add_argument("--n", type=int, default=2, help="matrix rank for --sweep")
-    p_attack.add_argument("--p-bits", dest="p_bits", default="8",
-                          help="comma list of prime sizes for --sweep")
-    p_attack.add_argument("--seed", help="32-byte hex seed for reproducibility")
-    p_attack.add_argument("--out", help="write the sweep CSV here instead of stdout")
-    p_attack.set_defaults(func=cmd_attack)
-
-    p_kat = sub.add_parser("kat", help="emit a known-answer-test bundle")
-    p_kat.add_argument("--profile", choices=sorted(PROFILES), default="toy")
-    p_kat.add_argument("--seed", required=True, help="32-byte hex seed")
-    p_kat.add_argument("--out", help="write the bundle here instead of stdout")
-    p_kat.set_defaults(func=cmd_kat)
-
+    # argparse names the choices it holds; with one of them, name them all
+    metavar = "{" + ",".join(COMMANDS) + "}" if only else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_text, add_arguments) in COMMANDS.items():
+        if only in (None, name):
+            add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a command in first place is the only subparser this run can reach
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

@@ -7,16 +7,19 @@ canonical matrix encoding from matfield, and bit strings prefixed with their
 bit length — so each envelope is self-delimiting and streams concatenate.
 
 Decoding is two-phase. The structural phase rejects bad frames: truncation,
-wrong magic/version/kind, CRC mismatch, and non-canonical primitive bytes
-(a prime with a leading zero byte, set padding bits in a bit string's last
-byte). The semantic phase rebuilds the typed objects and rejects any frame
-whose content violates a type invariant: entries >= p, wrong nilpotency
-index, singular matrices, mismatched dimensions, and a composite modulus in
-parameter and public-key frames. Ciphertext and private-key frames carry a
-bare modulus that is not tested for primality: a composite one is caught
-only when an elimination pivot shares a factor with it. Its modulus then
-differs from the public key's prime, so `decrypt` returns None for such a
-ciphertext and raises KeyMismatchError for such a private key.
+wrong magic/version/kind, CRC mismatch, a matrix dimension above MAX_DIM, and
+non-canonical primitive bytes (a prime with a leading zero byte, set padding
+bits in a bit string's last byte). The dimension limit comes before any
+semantic work, because the checks that follow grow as n^4 (the nilpotency
+proof) and each decoded generator keeps a table of up to n-1 matrices. The
+semantic phase rebuilds the typed objects and rejects any frame whose content
+violates a type invariant: entries >= p, wrong nilpotency index, singular
+matrices, mismatched dimensions, and a composite modulus in parameter and
+public-key frames. Ciphertext and private-key frames carry a bare modulus
+that is not tested for primality: a composite one is caught only when an
+elimination pivot shares a factor with it. Its modulus then differs from the
+public key's prime, so `decrypt` returns None for such a ciphertext and
+raises KeyMismatchError for such a private key.
 """
 
 from __future__ import annotations
@@ -46,6 +49,9 @@ from .scheme import FINGERPRINT_BYTES, Ciphertext, PrivateKey, PublicKey
 
 MAGIC = b"LGPK"
 VERSION = 0x01
+
+# largest matrix dimension n a frame may declare: three times the paper's n = 5
+MAX_DIM = 16
 
 KIND_PARAMS = 0x01
 KIND_PUBLIC_KEY = 0x02
@@ -189,10 +195,16 @@ def _read_prime_raw(r: _Reader) -> int:
     return int.from_bytes(raw, "big")
 
 
+def _check_dim(n: int) -> None:
+    if n > MAX_DIM:
+        raise StructuralDecodeError(f"matrix dimension {n} exceeds the limit of {MAX_DIM}")
+
+
 def _read_matrix_raw(r: _Reader) -> tuple[int, int, tuple]:
     n = r.u32()
     if n < 1:
         raise StructuralDecodeError("matrix dimension must be positive")
+    _check_dim(n)
     p = _read_prime_raw(r)
     plen = (p.bit_length() + 7) // 8
     rows = tuple(
@@ -208,6 +220,7 @@ def _read_params_raw(r: _Reader) -> dict:
     fields = {"toy": bool(flags & 1)}
     for name in ("kappa1", "kappa2", "kappa3", "kappa4", "msg_len", "n"):
         fields[name] = r.u32()
+    _check_dim(fields["n"])
     fields["p"] = _read_prime_raw(r)
     return fields
 

@@ -5,12 +5,12 @@ non-commuting nilpotent generators, recover the scalar pair. The brute-force
 solver scans the full (x, y) grid; the meet-in-the-middle solver tabulates
 the right factor's images for every y and probes them with left-inverses
 applied to the target, trading memory for a linear-time scan. Both carry
-only row 0 of each running product, a row-times-matrix step of n^2
-multiplications, and confirm a row-0 hit by the full matrix product before
-reporting it; the meet-in-the-middle table is keyed by that row packed into
-one int. Insertion: given two such products, produce the product with
-component-wise summed scalars; solved here by factoring both inputs and
-re-exponentiating.
+only v times each running product, for one vector v chosen from the
+generators, a row-times-matrix step of n^2 multiplications, and confirm a
+row hit by the full matrix product before reporting it; the
+meet-in-the-middle table is keyed by that row packed into one int.
+Insertion: given two such products, produce the product with component-wise
+summed scalars; solved here by factoring both inputs and re-exponentiating.
 
 Both solvers refuse instances whose cost exceeds an explicit budget instead
 of grinding forever — at production parameters the refusal arithmetic *is*
@@ -99,8 +99,27 @@ def _row_times(row: tuple[int, ...], cols: Rows, p: int) -> tuple[int, ...]:
     return tuple([sum(map(operator.mul, row, col)) % p for col in cols])
 
 
+def _scan_vector(inst: NafInstance) -> tuple[int, ...]:
+    """A 0/1 vector v with v*L != 0 and v*R != 0, so that v*exp(x*L) moves
+    with x and v*exp(y*R) with y; a fixed e_0 can fail this, as for
+    L = [[0, 1], [0, 0]] and R = [[0, 0], [1, 0]].
+
+    v is e_k for the first k where row k of both generators is nonzero.
+    Failing that, every row k is zero in L or in R, so v = e_i + e_j with row
+    i of R and row j of L nonzero gives v*R = R_i and v*L = L_j.
+    """
+    left, right = inst.left_gen.base.rows, inst.right_gen.base.rows
+    idx = range(len(left))
+    both = [i for i in idx if any(left[i]) and any(right[i])]
+    ones = both[:1] or [
+        next(i for i in idx if any(right[i])),
+        next(j for j in idx if any(left[j])),
+    ]
+    return tuple(int(i in ones) for i in idx)
+
+
 def _confirm(inst: NafInstance, x: int, y: int, ops: int) -> Optional[NafSolution]:
-    """The full check behind a row-0 hit: exp(x*L)*exp(y*R) == target."""
+    """The full check behind a row hit: exp(x*L)*exp(y*R) == target."""
     left_image = exp_scaled(x, inst.left_gen)
     right_image = exp_scaled(y, inst.right_gen)
     if group_mul(left_image, right_image).mat != inst.target.mat:
@@ -114,11 +133,11 @@ def naf_bruteforce(
     """Exhaustive scan of the (x, y) grid, x-major, so the smallest x (and for
     it the smallest y) wins. `ops` reports the number of pairs tried.
 
-    The scan carries only row 0 of the running product exp(x*L)*exp(y*R):
-    that row is (row 0 of exp(L)^x) * exp(R)^y, so each step is one
-    row-times-matrix product. A pair whose row 0 equals the target's is
-    confirmed by the full product before it is returned; a pair matching in
-    row 0 alone is passed over.
+    The scan carries only v*exp(x*L)*exp(y*R) (v from `_scan_vector`):
+    that row is (v*exp(L)^x) * exp(R)^y, so each step is one
+    row-times-matrix product. A pair whose row equals v*target is confirmed
+    by the full product before it is returned; a pair matching in that row
+    alone is passed over.
     """
     total = inst.bound_left * inst.bound_right
     if total > pair_budget:
@@ -126,11 +145,11 @@ def naf_bruteforce(
             f"brute force needs {inst.bound_left} * {inst.bound_right} = {total} "
             f"pair trials, over the budget of {pair_budget}"
         )
-    n, p = inst.target.mat.n, inst.target.mat.p
+    p = inst.target.mat.p
     left_cols = tuple(zip(*mat_exp(inst.left_gen).mat.rows))
     right_cols = tuple(zip(*mat_exp(inst.right_gen).mat.rows))
-    goal = inst.target.mat.rows[0]
-    start = (1,) + (0,) * (n - 1)
+    start = _scan_vector(inst)
+    goal = _row_times(start, tuple(zip(*inst.target.mat.rows)), p)
     for x in range(inst.bound_left):
         row = start
         for y in range(inst.bound_right):
@@ -146,11 +165,11 @@ def naf_bruteforce(
 def naf_mitm(
     inst: NafInstance, table_budget: int = MITM_TABLE_BUDGET
 ) -> Optional[NafSolution]:
-    """Meet-in-the-middle: tabulate row 0 of exp(y*R) for all y, then probe
-    row 0 of exp(x*L)^-1 * target for each x. Cost is bound_left + bound_right
-    row-times-matrix products instead of their product; `ops` counts table
-    entries built plus probes made. Ties resolve to the smallest x, then the
-    smallest y.
+    """Meet-in-the-middle: tabulate v*exp(y*R) (v from `_scan_vector`) for
+    all y, then probe v*exp(x*L)^-1*target for each x. Cost is
+    bound_left + bound_right row-times-matrix products instead of their
+    product; `ops` counts table entries built plus probes made. Ties resolve
+    to the smallest x, then the smallest y.
 
     Each row is packed into one int, and the table maps it to its first y;
     later y's with the same row, which occur only when rows repeat, wait in a
@@ -162,7 +181,7 @@ def naf_mitm(
             f"meet-in-the-middle table needs {inst.bound_right} entries, "
             f"over the budget of {table_budget}"
         )
-    n, p = inst.target.mat.n, inst.target.mat.p
+    p = inst.target.mat.p
 
     def pack(row: tuple[int, ...]) -> int:
         key = 0
@@ -170,7 +189,7 @@ def naf_mitm(
             key = key * p + e
         return key
 
-    start = (1,) + (0,) * (n - 1)
+    start = _scan_vector(inst)
     right_cols = tuple(zip(*mat_exp(inst.right_gen).mat.rows))
     table: dict[int, int] = {}
     later: dict[int, list[int]] = {}

@@ -14,12 +14,17 @@ index of a nonzero multiple of a nilpotent matrix.
 
 Exponentials are evaluated from a table of the terms X^m/m! (1 <= m < index):
 exp(tX) = I + sum of t^m * X^m/m!, one scalar-times-matrix pass per term and
-no matrix products. Building the table costs index-2 products. Only the two
-generators of a public key keep their table (about 12 KB at the paper
-profile), because every encryption and decryption exponentiates them again.
-Every other nilpotent matrix, such as the thousands of generators the attack
-solvers plant, builds a table per call and drops it, so memory stays bounded
-by the number of live keys rather than the number of matrices ever made.
+no matrix products. Building the table from X alone costs index-2 products.
+Only the generators of public keys keep their table (about 12 KB per key at
+the paper profile), because every encryption and decryption exponentiates
+them again. `keygen` builds its two tables from the sampled generators. A
+decoded generator gets its table from its own nilpotency proof, which walks
+X, X^2, ..., X^index anyway: the validating `NilpotentMatrix` constructor,
+which only codec decoding calls, keeps the table built from those powers at
+no extra product. Every other nilpotent matrix, such as the thousands of
+generators the attack solvers plant, builds a table per call and drops it, so
+memory stays bounded by the number of live keys rather than the number of
+matrices ever made.
 """
 
 from __future__ import annotations
@@ -95,24 +100,27 @@ def _jacobi(a: int, n: int) -> int:
 
 
 def _strong_lucas(n: int, d: int, q: int) -> bool:
-    """Strong Lucas probable-prime test for odd n with P = 1, D = 1 - 4Q.
+    """Strong Lucas probable-prime test for odd n with P = 1, D = 1 - 4Q and
+    (D/n) = -1.
 
     With n + 1 = k * 2^s and k odd, n passes when U_k = 0 or V_(k*2^r) = 0
-    (mod n) for some 0 <= r < s. The ladder doubles with U_2m = U_m V_m and
-    V_2m = V_m^2 - 2Q^m, and steps with U_(m+1) = (U_m + V_m)/2 and
-    V_(m+1) = (D U_m + V_m)/2.
+    (mod n) for some 0 <= r < s. The ladder carries only (V_m, V_(m+1), Q^m),
+    with V_2m = V_m^2 - 2Q^m and V_(2m+1) = V_m V_(m+1) - Q^m (Joye and
+    Quisquater, "Efficient computation of full Lucas sequences", Electronics
+    Letters 32, 1996). U_k follows from D U_k = 2V_(k+1) - V_k, and D is a unit
+    mod n because (D/n) = -1, so U_k = 0 exactly when 2V_(k+1) = V_k.
     """
     k, s = n + 1, 0
     while k % 2 == 0:
         k //= 2
         s += 1
-    half = (n + 1) // 2  # 1/2 mod n
-    u, v, qm = 1, 1, q % n  # U_1, V_1, Q^1
+    v, w, qm = 1, (1 - 2 * q) % n, q % n  # V_1, V_2, Q^1
     for bit in bin(k)[3:]:
-        u, v, qm = u * v % n, (v * v - 2 * qm) % n, qm * qm % n
         if bit == "1":
-            u, v, qm = (u + v) * half % n, (d * u + v) * half % n, qm * q % n
-    if u == 0 or v == 0:
+            v, w, qm = (v * w - qm) % n, (w * w - 2 * qm * q) % n, qm * qm * q % n
+        else:
+            v, w, qm = (v * v - 2 * qm) % n, (v * w - qm) % n, qm * qm % n
+    if (2 * w - v) % n == 0 or v == 0:
         return True
     for _ in range(s - 1):
         v, qm = (v * v - 2 * qm) % n, qm * qm % n
@@ -306,24 +314,37 @@ def mat_inv(a: FieldMatrix) -> "GroupElement":
     return _trusted(GroupElement, mat=_trusted(FieldMatrix, n=n, p=p, rows=rows))
 
 
+def _powers(a: FieldMatrix, count: int) -> list[FieldMatrix]:
+    """[a, a^2, ..., a^count], cut short after the first zero power."""
+    powers = [a]
+    while len(powers) < count and not _is_zero(powers[-1]):
+        powers.append(mat_mul(powers[-1], a))
+    return powers[:count]
+
+
 def is_nilpotent(a: FieldMatrix) -> tuple[bool, Optional[int]]:
     """Return (True, l) with the minimal l <= n such that a^l = 0, else (False, None).
 
-    Over a field the nilpotency index never exceeds n, so n-1 iterated products
-    settle the question. Over Z_p with p composite a matrix whose n-th power
-    is nonzero is reported as not nilpotent, even if a higher power vanishes.
+    Over a field the nilpotency index never exceeds n, so the chain a, a^2,
+    ..., a^n of at most n-1 products settles the question. Over Z_p with p
+    composite a matrix whose n-th power is nonzero is reported as not
+    nilpotent, even if a higher power vanishes.
     """
-    power = a
-    for ell in range(1, a.n):
-        if _is_zero(power):
-            return True, ell
-        power = mat_mul(power, a)
-    return (True, a.n) if _is_zero(power) else (False, None)
+    powers = _powers(a, a.n)
+    return (True, len(powers)) if _is_zero(powers[-1]) else (False, None)
 
 
 def commutes(a: FieldMatrix, b: FieldMatrix) -> bool:
+    """Whether ab = ba mod p. Compares the products entry by entry, building no
+    matrix, and returns at the first entry that differs."""
     _check_compatible(a, b)
-    return mat_mul(a, b) == mat_mul(b, a)
+    p = a.p
+    acols, bcols = tuple(zip(*a.rows)), tuple(zip(*b.rows))
+    for arow, brow in zip(a.rows, b.rows):
+        for acol, bcol in zip(acols, bcols):
+            if (sum(map(operator.mul, arow, bcol)) - sum(map(operator.mul, brow, acol))) % p:
+                return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -344,14 +365,24 @@ class NilpotentMatrix:
             object.__setattr__(self, "_terms", _exp_terms(self))
 
     def __post_init__(self):
-        n = self.base.n
-        if not 1 <= self.index <= n:
-            raise NotNilpotentError(f"nilpotency index {self.index} outside [1, {n}]")
-        ok, ell = is_nilpotent(self.base)
-        if not ok:
-            raise NotNilpotentError(f"matrix is not nilpotent of index {self.index}")
-        if ell != self.index:
-            raise NotNilpotentError(f"nilpotency index is {ell}, not {self.index}")
+        """Prove the claimed index from the chain base, base^2, ..., base^index
+        and keep the table built from those powers. Only decoding calls this
+        constructor, and every decoded generator belongs to a public key."""
+        a, k = self.base, self.index
+        if not 1 <= k <= a.n:
+            raise NotNilpotentError(f"nilpotency index {k} outside [1, {a.n}]")
+        # the chain stops after its first zero power, so a full chain ending
+        # in zero has a^(k-1) != 0 = a^k: the index is exactly k
+        powers = _powers(a, k)
+        if len(powers) < k or not _is_zero(powers[-1]):
+            ok, ell = is_nilpotent(a)
+            if not ok:
+                raise NotNilpotentError(f"matrix is not nilpotent of index {k}")
+            raise NotNilpotentError(f"nilpotency index is {ell}, not {k}")
+        try:
+            object.__setattr__(self, "_terms", _table(powers[:-1], a.n, a.p))
+        except ParameterError:
+            pass  # no table: exp_scaled raises the same error when called
 
     @classmethod
     def from_matrix(cls, a: FieldMatrix) -> "NilpotentMatrix":
@@ -382,24 +413,23 @@ def group_mul(a: GroupElement, b: GroupElement) -> GroupElement:
 
 
 def _exp_terms(x: NilpotentMatrix) -> tuple[Rows, ...]:
-    """The rows of X^m/m! mod p for 1 <= m < index, from index-2 products.
+    """The rows of X^m/m! mod p for 1 <= m < index, from index-2 products."""
+    return _table(_powers(x.base, x.index - 1), x.base.n, x.base.p)
 
-    The m=1 term is x.base.rows itself. Raises ParameterError when p <= n or
-    when some m! has no inverse mod p (a composite p).
+
+def _table(powers: list[FieldMatrix], n: int, p: int) -> tuple[Rows, ...]:
+    """The rows of a^m/m! mod p for the powers a, a^2, ... given; the m=1 term
+    is a's own rows. Raises ParameterError when p <= n or when some m! has no
+    inverse mod p (a composite p).
     """
-    base = x.base
-    n, p = base.n, base.p
     if p <= n:
         raise ParameterError(f"need p > n for factorial inverses (p={p}, n={n})")
-    terms = []
-    power = base
+    terms = [power.rows for power in powers[:1]]
     fact = 1
-    for m in range(1, x.index):
-        if m > 1:
-            power = mat_mul(power, base)
+    for m, power in enumerate(powers[1:], 2):
         fact = fact * m % p
         c = _inverse(fact, p)
-        terms.append(tuple(tuple(c * e % p for e in row) for row in power.rows) if m > 1 else power.rows)
+        terms.append(tuple(tuple(c * e % p for e in row) for row in power.rows))
     return tuple(terms)
 
 

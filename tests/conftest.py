@@ -100,6 +100,34 @@ def miller_rabin_prime(n, rounds=64):
     return True
 
 
+def uv_strong_lucas(n, d, q):
+    """Strong Lucas test for odd n with P = 1, D = 1 - 4Q, by the U/V ladder:
+    U_2m = U_m V_m and V_2m = V_m^2 - 2Q^m to double, U_(m+1) = (U_m + V_m)/2
+    and V_(m+1) = (D U_m + V_m)/2 to step. With n + 1 = k * 2^s and k odd, n
+    passes when U_k = 0 or V_(k*2^r) = 0 for some 0 <= r < s.
+
+    The package carries V alone and reads U_k off V_k and V_(k+1); this
+    ladder computes U directly.
+    """
+    k, s = n + 1, 0
+    while k % 2 == 0:
+        k //= 2
+        s += 1
+    half = (n + 1) // 2  # 1/2 mod n
+    u, v, qm = 1, 1, q % n
+    for bit in bin(k)[3:]:
+        u, v, qm = u * v % n, (v * v - 2 * qm) % n, qm * qm % n
+        if bit == "1":
+            u, v, qm = (u + v) * half % n, (d * u + v) * half % n, qm * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qm = (v * v - 2 * qm) % n, qm * qm % n
+        if v == 0:
+            return True
+    return False
+
+
 def _identity_rows(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
 

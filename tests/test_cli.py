@@ -2,6 +2,7 @@
 
 import json
 import os
+import sys
 
 import pytest
 
@@ -331,3 +332,49 @@ def test_kat_internal_consistency():
     mitm = vectors["naf_mitm"][0]
     assert (brute["left_scalar"], brute["right_scalar"]) == (
         mitm["left_scalar"], mitm["right_scalar"])
+
+
+USAGE = "usage: lgpk [-h] {params,keygen,encrypt,decrypt,inspect,attack,kat} ...\n"
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_single_command_parser_help_matches_full_parser(name, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    helps = []
+    for parser in (cli.build_parser(name), cli.build_parser()):
+        with pytest.raises(SystemExit) as exit_info:
+            parser.parse_args([name, "-h"])
+        assert exit_info.value.code == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1]
+    assert helps[0].startswith(f"usage: lgpk {name} [-h]")
+    assert run(name, "-h") == 0
+    assert capsys.readouterr().out == helps[1]
+
+
+@pytest.mark.parametrize("argv, message", [
+    ((), "the following arguments are required: command"),
+    (("bogus",), "argument command: invalid choice: 'bogus' (choose from 'params', "
+                 "'keygen', 'encrypt', 'decrypt', 'inspect', 'attack', 'kat')"),
+    (("encrypt", "k.lgpk", "msg", "--out", "ct", "--bogus"), "unrecognized arguments: --bogus"),
+], ids=["no-command", "unknown-command", "bad-flag"])
+def test_parse_errors_exit_2_with_the_full_usage_line(argv, message, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(*argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"{USAGE}lgpk: error: {message}\n")
+
+
+def test_top_level_help_lists_every_command(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run("-h") == 0
+    out = capsys.readouterr().out
+    assert out.startswith(USAGE)
+    for name, (help_text, _) in cli.COMMANDS.items():
+        assert f"\n    {name:<20}{help_text}\n" in out
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["lgpk", "kat", "-h"])
+    assert main() == 0
+    assert capsys.readouterr().out.startswith("usage: lgpk kat [-h]")

@@ -3,12 +3,14 @@ import random
 import pytest
 from conftest import zeros
 
+from lgpk import matfield
 from lgpk.bitstrings import BitStr
 from lgpk.codec import (
     KIND_CIPHERTEXT,
     KIND_PARAMS,
     KIND_PUBLIC_KEY,
     MAGIC,
+    MAX_DIM,
     VERSION,
     decode,
     decode_prefix,
@@ -276,3 +278,26 @@ def test_suite_id_round_trips_and_enters_the_fingerprint():
     assert back == other and back.suite_id == 2
     assert encode(other) != encode(pk)
     assert pk_fingerprint(other) != pk_fingerprint(pk)
+
+
+def test_dimension_above_the_limit_is_rejected_before_semantic_work(monkeypatch):
+    # frames of real keys: without the limit the n = 17 ones would decode
+    frames = {}
+    for n, p in ((MAX_DIM, 17), (MAX_DIM + 1, 19)):
+        params = ParameterSet(kappa1=5, n=n, p=p, kappa2=16, kappa3=3, kappa4=3, msg_len=16)
+        rng = RngHandle(bytes([n]) * 32)
+        pk, sk = keygen(params, rng)
+        ct = encrypt(pk, rng.bitstr(16), rng)
+        frames[n] = [(obj, encode(obj)) for obj in (params, pk, sk, ct)]
+    calls = []
+    for name in ("is_probable_prime", "mat_mul"):
+        real = getattr(matfield, name)
+        monkeypatch.setattr(matfield, name, lambda *a, r=real: calls.append(1) or r(*a))
+    for obj, wire in frames[MAX_DIM]:
+        assert decode(wire) == obj
+    assert calls
+    calls.clear()
+    for _, wire in frames[MAX_DIM + 1]:
+        with pytest.raises(StructuralDecodeError, match="dimension 17 exceeds the limit of 16"):
+            decode(wire)
+    assert calls == []

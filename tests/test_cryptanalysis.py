@@ -137,19 +137,26 @@ def assert_solvers_match_oracle(inst):
     return results
 
 
-@pytest.mark.parametrize("left, right", GRID, ids=GRID_IDS)
-def test_solvers_match_full_matrix_oracle_on_every_grid_target(left, right):
-    # bounds below p miss some targets; bounds above p repeat images, so the
-    # smallest-y tie-break decides
+def grid_instances(left, right):
+    """(a, b, instance) for every target exp(aL)exp(bR), at three bound pairs.
+
+    Bounds below p miss some targets; bounds above p repeat images, so the
+    smallest-y tie-break decides.
+    """
     p = left.base.p
     for bound_left, bound_right in ((p // 2, p - 2), (p, p), (p + 2, 2 * p + 1)):
         for a in range(p):
             for b in range(p):
                 target = group_mul(exp_scaled(a, left), exp_scaled(b, right))
-                inst = NafInstance(left, right, target, bound_left, bound_right)
-                brute, mitm = assert_solvers_match_oracle(inst)
-                if a < bound_left and b < bound_right:
-                    assert brute is not None and mitm is not None
+                yield a, b, NafInstance(left, right, target, bound_left, bound_right)
+
+
+@pytest.mark.parametrize("left, right", GRID, ids=GRID_IDS)
+def test_solvers_match_full_matrix_oracle_on_every_grid_target(left, right):
+    for a, b, inst in grid_instances(left, right):
+        brute, mitm = assert_solvers_match_oracle(inst)
+        if a < inst.bound_left and b < inst.bound_right:
+            assert brute is not None and mitm is not None
 
 
 def row0_decoy(good):
@@ -164,10 +171,12 @@ def row0_decoy(good):
     raise AssertionError("no invertible decoy")
 
 
-@pytest.mark.parametrize("left, right", GRID, ids=GRID_IDS)
-def test_row0_decoys_are_not_reported(left, right):
-    # brute force sees row 0 of exp(aL)exp(bR) in the first kind; the
-    # meet-in-the-middle probe at x = a sees row 0 of exp(bR) in the second
+def decoy_instances(left, right):
+    """(a, b, honest, instance) for two decoys of each exp(aL)exp(bR).
+
+    Brute force sees row 0 of exp(aL)exp(bR) in the first kind; the
+    meet-in-the-middle probe at x = a sees row 0 of exp(bR) in the second.
+    """
     p = left.base.p
     for a in range(p):
         for b in range(p):
@@ -177,9 +186,34 @@ def test_row0_decoys_are_not_reported(left, right):
                 group_mul(exp_scaled(a, left), row0_decoy(exp_scaled(b, right).mat)),
             )
             for decoy in decoys:
-                assert decoy.mat != honest.mat
-                for got in assert_solvers_match_oracle(NafInstance(left, right, decoy, p, p)):
-                    assert got is None or got[:2] != (a, b)
+                yield a, b, honest, NafInstance(left, right, decoy, p, p)
+
+
+@pytest.mark.parametrize("left, right", GRID, ids=GRID_IDS)
+def test_row0_decoys_are_not_reported(left, right):
+    for a, b, honest, inst in decoy_instances(left, right):
+        assert inst.target.mat != honest.mat
+        for got in assert_solvers_match_oracle(inst):
+            assert got is None or got[:2] != (a, b)
+
+
+def test_shift_pair_scans_confirm_few_false_hits(monkeypatch):
+    # row 0 of exp(y*lower) is (1, 0) for every y, so a row-0 scan handed
+    # every y to the full check: 416 failed confirmations over the grid
+    # targets and 252 over the decoys. (1, 1)*exp(y*lower) moves with y and
+    # (1, 1)*exp(x*upper) with x.
+    upper, lower = shift_pair(7)
+    failed = []
+    real = cryptanalysis._confirm
+    monkeypatch.setattr(cryptanalysis, "_confirm", lambda *a: real(*a) or failed.append(1))
+    counts = []
+    for instances in (grid_instances(upper, lower), decoy_instances(upper, lower)):
+        failed.clear()
+        for *_, inst in instances:
+            naf_bruteforce(inst)
+            naf_mitm(inst)
+        counts.append(len(failed))
+    assert counts == [42, 98]
 
 
 def test_solves_make_a_constant_number_of_products(monkeypatch):

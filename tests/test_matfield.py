@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import random
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from conftest import (
     slow_det,
     slow_mat_mul,
     trial_division_prime,
+    uv_strong_lucas,
     zeros,
 )
 
@@ -249,13 +251,22 @@ def test_stored_table_is_invisible_to_value_semantics():
     for p in (101, P256):
         nm = NilpotentMatrix.from_matrix(random_nilpotent(rng, 5, p))
         fresh = NilpotentMatrix(FieldMatrix(5, p, nm.base.rows), nm.index)
-        nm.keep_exp_terms()
-        assert nm._terms is not None and fresh._terms is None
+        # the validating constructor keeps the table its proof built
+        assert nm._terms is None and fresh._terms is not None
         assert nm == fresh and hash(nm) == hash(fresh) and repr(nm) == repr(fresh)
         assert canonical_bytes(nm.base) == canonical_bytes(fresh.base)
         t = rng.randrange(p)
         assert exp_scaled(t, nm) == exp_scaled(t, fresh)
         assert mat_exp(nm) == mat_exp(fresh)
+
+
+def test_validated_generator_without_factorial_inverses_keeps_no_table():
+    # 2! has no inverse mod 6; p = 2 <= n = 3 leaves no room for 2!
+    shift3_mod2 = mat([list(r) for r in SHIFT3], 2)
+    for nm in (NilpotentMatrix(mat(SHIFT4_MOD6, 6), 4), NilpotentMatrix(shift3_mod2, 3)):
+        assert nm._terms is None
+        with pytest.raises(ParameterError):
+            exp_scaled(5, nm)
 
 
 def test_unowned_generators_keep_no_table():
@@ -276,6 +287,20 @@ def test_commutes():
     b = mat([[0, 0], [1, 0]], 7)
     assert commutes(a, a)
     assert not commutes(a, b)
+
+
+def test_commutes_agrees_with_full_products():
+    rng = random.Random(919)
+    pairs = []
+    for _ in range(500):
+        p, n = rng.choice([2, 3, 7, 101]), rng.choice([1, 2, 3, 5])
+        a, b = random_matrix(rng, n, p), random_matrix(rng, n, p)
+        rows = [list(r) for r in a.rows]
+        rows[-1][-1] = (rows[-1][-1] + 1) % p
+        pairs += [(a, b), (a, a), (a, mat_mul(a, a)), (a, identity(n, p)), (a, mat(rows, p))]
+    verdicts = [commutes(a, b) for a, b in pairs]
+    assert verdicts == [mat_mul(a, b) == mat_mul(b, a) for a, b in pairs]
+    assert verdicts.count(False) > 400 and verdicts.count(True) > 1500
 
 
 def test_group_element_rejects_singular():
@@ -346,7 +371,9 @@ def _selfridge(n):
 
 
 BASE2_PSEUDOPRIMES = (2047, 3277, 4033, 1093**2, 3511**2)
-LUCAS_PSEUDOPRIMES = (5459, 5777, 10877, 16109, 18971)
+LUCAS_PSEUDOPRIMES = (
+    5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439,
+)
 
 
 def test_is_probable_prime_rejects_pseudoprimes():
@@ -363,6 +390,19 @@ def test_is_probable_prime_rejects_pseudoprimes():
         assert not is_probable_prime(n), n
     with pytest.raises(ParameterError, match="not prime"):
         ParameterSet(kappa1=11, n=2, p=2047, kappa2=64, kappa3=8, kappa4=8, msg_len=128)
+
+
+def test_v_ladder_matches_uv_ladder_oracle():
+    verdicts = []
+    for n in range(3, 20000, 2):
+        if isqrt(n) ** 2 != n:
+            d, q = _selfridge(n)
+            verdict = _strong_lucas(n, d, q)
+            assert verdict == uv_strong_lucas(n, d, q), n
+            verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+    for n in LUCAS_PSEUDOPRIMES:
+        assert _strong_lucas(n, *_selfridge(n)) and uv_strong_lucas(n, *_selfridge(n)), n
 
 
 def test_is_probable_prime_accepts_known_primes():

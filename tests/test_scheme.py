@@ -120,9 +120,9 @@ def test_paper_keygen_builds_each_table_once(monkeypatch):
     tables = count_calls(monkeypatch, matfield, "_exp_terms")
     pk, _ = keygen(params, RngHandle(SEED))
     assert len(tables) == 2
-    # 2 x (2 conjugation products + 4 nilpotency products) sampling, 2 for
-    # commutes, 2 x 3 for the tables, 1 for the key product, 2 in PublicKey
-    assert len(muls) == 23
+    # 2 x (2 conjugation products + 4 nilpotency products) sampling, 2 x 3
+    # for the tables, 1 for the key product; commutes takes none
+    assert len(muls) == 19
     assert pk.left_gen._terms is not None and pk.right_gen._terms is not None
 
 
@@ -136,10 +136,23 @@ def test_decode_checks_primality_once_and_takes_no_det(monkeypatch):
     dets = count_calls(monkeypatch, matfield, "det")
     muls = count_calls(monkeypatch, matfield, "mat_mul")
     assert decode(pk_wire) == pk
-    # 2 x 4 nilpotency products, 2 for commutes, 2 x 3 for the key's tables
-    assert (len(primes), len(dets), len(muls)) == (1, 0, 16)
+    # 2 x 4 nilpotency products, whose powers also fill the key's tables;
+    # commutes takes none
+    assert (len(primes), len(dets), len(muls)) == (1, 0, 8)
     decode(ct_wire)
-    assert (len(primes), len(dets), len(muls)) == (1, 0, 16)
+    assert (len(primes), len(dets), len(muls)) == (1, 0, 8)
+
+
+def test_decoded_key_keeps_its_proof_tables_and_encrypts_alike():
+    m_rng = RngHandle(b"\x0a" * 32)
+    for params in (TINY, SMALL, make_params("paper", RngHandle(SEED))):
+        pk, _ = keygen(params, RngHandle(SEED))
+        decoded = decode(encode(pk))
+        for gen in (decoded.left_gen, decoded.right_gen):
+            assert gen._terms == matfield._exp_terms(NilpotentMatrix.from_matrix(gen.base))
+        m = m_rng.bitstr(params.msg_len)
+        cts = [encode(encrypt(key, m, RngHandle(b"\x0b" * 32))) for key in (decoded, pk)]
+        assert cts[0] == cts[1]
 
 
 def test_key_generator_tables_leave_wire_bytes_unchanged():

@@ -366,8 +366,9 @@ class NilpotentMatrix:
 
     def __post_init__(self):
         """Prove the claimed index from the chain base, base^2, ..., base^index
-        and keep the table built from those powers. Only decoding calls this
-        constructor, and every decoded generator belongs to a public key."""
+        and keep the table built from those powers. In the library only codec
+        decoding calls this constructor, for a public key's generators, so
+        the tables kept are bounded by the number of live keys."""
         a, k = self.base, self.index
         if not 1 <= k <= a.n:
             raise NotNilpotentError(f"nilpotency index {k} outside [1, {a.n}]")

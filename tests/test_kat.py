@@ -21,6 +21,9 @@ PIN_SEED = bytes.fromhex(
     "00112233445566778899aabbccddeeff00112233445566778899aabbccddeeff"
 )
 PROFILES = ["toy", "small"]
+# the paper bundle is pinned too, so its 256-bit lines regenerate bit for bit;
+# the from-scratch oracles below cover the two smaller profiles
+PINNED = PROFILES + ["paper"]
 
 
 def load_records(profile):
@@ -32,13 +35,13 @@ def load_records(profile):
     return records
 
 
-@pytest.mark.parametrize("profile", PROFILES)
+@pytest.mark.parametrize("profile", PINNED)
 def test_pinned_bundle_regenerates_bit_exactly(profile):
     pinned = (DATA / f"kat_{profile}.jsonl").read_text()
     assert build_kat_bundle(profile, PIN_SEED) == pinned
 
 
-@pytest.mark.parametrize("profile", PROFILES)
+@pytest.mark.parametrize("profile", PINNED)
 def test_pinned_bundle_covers_every_operation(profile):
     assert set(load_records(profile)) >= {
         "mat_mul", "mat_inv", "is_nilpotent", "mat_exp", "exp_scaled", "commutes",

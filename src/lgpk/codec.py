@@ -7,19 +7,20 @@ canonical matrix encoding from matfield, and bit strings prefixed with their
 bit length — so each envelope is self-delimiting and streams concatenate.
 
 Decoding is two-phase. The structural phase rejects bad frames: truncation,
-wrong magic/version/kind, CRC mismatch, a matrix dimension above MAX_DIM, and
-non-canonical primitive bytes (a prime with a leading zero byte, set padding
-bits in a bit string's last byte). The dimension limit comes before any
-semantic work, because the checks that follow grow as n^4 (the nilpotency
-proof) and each decoded generator keeps a table of up to n-1 matrices. The
-semantic phase rebuilds the typed objects and rejects any frame whose content
-violates a type invariant: entries >= p, wrong nilpotency index, singular
-matrices, mismatched dimensions, and a composite modulus in parameter and
-public-key frames. Ciphertext and private-key frames carry a bare modulus
-that is not tested for primality: a composite one is caught only when an
-elimination pivot shares a factor with it. Its modulus then differs from the
-public key's prime, so `decrypt` returns None for such a ciphertext and
-raises KeyMismatchError for such a private key.
+wrong magic/version/kind, CRC mismatch, a matrix dimension above MAX_DIM, a
+modulus longer than MAX_PRIME_BITS, and non-canonical primitive bytes (a prime
+with a leading zero byte, set padding bits in a bit string's last byte). Both
+limits come before any semantic work: the nilpotency proof grows as n^4, each
+decoded generator keeps a table of up to n-1 matrices, and the primality
+check grows about 7.6x per doubling of the modulus length. The semantic phase
+rebuilds the typed objects and rejects any frame whose content violates a
+type invariant: entries >= p, wrong nilpotency index, singular matrices,
+mismatched dimensions, and a composite modulus in parameter and public-key
+frames. Ciphertext and private-key frames carry a bare modulus that is not
+tested for primality: a composite one is caught only when an elimination
+pivot shares a factor with it. Its modulus then differs from the public key's
+prime, so `decrypt` returns None for such a ciphertext and raises
+KeyMismatchError for such a private key.
 """
 
 from __future__ import annotations
@@ -52,6 +53,8 @@ VERSION = 0x01
 
 # largest matrix dimension n a frame may declare: three times the paper's n = 5
 MAX_DIM = 16
+# longest modulus, in bits, a frame may carry: 16 times the paper's 256 bits
+MAX_PRIME_BITS = 4096
 
 KIND_PARAMS = 0x01
 KIND_PUBLIC_KEY = 0x02
@@ -192,7 +195,12 @@ def _read_prime_raw(r: _Reader) -> int:
     raw = r.take(plen)
     if raw[0] == 0:
         raise StructuralDecodeError("modulus encoding must be minimal")
-    return int.from_bytes(raw, "big")
+    p = int.from_bytes(raw, "big")
+    if p.bit_length() > MAX_PRIME_BITS:
+        raise StructuralDecodeError(
+            f"modulus of {p.bit_length()} bits exceeds the limit of {MAX_PRIME_BITS}"
+        )
+    return p
 
 
 def _check_dim(n: int) -> None:

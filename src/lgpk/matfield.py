@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from typing import Optional
 
 from .errors import NotInvertibleError, NotNilpotentError, ParameterError
@@ -251,66 +251,66 @@ def mat_mul(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
     return _trusted(FieldMatrix, n=n, p=p, rows=out)
 
 
-def _eliminate(a: FieldMatrix) -> tuple[int, int]:
-    """Fraction-free Gaussian elimination mod p, taking no modular inverse.
+def row_reduce(rows, p: int) -> tuple[list[int], list[list[int]], int]:
+    """Inverse-free Gauss-Jordan elimination mod p, for a matrix of any shape.
 
-    Each step replaces row_r by pivot*row_r - f*row_c, which multiplies the
-    determinant by the pivot. Returns (d, s): d is the signed product of the
-    pivots, s the product of the scalings, and det(a) = d/s mod p; d is 0
-    exactly when a is singular. A pivot sharing a factor with p means p is
-    composite and raises ParameterError, as taking its inverse would.
+    The pivot of each column is its first nonzero entry at or below the next
+    pivot row; every other row r with entry f there becomes pivot*row_r -
+    f*row_pivot. A pivot sharing a factor with p raises ParameterError: p is
+    composite. Returns (pivot_cols, reduced, scale): the rank is
+    len(pivot_cols), column pivot_cols[i] is zero outside reduced row i, and
+    scale is the swap sign times the product of the scalings, so a square
+    matrix of full rank has det = prod(diagonal of reduced) / scale mod p.
     """
-    p = a.p
-    m = [list(row) for row in a.rows]
-    d = s = 1
-    while m:
-        top = next((i for i, row in enumerate(m) if row[0]), None)
+    m = [[e % p for e in row] for row in rows]
+    pivot_cols: list[int] = []
+    scale = 1
+    for col in range(len(m[0]) if m else 0):
+        r = len(pivot_cols)
+        top = next((i for i in range(r, len(m)) if m[i][col]), None)
         if top is None:
-            return 0, s
-        if top:
-            m[0], m[top] = m[top], m[0]
-            d = -d
-        pivot, *head = m[0]
+            continue
+        if top != r:
+            m[r], m[top] = m[top], m[r]
+            scale = -scale
+        head = m[r]
+        pivot = head[col]
         if gcd(pivot, p) != 1:
             raise _not_prime(pivot, p)
-        d = d * pivot % p
-        rest = []
-        for f, *row in m[1:]:
-            if f:
-                row = [(pivot * x - f * y) % p for x, y in zip(row, head)]
-                s = s * pivot % p
-            rest.append(row)
-        m = rest
-    return d % p, s
+        for i, row in enumerate(m):
+            f = row[col]
+            if f and i != r:
+                m[i] = [(pivot * x - f * y) % p for x, y in zip(row, head)]
+                scale = scale * pivot % p
+        pivot_cols.append(col)
+    return pivot_cols, m, scale % p
 
 
 def det(a: FieldMatrix) -> int:
-    """Determinant mod p by fraction-free elimination and one inverse."""
-    d, s = _eliminate(a)
-    return d * _inverse(s, a.p) % a.p
+    """Determinant mod p from one row reduction and one inverse."""
+    n, p = a.n, a.p
+    pivot_cols, m, scale = row_reduce(a.rows, p)
+    if len(pivot_cols) < n:
+        return 0
+    return prod(m[i][i] for i in range(n)) * _inverse(scale, p) % p
 
 
 def is_invertible(a: FieldMatrix) -> bool:
-    """Whether det(a) != 0 mod p, decided without any modular inverse."""
-    return _eliminate(a)[0] != 0
+    """Whether a has full rank mod p, decided without any modular inverse."""
+    return len(row_reduce(a.rows, a.p)[0]) == a.n
 
 
 def mat_inv(a: FieldMatrix) -> "GroupElement":
-    """Inverse mod p by Gauss-Jordan elimination; raises if singular."""
+    """Inverse mod p from one reduction of [a | I]: a is singular when a pivot
+    falls right of column n-1, else the right half over the diagonal is a^-1."""
     n, p = a.n, a.p
-    m = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(a.rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] % p != 0), None)
-        if pivot is None:
-            raise NotInvertibleError(f"matrix is singular mod {p}")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = _inverse(m[col][col], p)
-        m[col] = [x * inv % p for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                factor = m[r][col]
-                m[r] = [(x - factor * y) % p for x, y in zip(m[r], m[col])]
-    rows = tuple(tuple(m[i][n:]) for i in range(n))
+    pivot_cols, m, _ = row_reduce(
+        [row + tuple(int(i == j) for j in range(n)) for i, row in enumerate(a.rows)], p
+    )
+    if pivot_cols[n - 1] >= n:
+        raise NotInvertibleError(f"matrix is singular mod {p}")
+    invs = [_inverse(row[i], p) for i, row in enumerate(m)]
+    rows = tuple(tuple(x * inv % p for x in row[n:]) for row, inv in zip(m, invs))
     return _trusted(GroupElement, mat=_trusted(FieldMatrix, n=n, p=p, rows=rows))
 
 

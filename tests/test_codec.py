@@ -11,6 +11,7 @@ from lgpk.codec import (
     KIND_PUBLIC_KEY,
     MAGIC,
     MAX_DIM,
+    MAX_PRIME_BITS,
     VERSION,
     decode,
     decode_prefix,
@@ -171,14 +172,16 @@ def test_singular_rand_product_is_semantic():
 
 def test_composite_modulus_ciphertext_is_semantic():
     # a ciphertext carries its own modulus; over Z_9 the first pivot 3 is a
-    # zero divisor, which the invertibility check reports without an inverse
+    # zero divisor, which the invertibility check reports without an inverse,
+    # and over Z_6 the check goes on past a pivotless column to the pivot 2
     _, _, _, ct = sample_objects(TINY)
     data = encode(ct)
     good = canonical_bytes(ct.rand_product.mat)
-    bad = canonical_bytes(FieldMatrix(2, 9, ((3, 1), (1, 1))))
-    assert len(good) == len(bad)
-    with pytest.raises(SemanticDecodeError, match="modulus must be prime"):
-        decode(reframe(data.replace(good, bad)))
+    for p, rows in ((9, ((3, 1), (1, 1))), (6, ((0, 2), (0, 1)))):
+        bad = canonical_bytes(FieldMatrix(2, p, rows))
+        assert len(good) == len(bad)
+        with pytest.raises(SemanticDecodeError, match="modulus must be prime"):
+            decode(reframe(data.replace(good, bad)))
 
 
 def test_mismatched_secret_factor_groups_is_semantic():
@@ -280,6 +283,15 @@ def test_suite_id_round_trips_and_enters_the_fingerprint():
     assert pk_fingerprint(other) != pk_fingerprint(pk)
 
 
+def count_calls(monkeypatch, *names):
+    """One shared list that every call to the named matfield functions appends to."""
+    calls = []
+    for name in names:
+        real = getattr(matfield, name)
+        monkeypatch.setattr(matfield, name, lambda *a, r=real: calls.append(1) or r(*a))
+    return calls
+
+
 def test_dimension_above_the_limit_is_rejected_before_semantic_work(monkeypatch):
     # frames of real keys: without the limit the n = 17 ones would decode
     frames = {}
@@ -289,10 +301,7 @@ def test_dimension_above_the_limit_is_rejected_before_semantic_work(monkeypatch)
         pk, sk = keygen(params, rng)
         ct = encrypt(pk, rng.bitstr(16), rng)
         frames[n] = [(obj, encode(obj)) for obj in (params, pk, sk, ct)]
-    calls = []
-    for name in ("is_probable_prime", "mat_mul"):
-        real = getattr(matfield, name)
-        monkeypatch.setattr(matfield, name, lambda *a, r=real: calls.append(1) or r(*a))
+    calls = count_calls(monkeypatch, "is_probable_prime", "mat_mul")
     for obj, wire in frames[MAX_DIM]:
         assert decode(wire) == obj
     assert calls
@@ -301,3 +310,40 @@ def test_dimension_above_the_limit_is_rejected_before_semantic_work(monkeypatch)
         with pytest.raises(StructuralDecodeError, match="dimension 17 exceeds the limit of 16"):
             decode(wire)
     assert calls == []
+
+
+def test_modulus_above_the_limit_is_rejected_before_semantic_work(monkeypatch):
+    # frames of a real key over the Mersenne prime 2^4253 - 1: without the
+    # limit they would decode, after a full primality check of the modulus
+    p = 2**4253 - 1
+    assert MAX_PRIME_BITS < p.bit_length()
+    params = ParameterSet(kappa1=4253, n=2, p=p, kappa2=16, kappa3=3, kappa4=3, msg_len=16)
+    rng = RngHandle(SEED)
+    pk, sk = keygen(params, rng)
+    ct = encrypt(pk, rng.bitstr(16), rng)
+    calls = count_calls(monkeypatch, "is_probable_prime", "mat_mul")
+    for obj in (params, pk, sk, ct):
+        with pytest.raises(StructuralDecodeError, match="4253 bits exceeds the limit of 4096"):
+            decode(encode(obj))
+    assert calls == []
+
+
+def test_modulus_at_the_limit_reaches_the_semantic_phase(monkeypatch):
+    # rewrite kappa1 and p in the parameter body that opens TOY's params and
+    # public-key frames: a modulus of exactly MAX_PRIME_BITS passes the
+    # structural phase, and the primality check rejects it
+    composite = 2**MAX_PRIME_BITS - 1
+    old_body = encode(TOY)[6:-4]
+    new_body = (
+        old_body[:1] + MAX_PRIME_BITS.to_bytes(4, "big") + old_body[5:-5]
+        + (MAX_PRIME_BITS // 8).to_bytes(4, "big") + composite.to_bytes(MAX_PRIME_BITS // 8, "big")
+    )
+    calls = count_calls(monkeypatch, "is_probable_prime")
+    for obj in sample_objects(TOY)[:2]:
+        frame = encode(obj)
+        assert frame[6:].startswith(old_body)
+        bad = reframe(frame.replace(old_body, new_body, 1))
+        with pytest.raises(SemanticDecodeError, match="is not prime"):
+            decode(bad)
+    assert len(calls) == 2
+

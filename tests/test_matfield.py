@@ -40,6 +40,7 @@ from lgpk.matfield import (
     mat_exp,
     mat_inv,
     mat_mul,
+    row_reduce,
 )
 
 SHIFT3 = ((0, 1, 0), (0, 0, 1), (0, 0, 0))
@@ -412,7 +413,7 @@ def test_is_probable_prime_accepts_known_primes():
             record = json.loads(line)
             if record["op"] == "sample_prime":
                 kat_primes.append(int(record["out"], 16))
-    assert len(kat_primes) == 2
+    assert len(kat_primes) == 3  # one per pinned bundle: toy, small, paper
     for p in [2**127 - 1, P256, *kat_primes]:
         assert is_probable_prime(p), p
 
@@ -434,12 +435,66 @@ def test_is_invertible_agrees_with_cofactor_det():
         assert det(a) == expected
 
 
+def has_nonzero_minor(rows, k, p, with_last=False):
+    """Whether some k x k minor is nonzero mod p, from cofactor determinants;
+    with_last keeps to the minors that use the last row."""
+    picks = itertools.combinations(range(len(rows) - with_last), k - with_last)
+    for rs in (rs + (len(rows) - 1,) * with_last for rs in picks):
+        for cs in itertools.combinations(range(len(rows[0])), k):
+            if slow_det([[rows[i][j] for j in cs] for i in rs], p):
+                return True
+    return False
+
+
+def minor_rank(rows, p):
+    """Order of the largest nonzero minor."""
+    k = min(len(rows), len(rows[0]))
+    while k and not has_nonzero_minor(rows, k, p):
+        k -= 1
+    return k
+
+
+def test_row_reduce_against_minor_rank():
+    rng = random.Random(1111)
+    shapes = [(r, c) for r in range(1, 7) for c in range(1, 7) if min(r, c) <= 4]
+    ranks = set()
+    for p in (2, 3, 5, 7):
+        for r, c in shapes:
+            for _ in range(4):
+                # a product through k inner dimensions has rank at most k
+                k = rng.randint(1, min(r, c))
+                left = [[rng.randrange(p) for _ in range(k)] for _ in range(r)]
+                right = [[rng.randrange(p) for _ in range(c)] for _ in range(k)]
+                rows = [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*right)]
+                        for row in left]
+                pivot_cols, reduced, scale = row_reduce(rows, p)
+                # entries are taken mod p: shifted representatives change nothing
+                shifted = [[x + p * rng.randint(-2, 2) for x in row] for row in rows]
+                assert row_reduce(shifted, p) == (pivot_cols, reduced, scale)
+                rank = minor_rank(rows, p)
+                ranks.add(rank)
+                assert len(pivot_cols) == rank, (rows, p)
+                assert pivot_cols == sorted(set(pivot_cols))
+                for i, col in enumerate(pivot_cols):
+                    assert [row[col] != 0 for row in reduced] == [j == i for j in range(r)]
+                assert all(not any(row) for row in reduced[rank:])
+                # stacking a reduced row under the input keeps the rank, so
+                # the reduction keeps the row space
+                if rank < c:
+                    for row in reduced:
+                        assert not has_nonzero_minor(rows + [row], rank + 1, p, True)
+    assert ranks == set(range(5))
+
+
 def test_is_invertible_composite_modulus_raises_parameter_error():
-    a = mat([[2, 1], [1, 1]], 6)
-    with pytest.raises(ParameterError, match="modulus must be prime"):
-        is_invertible(a)
-    with pytest.raises(ParameterError, match="modulus must be prime"):
-        GroupElement(a)
+    # [[0, 2], [0, 1]] is singular, but the pass goes on past its pivotless
+    # first column and meets the zero divisor 2
+    for rows in ([[2, 1], [1, 1]], [[0, 2], [0, 1]]):
+        a = mat(rows, 6)
+        with pytest.raises(ParameterError, match="modulus must be prime"):
+            is_invertible(a)
+        with pytest.raises(ParameterError, match="modulus must be prime"):
+            GroupElement(a)
     assert is_invertible(identity(3, 6))
 
 

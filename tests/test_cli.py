@@ -96,7 +96,7 @@ def test_pad_unpad_round_trip_exhaustive():
         assert unpad_message(padded) == data
 
 
-def test_corrupted_ciphertext_exits_4_without_output(tmp_path, keypair):
+def test_corrupted_ciphertext_exits_4_without_output(tmp_path, keypair, capsys):
     pk_path, sk_path = keypair
     msg = tmp_path / "m.bin"
     msg.write_bytes(b"attack at dawn")
@@ -107,7 +107,9 @@ def test_corrupted_ciphertext_exits_4_without_output(tmp_path, keypair):
     bad = tmp_path / "bad.lgct"
     bad.write_bytes(bytes(blob))
     out = tmp_path / "m.out"
+    capsys.readouterr()
     assert run("decrypt", sk_path, pk_path, str(bad), "--out", str(out)) == 4
+    assert capsys.readouterr().err == "error: integrity failure: checksum mismatch\n"
     assert not out.exists()
 
 
@@ -232,13 +234,15 @@ def test_inspect_validates_and_cross_checks(tmp_path, keypair, capsys):
     assert run("inspect", str(tmp_path / "w.lgsk"), "--pk", pk_path) == 5
 
 
-def test_inspect_corrupt_file_exits_4(tmp_path, keypair):
+def test_inspect_corrupt_file_exits_4(tmp_path, keypair, capsys):
     pk_path, _ = keypair
     blob = bytearray((tmp_path / "key.lgpk").read_bytes())
     blob[-1] ^= 0xFF
     bad = tmp_path / "corrupt.lgpk"
     bad.write_bytes(bytes(blob))
+    capsys.readouterr()
     assert run("inspect", str(bad)) == 4
+    assert capsys.readouterr().err == f"error: integrity failure in {bad}: checksum mismatch\n"
 
 
 def test_attack_recovers_toy_secret(tmp_path, keypair, capsys):

@@ -1,4 +1,8 @@
+import hashlib
+import json
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from conftest import zeros
@@ -347,3 +351,43 @@ def test_modulus_at_the_limit_reaches_the_semantic_phase(monkeypatch):
             decode(bad)
     assert len(calls) == 2
 
+
+
+def kat_frames(profile):
+    """The params, public-key, private-key and ciphertext frames of a pinned bundle."""
+    records = {}
+    for line in (Path(__file__).parent / "data" / f"kat_{profile}.jsonl").read_text().splitlines():
+        record = json.loads(line)
+        records.setdefault(record["op"], record)
+    hexes = (records["encode"]["out"], records["keygen"]["pk"], records["keygen"]["sk"],
+             records["encrypt"]["ct"])
+    return [bytes.fromhex(h) for h in hexes]
+
+
+def test_decode_verdicts_of_mutated_toy_frames_are_pinned():
+    # 1-3 bytes flipped outside the CRC, which is then recomputed, so the
+    # mutations reach every phase of decoding; each verdict is the error's
+    # class, message and cause, or whether the object re-encodes to the frame
+    frames = kat_frames("toy")
+    rng = random.Random(12)
+    verdicts = []
+    for _ in range(4000):
+        frame = bytearray(rng.choice(frames))
+        for pos in rng.sample(range(len(frame) - 4), rng.randint(1, 3)):
+            frame[pos] ^= rng.randrange(1, 256)
+        wire = reframe(bytes(frame))
+        try:
+            obj = decode(wire)
+        except Exception as e:
+            cause = type(e.__cause__).__name__ if e.__cause__ else None
+            verdicts.append([type(e).__name__, str(e), cause, isinstance(e, CodecError)])
+        else:
+            verdicts.append(["decoded", encode(obj) == wire])
+    escaped = [v for v in verdicts if v[0] != "decoded" and not v[3]]
+    assert escaped == []
+    assert Counter(v[0] for v in verdicts) == {
+        "StructuralDecodeError": 2571, "SemanticDecodeError": 608, "decoded": 821,
+    }
+    assert all(v[1] for v in verdicts if v[0] == "decoded")
+    digest = hashlib.sha256(json.dumps(verdicts).encode()).hexdigest()
+    assert digest == "dc3f7160096c43a6691bbadc5c685eabcc54d90d4978ba62d3d7cec7c6b488aa"

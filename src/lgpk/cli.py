@@ -128,7 +128,8 @@ def write_atomic(path: str, data: bytes):
     os.replace(tmp, path)
 
 
-def load_object(path: str, expect_kind: int):
+def load_object(path: str, expect_kind: int | None = None):
+    """Decode the one frame in `path`; the only place a decode error gets the path."""
     try:
         return codec.decode(read_file(path), expect_kind=expect_kind)
     except CodecError as e:
@@ -137,8 +138,7 @@ def load_object(path: str, expect_kind: int):
 
 def resolve_params(args, rng: RngHandle) -> ParameterSet:
     if getattr(args, "params", None):
-        obj = load_object(args.params, codec.KIND_PARAMS)
-        return obj
+        return load_object(args.params, codec.KIND_PARAMS)
     return make_params(args.profile, rng)
 
 
@@ -209,10 +209,7 @@ def cmd_decrypt(args) -> int:
     blocks = []
     offset = 0
     while offset < len(blob):
-        try:
-            ct, offset = codec.decode_prefix(blob, offset, codec.KIND_CIPHERTEXT)
-        except CodecError as e:
-            raise IntegrityError(f"integrity failure: {e}") from e
+        ct, offset = codec.decode_prefix(blob, offset, codec.KIND_CIPHERTEXT)
         m = decrypt(sk, pk, ct)
         if m is None:
             raise IntegrityError("integrity failure: ciphertext failed the validity check")
@@ -235,10 +232,7 @@ def _describe_params(params: ParameterSet) -> list[str]:
 
 
 def cmd_inspect(args) -> int:
-    try:
-        obj = codec.decode(read_file(args.file))
-    except CodecError as e:
-        raise IntegrityError(f"integrity failure in {args.file}: {e}") from e
+    obj = load_object(args.file)
     lines = [f"{args.file}:"]
     if isinstance(obj, ParameterSet):
         lines.append("  kind: parameters")

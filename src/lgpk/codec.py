@@ -7,20 +7,21 @@ canonical matrix encoding from matfield, and bit strings prefixed with their
 bit length — so each envelope is self-delimiting and streams concatenate.
 
 Decoding is two-phase. The structural phase rejects bad frames: truncation,
-wrong magic/version/kind, CRC mismatch, a matrix dimension above MAX_DIM, a
-modulus longer than MAX_PRIME_BITS, and non-canonical primitive bytes (a prime
-with a leading zero byte, set padding bits in a bit string's last byte). Both
-limits come before any semantic work: the nilpotency proof grows as n^4, each
-decoded generator keeps a table of up to n-1 matrices, and the primality
-check grows about 7.6x per doubling of the modulus length. The semantic phase
-rebuilds the typed objects and rejects any frame whose content violates a
-type invariant: entries >= p, wrong nilpotency index, singular matrices,
+wrong magic/version/kind, CRC mismatch, non-canonical primitive bytes (a prime
+with a leading zero byte, set padding bits in a bit string's last byte), n
+above MAX_DIM, and a modulus longer than MAX_PRIME_BITS. Both limits come
+before any semantic work: the nilpotency proof grows as n^4, each decoded
+generator keeps a table of up to n-1 matrices, and the primality check grows
+about 7.6x per doubling of the modulus length. Only a frame whose checksum
+matches reaches the semantic phase. It builds the typed objects through their
+validating constructors, and `decode_prefix` alone turns what they reject into
+SemanticDecodeError: entries >= p, wrong nilpotency index, singular matrices,
 mismatched dimensions, and a composite modulus in parameter and public-key
 frames. Ciphertext and private-key frames carry a bare modulus that is not
-tested for primality: a composite one is caught only when an elimination
-pivot shares a factor with it. Its modulus then differs from the public key's
-prime, so `decrypt` returns None for such a ciphertext and raises
-KeyMismatchError for such a private key.
+tested for primality: a composite one is caught only when an elimination pivot
+shares a factor with it. It then differs from the public key's prime, so
+`decrypt` returns None for such a ciphertext and raises KeyMismatchError for
+such a private key.
 """
 
 from __future__ import annotations
@@ -180,6 +181,11 @@ class _Reader:
         return self.take(1)[0]
 
 
+def _check_limit(what: str, value: int, limit: int) -> None:
+    if value > limit:
+        raise StructuralDecodeError(f"{what} exceeds the limit of {limit}")
+
+
 def _read_bitstr_raw(r: _Reader) -> tuple[int, bytes]:
     nbits = r.u32()
     data = r.take((nbits + 7) // 8)
@@ -196,23 +202,15 @@ def _read_prime_raw(r: _Reader) -> int:
     if raw[0] == 0:
         raise StructuralDecodeError("modulus encoding must be minimal")
     p = int.from_bytes(raw, "big")
-    if p.bit_length() > MAX_PRIME_BITS:
-        raise StructuralDecodeError(
-            f"modulus of {p.bit_length()} bits exceeds the limit of {MAX_PRIME_BITS}"
-        )
+    _check_limit(f"modulus of {p.bit_length()} bits", p.bit_length(), MAX_PRIME_BITS)
     return p
-
-
-def _check_dim(n: int) -> None:
-    if n > MAX_DIM:
-        raise StructuralDecodeError(f"matrix dimension {n} exceeds the limit of {MAX_DIM}")
 
 
 def _read_matrix_raw(r: _Reader) -> tuple[int, int, tuple]:
     n = r.u32()
     if n < 1:
         raise StructuralDecodeError("matrix dimension must be positive")
-    _check_dim(n)
+    _check_limit(f"matrix dimension {n}", n, MAX_DIM)
     p = _read_prime_raw(r)
     plen = (p.bit_length() + 7) // 8
     rows = tuple(
@@ -228,31 +226,17 @@ def _read_params_raw(r: _Reader) -> dict:
     fields = {"toy": bool(flags & 1)}
     for name in ("kappa1", "kappa2", "kappa3", "kappa4", "msg_len", "n"):
         fields[name] = r.u32()
-    _check_dim(fields["n"])
+    _check_limit(f"matrix dimension {fields['n']}", fields["n"], MAX_DIM)
     fields["p"] = _read_prime_raw(r)
     return fields
 
 
-def _semantic(build):
-    try:
-        return build()
-    except (ParameterError, NotNilpotentError, NotInvertibleError, EncodingError) as e:
-        raise SemanticDecodeError(str(e)) from e
-
-
-def _build_params(raw: dict) -> ParameterSet:
-    return _semantic(lambda: ParameterSet(**raw))
-
-
-def _build_matrix(raw: tuple) -> FieldMatrix:
-    n, p, rows = raw
-    return _semantic(lambda: FieldMatrix(n, p, rows))
-
-
-def _parse_body(kind: int, r: _Reader):
-    """Structural pass: pull raw fields off the wire for one body."""
+def _read_body(kind: int, r: _Reader):
+    """Structural pass over one body: read its fields, and return the call
+    that builds its object through the validating constructors."""
     if kind == KIND_PARAMS:
-        return _read_params_raw(r)
+        params = _read_params_raw(r)
+        return lambda: ParameterSet(**params)
     if kind == KIND_PUBLIC_KEY:
         params = _read_params_raw(r)
         suite_id = r.u8()
@@ -261,42 +245,24 @@ def _parse_body(kind: int, r: _Reader):
         right = _read_matrix_raw(r)
         right_index = r.u8()
         product = _read_matrix_raw(r)
-        return params, suite_id, left, left_index, right, right_index, product
+        return lambda: PublicKey(
+            ParameterSet(**params),
+            NilpotentMatrix(FieldMatrix(*left), left_index),
+            NilpotentMatrix(FieldMatrix(*right), right_index),
+            GroupElement(FieldMatrix(*product)),
+            suite_id,
+        )
     if kind == KIND_PRIVATE_KEY:
         fingerprint = r.take(FINGERPRINT_BYTES)
-        return fingerprint, _read_matrix_raw(r), _read_matrix_raw(r)
-    if kind == KIND_CIPHERTEXT:
-        sealed = _read_bitstr_raw(r)
-        product = _read_matrix_raw(r)
-        masked = _read_bitstr_raw(r)
-        return sealed, product, masked
-    raise StructuralDecodeError(f"unknown object kind 0x{kind:02x}")
-
-
-def _build_object(kind: int, raw):
-    """Semantic pass: reconstruct typed objects, converting invariant
-    violations into semantic decode errors."""
-    if kind == KIND_PARAMS:
-        return _build_params(raw)
-    if kind == KIND_PUBLIC_KEY:
-        params_raw, suite_id, left, left_index, right, right_index, product = raw
-        params = _build_params(params_raw)
-        left_gen = _semantic(lambda: NilpotentMatrix(_build_matrix(left), left_index))
-        right_gen = _semantic(lambda: NilpotentMatrix(_build_matrix(right), right_index))
-        key_product = _semantic(lambda: GroupElement(_build_matrix(product)))
-        return _semantic(lambda: PublicKey(params, left_gen, right_gen, key_product, suite_id))
-    if kind == KIND_PRIVATE_KEY:
-        fingerprint, left, right = raw
-        left_factor = _semantic(lambda: GroupElement(_build_matrix(left)))
-        right_factor = _semantic(lambda: GroupElement(_build_matrix(right)))
-        return _semantic(lambda: PrivateKey(left_factor, right_factor, fingerprint))
-    if kind == KIND_CIPHERTEXT:
-        (seal_bits, seal_data), product, (mask_bits, mask_data) = raw
-        sealed = _semantic(lambda: BitStr(seal_bits, seal_data))
-        rand_product = _semantic(lambda: GroupElement(_build_matrix(product)))
-        masked = _semantic(lambda: BitStr(mask_bits, mask_data))
-        return Ciphertext(sealed, rand_product, masked)
-    raise StructuralDecodeError(f"unknown object kind 0x{kind:02x}")
+        left = _read_matrix_raw(r)
+        right = _read_matrix_raw(r)
+        return lambda: PrivateKey(
+            GroupElement(FieldMatrix(*left)), GroupElement(FieldMatrix(*right)), fingerprint
+        )
+    sealed = _read_bitstr_raw(r)
+    product = _read_matrix_raw(r)
+    masked = _read_bitstr_raw(r)
+    return lambda: Ciphertext(BitStr(*sealed), GroupElement(FieldMatrix(*product)), BitStr(*masked))
 
 
 def decode_prefix(
@@ -313,15 +279,16 @@ def decode_prefix(
     if kind not in FILE_EXTENSIONS:
         raise StructuralDecodeError(f"unknown object kind 0x{kind:02x}")
     if expect_kind is not None and kind != expect_kind:
-        raise StructuralDecodeError(
-            f"expected kind 0x{expect_kind:02x}, found 0x{kind:02x}"
-        )
-    raw = _parse_body(kind, r)
+        raise StructuralDecodeError(f"expected kind 0x{expect_kind:02x}, found 0x{kind:02x}")
+    build = _read_body(kind, r)
     claimed = int.from_bytes(r.take(4), "big")
     actual = zlib.crc32(data[offset:r.offset - 4])
     if claimed != actual:
         raise StructuralDecodeError("checksum mismatch")
-    return _build_object(kind, raw), r.offset
+    try:
+        return build(), r.offset
+    except (ParameterError, NotNilpotentError, NotInvertibleError, EncodingError) as e:
+        raise SemanticDecodeError(str(e)) from e
 
 
 def decode(data: bytes, expect_kind: Optional[int] = None) -> Encodable:

@@ -9,19 +9,20 @@ bit length — so each envelope is self-delimiting and streams concatenate.
 Decoding is two-phase. The structural phase rejects bad frames: truncation,
 wrong magic/version/kind, CRC mismatch, non-canonical primitive bytes (a prime
 with a leading zero byte, set padding bits in a bit string's last byte), n
-above MAX_DIM, and a modulus longer than MAX_PRIME_BITS. Both limits come
-before any semantic work: the nilpotency proof grows as n^4, each decoded
-generator keeps a table of up to n-1 matrices, and the primality check grows
-about 7.6x per doubling of the modulus length. Only a frame whose checksum
-matches reaches the semantic phase. It builds the typed objects through their
-validating constructors, and `decode_prefix` alone turns what they reject into
-SemanticDecodeError: entries >= p, wrong nilpotency index, singular matrices,
-mismatched dimensions, and a composite modulus in parameter and public-key
-frames. Ciphertext and private-key frames carry a bare modulus that is not
-tested for primality: a composite one is caught only when an elimination pivot
-shares a factor with it. It then differs from the public key's prime, so
-`decrypt` returns None for such a ciphertext and raises KeyMismatchError for
-such a private key.
+above MAX_DIM, a modulus longer than MAX_PRIME_BITS, and a kappa2 or msg_len
+above MAX_LENGTH_BITS. The limits come before any semantic work: the
+nilpotency proof grows as n^4, each decoded generator keeps a table of up to
+n-1 matrices, the primality check grows about 7.6x per doubling of the modulus
+length, and `encrypt` draws and hashes kappa2 + msg_len bits. Only a frame
+whose checksum matches reaches the semantic phase. It builds the typed objects
+through their validating constructors, and `decode_prefix` alone turns what
+they reject into SemanticDecodeError: entries >= p, wrong nilpotency index,
+singular matrices, mismatched dimensions, and a composite modulus in parameter
+and public-key frames. Ciphertext and private-key frames carry a bare modulus
+that is not tested for primality: a composite one is caught only when an
+elimination pivot shares a factor with it. It then differs from the public
+key's prime, so `decrypt` returns None for such a ciphertext and raises
+KeyMismatchError for such a private key.
 """
 
 from __future__ import annotations
@@ -56,6 +57,8 @@ VERSION = 0x01
 MAX_DIM = 16
 # longest modulus, in bits, a frame may carry: 16 times the paper's 256 bits
 MAX_PRIME_BITS = 4096
+# longest seed (kappa2) and message (msg_len), in bits, a frame may declare
+MAX_LENGTH_BITS = 4096
 
 KIND_PARAMS = 0x01
 KIND_PUBLIC_KEY = 0x02
@@ -227,6 +230,8 @@ def _read_params_raw(r: _Reader) -> dict:
     for name in ("kappa1", "kappa2", "kappa3", "kappa4", "msg_len", "n"):
         fields[name] = r.u32()
     _check_limit(f"matrix dimension {fields['n']}", fields["n"], MAX_DIM)
+    for name in ("kappa2", "msg_len"):
+        _check_limit(f"{name} of {fields[name]} bits", fields[name], MAX_LENGTH_BITS)
     fields["p"] = _read_prime_raw(r)
     return fields
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -15,6 +16,7 @@ from lgpk.codec import (
     KIND_PUBLIC_KEY,
     MAGIC,
     MAX_DIM,
+    MAX_LENGTH_BITS,
     MAX_PRIME_BITS,
     VERSION,
     decode,
@@ -353,6 +355,28 @@ def test_modulus_at_the_limit_reaches_the_semantic_phase(monkeypatch):
 
 
 
+def test_lengths_above_the_limit_are_rejected_before_semantic_work(monkeypatch):
+    # frames of real keys: without the limit the 4,097-bit ones would decode,
+    # after a primality check of the modulus
+    frames = {}
+    for name in ("kappa2", "msg_len"):
+        for bits in (MAX_LENGTH_BITS, MAX_LENGTH_BITS + 1):
+            params = dataclasses.replace(TINY, **{name: bits})
+            pk, _ = keygen(params, RngHandle(SEED))
+            frames[name, bits] = [(obj, encode(obj)) for obj in (params, pk)]
+    calls = count_calls(monkeypatch, "is_probable_prime")
+    for name in ("kappa2", "msg_len"):
+        for obj, wire in frames[name, MAX_LENGTH_BITS]:
+            assert decode(wire) == obj
+        assert len(calls) == 2
+        calls.clear()
+        for _, wire in frames[name, MAX_LENGTH_BITS + 1]:
+            with pytest.raises(StructuralDecodeError,
+                               match=f"{name} of 4097 bits exceeds the limit of 4096"):
+                decode(wire)
+        assert calls == []
+
+
 def kat_frames(profile):
     """The params, public-key, private-key and ciphertext frames of a pinned bundle."""
     records = {}
@@ -385,9 +409,12 @@ def test_decode_verdicts_of_mutated_toy_frames_are_pinned():
             verdicts.append(["decoded", encode(obj) == wire])
     escaped = [v for v in verdicts if v[0] != "decoded" and not v[3]]
     assert escaped == []
+    # 285 of these frames declare a kappa2 or msg_len above MAX_LENGTH_BITS;
+    # before that limit 87 of them decoded, 111 failed semantically and 87
+    # failed later in the structural phase (2,571 / 608 / 821 in all)
     assert Counter(v[0] for v in verdicts) == {
-        "StructuralDecodeError": 2571, "SemanticDecodeError": 608, "decoded": 821,
+        "StructuralDecodeError": 2769, "SemanticDecodeError": 497, "decoded": 734,
     }
     assert all(v[1] for v in verdicts if v[0] == "decoded")
     digest = hashlib.sha256(json.dumps(verdicts).encode()).hexdigest()
-    assert digest == "dc3f7160096c43a6691bbadc5c685eabcc54d90d4978ba62d3d7cec7c6b488aa"
+    assert digest == "b165a777c0b4e901a9b83b80c099a7157d37f6690bddd1b0895b8b1024a4ab84"

@@ -260,7 +260,6 @@ def hardness_sweep(
     p_bits_list: Sequence[int],
     bound_bits_list: Sequence[int],
     rng: RngHandle,
-    solvers: Sequence[str] = ("brute", "mitm"),
     pair_budget: int = BRUTE_PAIR_BUDGET,
     table_budget: int = MITM_TABLE_BUDGET,
 ) -> list[SweepRow]:
@@ -294,15 +293,14 @@ def hardness_sweep(
             y = y_master >> (s_max - s)
             target = group_mul(exp_scaled(x, left_gen), exp_scaled(y, right_gen))
             inst = NafInstance(left_gen, right_gen, target, 1 << s, 1 << s)
-            for name in solvers:
+            # built per call from the module globals, so a solver rebound there
+            # (as bench/tracer.py does) is the one run
+            for name, solver, budget in (
+                ("brute", naf_bruteforce, pair_budget), ("mitm", naf_mitm, table_budget)
+            ):
                 start = time.perf_counter()
                 try:
-                    if name == "brute":
-                        sol = naf_bruteforce(inst, pair_budget)
-                    elif name == "mitm":
-                        sol = naf_mitm(inst, table_budget)
-                    else:
-                        raise ParameterError(f"unknown solver {name!r}")
+                    sol = solver(inst, budget)
                 except BudgetRefusal:
                     rows.append(SweepRow(n, p_bits, bound_bits, name, 0, 0.0, "refused"))
                     continue

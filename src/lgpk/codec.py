@@ -185,8 +185,9 @@ class _Reader:
 
 
 def _check_limit(what: str, value: int, limit: int) -> None:
+    """`what` names the value through a {} field, filled in only on failure."""
     if value > limit:
-        raise StructuralDecodeError(f"{what} exceeds the limit of {limit}")
+        raise StructuralDecodeError(f"{what.format(value)} exceeds the limit of {limit}")
 
 
 def _read_bitstr_raw(r: _Reader) -> tuple[int, bytes]:
@@ -205,7 +206,7 @@ def _read_prime_raw(r: _Reader) -> int:
     if raw[0] == 0:
         raise StructuralDecodeError("modulus encoding must be minimal")
     p = int.from_bytes(raw, "big")
-    _check_limit(f"modulus of {p.bit_length()} bits", p.bit_length(), MAX_PRIME_BITS)
+    _check_limit("modulus of {} bits", p.bit_length(), MAX_PRIME_BITS)
     return p
 
 
@@ -213,7 +214,7 @@ def _read_matrix_raw(r: _Reader) -> tuple[int, int, tuple]:
     n = r.u32()
     if n < 1:
         raise StructuralDecodeError("matrix dimension must be positive")
-    _check_limit(f"matrix dimension {n}", n, MAX_DIM)
+    _check_limit("matrix dimension {}", n, MAX_DIM)
     p = _read_prime_raw(r)
     plen = (p.bit_length() + 7) // 8
     rows = tuple(
@@ -229,9 +230,9 @@ def _read_params_raw(r: _Reader) -> dict:
     fields = {"toy": bool(flags & 1)}
     for name in ("kappa1", "kappa2", "kappa3", "kappa4", "msg_len", "n"):
         fields[name] = r.u32()
-    _check_limit(f"matrix dimension {fields['n']}", fields["n"], MAX_DIM)
+    _check_limit("matrix dimension {}", fields["n"], MAX_DIM)
     for name in ("kappa2", "msg_len"):
-        _check_limit(f"{name} of {fields[name]} bits", fields[name], MAX_LENGTH_BITS)
+        _check_limit(name + " of {} bits", fields[name], MAX_LENGTH_BITS)
     fields["p"] = _read_prime_raw(r)
     return fields
 

@@ -238,8 +238,8 @@ def _read_params_raw(r: _Reader) -> dict:
 
 
 def _read_body(kind: int, r: _Reader):
-    """Structural pass over one body: read its fields, and return the call
-    that builds its object through the validating constructors."""
+    """Structural pass over one body of a checked kind: read its fields, and
+    return the call that builds its object through the validating constructors."""
     if kind == KIND_PARAMS:
         params = _read_params_raw(r)
         return lambda: ParameterSet(**params)

@@ -283,8 +283,8 @@ def cmd_attack(args) -> int:
     pk = load_object(args.pk_file, codec.KIND_PUBLIC_KEY)
     if args.bounds_bits:
         values = parse_int_list(args.bounds_bits, "--bounds-bits")
-        if len(values) != 1:
-            raise UsageError("a single --bounds-bits value is expected without --sweep")
+        if len(values) != 1 or values[0] < 0:
+            raise UsageError("a single --bounds-bits value >= 0 is expected without --sweep")
         total_bits = values[0]
     else:
         total_bits = pk.params.kappa3 + pk.params.kappa4

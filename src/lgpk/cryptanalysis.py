@@ -1,14 +1,21 @@
 """Attack oracles for the two search problems the scheme leans on.
 
 Factoring: given a product exp(x*L)*exp(y*R) of exponentials of known
-non-commuting nilpotent generators, recover the scalar pair. The brute-force
-solver scans the full (x, y) grid; the meet-in-the-middle solver tabulates
-the right factor's images for every y and probes them with left-inverses
-applied to the target, trading memory for a linear-time scan. Both carry
-only v times each running product, for one vector v chosen from the
-generators, a row-times-matrix step of n^2 multiplications, and confirm a
-row hit by the full matrix product before reporting it; the
-meet-in-the-middle table is keyed by that row packed into one int.
+non-commuting nilpotent generators, recover the scalar pair. Both solvers
+follow only the row v*exp(x*L)*exp(y*R), for one vector v chosen from the
+generators, and confirm a row hit by the full matrix product before
+reporting it.
+
+The brute-force solver tries every pair of the (x, y) grid. For each x it
+prefilters on one coordinate of the row, a polynomial in y of degree < n
+that `itertools` generates from its forward differences and compares with
+the target's, in C, with no Python step per pair; only a y that matches
+there has its full row evaluated. Nothing is stored per y, so its memory
+does not depend on the bounds. The meet-in-the-middle solver tabulates the
+right factor's rows for every y, each packed into one int, and probes them
+with left-inverses applied to the target, trading memory for a linear-time
+scan of row-times-matrix steps.
+
 Insertion: given two such products, produce the product with component-wise
 summed scalars; solved here by factoring both inputs and re-exponentiating.
 
@@ -23,7 +30,9 @@ from __future__ import annotations
 import operator
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from itertools import accumulate, islice, repeat
+from math import comb
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import BudgetRefusal, ParameterError
 from .matfield import (
@@ -127,17 +136,46 @@ def _confirm(inst: NafInstance, x: int, y: int, ops: int) -> Optional[NafSolutio
     return NafSolution(x, y, left_image, right_image, ops)
 
 
+def _row_at(diffs: list[tuple[int, ...]], y: int, p: int) -> tuple[int, ...]:
+    """The row at y, sum over i of C(y, i) * diffs[i] mod p, from its forward
+    differences at y = 0 (Newton's forward formula)."""
+    weights = [comb(y, i) for i in range(len(diffs))]
+    return tuple([sum(map(operator.mul, weights, col)) % p for col in zip(*diffs)])
+
+
+def _matches(values: Iterator[int], goal: int) -> Iterator[int]:
+    """The offsets at which `values` equals `goal`. `operator.indexOf` walks
+    the stretch up to each one in C."""
+    y = -1
+    while True:
+        try:
+            y += 1 + operator.indexOf(values, goal)
+        except ValueError:
+            return
+        yield y
+
+
 def naf_bruteforce(
     inst: NafInstance, pair_budget: int = BRUTE_PAIR_BUDGET
 ) -> Optional[NafSolution]:
     """Exhaustive scan of the (x, y) grid, x-major, so the smallest x (and for
     it the smallest y) wins. `ops` reports the number of pairs tried.
 
-    The scan carries only v*exp(x*L)*exp(y*R) (v from `_scan_vector`):
-    that row is (v*exp(L)^x) * exp(R)^y, so each step is one
-    row-times-matrix product. A pair whose row equals v*target is confirmed
-    by the full product before it is returned; a pair matching in that row
-    alone is passed over.
+    The scan follows the row v*exp(x*L)*exp(y*R) (v from `_scan_vector`).
+    Stepping y multiplies the row by exp(R) = I + E, so its forward
+    difference in y is the row times E. E is nilpotent with R's index k, so
+    for a fixed x the row is a polynomial of degree < k in y whose
+    differences at y = 0 are v*exp(x*L)*E^i. For each x the scan runs:
+    - a prefilter on one coordinate of the row, one that moves with y when
+      any does: its values for y = 0, 1, ... are running sums of running
+      sums of its differences (`itertools.accumulate`), reduced mod p and
+      compared with that coordinate of v*target, with no Python step per pair;
+    - the full row, evaluated from the differences, at each y that passes;
+    - `_confirm`, the full product, at each y whose full row matches; a pair
+      that matches in the row alone is passed over.
+    When no coordinate moves with y, every y goes on to the full row.
+    Memory is k rows and a chain of k+2 iterators whatever the bounds, so
+    time grows with the pairs tried and memory does not.
     """
     total = inst.bound_left * inst.bound_right
     if total > pair_budget:
@@ -147,17 +185,27 @@ def naf_bruteforce(
         )
     p = inst.target.mat.p
     left_cols = tuple(zip(*mat_exp(inst.left_gen).mat.rows))
-    right_cols = tuple(zip(*mat_exp(inst.right_gen).mat.rows))
+    # the columns of E = exp(R) - I
+    diff_cols = tuple(
+        tuple((e - (i == j)) % p for i, e in enumerate(col))
+        for j, col in enumerate(zip(*mat_exp(inst.right_gen).mat.rows))
+    )
     start = _scan_vector(inst)
     goal = _row_times(start, tuple(zip(*inst.target.mat.rows)), p)
     for x in range(inst.bound_left):
-        row = start
-        for y in range(inst.bound_right):
-            if row == goal:
+        diffs = [start]
+        for _ in range(1, inst.right_gen.index):
+            diffs.append(_row_times(diffs[-1], diff_cols, p))
+        j = next((j for j in range(len(start)) if any(d[j] for d in diffs[1:])), 0)
+        values = repeat(diffs[-1][j])
+        for d in diffs[-2::-1]:
+            values = accumulate(values, initial=d[j])
+        values = islice(map(operator.mod, values, repeat(p)), inst.bound_right)
+        for y in _matches(values, goal[j]):
+            if _row_at(diffs, y, p) == goal:
                 sol = _confirm(inst, x, y, x * inst.bound_right + y + 1)
                 if sol is not None:
                     return sol
-            row = _row_times(row, right_cols, p)
         start = _row_times(start, left_cols, p)
     return None
 

@@ -270,6 +270,17 @@ def test_attack_without_file_or_sweep_exits_2():
     assert run("attack") == 2
 
 
+def test_attack_rejects_negative_bounds_bits(keypair, capsys):
+    pk_path, _ = keypair
+    capsys.readouterr()
+    assert run("attack", pk_path, "--bounds-bits", "-2") == 2
+    assert capsys.readouterr().err == (
+        "error: a single --bounds-bits value >= 0 is expected without --sweep\n"
+    )
+    assert run("attack", pk_path, "--bounds-bits", "0") == 0  # one pair: (0, 0)
+    assert capsys.readouterr().out == "no factorization within 2^0 pairs\n"
+
+
 def test_sweep_writes_csv(tmp_path):
     out = tmp_path / "sweep.csv"
     code = run("attack", "--sweep", "--n", "2", "--p-bits", "8,10",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from conftest import slow_naf_bruteforce, slow_naf_mitm
 
@@ -113,12 +115,18 @@ def test_smallest_scalars_win_when_bounds_exceed_modulus():
 def grid_generators():
     rng = RngHandle(b"\x5a" * 32)
     pairs = [sample_noncommuting_pair(n, p, rng) for n, p in ((2, 7), (2, 11), (3, 7), (3, 11))]
-    # every exp(y*lower) has row 0 = (1, 0): all of its row-0 table keys collide
-    return pairs + [shift_pair(7)]
+    upper, lower = shift_pair(7)
+    # every exp(y*lower) has row 0 = (1, 0): all of its row-0 table keys collide.
+    # Swapped, the scanned row is (1+x, (1+x)*y + 1): coordinate 0 never moves
+    # with y, and at x = 6 no coordinate does, so brute force's coordinate
+    # prefilter passes every y or none.
+    return pairs + [(upper, lower), (lower, upper)]
 
 
 GRID = grid_generators()
-GRID_IDS = [f"n{left.base.n}-p{left.base.p}" for left, _ in GRID[:-1]] + ["shift-p7"]
+GRID_IDS = [f"n{left.base.n}-p{left.base.p}" for left, _ in GRID[:-2]] + [
+    "shift-p7", "shift-swapped-p7"
+]
 
 
 def assert_solvers_match_oracle(inst):
@@ -214,6 +222,21 @@ def test_shift_pair_scans_confirm_few_false_hits(monkeypatch):
             naf_mitm(inst)
         counts.append(len(failed))
     assert counts == [42, 98]
+
+
+def test_bruteforce_scans_a_long_row_in_constant_memory():
+    # one x and 2^18 values of y: the planted pair is the last one tried
+    upper, lower = shift_pair(4294967291)
+    y = (1 << 18) - 1
+    inst = planted(upper, lower, 0, y, 1, 1 << 18)
+    tracemalloc.start()
+    try:
+        sol = naf_bruteforce(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (sol.left_scalar, sol.right_scalar, sol.ops) == (0, y, 1 << 18)
+    assert peak < 64 * 1024  # no table per y
 
 
 def test_solves_make_a_constant_number_of_products(monkeypatch):

@@ -10,6 +10,7 @@ never leaves a partial file behind.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -122,18 +123,38 @@ def read_file(path: str) -> bytes:
 
 
 def write_atomic(path: str, data: bytes):
+    """Write to a temp name, then rename; on failure remove the temp file."""
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+@contextlib.contextmanager
+def decode_errors_in(path: str):
+    """Report a decode error as an integrity failure that names `path`."""
+    try:
+        yield
+    except CodecError as e:
+        raise IntegrityError(f"integrity failure in {path}: {e}") from e
 
 
 def load_object(path: str, expect_kind: int | None = None):
-    """Decode the one frame in `path`; the only place a decode error gets the path."""
-    try:
+    """Decode the one frame in `path`."""
+    with decode_errors_in(path):
         return codec.decode(read_file(path), expect_kind=expect_kind)
-    except CodecError as e:
-        raise IntegrityError(f"integrity failure in {path}: {e}") from e
+
+
+def ciphertext_frames(blob: bytes, offset: int = 0):
+    """Decode the ciphertext frames (one per block) in `blob` from `offset` on."""
+    while offset < len(blob):
+        ct, offset = codec.decode_prefix(blob, offset, codec.KIND_CIPHERTEXT)
+        yield ct
 
 
 def resolve_params(args, rng: RngHandle) -> ParameterSet:
@@ -207,9 +228,7 @@ def cmd_decrypt(args) -> int:
     if not blob:
         raise IntegrityError("integrity failure: empty ciphertext file")
     blocks = []
-    offset = 0
-    while offset < len(blob):
-        ct, offset = codec.decode_prefix(blob, offset, codec.KIND_CIPHERTEXT)
+    for ct in ciphertext_frames(blob):
         m = decrypt(sk, pk, ct)
         if m is None:
             raise IntegrityError("integrity failure: ciphertext failed the validity check")
@@ -232,7 +251,13 @@ def _describe_params(params: ParameterSet) -> list[str]:
 
 
 def cmd_inspect(args) -> int:
-    obj = load_object(args.file)
+    blob = read_file(args.file)
+    with decode_errors_in(args.file):
+        obj, end = codec.decode_prefix(blob)
+        if isinstance(obj, Ciphertext):
+            blocks = 1 + sum(1 for _ in ciphertext_frames(blob, end))
+        elif end != len(blob):
+            codec.decode(blob)  # raises, naming the trailing bytes
     lines = [f"{args.file}:"]
     if isinstance(obj, ParameterSet):
         lines.append("  kind: parameters")
@@ -256,7 +281,8 @@ def cmd_inspect(args) -> int:
                 )
             lines.append(f"  consistent with {args.pk}: yes")
     elif isinstance(obj, Ciphertext):
-        lines.append("  kind: ciphertext (single block)")
+        lines.append("  kind: ciphertext")
+        lines.append(f"  blocks: {blocks}")
         lines.append(f"  sealed seed bits: {obj.sealed_seed.nbits}")
         lines.append(f"  group element: {obj.rand_product.mat.n}x{obj.rand_product.mat.n}")
         lines.append(f"  masked message bits: {obj.masked_msg.nbits}")

@@ -14,17 +14,12 @@ index of a nonzero multiple of a nilpotent matrix.
 
 Exponentials are evaluated from a table of the terms X^m/m! (1 <= m < index):
 exp(tX) = I + sum of t^m * X^m/m!, one scalar-times-matrix pass per term and
-no matrix products. Building the table from X alone costs index-2 products.
-Only the generators of public keys keep their table (about 12 KB per key at
-the paper profile), because every encryption and decryption exponentiates
-them again. `keygen` builds its two tables from the sampled generators. A
-decoded generator gets its table from its own nilpotency proof, which walks
-X, X^2, ..., X^index anyway: the validating `NilpotentMatrix` constructor,
-which only codec decoding calls, keeps the table built from those powers at
-no extra product. Every other nilpotent matrix, such as the thousands of
-generators the attack solvers plant, builds a table per call and drops it, so
-memory stays bounded by the number of live keys rather than the number of
-matrices ever made.
+no matrix products. One rule decides who keeps a table: every
+`NilpotentMatrix` does. Both constructors prove nilpotency by walking X, X^2,
+..., X^index, and they keep the table built from those powers at no extra
+product. Memory therefore grows with the number of live nilpotent matrices,
+at most index-2 extra matrices each (about 12 KB per public key at the paper
+profile).
 """
 
 from __future__ import annotations
@@ -349,26 +344,18 @@ def commutes(a: FieldMatrix, b: FieldMatrix) -> bool:
 
 @dataclass(frozen=True)
 class NilpotentMatrix:
-    """A FieldMatrix proven nilpotent, together with its exact index."""
+    """A FieldMatrix proven nilpotent, its exact index, and the table `_terms`
+    of X^m/m! (1 <= m < index) that exp_scaled reads. Both constructors keep
+    the table built from the powers their proof walks: at most index-2 extra
+    matrices, for as long as the matrix lives. `_terms` is not a field, so
+    equality, hash, repr and the codec ignore it. When some m! has no inverse
+    mod p (p <= n, or p composite), both constructors raise ParameterError."""
 
     base: FieldMatrix
     index: int
-    # The X^m/m! table that exp_scaled reads, or None to build one per call.
-    # A class attribute, not a field: equality, hash, repr and the codec ignore it.
-    _terms = None
-
-    def keep_exp_terms(self) -> None:
-        """Store this matrix's exponential table on it, for a generator that
-        is exponentiated again and again (a public key's). A stored table is
-        kept, not rebuilt."""
-        if self._terms is None:
-            object.__setattr__(self, "_terms", _exp_terms(self))
 
     def __post_init__(self):
-        """Prove the claimed index from the chain base, base^2, ..., base^index
-        and keep the table built from those powers. In the library only codec
-        decoding calls this constructor, for a public key's generators, so
-        the tables kept are bounded by the number of live keys."""
+        """Prove the claimed index from the chain base, base^2, ..., base^index."""
         a, k = self.base, self.index
         if not 1 <= k <= a.n:
             raise NotNilpotentError(f"nilpotency index {k} outside [1, {a.n}]")
@@ -380,18 +367,15 @@ class NilpotentMatrix:
             if not ok:
                 raise NotNilpotentError(f"matrix is not nilpotent of index {k}")
             raise NotNilpotentError(f"nilpotency index is {ell}, not {k}")
-        try:
-            object.__setattr__(self, "_terms", _table(powers[:-1], a.n, a.p))
-        except ParameterError:
-            pass  # no table: exp_scaled raises the same error when called
+        object.__setattr__(self, "_terms", _table(powers[:-1], a.n, a.p))
 
     @classmethod
     def from_matrix(cls, a: FieldMatrix) -> "NilpotentMatrix":
-        """Keep the minimal index `is_nilpotent` proved; no second proof."""
-        ok, ell = is_nilpotent(a)
-        if not ok:
+        """Prove nilpotency as `is_nilpotent` does and keep the minimal index."""
+        powers = _powers(a, a.n)
+        if not _is_zero(powers[-1]):
             raise NotNilpotentError("matrix is not nilpotent")
-        return _trusted(cls, base=a, index=ell)
+        return _trusted(cls, base=a, index=len(powers), _terms=_table(powers[:-1], a.n, a.p))
 
 
 @dataclass(frozen=True)
@@ -411,11 +395,6 @@ class GroupElement:
 def group_mul(a: GroupElement, b: GroupElement) -> GroupElement:
     """Product in GL_n(p). Invertibility is closed, so skip the invertibility check."""
     return _trusted(GroupElement, mat=mat_mul(a.mat, b.mat))
-
-
-def _exp_terms(x: NilpotentMatrix) -> tuple[Rows, ...]:
-    """The rows of X^m/m! mod p for 1 <= m < index, from index-2 products."""
-    return _table(_powers(x.base, x.index - 1), x.base.n, x.base.p)
 
 
 def _table(powers: list[FieldMatrix], n: int, p: int) -> tuple[Rows, ...]:
@@ -449,15 +428,14 @@ def exp_scaled(t: int, x: NilpotentMatrix) -> GroupElement:
 
     t -> exp_scaled(t, x) is a one-parameter subgroup of GL_n(p): it maps 0 to
     the identity and addition of scalars (mod p) to multiplication of images.
-    Uses x's stored term table when it has one, else builds one for this call.
+    Reads x's stored term table; builds no matrix product.
     """
     if t < 0:
         raise ParameterError("scalar must be non-negative")
-    terms = x._terms if x._terms is not None else _exp_terms(x)
     n, p = x.base.n, x.base.p
     acc = [[int(i == j) for j in range(n)] for i in range(n)]
     c = 1
-    for term in terms:
+    for term in x._terms:
         c = c * t % p
         for acc_row, row in zip(acc, term):
             for j, e in enumerate(row):

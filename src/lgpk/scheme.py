@@ -78,9 +78,6 @@ class PublicKey:
             raise ParameterError("generators must not commute")
         if not 0 <= self.suite_id <= 0xFF:
             raise ParameterError("suite_id must fit in one byte")
-        # every encrypt and decrypt exponentiates both generators again
-        self.left_gen.keep_exp_terms()
-        self.right_gen.keep_exp_terms()
 
 
 @dataclass(frozen=True)
@@ -121,9 +118,6 @@ def keygen(params: ParameterSet, rng: RngHandle) -> tuple[PublicKey, PrivateKey]
     memory scrubbing); only their exponential images survive in the private key.
     """
     left_gen, right_gen = sample_noncommuting_pair(params.n, params.p, rng)
-    # the tables PublicKey keeps, built once and used for the secret factors too
-    left_gen.keep_exp_terms()
-    right_gen.keep_exp_terms()
     left_secret = rng.randbits(params.kappa3)
     right_secret = rng.randbits(params.kappa4)
     left_factor = exp_scaled(left_secret, left_gen)

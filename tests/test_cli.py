@@ -245,6 +245,48 @@ def test_inspect_corrupt_file_exits_4(tmp_path, keypair, capsys):
     assert capsys.readouterr().err == f"error: integrity failure in {bad}: checksum mismatch\n"
 
 
+def test_inspect_walks_every_ciphertext_frame(tmp_path, keypair, capsys):
+    pk_path, _ = keypair
+    msg = tmp_path / "m.bin"
+    msg.write_bytes(bytes(100))  # 101 padded bytes: 7 blocks of 16
+    ct = tmp_path / "m.lgct"
+    assert run("encrypt", pk_path, str(msg), "--out", str(ct), "--seed", SEED_B) == 0
+    capsys.readouterr()
+    assert run("inspect", str(ct)) == 0
+    out = capsys.readouterr().out
+    assert "kind: ciphertext\n" in out and "blocks: 7\n" in out
+    blob = bytearray(ct.read_bytes())
+    blob[-1] ^= 0xFF  # the last frame's checksum
+    bad = tmp_path / "bad.lgct"
+    bad.write_bytes(bytes(blob))
+    assert run("inspect", str(bad)) == 4
+    assert capsys.readouterr().err == f"error: integrity failure in {bad}: checksum mismatch\n"
+    (tmp_path / "cut.lgct").write_bytes(ct.read_bytes()[:-1])
+    assert run("inspect", str(tmp_path / "cut.lgct")) == 4
+
+
+def test_inspect_rejects_trailing_bytes_after_a_key(tmp_path, keypair, capsys):
+    pk_path, _ = keypair
+    padded = tmp_path / "padded.lgpk"
+    padded.write_bytes((tmp_path / "key.lgpk").read_bytes() + b"xyz")
+    capsys.readouterr()
+    assert run("inspect", str(padded)) == 4
+    assert capsys.readouterr().err == (
+        f"error: integrity failure in {padded}: 3 trailing bytes after frame\n"
+    )
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path, keypair, capsys):
+    pk_path, _ = keypair
+    msg = tmp_path / "m.bin"
+    msg.write_bytes(b"attack at dawn")
+    target = tmp_path / "existing_dir"
+    target.mkdir()
+    assert run("encrypt", pk_path, str(msg), "--out", str(target)) == 3
+    assert not list(tmp_path.glob("*.tmp.*"))
+    assert target.is_dir() and not list(target.iterdir())
+
+
 def test_attack_recovers_toy_secret(tmp_path, keypair, capsys):
     pk_path, _ = keypair
     for solver in ("brute", "mitm"):

@@ -18,6 +18,7 @@ from conftest import (
     zeros,
 )
 
+from lgpk import matfield
 from lgpk.cryptanalysis import NafInstance, naf_bruteforce, naf_mitm
 from lgpk.errors import NotInvertibleError, NotNilpotentError, ParameterError
 from lgpk.matfield import (
@@ -42,6 +43,7 @@ from lgpk.matfield import (
     mat_mul,
     row_reduce,
 )
+from lgpk.sampler import RngHandle, sample_noncommuting_pair
 
 SHIFT3 = ((0, 1, 0), (0, 0, 1), (0, 0, 0))
 P256 = 2**255 - 19
@@ -239,11 +241,16 @@ def test_exp_scaled_one_parameter_law():
         assert [list(r) for r in exp_scaled(t, nm).mat.rows] == want
 
 
-def test_exp_composite_modulus_raises_parameter_error():
-    nm = NilpotentMatrix.from_matrix(mat(SHIFT4_MOD6, 6))
-    for evaluate in (mat_exp, lambda x: exp_scaled(5, x), NilpotentMatrix.keep_exp_terms):
-        with pytest.raises(ParameterError, match="modulus must be prime"):
-            evaluate(nm)
+def test_nilpotent_without_factorial_inverses_raises_parameter_error():
+    # 2! has no inverse mod 6; p = 2 <= n = 3 leaves no room for 2!
+    cases = (
+        (mat(SHIFT4_MOD6, 6), 4, "modulus must be prime"),
+        (mat([list(r) for r in SHIFT3], 2), 3, "need p > n"),
+    )
+    for a, index, message in cases:
+        for build in (lambda: NilpotentMatrix(a, index), lambda: NilpotentMatrix.from_matrix(a)):
+            with pytest.raises(ParameterError, match=message):
+                build()
 
 
 def test_stored_table_is_invisible_to_value_semantics():
@@ -252,35 +259,33 @@ def test_stored_table_is_invisible_to_value_semantics():
     for p in (101, P256):
         nm = NilpotentMatrix.from_matrix(random_nilpotent(rng, 5, p))
         fresh = NilpotentMatrix(FieldMatrix(5, p, nm.base.rows), nm.index)
-        # the validating constructor keeps the table its proof built
-        assert nm._terms is None and fresh._terms is not None
+        # both constructors keep the table their proof built, and it is the same
+        assert nm._terms == fresh._terms and len(nm._terms) == nm.index - 1
         assert nm == fresh and hash(nm) == hash(fresh) and repr(nm) == repr(fresh)
+        assert "_terms" not in repr(nm)
         assert canonical_bytes(nm.base) == canonical_bytes(fresh.base)
         t = rng.randrange(p)
         assert exp_scaled(t, nm) == exp_scaled(t, fresh)
         assert mat_exp(nm) == mat_exp(fresh)
 
 
-def test_validated_generator_without_factorial_inverses_keeps_no_table():
-    # 2! has no inverse mod 6; p = 2 <= n = 3 leaves no room for 2!
-    shift3_mod2 = mat([list(r) for r in SHIFT3], 2)
-    for nm in (NilpotentMatrix(mat(SHIFT4_MOD6, 6), 4), NilpotentMatrix(shift3_mod2, 3)):
-        assert nm._terms is None
-        with pytest.raises(ParameterError):
-            exp_scaled(5, nm)
+def test_attack_solvers_on_planted_generators_take_two_products(monkeypatch):
+    left, right = sample_noncommuting_pair(3, 65521, RngHandle(b"\x05" * 32))
+    target = group_mul(exp_scaled(5, left), exp_scaled(6, right))
+    inst = NafInstance(left, right, target, 8, 8)
+    calls = []
+    real = matfield.mat_mul
 
+    def counted(a, b):
+        calls.append(1)
+        return real(a, b)
 
-def test_unowned_generators_keep_no_table():
-    p = 101
-    upper = NilpotentMatrix.from_matrix(mat([[0, 1], [0, 0]], p))
-    lower = NilpotentMatrix.from_matrix(mat([[0, 0], [1, 0]], p))
-    exp_scaled(3, upper)
-    mat_exp(lower)
-    target = group_mul(exp_scaled(4, upper), exp_scaled(5, lower))
-    inst = NafInstance(upper, lower, target, 8, 8)
-    assert naf_bruteforce(inst) is not None
-    assert naf_mitm(inst) is not None
-    assert upper._terms is None and lower._terms is None
+    monkeypatch.setattr(matfield, "mat_mul", counted)
+    solutions = [naf_bruteforce(inst), naf_mitm(inst)]
+    assert [(s.left_scalar, s.right_scalar) for s in solutions] == [(5, 6)] * 2
+    # the tables were kept when the generators were sampled; what is left is
+    # one group_mul per solver, confirming its candidate
+    assert len(calls) == 2
 
 
 def test_commutes():

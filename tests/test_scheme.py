@@ -117,13 +117,13 @@ def count_calls(monkeypatch, module, name, aliases=()):
 def test_paper_keygen_builds_each_table_once(monkeypatch):
     params = make_params("paper", RngHandle(SEED))
     muls = count_calls(monkeypatch, matfield, "mat_mul", aliases=(sampler,))
-    tables = count_calls(monkeypatch, matfield, "_exp_terms")
     pk, _ = keygen(params, RngHandle(SEED))
-    assert len(tables) == 2
-    # 2 x (2 conjugation products + 4 nilpotency products) sampling, 2 x 3
-    # for the tables, 1 for the key product; commutes takes none
-    assert len(muls) == 19
-    assert pk.left_gen._terms is not None and pk.right_gen._terms is not None
+    # 2 x (2 conjugation products + 4 nilpotency products) sampling, whose
+    # powers also fill the generators' tables, and 1 for the key product;
+    # commutes takes none
+    assert len(muls) == 13
+    assert len(pk.left_gen._terms) == pk.left_gen.index - 1
+    assert len(pk.right_gen._terms) == pk.right_gen.index - 1
 
 
 def test_decode_checks_primality_once_and_takes_no_det(monkeypatch):
@@ -143,13 +143,25 @@ def test_decode_checks_primality_once_and_takes_no_det(monkeypatch):
     assert (len(primes), len(dets), len(muls)) == (1, 0, 8)
 
 
+def exp_terms_oracle(base, index):
+    """The rows of X^m/m! mod p for 1 <= m < index, from plain powers."""
+    p = base.p
+    terms, power, fact = [], base, 1
+    for m in range(1, index):
+        fact *= m
+        c = pow(fact, -1, p)
+        terms.append(tuple(tuple(c * e % p for e in row) for row in power.rows))
+        power = mat_mul(power, base)
+    return tuple(terms)
+
+
 def test_decoded_key_keeps_its_proof_tables_and_encrypts_alike():
     m_rng = RngHandle(b"\x0a" * 32)
     for params in (TINY, SMALL, make_params("paper", RngHandle(SEED))):
         pk, _ = keygen(params, RngHandle(SEED))
         decoded = decode(encode(pk))
         for gen in (decoded.left_gen, decoded.right_gen):
-            assert gen._terms == matfield._exp_terms(NilpotentMatrix.from_matrix(gen.base))
+            assert gen._terms == exp_terms_oracle(gen.base, gen.index)
         m = m_rng.bitstr(params.msg_len)
         cts = [encode(encrypt(key, m, RngHandle(b"\x0b" * 32))) for key in (decoded, pk)]
         assert cts[0] == cts[1]

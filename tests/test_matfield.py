@@ -241,16 +241,22 @@ def test_exp_scaled_one_parameter_law():
         assert [list(r) for r in exp_scaled(t, nm).mat.rows] == want
 
 
-def test_nilpotent_without_factorial_inverses_raises_parameter_error():
-    # 2! has no inverse mod 6; p = 2 <= n = 3 leaves no room for 2!
-    cases = (
-        (mat(SHIFT4_MOD6, 6), 4, "modulus must be prime"),
-        (mat([list(r) for r in SHIFT3], 2), 3, "need p > n"),
-    )
-    for a, index, message in cases:
-        for build in (lambda: NilpotentMatrix(a, index), lambda: NilpotentMatrix.from_matrix(a)):
-            with pytest.raises(ParameterError, match=message):
-                build()
+def test_exp_composite_modulus_raises_parameter_error():
+    # 2! has no inverse mod 6: the exponential's table cannot be built, so
+    # both constructors raise before any exponential is asked for
+    a = mat(SHIFT4_MOD6, 6)
+    for build in (lambda: NilpotentMatrix(a, 4), lambda: NilpotentMatrix.from_matrix(a)):
+        with pytest.raises(ParameterError, match="modulus must be prime"):
+            build()
+
+
+def test_validated_generator_without_factorial_inverses_keeps_no_table():
+    # p = 2 <= n = 3 leaves no room for 2!: no constructor returns a
+    # nilpotent matrix without its table, it raises instead
+    a = mat([list(r) for r in SHIFT3], 2)
+    for build in (lambda: NilpotentMatrix(a, 3), lambda: NilpotentMatrix.from_matrix(a)):
+        with pytest.raises(ParameterError, match="need p > n"):
+            build()
 
 
 def test_stored_table_is_invisible_to_value_semantics():

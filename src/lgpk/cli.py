@@ -2,7 +2,7 @@
 attack runs, and known-answer-test bundles.
 
 Exit codes are part of the contract: 0 success, 2 usage, 3 I/O, 4 integrity
-(bad frame or failed validity check), 5 key mismatch, 6 budget refusal.
+(bad frame, failed validity check or tag), 5 key mismatch, 6 budget refusal.
 Output files are written to a temp name and renamed, so a failing command
 never leaves a partial file behind.
 """
@@ -16,7 +16,6 @@ import os
 import sys
 
 from . import codec
-from .bitstrings import BitStr
 from .cryptanalysis import (
     NafInstance,
     NaiInstance,
@@ -150,13 +149,6 @@ def load_object(path: str, expect_kind: int | None = None):
         return codec.decode(read_file(path), expect_kind=expect_kind)
 
 
-def ciphertext_frames(blob: bytes, offset: int = 0):
-    """Decode the ciphertext frames (one per block) in `blob` from `offset` on."""
-    while offset < len(blob):
-        ct, offset = codec.decode_prefix(blob, offset, codec.KIND_CIPHERTEXT)
-        yield ct
-
-
 def resolve_params(args, rng: RngHandle) -> ParameterSet:
     if getattr(args, "params", None):
         return load_object(args.params, codec.KIND_PARAMS)
@@ -186,36 +178,12 @@ def cmd_keygen(args) -> int:
     return EXIT_OK
 
 
-def pad_message(data: bytes, block_bytes: int) -> bytes:
-    padded = data + b"\x80"
-    fill = (-len(padded)) % block_bytes
-    return padded + b"\x00" * fill
-
-
-def unpad_message(data: bytes) -> bytes:
-    stripped = data.rstrip(b"\x00")
-    if not stripped.endswith(b"\x80"):
-        raise IntegrityError("integrity failure: bad message padding")
-    return stripped[:-1]
-
-
-def _block_bytes(params: ParameterSet) -> int:
-    if params.msg_len % 8:
-        raise UsageError("file encryption needs a byte-aligned message length")
-    return params.msg_len // 8
-
-
 def cmd_encrypt(args) -> int:
     pk = load_object(args.pk, codec.KIND_PUBLIC_KEY)
     rng = RngHandle(parse_seed(args.seed))
-    block_bytes = _block_bytes(pk.params)
-    data = pad_message(read_file(args.infile), block_bytes)
-    frames = []
-    for i in range(0, len(data), block_bytes):
-        block = BitStr.from_bytes(data[i:i + block_bytes])
-        frames.append(codec.encode(encrypt(pk, block, rng)))
-    write_atomic(args.out, b"".join(frames))
-    print(f"wrote {args.out} ({len(frames)} block(s))")
+    data = read_file(args.infile)
+    write_atomic(args.out, codec.seal_file(pk, data, rng))
+    print(f"wrote {args.out} ({len(data)} bytes sealed)")
     return EXIT_OK
 
 
@@ -224,16 +192,7 @@ def cmd_decrypt(args) -> int:
     pk = load_object(args.pk, codec.KIND_PUBLIC_KEY)
     if sk.pk_fingerprint != codec.pk_fingerprint(pk):
         raise KeyMismatchError(f"{args.sk} is not the private key for {args.pk}")
-    blob = read_file(args.infile)
-    if not blob:
-        raise IntegrityError("integrity failure: empty ciphertext file")
-    blocks = []
-    for ct in ciphertext_frames(blob):
-        m = decrypt(sk, pk, ct)
-        if m is None:
-            raise IntegrityError("integrity failure: ciphertext failed the validity check")
-        blocks.append(m.data)
-    plain = unpad_message(b"".join(blocks))
+    plain = codec.open_file(sk, pk, read_file(args.infile))
     write_atomic(args.out, plain)
     print(f"wrote {args.out} ({len(plain)} bytes)")
     return EXIT_OK
@@ -252,12 +211,9 @@ def _describe_params(params: ParameterSet) -> list[str]:
 
 def cmd_inspect(args) -> int:
     blob = read_file(args.file)
+    sealed = blob.startswith(codec.SEALED_MAGIC)
     with decode_errors_in(args.file):
-        obj, end = codec.decode_prefix(blob)
-        if isinstance(obj, Ciphertext):
-            blocks = 1 + sum(1 for _ in ciphertext_frames(blob, end))
-        elif end != len(blob):
-            codec.decode(blob)  # raises, naming the trailing bytes
+        obj, body = codec.read_sealed_header(blob) if sealed else (codec.decode(blob), 0)
     lines = [f"{args.file}:"]
     if isinstance(obj, ParameterSet):
         lines.append("  kind: parameters")
@@ -281,11 +237,13 @@ def cmd_inspect(args) -> int:
                 )
             lines.append(f"  consistent with {args.pk}: yes")
     elif isinstance(obj, Ciphertext):
-        lines.append("  kind: ciphertext")
-        lines.append(f"  blocks: {blocks}")
+        lines.append("  kind: " + ("sealed file" if sealed else "ciphertext frame"))
         lines.append(f"  sealed seed bits: {obj.sealed_seed.nbits}")
         lines.append(f"  group element: {obj.rand_product.mat.n}x{obj.rand_product.mat.n}")
         lines.append(f"  masked message bits: {obj.masked_msg.nbits}")
+        if sealed:
+            lines.append(f"  plaintext bytes: {len(blob) - body - codec.HMAC_BYTES}")
+            lines.append("  tag: HMAC-SHA256, checked only with the private key")
     print("\n".join(lines))
     return EXIT_OK
 

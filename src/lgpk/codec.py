@@ -1,6 +1,6 @@
 """Framed, checksummed wire formats for parameters, keys, and ciphertexts.
 
-Every file is one or more envelopes: magic "LGPK", a version byte, a kind
+Every object is one envelope: magic "LGPK", a version byte, a kind
 byte, a kind-specific body, then a CRC-32 over everything before it. Bodies
 are built from three primitives only — 4-byte big-endian integers, the
 canonical matrix encoding from matfield, and bit strings prefixed with their
@@ -23,15 +23,21 @@ that is not tested for primality: a composite one is caught only when an
 elimination pivot shares a factor with it. It then differs from the public
 key's prime, so `decrypt` returns None for such a ciphertext and raises
 KeyMismatchError for such a private key.
+
+A sealed file (`seal_file`, `open_file`) is "LGPF" ‖ version ‖ one ciphertext
+frame sealing a fresh file key K ‖ u64 body length ‖ body (the data XOR a
+keystream from K) ‖ HMAC-SHA256 tag, keyed from K, over everything before it.
 """
 
 from __future__ import annotations
 
+import hmac
 import zlib
 from typing import Optional, Union
 
 from .bitstrings import BitStr, mask_tail
 from .errors import (
+    AuthenticationError,
     CodecError,
     EncodingError,
     NotInvertibleError,
@@ -40,7 +46,7 @@ from .errors import (
     SemanticDecodeError,
     StructuralDecodeError,
 )
-from .hashsuite import DOMAIN_FINGERPRINT, xof_bits
+from .hashsuite import DOMAIN_FILE, DOMAIN_FINGERPRINT, xof_bits
 from .matfield import (
     FieldMatrix,
     GroupElement,
@@ -48,7 +54,8 @@ from .matfield import (
     ParameterSet,
     canonical_bytes,
 )
-from .scheme import FINGERPRINT_BYTES, Ciphertext, PrivateKey, PublicKey
+from .sampler import RngHandle
+from .scheme import FINGERPRINT_BYTES, Ciphertext, PrivateKey, PublicKey, decrypt, encrypt
 
 MAGIC = b"LGPK"
 VERSION = 0x01
@@ -73,6 +80,11 @@ FILE_EXTENSIONS = {
 }
 
 Encodable = Union[ParameterSet, PublicKey, PrivateKey, Ciphertext]
+
+SEALED_MAGIC = b"LGPF"
+SEALED_VERSION = 0x01
+MIN_FILE_KEY_BITS = 128  # a shorter file key K can be searched, whatever the scheme
+HMAC_BYTES = 32  # the HMAC-SHA256 key and tag length
 
 
 # ----------------------------------------------------------------- encoding
@@ -303,3 +315,60 @@ def decode(data: bytes, expect_kind: Optional[int] = None) -> Encodable:
     if end != len(data):
         raise StructuralDecodeError(f"{len(data) - end} trailing bytes after frame")
     return obj
+
+
+# ------------------------------------------------------------- sealed files
+
+def _file_key_bits(pk: PublicKey) -> int:
+    if (bits := pk.params.msg_len) < MIN_FILE_KEY_BITS:
+        raise ParameterError(f"file mode needs msg_len >= {MIN_FILE_KEY_BITS}, this key has {bits}")
+    return bits
+
+
+def _file_keys(pk: PublicKey, key: BitStr, nbytes: int) -> tuple[bytes, int]:
+    """From file key K: the MAC key, and an nbytes keystream as a little-endian int."""
+    out = xof_bits(DOMAIN_FILE, pk.suite_id, key.data, 8 * (HMAC_BYTES + nbytes)).data
+    return out[:HMAC_BYTES], int.from_bytes(out[HMAC_BYTES:], "little")
+
+
+def _xor(data: bytes, stream: int) -> bytes:
+    return (int.from_bytes(data, "little") ^ stream).to_bytes(len(data), "little")
+
+
+def seal_file(pk: PublicKey, data: bytes, rng: RngHandle) -> bytes:
+    """Seal `data` under one `encrypt` of a fresh file key K, drawn before its seed."""
+    key = rng.bitstr(_file_key_bits(pk))
+    mac_key, stream = _file_keys(pk, key, len(data))
+    head = SEALED_MAGIC + bytes([SEALED_VERSION]) + encode(encrypt(pk, key, rng))
+    sealed = head + len(data).to_bytes(8, "big") + _xor(data, stream)
+    return sealed + hmac.digest(mac_key, sealed, "sha256")
+
+
+def read_sealed_header(blob: bytes) -> tuple[Ciphertext, int]:
+    """Check the layout: magic and version, the KEM frame under `decode_prefix`'s
+    limits, and a length field that counts the bytes up to the tag; allocate
+    nothing from it. Return the KEM ciphertext and where the body starts."""
+    head = SEALED_MAGIC + bytes([SEALED_VERSION])
+    if not blob.startswith(head):
+        if blob.startswith(MAGIC + bytes([VERSION, KIND_CIPHERTEXT])):
+            raise StructuralDecodeError("old per-block format, no longer read: encrypt again")
+        raise StructuralDecodeError(f"not a sealed file of version {SEALED_VERSION}")
+    ct, end = decode_prefix(blob, len(head), KIND_CIPHERTEXT)
+    claimed, body = int.from_bytes(_Reader(blob, end).take(8), "big"), end + 8
+    if claimed != len(blob) - body - HMAC_BYTES:
+        raise StructuralDecodeError(f"length field {claimed} does not fit a {len(blob)}-byte file")
+    return ct, body
+
+
+def open_file(sk: PrivateKey, pk: PublicKey, blob: bytes) -> bytes:
+    """Check the layout, run one `decrypt`, check the tag, only then unmask the body."""
+    _file_key_bits(pk)
+    ct, body = read_sealed_header(blob)
+    key = decrypt(sk, pk, ct)
+    if key is None:
+        raise AuthenticationError("the file key failed the validity check")
+    end = len(blob) - HMAC_BYTES
+    mac_key, stream = _file_keys(pk, key, end - body)
+    if not hmac.compare_digest(hmac.digest(mac_key, blob[:end], "sha256"), blob[end:]):
+        raise AuthenticationError("tag mismatch")
+    return _xor(blob[body:end], stream)

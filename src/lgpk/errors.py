@@ -41,5 +41,9 @@ class SemanticDecodeError(CodecError):
     """Valid frame carrying an invalid mathematical object (range, rank, invertibility)."""
 
 
+class AuthenticationError(CodecError):
+    """Well-formed sealed file whose file key fails the validity check, or whose tag is wrong."""
+
+
 class BudgetRefusal(LgpkError):
     """A solver refused an instance because it exceeds the time or memory budget."""

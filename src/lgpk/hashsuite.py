@@ -19,6 +19,7 @@ DOMAIN_H1 = 0x01
 DOMAIN_H2 = 0x02
 DOMAIN_H3 = 0x03
 DOMAIN_FINGERPRINT = 0x04
+DOMAIN_FILE = 0x05
 
 
 def xof_bits(domain: int, suite_id: int, payload: bytes, nbits: int) -> BitStr:

@@ -22,7 +22,9 @@ from lgpk.codec import (
     decode,
     decode_prefix,
     encode,
+    open_file,
     pk_fingerprint,
+    seal_file,
 )
 from lgpk.errors import (
     CodecError,
@@ -418,3 +420,37 @@ def test_decode_verdicts_of_mutated_toy_frames_are_pinned():
     assert all(v[1] for v in verdicts if v[0] == "decoded")
     digest = hashlib.sha256(json.dumps(verdicts).encode()).hexdigest()
     assert digest == "b165a777c0b4e901a9b83b80c099a7157d37f6690bddd1b0895b8b1024a4ab84"
+
+
+def test_open_file_verdicts_of_mutated_sealed_files_are_pinned():
+    # one byte flipped, a tail cut off, or 1-8 bytes inserted; every mutated
+    # file must be refused with a CodecError, whose class and message are pinned
+    _, pk, sk, _ = sample_objects()
+    sealed = seal_file(pk, bytes(range(64)), RngHandle(b"\x66" * 32))
+    assert open_file(sk, pk, sealed) == bytes(range(64))
+    rng = RngHandle(b"\x0f" * 32)
+    verdicts = []
+    for _ in range(2000):
+        blob = bytearray(sealed)
+        how = rng.below(3)
+        if how == 0:
+            blob[rng.below(len(blob))] ^= 1 + rng.below(255)
+        elif how == 1:
+            del blob[rng.below(len(blob)):]
+        else:
+            pos = rng.below(len(blob) + 1)
+            blob[pos:pos] = rng.take(1 + rng.below(8))
+        try:
+            open_file(sk, pk, bytes(blob))
+        except CodecError as e:
+            verdicts.append([how, type(e).__name__, str(e)])
+        else:
+            verdicts.append([how, "accepted", ""])
+    # among them 840 length-field and 373 tag mismatches, and 356 truncated and
+    # 252 checksum failures of the KEM frame; none reaches `decrypt`'s validity
+    # check, because the KEM frame's CRC catches a changed frame first
+    assert Counter(v[1] for v in verdicts) == {
+        "StructuralDecodeError": 1627, "AuthenticationError": 373,
+    }
+    digest = hashlib.sha256(json.dumps(verdicts).encode()).hexdigest()
+    assert digest == "9548b99687292fc4a41b7b10d2b3702d3c0f88ecb8938c6158be8cb42614b28c"

@@ -7,6 +7,7 @@ that shares no code with the package.
 """
 
 import hashlib
+import hmac
 import json
 import zlib
 from pathlib import Path
@@ -14,7 +15,9 @@ from pathlib import Path
 import pytest
 
 from conftest import rational_exp, slow_mat_mul
-from lgpk.cli import build_kat_bundle
+from lgpk.cli import build_kat_bundle, main
+from lgpk.codec import decode
+from lgpk.scheme import decrypt
 
 DATA = Path(__file__).parent / "data"
 PIN_SEED = bytes.fromhex(
@@ -228,3 +231,39 @@ def test_attack_vector_rederived_by_plain_search(profile):
     # x-major scan order: ops counts every pair tried up to and including the hit
     x, y = hits[0]
     assert brute["ops"] == 16 * x + y + 1
+
+
+def test_pinned_sealed_file_regenerates_and_opens_from_scratch(tmp_path):
+    vec = json.loads((DATA / "sealed_toy.json").read_text())
+    plain = bytes.fromhex(vec["plaintext_hex"])
+    (tmp_path / "m.bin").write_bytes(plain)
+    prefix = str(tmp_path / "key")
+    assert main(["keygen", "--profile", vec["profile"], "--seed", vec["key_seed"],
+                 "--out", prefix]) == 0
+    assert main(["encrypt", prefix + ".lgpk", str(tmp_path / "m.bin"),
+                 "--out", str(tmp_path / "m.lgct"), "--seed", vec["encrypt_seed"]]) == 0
+    blob = (tmp_path / "m.lgct").read_bytes()
+    assert len(blob) == vec["sealed_bytes"]
+    assert hashlib.sha256(blob).hexdigest() == vec["sealed_sha256"]
+
+    # the layout by hand: magic and version, KEM frame, u64 length, body, tag
+    cur = Cursor(blob)
+    assert cur.take(5) == b"LGPF\x01"
+    assert cur.take(6) == b"LGPK\x01\x04"
+    read_bitstr(cur)
+    read_matrix(cur)
+    read_bitstr(cur)
+    crc = zlib.crc32(blob[5:cur.pos])
+    assert int.from_bytes(cur.take(4), "big") == crc
+    kem_frame = blob[5:cur.pos]
+    body = cur.take(int.from_bytes(cur.take(8), "big"))
+    tag = cur.take(32)
+    cur.done()
+
+    # the file key from the library's decrypt; keystream and tag from hashlib
+    pk = decode(Path(prefix + ".lgpk").read_bytes())
+    sk = decode(Path(prefix + ".lgsk").read_bytes())
+    key = decrypt(sk, pk, decode(kem_frame))
+    stream = hashlib.shake_256(bytes([5, 1]) + key.data).digest(32 + len(body))
+    assert hmac.new(stream[:32], blob[:-32], "sha256").digest() == tag
+    assert xor(body, stream[32:]) == plain

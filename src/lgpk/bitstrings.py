@@ -24,6 +24,11 @@ def mask_tail(data: bytes, nbits: int) -> bytes:
     return data[:-1] + bytes([data[-1] & ((1 << r) - 1)])
 
 
+def xor_bytes(data: bytes, stream: int) -> bytes:
+    """`data` XOR the little-endian integer `stream`, with no per-byte loop."""
+    return (int.from_bytes(data, "little") ^ stream).to_bytes(len(data), "little")
+
+
 @dataclass(frozen=True)
 class BitStr:
     """An immutable bit string of exact length `nbits`."""
@@ -58,11 +63,7 @@ class BitStr:
     def __xor__(self, other: "BitStr") -> "BitStr":
         if self.nbits != other.nbits:
             raise EncodingError(f"xor of {self.nbits}-bit and {other.nbits}-bit strings")
-        return BitStr(self.nbits, bytes(a ^ b for a, b in zip(self.data, other.data)))
+        return BitStr(self.nbits, xor_bytes(self.data, other.to_int()))
 
     def hex(self) -> str:
         return self.data.hex()
-
-    @classmethod
-    def from_hex(cls, s: str, nbits: int) -> "BitStr":
-        return cls(nbits, bytes.fromhex(s))

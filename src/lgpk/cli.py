@@ -61,17 +61,12 @@ EXIT_KEY_MISMATCH = 5
 EXIT_BUDGET = 6
 
 
-class UsageError(LgpkError):
-    pass
-
-
 class IntegrityError(LgpkError):
     pass
 
 
 # (exception type, exit code, stderr prefix); main() reports the first match
 EXIT_TABLE = (
-    (UsageError, EXIT_USAGE, "error: "),
     (ParameterError, EXIT_USAGE, "error: "),
     (OSError, EXIT_IO, "error: "),
     (IntegrityError, EXIT_INTEGRITY, "error: "),
@@ -95,9 +90,9 @@ def parse_seed(text: str | None) -> bytes | None:
     try:
         seed = bytes.fromhex(text)
     except ValueError:
-        raise UsageError("--seed must be hexadecimal") from None
+        raise ParameterError("--seed must be hexadecimal") from None
     if len(seed) != 32:
-        raise UsageError(f"--seed must be 32 bytes (64 hex digits), got {len(seed)}")
+        raise ParameterError(f"--seed must be 32 bytes (64 hex digits), got {len(seed)}")
     return seed
 
 
@@ -105,9 +100,9 @@ def parse_int_list(text: str, flag: str) -> list[int]:
     try:
         values = [int(part) for part in text.split(",") if part]
     except ValueError:
-        raise UsageError(f"{flag} expects a comma-separated list of integers") from None
+        raise ParameterError(f"{flag} expects a comma-separated list of integers") from None
     if not values:
-        raise UsageError(f"{flag} must not be empty")
+        raise ParameterError(f"{flag} must not be empty")
     return values
 
 
@@ -263,12 +258,12 @@ def cmd_attack(args) -> int:
         return EXIT_OK
 
     if not args.pk_file:
-        raise UsageError("attack needs a public-key file (or --sweep)")
+        raise ParameterError("attack needs a public-key file (or --sweep)")
     pk = load_object(args.pk_file, codec.KIND_PUBLIC_KEY)
     if args.bounds_bits:
         values = parse_int_list(args.bounds_bits, "--bounds-bits")
         if len(values) != 1 or values[0] < 0:
-            raise UsageError("a single --bounds-bits value >= 0 is expected without --sweep")
+            raise ParameterError("a single --bounds-bits value >= 0 is expected without --sweep")
         total_bits = values[0]
     else:
         total_bits = pk.params.kappa3 + pk.params.kappa4
@@ -388,10 +383,7 @@ def build_kat_bundle(profile_name: str, seed: bytes) -> str:
 
 
 def cmd_kat(args) -> int:
-    seed = parse_seed(args.seed)
-    if seed is None:
-        raise UsageError("kat requires --seed for reproducibility")
-    text = build_kat_bundle(args.profile, seed)
+    text = build_kat_bundle(args.profile, parse_seed(args.seed))  # --seed is required
     if args.out:
         write_atomic(args.out, text.encode())
         print(f"wrote {args.out} ({len(text.splitlines())} vectors)")
@@ -502,7 +494,14 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader left (`lgpk inspect f | head`): not a failure of this command;
+        # stdout goes to devnull so that the interpreter's final flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except tuple(kind for kind, _, _ in EXIT_TABLE) as e:
         for kind, code, prefix in EXIT_TABLE:
             if isinstance(e, kind):

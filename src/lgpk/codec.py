@@ -35,7 +35,7 @@ import hmac
 import zlib
 from typing import Optional, Union
 
-from .bitstrings import BitStr, mask_tail
+from .bitstrings import BitStr, mask_tail, xor_bytes
 from .errors import (
     AuthenticationError,
     CodecError,
@@ -85,6 +85,9 @@ SEALED_MAGIC = b"LGPF"
 SEALED_VERSION = 0x01
 MIN_FILE_KEY_BITS = 128  # a shorter file key K can be searched, whatever the scheme
 HMAC_BYTES = 32  # the HMAC-SHA256 key and tag length
+# files were once a run of bare ciphertext frames, one per message-size block
+_FRAME_HEAD = MAGIC + bytes([VERSION, KIND_CIPHERTEXT])
+_OLD_FORMAT = "old per-block format, no longer read: encrypt again"
 
 
 # ----------------------------------------------------------------- encoding
@@ -310,9 +313,12 @@ def decode_prefix(
 
 
 def decode(data: bytes, expect_kind: Optional[int] = None) -> Encodable:
-    """Decode exactly one envelope; trailing bytes are a structural error."""
+    """Decode exactly one envelope; trailing bytes are a structural error, which
+    names the old file format when a second ciphertext frame follows the first."""
     obj, end = decode_prefix(data, 0, expect_kind)
     if end != len(data):
+        if isinstance(obj, Ciphertext) and data.startswith(_FRAME_HEAD, end):
+            raise StructuralDecodeError(_OLD_FORMAT)
         raise StructuralDecodeError(f"{len(data) - end} trailing bytes after frame")
     return obj
 
@@ -331,16 +337,12 @@ def _file_keys(pk: PublicKey, key: BitStr, nbytes: int) -> tuple[bytes, int]:
     return out[:HMAC_BYTES], int.from_bytes(out[HMAC_BYTES:], "little")
 
 
-def _xor(data: bytes, stream: int) -> bytes:
-    return (int.from_bytes(data, "little") ^ stream).to_bytes(len(data), "little")
-
-
 def seal_file(pk: PublicKey, data: bytes, rng: RngHandle) -> bytes:
     """Seal `data` under one `encrypt` of a fresh file key K, drawn before its seed."""
     key = rng.bitstr(_file_key_bits(pk))
     mac_key, stream = _file_keys(pk, key, len(data))
     head = SEALED_MAGIC + bytes([SEALED_VERSION]) + encode(encrypt(pk, key, rng))
-    sealed = head + len(data).to_bytes(8, "big") + _xor(data, stream)
+    sealed = head + len(data).to_bytes(8, "big") + xor_bytes(data, stream)
     return sealed + hmac.digest(mac_key, sealed, "sha256")
 
 
@@ -350,8 +352,8 @@ def read_sealed_header(blob: bytes) -> tuple[Ciphertext, int]:
     nothing from it. Return the KEM ciphertext and where the body starts."""
     head = SEALED_MAGIC + bytes([SEALED_VERSION])
     if not blob.startswith(head):
-        if blob.startswith(MAGIC + bytes([VERSION, KIND_CIPHERTEXT])):
-            raise StructuralDecodeError("old per-block format, no longer read: encrypt again")
+        if blob.startswith(_FRAME_HEAD):
+            raise StructuralDecodeError(_OLD_FORMAT)
         raise StructuralDecodeError(f"not a sealed file of version {SEALED_VERSION}")
     ct, end = decode_prefix(blob, len(head), KIND_CIPHERTEXT)
     claimed, body = int.from_bytes(_Reader(blob, end).take(8), "big"), end + 8
@@ -371,4 +373,4 @@ def open_file(sk: PrivateKey, pk: PublicKey, blob: bytes) -> bytes:
     mac_key, stream = _file_keys(pk, key, end - body)
     if not hmac.compare_digest(hmac.digest(mac_key, blob[:end], "sha256"), blob[end:]):
         raise AuthenticationError("tag mismatch")
-    return _xor(blob[body:end], stream)
+    return xor_bytes(blob[body:end], stream)

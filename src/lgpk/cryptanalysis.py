@@ -85,14 +85,6 @@ class NaiInstance:
     bound_left: int
     bound_right: int
 
-    def naf_instances(self) -> tuple[NafInstance, NafInstance]:
-        return (
-            NafInstance(self.left_gen, self.right_gen, self.product_one,
-                        self.bound_left, self.bound_right),
-            NafInstance(self.left_gen, self.right_gen, self.product_two,
-                        self.bound_left, self.bound_right),
-        )
-
 
 @dataclass(frozen=True)
 class NafSolution:
@@ -269,16 +261,16 @@ NafSolver = Callable[[NafInstance], Optional[NafSolution]]
 def nai_via_naf(inst: NaiInstance, naf_solver: NafSolver) -> Optional[GroupElement]:
     """Solve insertion by factoring both products and re-exponentiating the
     scalar sums: exp((a+c)*L)*exp((b+d)*R). None if either factoring fails."""
-    one, two = inst.naf_instances()
-    sol_one = naf_solver(one)
-    if sol_one is None:
-        return None
-    sol_two = naf_solver(two)
-    if sol_two is None:
-        return None
+    sols = []
+    for product in (inst.product_one, inst.product_two):
+        sols.append(naf_solver(NafInstance(inst.left_gen, inst.right_gen, product,
+                                           inst.bound_left, inst.bound_right)))
+        if sols[-1] is None:
+            return None
+    one, two = sols
     return group_mul(
-        exp_scaled(sol_one.left_scalar + sol_two.left_scalar, inst.left_gen),
-        exp_scaled(sol_one.right_scalar + sol_two.right_scalar, inst.right_gen),
+        exp_scaled(one.left_scalar + two.left_scalar, inst.left_gen),
+        exp_scaled(one.right_scalar + two.right_scalar, inst.right_gen),
     )
 
 

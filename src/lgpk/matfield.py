@@ -228,12 +228,6 @@ def _check_compatible(a: FieldMatrix, b: FieldMatrix):
         )
 
 
-def mat_neg(a: FieldMatrix) -> FieldMatrix:
-    p = a.p
-    rows = tuple(tuple((-x) % p for x in row) for row in a.rows)
-    return _trusted(FieldMatrix, n=a.n, p=p, rows=rows)
-
-
 def mat_mul(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
     """Schoolbook product reduced mod p. n is tiny here; exactness over speed."""
     _check_compatible(a, b)
@@ -309,24 +303,29 @@ def mat_inv(a: FieldMatrix) -> "GroupElement":
     return _trusted(GroupElement, mat=_trusted(FieldMatrix, n=n, p=p, rows=rows))
 
 
-def _powers(a: FieldMatrix, count: int) -> list[FieldMatrix]:
-    """[a, a^2, ..., a^count], cut short after the first zero power."""
+def _nilpotency_proof(a: FieldMatrix, claim: Optional[int] = None) -> list[FieldMatrix]:
+    """The chain a, a^2, ..., a^index, cut short after its first zero power, so
+    it costs index-1 products. Raises NotNilpotentError, naming the `claim`ed
+    index if one is given, when a^n is not zero.
+
+    Over a field the nilpotency index never exceeds n, so the chain up to a^n
+    settles the question. Over Z_p with p composite a matrix whose n-th power
+    is nonzero is not nilpotent here, even if a higher power vanishes.
+    """
     powers = [a]
-    while len(powers) < count and not _is_zero(powers[-1]):
+    while len(powers) < a.n and not _is_zero(powers[-1]):
         powers.append(mat_mul(powers[-1], a))
-    return powers[:count]
+    if not _is_zero(powers[-1]):
+        raise NotNilpotentError("matrix is not nilpotent" + (f" of index {claim}" if claim else ""))
+    return powers
 
 
 def is_nilpotent(a: FieldMatrix) -> tuple[bool, Optional[int]]:
-    """Return (True, l) with the minimal l <= n such that a^l = 0, else (False, None).
-
-    Over a field the nilpotency index never exceeds n, so the chain a, a^2,
-    ..., a^n of at most n-1 products settles the question. Over Z_p with p
-    composite a matrix whose n-th power is nonzero is reported as not
-    nilpotent, even if a higher power vanishes.
-    """
-    powers = _powers(a, a.n)
-    return (True, len(powers)) if _is_zero(powers[-1]) else (False, None)
+    """(True, l) with the minimal l <= n such that a^l = 0, else (False, None)."""
+    try:
+        return True, len(_nilpotency_proof(a))
+    except NotNilpotentError:
+        return False, None
 
 
 def commutes(a: FieldMatrix, b: FieldMatrix) -> bool:
@@ -355,26 +354,19 @@ class NilpotentMatrix:
     index: int
 
     def __post_init__(self):
-        """Prove the claimed index from the chain base, base^2, ..., base^index."""
+        """Prove the claimed index: the proof's chain ends at a^index."""
         a, k = self.base, self.index
         if not 1 <= k <= a.n:
             raise NotNilpotentError(f"nilpotency index {k} outside [1, {a.n}]")
-        # the chain stops after its first zero power, so a full chain ending
-        # in zero has a^(k-1) != 0 = a^k: the index is exactly k
-        powers = _powers(a, k)
-        if len(powers) < k or not _is_zero(powers[-1]):
-            ok, ell = is_nilpotent(a)
-            if not ok:
-                raise NotNilpotentError(f"matrix is not nilpotent of index {k}")
-            raise NotNilpotentError(f"nilpotency index is {ell}, not {k}")
+        powers = _nilpotency_proof(a, k)
+        if len(powers) != k:
+            raise NotNilpotentError(f"nilpotency index is {len(powers)}, not {k}")
         object.__setattr__(self, "_terms", _table(powers[:-1], a.n, a.p))
 
     @classmethod
     def from_matrix(cls, a: FieldMatrix) -> "NilpotentMatrix":
-        """Prove nilpotency as `is_nilpotent` does and keep the minimal index."""
-        powers = _powers(a, a.n)
-        if not _is_zero(powers[-1]):
-            raise NotNilpotentError("matrix is not nilpotent")
+        """Prove nilpotency and keep the minimal index."""
+        powers = _nilpotency_proof(a)
         return _trusted(cls, base=a, index=len(powers), _terms=_table(powers[:-1], a.n, a.p))
 
 
@@ -387,9 +379,6 @@ class GroupElement:
     def __post_init__(self):
         if not is_invertible(self.mat):
             raise NotInvertibleError("group element must be invertible")
-
-    def inverse(self) -> "GroupElement":
-        return mat_inv(self.mat)
 
 
 def group_mul(a: GroupElement, b: GroupElement) -> GroupElement:

@@ -25,6 +25,7 @@ from .matfield import (
 
 _DOMAIN = b"lgpk.rng.v1"
 _BLOCK = 136  # SHAKE-256 rate in bytes; one squeeze per counter step
+_PAIR_TRIES = 1000  # draws of a non-commuting pair before a broken handle is reported
 
 
 def _sieve(limit: int) -> list[int]:
@@ -52,10 +53,6 @@ class RngHandle:
         self._seed = seed
         self._counter = 0
         self._buf = b""
-
-    @property
-    def deterministic(self) -> bool:
-        return self._seed is not None
 
     def take(self, nbytes: int) -> bytes:
         if nbytes < 0:
@@ -156,7 +153,7 @@ def sample_nilpotent(n: int, p: int, rng: RngHandle) -> NilpotentMatrix:
 
 
 def sample_noncommuting_pair(
-    n: int, p: int, rng: RngHandle, max_tries: int = 1000
+    n: int, p: int, rng: RngHandle
 ) -> tuple[NilpotentMatrix, NilpotentMatrix]:
     """Two independent nilpotent samples with S != T and S·T != T·S.
 
@@ -164,9 +161,9 @@ def sample_noncommuting_pair(
     immediately; the try budget exists only to turn a broken RngHandle into a
     clean error instead of a hang.
     """
-    for _ in range(max_tries):
+    for _ in range(_PAIR_TRIES):
         s = sample_nilpotent(n, p, rng)
         t = sample_nilpotent(n, p, rng)
         if s.base != t.base and not commutes(s.base, t.base):
             return s, t
-    raise SamplingError(f"no non-commuting pair found in {max_tries} tries")
+    raise SamplingError(f"no non-commuting pair found in {_PAIR_TRIES} tries")

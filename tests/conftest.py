@@ -1,6 +1,6 @@
-"""Shared test helpers: slow-but-obviously-correct oracles.
+"""Shared test helpers: slow-but-obviously-correct oracles, and a call counter.
 
-The fast implementations are checked against these. Keep everything here
+The fast implementations are checked against the oracles. Keep them
 independent of the package internals — plain loops, exact integer arithmetic
 over a common denominator, trial division — so a bug in the package cannot
 hide in its own oracle.
@@ -206,3 +206,17 @@ def lin_comb(*terms):
     n, p = terms[0][1].n, terms[0][1].p
     rows = [[sum(c * a.rows[i][j] for c, a in terms) for j in range(n)] for i in range(n)]
     return FieldMatrix.from_rows(rows, p)
+
+
+def count_calls(monkeypatch, module, name, aliases=()):
+    """Count calls to module.name, also through `from module import name` aliases."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    for owner in (module, *aliases):
+        monkeypatch.setattr(owner, name, counted)
+    return calls

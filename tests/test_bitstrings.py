@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from lgpk.bitstrings import BitStr, mask_tail
+from lgpk.bitstrings import BitStr, mask_tail, xor_bytes
 from lgpk.errors import EncodingError
 
 
@@ -55,8 +57,16 @@ def test_xor():
         a ^ BitStr.from_int(0, 5)
 
 
+def test_xor_bytes_matches_a_bytewise_xor():
+    rng = random.Random(7)
+    for size in (0, 1, 2, 31, 32, 33, 1000):
+        data, other = rng.randbytes(size), rng.randbytes(size)
+        want = bytes(a ^ b for a, b in zip(data, other))
+        assert xor_bytes(data, int.from_bytes(other, "little")) == want
+
+
 def test_hex_round_trip():
     s = BitStr.from_int(300, 12)
-    assert BitStr.from_hex(s.hex(), 12) == s
+    assert BitStr(12, bytes.fromhex(s.hex())) == s
     with pytest.raises(EncodingError):
-        BitStr.from_hex("ffff", 12)  # tail bits set
+        BitStr(12, bytes.fromhex("ffff"))  # tail bits set

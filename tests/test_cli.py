@@ -2,6 +2,7 @@
 
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -213,6 +214,10 @@ def test_old_per_block_file_exits_4_naming_the_format(tmp_path, keypair, capsys)
         "error: integrity failure: old per-block format, no longer read: encrypt again\n"
     )
     assert not out.exists()
+    assert run("inspect", str(old)) == 4
+    assert capsys.readouterr().err == (
+        f"error: integrity failure in {old}: old per-block format, no longer read: encrypt again\n"
+    )
 
 
 def counted_scheme_calls(monkeypatch):
@@ -327,7 +332,7 @@ def test_private_key_outside_the_public_group_exits_5(tmp_path, keypair, capsys,
 
 
 @pytest.mark.parametrize("error, code, stderr", [
-    (cli.UsageError("u"), 2, "error: u\n"),
+    (ParameterError("u"), 2, "error: u\n"),  # what the CLI's own argument checks raise
     (ParameterError("p"), 2, "error: p\n"),
     (FileNotFoundError("f"), 3, "error: f\n"),
     (cli.IntegrityError("i"), 4, "error: i\n"),
@@ -351,6 +356,21 @@ def test_unlisted_error_propagates(monkeypatch):
     monkeypatch.setattr(cli, "cmd_inspect", fail)
     with pytest.raises(SamplingError):
         run("inspect", "any.lgpk")
+
+
+def test_closed_stdout_is_not_an_io_failure(keypair):
+    # the reader has gone before lgpk writes, as in `lgpk inspect key.lgpk | grep -q x`
+    pk_path, _ = keypair
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    try:
+        done = subprocess.run([sys.executable, "-m", "lgpk", "inspect", pk_path],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (0, b"")
 
 
 def test_missing_input_exits_3(tmp_path):

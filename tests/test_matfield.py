@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 from conftest import (
+    count_calls,
     lin_comb,
     mat,
     miller_rabin_prime,
@@ -170,6 +171,31 @@ def test_nilpotent_matrix_validates_index():
         NilpotentMatrix.from_matrix(identity(3, 7))
 
 
+def test_nilpotency_errors_and_the_cost_of_a_proof(monkeypatch):
+    shift = mat([list(r) for r in SHIFT3], 7)  # index 3
+    with pytest.raises(NotNilpotentError, match=r"^matrix is not nilpotent of index 2$"):
+        NilpotentMatrix(identity(3, 7), 2)
+    with pytest.raises(NotNilpotentError, match=r"^nilpotency index is 3, not 2$"):
+        NilpotentMatrix(shift, 2)
+    with pytest.raises(NotNilpotentError, match=r"^nilpotency index is 1, not 2$"):
+        NilpotentMatrix(zeros(3, 7), 2)
+    with pytest.raises(NotNilpotentError, match=r"^matrix is not nilpotent$"):
+        NilpotentMatrix.from_matrix(identity(3, 7))
+    # a valid index-k proof stops at the first zero power: k-1 products
+    muls = count_calls(monkeypatch, matfield, "mat_mul")
+    for k in (1, 2, 3):
+        base = mat([[int(j == i + 1 and i + 1 < k) for j in range(3)] for i in range(3)], 7)
+        muls.clear()
+        NilpotentMatrix(base, k)
+        assert len(muls) == k - 1
+    # a wrong claim costs one walk, not a second one to find the true index
+    for wrong in (shift, identity(3, 7)):
+        muls.clear()
+        with pytest.raises(NotNilpotentError):
+            NilpotentMatrix(wrong, 2)
+        assert len(muls) == 2
+
+
 def test_nilpotency_over_composite_modulus_stops_at_n():
     # (2I)^2 = 4I != 0 but (2I)^3 = 0 mod 8: no index within [1, n] exists
     a = mat([[2, 0], [0, 2]], 8)
@@ -326,7 +352,7 @@ def test_group_mul_and_inverse():
         a = GroupElement(random_invertible(rng, 3, 101))
         b = GroupElement(random_invertible(rng, 3, 101))
         assert group_mul(a, b).mat == mat_mul(a.mat, b.mat)
-        assert group_mul(a, a.inverse()).mat == identity(3, 101)
+        assert group_mul(a, mat_inv(a.mat)).mat == identity(3, 101)
 
 
 def test_canonical_bytes_layout():

@@ -38,7 +38,6 @@ def test_take_is_position_dependent():
 
 def test_unseeded_handle_draws_entropy():
     rng = RngHandle()
-    assert not rng.deterministic
     assert rng.take(16) != rng.take(16)
 
 

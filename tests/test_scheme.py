@@ -1,4 +1,5 @@
 import pytest
+from conftest import count_calls
 
 from lgpk import codec, matfield, sampler
 from lgpk.bitstrings import BitStr
@@ -98,20 +99,6 @@ def test_key_generators_exponentiate_without_products(monkeypatch):
             assert gen.index == SMALL.n  # so a table built per call would need a product
             exp_scaled(123456789, gen)
     assert calls == []
-
-
-def count_calls(monkeypatch, module, name, aliases=()):
-    """Count calls to module.name, also through `from module import name` aliases."""
-    calls = []
-    real = getattr(module, name)
-
-    def counted(*args):
-        calls.append(1)
-        return real(*args)
-
-    for owner in (module, *aliases):
-        monkeypatch.setattr(owner, name, counted)
-    return calls
 
 
 def test_paper_keygen_builds_each_table_once(monkeypatch):

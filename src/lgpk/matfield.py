@@ -304,7 +304,7 @@ def mat_inv(a: FieldMatrix) -> "GroupElement":
 
 
 def _nilpotency_proof(a: FieldMatrix, claim: Optional[int] = None) -> list[FieldMatrix]:
-    """The chain a, a^2, ..., a^index, cut short after its first zero power, so
+    """The chain a, a^2, ..., a^index, which ends at the first zero power, so
     it costs index-1 products. Raises NotNilpotentError, naming the `claim`ed
     index if one is given, when a^n is not zero.
 
@@ -313,10 +313,11 @@ def _nilpotency_proof(a: FieldMatrix, claim: Optional[int] = None) -> list[Field
     is nonzero is not nilpotent here, even if a higher power vanishes.
     """
     powers = [a]
-    while len(powers) < a.n and not _is_zero(powers[-1]):
+    while not _is_zero(powers[-1]):
+        if len(powers) == a.n:
+            claimed = f" of index {claim}" if claim else ""
+            raise NotNilpotentError(f"matrix is not nilpotent{claimed}")
         powers.append(mat_mul(powers[-1], a))
-    if not _is_zero(powers[-1]):
-        raise NotNilpotentError("matrix is not nilpotent" + (f" of index {claim}" if claim else ""))
     return powers
 
 

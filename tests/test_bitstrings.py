@@ -55,14 +55,12 @@ def test_xor():
     assert (a ^ a).to_int() == 0
     with pytest.raises(EncodingError):
         a ^ BitStr.from_int(0, 5)
-
-
-def test_xor_bytes_matches_a_bytewise_xor():
     rng = random.Random(7)
     for size in (0, 1, 2, 31, 32, 33, 1000):
         data, other = rng.randbytes(size), rng.randbytes(size)
-        want = bytes(a ^ b for a, b in zip(data, other))
+        want = bytes(x ^ y for x, y in zip(data, other))
         assert xor_bytes(data, int.from_bytes(other, "little")) == want
+        assert BitStr.from_bytes(data) ^ BitStr.from_bytes(other) == BitStr.from_bytes(want)
 
 
 def test_hex_round_trip():

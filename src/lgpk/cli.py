@@ -138,7 +138,7 @@ def decode_errors_in(path: str):
         raise IntegrityError(f"integrity failure in {path}: {e}") from e
 
 
-def load_object(path: str, expect_kind: int | None = None):
+def load_object(path: str, expect_kind: int):
     """Decode the one frame in `path`."""
     with decode_errors_in(path):
         return codec.decode(read_file(path), expect_kind=expect_kind)
@@ -245,6 +245,8 @@ def cmd_inspect(args) -> int:
 
 def cmd_attack(args) -> int:
     if args.sweep:
+        if args.pk_file:
+            raise ParameterError("--sweep takes no public-key file")
         rng = RngHandle(parse_seed(args.seed))
         p_bits = parse_int_list(args.p_bits, "--p-bits")
         bound_bits = parse_int_list(args.bounds_bits or "8,10,12,14", "--bounds-bits")
@@ -259,6 +261,9 @@ def cmd_attack(args) -> int:
 
     if not args.pk_file:
         raise ParameterError("attack needs a public-key file (or --sweep)")
+    for flag in ("seed", "out"):
+        if getattr(args, flag) is not None:
+            raise ParameterError(f"--{flag} is only for --sweep")
     pk = load_object(args.pk_file, codec.KIND_PUBLIC_KEY)
     if args.bounds_bits:
         values = parse_int_list(args.bounds_bits, "--bounds-bits")
@@ -275,7 +280,10 @@ def cmd_attack(args) -> int:
     if sol is None:
         print(f"no factorization within 2^{total_bits} pairs")
         return EXIT_OK
-    product = group_mul(sol.left_image, sol.right_image)
+    # an independent check: re-exponentiate the scalars the report prints
+    product = group_mul(
+        exp_scaled(sol.left_scalar, pk.left_gen), exp_scaled(sol.right_scalar, pk.right_gen)
+    )
     verified = product.mat == pk.key_product.mat
     print(
         f"factored the public product: left_scalar={sol.left_scalar} "
@@ -336,14 +344,13 @@ def build_kat_bundle(profile_name: str, seed: bytes) -> str:
          b=canonical_bytes(right.base).hex(), out=commutes(left.base, right.base))
 
     pk, sk = keygen(params, rng)
-    suite = pk.suite_id
     sigma = rng.bitstr(params.kappa2)
     message = rng.bitstr(params.msg_len)
-    r_left, r_right = h1(params, suite, sigma, message)
+    r_left, r_right = h1(params, sigma, message)
     emit(op="h1", sigma=sigma.hex(), m=message.hex(),
          r_left=r_left.hex(), r_right=r_right.hex())
-    emit(op="h2", g=canonical_bytes(unit.mat).hex(), out=h2(params, suite, unit).hex())
-    emit(op="h3", sigma=sigma.hex(), out=h3(params, suite, sigma).hex())
+    emit(op="h2", g=canonical_bytes(unit.mat).hex(), out=h2(params, unit).hex())
+    emit(op="h3", sigma=sigma.hex(), out=h3(params, sigma).hex())
 
     emit(op="keygen", pk=codec.encode(pk).hex(), sk=codec.encode(sk).hex())
     ops_enc = OpCounter()

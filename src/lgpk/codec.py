@@ -7,10 +7,10 @@ canonical matrix encoding from matfield, and bit strings prefixed with their
 bit length — so each envelope is self-delimiting and streams concatenate.
 
 Decoding is two-phase. The structural phase rejects bad frames: truncation,
-wrong magic/version/kind, CRC mismatch, non-canonical primitive bytes (a prime
-with a leading zero byte, set padding bits in a bit string's last byte), n
-above MAX_DIM, a modulus longer than MAX_PRIME_BITS, and a kappa2 or msg_len
-above MAX_LENGTH_BITS. The limits come before any semantic work: the
+wrong magic/version/kind/suite, CRC mismatch, non-canonical primitive bytes
+(a prime with a leading zero byte, set padding bits in a bit string's last
+byte), n above MAX_DIM, a modulus longer than MAX_PRIME_BITS, and a kappa2 or
+msg_len above MAX_LENGTH_BITS. The limits come before any semantic work: the
 nilpotency proof grows as n^4, each decoded generator keeps a table of up to
 n-1 matrices, the primality check grows about 7.6x per doubling of the modulus
 length, and `encrypt` draws and hashes kappa2 + msg_len bits. Only a frame
@@ -46,7 +46,7 @@ from .errors import (
     SemanticDecodeError,
     StructuralDecodeError,
 )
-from .hashsuite import DOMAIN_FILE, DOMAIN_FINGERPRINT, xof_bits
+from .hashsuite import DOMAIN_FILE, DOMAIN_FINGERPRINT, SUITE_ID, xof_bits
 from .matfield import (
     FieldMatrix,
     GroupElement,
@@ -121,7 +121,7 @@ def _encode_pk_body(pk: PublicKey) -> bytes:
     return b"".join(
         (
             _encode_params_body(pk.params),
-            bytes([pk.suite_id]),
+            bytes([SUITE_ID]),
             canonical_bytes(pk.left_gen.base),
             bytes([pk.left_gen.index]),
             canonical_bytes(pk.right_gen.base),
@@ -171,7 +171,7 @@ def pk_fingerprint(pk: PublicKey) -> bytes:
     digest cannot go stale.
     """
     if pk._fingerprint is None:
-        digest = xof_bits(DOMAIN_FINGERPRINT, pk.suite_id, encode(pk), 8 * FINGERPRINT_BYTES)
+        digest = xof_bits(DOMAIN_FINGERPRINT, encode(pk), 8 * FINGERPRINT_BYTES)
         object.__setattr__(pk, "_fingerprint", digest.data)
     return pk._fingerprint
 
@@ -260,7 +260,8 @@ def _read_body(kind: int, r: _Reader):
         return lambda: ParameterSet(**params)
     if kind == KIND_PUBLIC_KEY:
         params = _read_params_raw(r)
-        suite_id = r.u8()
+        if (suite := r.u8()) != SUITE_ID:
+            raise StructuralDecodeError(f"unsupported hash suite {suite}")
         left = _read_matrix_raw(r)
         left_index = r.u8()
         right = _read_matrix_raw(r)
@@ -271,7 +272,6 @@ def _read_body(kind: int, r: _Reader):
             NilpotentMatrix(FieldMatrix(*left), left_index),
             NilpotentMatrix(FieldMatrix(*right), right_index),
             GroupElement(FieldMatrix(*product)),
-            suite_id,
         )
     if kind == KIND_PRIVATE_KEY:
         fingerprint = r.take(FINGERPRINT_BYTES)
@@ -333,7 +333,7 @@ def _file_key_bits(pk: PublicKey) -> int:
 
 def _file_keys(pk: PublicKey, key: BitStr, nbytes: int) -> tuple[bytes, int]:
     """From file key K: the MAC key, and an nbytes keystream as a little-endian int."""
-    out = xof_bits(DOMAIN_FILE, pk.suite_id, key.data, 8 * (HMAC_BYTES + nbytes)).data
+    out = xof_bits(DOMAIN_FILE, key.data, 8 * (HMAC_BYTES + nbytes)).data
     return out[:HMAC_BYTES], int.from_bytes(out[HMAC_BYTES:], "little")
 
 

@@ -19,7 +19,7 @@ scan of row-times-matrix steps.
 Insertion: given two such products, produce the product with component-wise
 summed scalars; solved here by factoring both inputs and re-exponentiating.
 
-Both solvers refuse instances whose cost exceeds an explicit budget instead
+Both solvers refuse instances whose cost exceeds a fixed budget instead
 of grinding forever — at production parameters the refusal arithmetic *is*
 the point. `hardness_sweep` turns that into measured scaling curves over a
 (prime size x search bound) grid.
@@ -90,8 +90,6 @@ class NaiInstance:
 class NafSolution:
     left_scalar: int
     right_scalar: int
-    left_image: GroupElement
-    right_image: GroupElement
     ops: int
 
 
@@ -121,11 +119,8 @@ def _scan_vector(inst: NafInstance) -> tuple[int, ...]:
 
 def _confirm(inst: NafInstance, x: int, y: int, ops: int) -> Optional[NafSolution]:
     """The full check behind a row hit: exp(x*L)*exp(y*R) == target."""
-    left_image = exp_scaled(x, inst.left_gen)
-    right_image = exp_scaled(y, inst.right_gen)
-    if group_mul(left_image, right_image).mat != inst.target.mat:
-        return None
-    return NafSolution(x, y, left_image, right_image, ops)
+    product = group_mul(exp_scaled(x, inst.left_gen), exp_scaled(y, inst.right_gen))
+    return NafSolution(x, y, ops) if product.mat == inst.target.mat else None
 
 
 def _row_at(diffs: list[tuple[int, ...]], y: int, p: int) -> tuple[int, ...]:
@@ -147,9 +142,7 @@ def _matches(values: Iterator[int], goal: int) -> Iterator[int]:
         yield y
 
 
-def naf_bruteforce(
-    inst: NafInstance, pair_budget: int = BRUTE_PAIR_BUDGET
-) -> Optional[NafSolution]:
+def naf_bruteforce(inst: NafInstance) -> Optional[NafSolution]:
     """Exhaustive scan of the (x, y) grid, x-major, so the smallest x (and for
     it the smallest y) wins. `ops` reports the number of pairs tried.
 
@@ -170,10 +163,10 @@ def naf_bruteforce(
     time grows with the pairs tried and memory does not.
     """
     total = inst.bound_left * inst.bound_right
-    if total > pair_budget:
+    if total > BRUTE_PAIR_BUDGET:
         raise BudgetRefusal(
             f"brute force needs {inst.bound_left} * {inst.bound_right} = {total} "
-            f"pair trials, over the budget of {pair_budget}"
+            f"pair trials, over the budget of {BRUTE_PAIR_BUDGET}"
         )
     p = inst.target.mat.p
     left_cols = tuple(zip(*mat_exp(inst.left_gen).mat.rows))
@@ -202,9 +195,7 @@ def naf_bruteforce(
     return None
 
 
-def naf_mitm(
-    inst: NafInstance, table_budget: int = MITM_TABLE_BUDGET
-) -> Optional[NafSolution]:
+def naf_mitm(inst: NafInstance) -> Optional[NafSolution]:
     """Meet-in-the-middle: tabulate v*exp(y*R) (v from `_scan_vector`) for
     all y, then probe v*exp(x*L)^-1*target for each x. Cost is
     bound_left + bound_right row-times-matrix products instead of their
@@ -216,10 +207,10 @@ def naf_mitm(
     side dict. A probe that hits confirms its candidates by the full product,
     smallest y first.
     """
-    if inst.bound_right > table_budget:
+    if inst.bound_right > MITM_TABLE_BUDGET:
         raise BudgetRefusal(
             f"meet-in-the-middle table needs {inst.bound_right} entries, "
-            f"over the budget of {table_budget}"
+            f"over the budget of {MITM_TABLE_BUDGET}"
         )
     p = inst.target.mat.p
 
@@ -296,12 +287,7 @@ def sweep_csv(rows: Sequence[SweepRow]) -> str:
 
 
 def hardness_sweep(
-    n: int,
-    p_bits_list: Sequence[int],
-    bound_bits_list: Sequence[int],
-    rng: RngHandle,
-    pair_budget: int = BRUTE_PAIR_BUDGET,
-    table_budget: int = MITM_TABLE_BUDGET,
+    n: int, p_bits_list: Sequence[int], bound_bits_list: Sequence[int], rng: RngHandle
 ) -> list[SweepRow]:
     """Plant one instance per grid cell and measure both solvers on it.
 
@@ -335,12 +321,10 @@ def hardness_sweep(
             inst = NafInstance(left_gen, right_gen, target, 1 << s, 1 << s)
             # built per call from the module globals, so a solver rebound there
             # (as bench/tracer.py does) is the one run
-            for name, solver, budget in (
-                ("brute", naf_bruteforce, pair_budget), ("mitm", naf_mitm, table_budget)
-            ):
+            for name, solver in (("brute", naf_bruteforce), ("mitm", naf_mitm)):
                 start = time.perf_counter()
                 try:
-                    sol = solver(inst, budget)
+                    sol = solver(inst)
                 except BudgetRefusal:
                     rows.append(SweepRow(n, p_bits, bound_bits, name, 0, 0.0, "refused"))
                     continue

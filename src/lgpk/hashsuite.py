@@ -1,8 +1,8 @@
 """The three hash oracles behind the scheme, all riding one SHAKE-256 XOF.
 
-Each oracle prepends a distinct domain byte and the suite version byte, so the
-input streams of h1/h2/h3 can never collide and bumping SUITE_ID deliberately
-invalidates every known-answer vector.
+Each oracle prepends a distinct domain byte and the suite byte SUITE_ID, so the
+input streams of h1/h2/h3 can never collide. Public-key frames carry SUITE_ID,
+and decoding rejects any other suite byte.
 """
 
 from __future__ import annotations
@@ -22,19 +22,17 @@ DOMAIN_FINGERPRINT = 0x04
 DOMAIN_FILE = 0x05
 
 
-def xof_bits(domain: int, suite_id: int, payload: bytes, nbits: int) -> BitStr:
-    """SHAKE-256(domain ‖ suite_id ‖ payload) truncated to nbits.
+def xof_bits(domain: int, payload: bytes, nbits: int) -> BitStr:
+    """SHAKE-256(domain ‖ SUITE_ID ‖ payload) truncated to nbits.
 
     Truncation keeps ceil(nbits/8) bytes and zeroes the unused high bits of
     the last byte, matching the canonical bit-string layout.
     """
-    digest = hashlib.shake_256(bytes([domain, suite_id]) + payload).digest((nbits + 7) // 8)
+    digest = hashlib.shake_256(bytes([domain, SUITE_ID]) + payload).digest((nbits + 7) // 8)
     return BitStr(nbits, mask_tail(digest, nbits))
 
 
-def h1(
-    params: ParameterSet, suite_id: int, sigma: BitStr, m: BitStr
-) -> tuple[BitStr, BitStr]:
+def h1(params: ParameterSet, sigma: BitStr, m: BitStr) -> tuple[BitStr, BitStr]:
     """Derive the two exponent scalars from (σ, m).
 
     The XOF output is truncated to κ3+κ4 bits; the first κ3 bits become r_s
@@ -44,20 +42,20 @@ def h1(
         raise EncodingError(f"sigma must be {params.kappa2} bits, got {sigma.nbits}")
     if m.nbits != params.msg_len:
         raise EncodingError(f"message must be {params.msg_len} bits, got {m.nbits}")
-    joint = xof_bits(DOMAIN_H1, suite_id, sigma.data + m.data, params.kappa3 + params.kappa4)
+    joint = xof_bits(DOMAIN_H1, sigma.data + m.data, params.kappa3 + params.kappa4)
     v = joint.to_int()
     r_s = BitStr.from_int(v & ((1 << params.kappa3) - 1), params.kappa3)
     r_t = BitStr.from_int(v >> params.kappa3, params.kappa4)
     return r_s, r_t
 
 
-def h2(params: ParameterSet, suite_id: int, g: GroupElement) -> BitStr:
+def h2(params: ParameterSet, g: GroupElement) -> BitStr:
     """Hash a group element to κ2 bits via its canonical byte encoding."""
-    return xof_bits(DOMAIN_H2, suite_id, canonical_bytes(g.mat), params.kappa2)
+    return xof_bits(DOMAIN_H2, canonical_bytes(g.mat), params.kappa2)
 
 
-def h3(params: ParameterSet, suite_id: int, sigma: BitStr) -> BitStr:
+def h3(params: ParameterSet, sigma: BitStr) -> BitStr:
     """Expand σ to a message-length pad."""
     if sigma.nbits != params.kappa2:
         raise EncodingError(f"sigma must be {params.kappa2} bits, got {sigma.nbits}")
-    return xof_bits(DOMAIN_H3, suite_id, sigma.data, params.msg_len)
+    return xof_bits(DOMAIN_H3, sigma.data, params.msg_len)

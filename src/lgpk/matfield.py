@@ -34,9 +34,22 @@ from .errors import NotInvertibleError, NotNilpotentError, ParameterError
 Rows = tuple[tuple[int, ...], ...]
 
 
+def _sieve(limit: int) -> list[int]:
+    flags = bytearray([1]) * limit
+    flags[0:2] = b"\x00\x00"
+    for i in range(2, int(limit ** 0.5) + 1):
+        if flags[i]:
+            flags[i * i::i] = b"\x00" * len(flags[i * i::i])
+    return [i for i in range(limit) if flags[i]]
+
+
+_SMALL_PRIMES = _sieve(1024)
+
+
 def is_probable_prime(n: int) -> bool:
-    """Baillie-PSW: trial division, a strong probable-prime test to base 2,
-    then a strong Lucas test with Selfridge's parameters.
+    """Baillie-PSW: trial division by the primes below 1024, a strong
+    probable-prime test to base 2, then a strong Lucas test with Selfridge's
+    parameters.
 
     Deterministic, so parameter validation gives the same verdict everywhere.
     No composite is known to pass (Baillie and Wagstaff, "Lucas
@@ -46,7 +59,7 @@ def is_probable_prime(n: int) -> bool:
     """
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _SMALL_PRIMES:
         if n % q == 0:
             return n == q
     if not _strong_base2(n):

@@ -28,18 +28,6 @@ _BLOCK = 136  # SHAKE-256 rate in bytes; one squeeze per counter step
 _PAIR_TRIES = 1000  # draws of a non-commuting pair before a broken handle is reported
 
 
-def _sieve(limit: int) -> list[int]:
-    flags = bytearray([1]) * limit
-    flags[0:2] = b"\x00\x00"
-    for i in range(2, int(limit ** 0.5) + 1):
-        if flags[i]:
-            flags[i * i::i] = b"\x00" * len(flags[i * i::i])
-    return [i for i in range(limit) if flags[i]]
-
-
-_SMALL_PRIMES = _sieve(1024)
-
-
 class RngHandle:
     """Uniform byte source: OS entropy, or a deterministic SHAKE-256 stream.
 
@@ -94,18 +82,12 @@ class RngHandle:
 
 
 def sample_prime(bits: int, rng: RngHandle) -> int:
-    """Probable prime of exactly `bits` bits (top bit forced, odd).
-
-    Candidates failing trial division by small primes are skipped before the
-    Baillie-PSW check `is_probable_prime`; the first candidate that passes is
-    returned.
-    """
+    """Probable prime of exactly `bits` bits (top bit forced, odd): the first
+    candidate that passes the Baillie-PSW check `is_probable_prime`."""
     if bits < 3:
         raise ParameterError("prime bit length must be >= 3")
     while True:
         cand = rng.randbits(bits) | (1 << (bits - 1)) | 1
-        if any(cand % q == 0 and cand != q for q in _SMALL_PRIMES):
-            continue
         if is_probable_prime(cand):
             return cand
 

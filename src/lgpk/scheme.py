@@ -19,7 +19,7 @@ from typing import Optional
 
 from .bitstrings import BitStr
 from .errors import EncodingError, KeyMismatchError, ParameterError
-from .hashsuite import SUITE_ID, h1, h2, h3
+from .hashsuite import h1, h2, h3
 from .matfield import (
     GroupElement,
     NilpotentMatrix,
@@ -50,14 +50,12 @@ class OpCounter:
 @dataclass(frozen=True)
 class PublicKey:
     """Parameters, the two nilpotent generators, and the published product
-    key_product = exp(left_secret * left_gen) * exp(right_secret * right_gen),
-    and the version byte of the hash suite that every oracle call carries."""
+    key_product = exp(left_secret * left_gen) * exp(right_secret * right_gen)."""
 
     params: ParameterSet
     left_gen: NilpotentMatrix
     right_gen: NilpotentMatrix
     key_product: GroupElement
-    suite_id: int = SUITE_ID
     # codec.pk_fingerprint's digest, kept once computed. A class attribute,
     # not a field: equality, hash, repr and the codec ignore it.
     _fingerprint = None
@@ -76,8 +74,6 @@ class PublicKey:
             raise ParameterError("generators must be distinct")
         if commutes(self.left_gen.base, self.right_gen.base):
             raise ParameterError("generators must not commute")
-        if not 0 <= self.suite_id <= 0xFF:
-            raise ParameterError("suite_id must fit in one byte")
 
 
 @dataclass(frozen=True)
@@ -135,8 +131,8 @@ def _seal(pk: PublicKey, seed: BitStr, m: BitStr, ops: OpCounter) -> Ciphertext:
     """The deterministic core of encryption: 2 exponential maps, 3 group
     multiplications. Encryption seals a fresh seed; decryption re-seals the
     seed it recovered and compares, so the scheme encrypts in one place."""
-    params, suite = pk.params, pk.suite_id
-    r_left, r_right = (r.to_int() for r in h1(params, suite, seed, m))
+    params = pk.params
+    r_left, r_right = (r.to_int() for r in h1(params, seed, m))
     left_rand = exp_scaled(r_left, pk.left_gen)
     ops.count_exp()
     right_rand = exp_scaled(r_right, pk.right_gen)
@@ -147,8 +143,8 @@ def _seal(pk: PublicKey, seed: BitStr, m: BitStr, ops: OpCounter) -> Ciphertext:
     ops.count_mul()
     rand_product = group_mul(left_rand, right_rand)
     ops.count_mul()
-    sealed_seed = h2(params, suite, sandwich) ^ seed
-    masked_msg = h3(params, suite, seed) ^ m
+    sealed_seed = h2(params, sandwich) ^ seed
+    masked_msg = h3(params, seed) ^ m
     return Ciphertext(sealed_seed, rand_product, masked_msg)
 
 
@@ -176,7 +172,7 @@ def decrypt(
 
     if sk.pk_fingerprint != pk_fingerprint(pk):
         raise KeyMismatchError("private key is not bound to this public key")
-    params, suite = pk.params, pk.suite_id
+    params = pk.params
     sm = sk.left_factor.mat
     if sm.n != params.n or sm.p != params.p:
         raise KeyMismatchError("private key factors do not live in the public key's group")
@@ -190,7 +186,7 @@ def decrypt(
     ops.count_mul()
     sandwich = group_mul(inner, sk.right_factor)
     ops.count_mul()
-    seed = ct.sealed_seed ^ h2(params, suite, sandwich)
-    m = ct.masked_msg ^ h3(params, suite, seed)
+    seed = ct.sealed_seed ^ h2(params, sandwich)
+    m = ct.masked_msg ^ h3(params, seed)
     # comparisons are bitwise on the canonical representations
     return m if _seal(pk, seed, m, ops) == ct else None

@@ -502,6 +502,12 @@ def test_attack_without_file_or_sweep_exits_2():
     assert run("attack") == 2
 
 
+def test_attack_out_without_sweep_writes_nothing(tmp_path, keypair):
+    report = tmp_path / "report.txt"
+    assert run("attack", keypair[0], "--out", str(report)) == 2
+    assert not report.exists()
+
+
 def test_attack_rejects_negative_bounds_bits(keypair, capsys):
     pk_path, _ = keypair
     capsys.readouterr()

@@ -127,6 +127,8 @@ CASES = [
     ("attack-negative-bits", "attack {d}/key.lgpk --bounds-bits -2"),
     ("attack-two-bounds", "attack {d}/key.lgpk --bounds-bits 4,6"),
     ("attack-no-key", "attack"),
+    ("attack-out-without-sweep", "attack {d}/key.lgpk --out {d}/report.txt"),
+    ("attack-seed-without-sweep", "attack {d}/key.lgpk --seed zz"),
     ("attack-brute-over-budget", "attack {d}/key.lgpk --solver brute --bounds-bits 64"),
     ("attack-mitm-over-budget", "attack {d}/key.lgpk --solver mitm --bounds-bits 64"),
     ("attack-bad-solver", "attack {d}/key.lgpk --solver guess"),
@@ -136,6 +138,7 @@ CASES = [
     ("sweep-bound-over-prime", "attack --sweep --p-bits 8 --bounds-bits 16"),
     ("sweep-not-integers", "attack --sweep --p-bits 8,x"),
     ("sweep-empty-list", "attack --sweep --p-bits ,"),
+    ("sweep-with-key", "attack {d}/key.lgpk --sweep --p-bits 8 --bounds-bits 4"),
     ("kat-to-file", f"kat --profile toy --seed {SEED_A} --out {{d}}/kat.jsonl"),
     ("kat-no-seed", "kat --profile toy"),
     ("kat-bad-seed", "kat --seed xyz"),

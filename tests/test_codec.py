@@ -6,7 +6,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from conftest import zeros
+from conftest import count_calls, zeros
 
 from lgpk import matfield
 from lgpk.bitstrings import BitStr
@@ -31,6 +31,7 @@ from lgpk.errors import (
     SemanticDecodeError,
     StructuralDecodeError,
 )
+from lgpk.hashsuite import SUITE_ID
 from lgpk.matfield import (
     FieldMatrix,
     GroupElement,
@@ -39,7 +40,7 @@ from lgpk.matfield import (
     identity,
 )
 from lgpk.sampler import RngHandle
-from lgpk.scheme import Ciphertext, PublicKey, decrypt, encrypt, keygen
+from lgpk.scheme import Ciphertext, decrypt, encrypt, keygen
 
 import zlib
 
@@ -282,22 +283,16 @@ def test_composite_modulus_ciphertext_decodes_and_decrypts_to_none():
     assert decrypt(sk, pk, forged) is None
 
 
-def test_suite_id_round_trips_and_enters_the_fingerprint():
+def test_public_key_of_another_hash_suite_is_rejected():
+    # the suite byte follows the parameter body; no oracle is defined for
+    # another value, so the frame is refused before its matrices are read
     _, pk, _, _ = sample_objects()
-    other = PublicKey(pk.params, pk.left_gen, pk.right_gen, pk.key_product, suite_id=2)
-    back = decode(encode(other))
-    assert back == other and back.suite_id == 2
-    assert encode(other) != encode(pk)
-    assert pk_fingerprint(other) != pk_fingerprint(pk)
-
-
-def count_calls(monkeypatch, *names):
-    """One shared list that every call to the named matfield functions appends to."""
-    calls = []
-    for name in names:
-        real = getattr(matfield, name)
-        monkeypatch.setattr(matfield, name, lambda *a, r=real: calls.append(1) or r(*a))
-    return calls
+    frame = bytearray(encode(pk))
+    at = len(encode(pk.params)) - 4
+    assert frame[at] == SUITE_ID
+    frame[at] = 2
+    with pytest.raises(StructuralDecodeError, match="^unsupported hash suite 2$"):
+        decode(reframe(bytes(frame)))
 
 
 def test_dimension_above_the_limit_is_rejected_before_semantic_work(monkeypatch):
@@ -309,15 +304,17 @@ def test_dimension_above_the_limit_is_rejected_before_semantic_work(monkeypatch)
         pk, sk = keygen(params, rng)
         ct = encrypt(pk, rng.bitstr(16), rng)
         frames[n] = [(obj, encode(obj)) for obj in (params, pk, sk, ct)]
-    calls = count_calls(monkeypatch, "is_probable_prime", "mat_mul")
+    primes = count_calls(monkeypatch, matfield, "is_probable_prime")
+    muls = count_calls(monkeypatch, matfield, "mat_mul")
     for obj, wire in frames[MAX_DIM]:
         assert decode(wire) == obj
-    assert calls
-    calls.clear()
+    assert primes + muls
+    primes.clear()
+    muls.clear()
     for _, wire in frames[MAX_DIM + 1]:
         with pytest.raises(StructuralDecodeError, match="dimension 17 exceeds the limit of 16"):
             decode(wire)
-    assert calls == []
+    assert primes + muls == []
 
 
 def test_modulus_above_the_limit_is_rejected_before_semantic_work(monkeypatch):
@@ -329,11 +326,12 @@ def test_modulus_above_the_limit_is_rejected_before_semantic_work(monkeypatch):
     rng = RngHandle(SEED)
     pk, sk = keygen(params, rng)
     ct = encrypt(pk, rng.bitstr(16), rng)
-    calls = count_calls(monkeypatch, "is_probable_prime", "mat_mul")
+    primes = count_calls(monkeypatch, matfield, "is_probable_prime")
+    muls = count_calls(monkeypatch, matfield, "mat_mul")
     for obj in (params, pk, sk, ct):
         with pytest.raises(StructuralDecodeError, match="4253 bits exceeds the limit of 4096"):
             decode(encode(obj))
-    assert calls == []
+    assert primes + muls == []
 
 
 def test_modulus_at_the_limit_reaches_the_semantic_phase(monkeypatch):
@@ -346,7 +344,7 @@ def test_modulus_at_the_limit_reaches_the_semantic_phase(monkeypatch):
         old_body[:1] + MAX_PRIME_BITS.to_bytes(4, "big") + old_body[5:-5]
         + (MAX_PRIME_BITS // 8).to_bytes(4, "big") + composite.to_bytes(MAX_PRIME_BITS // 8, "big")
     )
-    calls = count_calls(monkeypatch, "is_probable_prime")
+    calls = count_calls(monkeypatch, matfield, "is_probable_prime")
     for obj in sample_objects(TOY)[:2]:
         frame = encode(obj)
         assert frame[6:].startswith(old_body)
@@ -366,7 +364,7 @@ def test_lengths_above_the_limit_are_rejected_before_semantic_work(monkeypatch):
             params = dataclasses.replace(TINY, **{name: bits})
             pk, _ = keygen(params, RngHandle(SEED))
             frames[name, bits] = [(obj, encode(obj)) for obj in (params, pk)]
-    calls = count_calls(monkeypatch, "is_probable_prime")
+    calls = count_calls(monkeypatch, matfield, "is_probable_prime")
     for name in ("kappa2", "msg_len"):
         for obj, wire in frames[name, MAX_LENGTH_BITS]:
             assert decode(wire) == obj
@@ -413,13 +411,18 @@ def test_decode_verdicts_of_mutated_toy_frames_are_pinned():
     assert escaped == []
     # 285 of these frames declare a kappa2 or msg_len above MAX_LENGTH_BITS;
     # before that limit 87 of them decoded, 111 failed semantically and 87
-    # failed later in the structural phase (2,571 / 608 / 821 in all)
+    # failed later in the structural phase (2,571 / 608 / 821 in all).
+    # 15 are public keys whose suite byte is not SUITE_ID; before that check
+    # 5 of them decoded, 3 failed semantically and 7 failed later in the
+    # structural phase (2,769 / 497 / 734 in all)
     assert Counter(v[0] for v in verdicts) == {
-        "StructuralDecodeError": 2769, "SemanticDecodeError": 497, "decoded": 734,
+        "StructuralDecodeError": 2777, "SemanticDecodeError": 494, "decoded": 729,
     }
+    assert sum(v[0] != "decoded" and v[1].startswith("unsupported hash suite")
+               for v in verdicts) == 15
     assert all(v[1] for v in verdicts if v[0] == "decoded")
     digest = hashlib.sha256(json.dumps(verdicts).encode()).hexdigest()
-    assert digest == "b165a777c0b4e901a9b83b80c099a7157d37f6690bddd1b0895b8b1024a4ab84"
+    assert digest == "b6575163c6802f03a48601a086375d7320990f19f6de36a888ff5eaede333aa0"
 
 
 def test_open_file_verdicts_of_mutated_sealed_files_are_pinned():

@@ -44,6 +44,12 @@ def planted(left, right, x, y, bound_left, bound_right):
     return NafInstance(left, right, target, bound_left, bound_right)
 
 
+def reexponentiates(sol, inst):
+    """The solution's scalars, exponentiated again, multiply to the target."""
+    left = exp_scaled(sol.left_scalar, inst.left_gen)
+    return group_mul(left, exp_scaled(sol.right_scalar, inst.right_gen)).mat == inst.target.mat
+
+
 def test_instance_validation():
     upper, lower = shift_pair(7)
     with pytest.raises(ParameterError):
@@ -58,9 +64,10 @@ def test_bruteforce_known_toy_instance():
     # with shift generators the product is [[1+xy, x], [y, 1]] mod 7
     upper, lower = shift_pair(7)
     target = GroupElement(FieldMatrix(2, 7, ((2, 3), (5, 1))))
-    sol = naf_bruteforce(NafInstance(upper, lower, target, 7, 7))
+    inst = NafInstance(upper, lower, target, 7, 7)
+    sol = naf_bruteforce(inst)
     assert (sol.left_scalar, sol.right_scalar) == (3, 5)
-    assert mat_mul(sol.left_image.mat, sol.right_image.mat) == target.mat
+    assert reexponentiates(sol, inst)
 
 
 def test_bruteforce_identity_target():
@@ -90,9 +97,7 @@ def test_solvers_agree_on_random_instances():
         assert brute is not None and mitm is not None
         assert (brute.left_scalar, brute.right_scalar) == (x, y)
         assert (mitm.left_scalar, mitm.right_scalar) == (x, y)
-        assert brute.left_image == mitm.left_image
-        assert brute.right_image == mitm.right_image
-        assert mat_mul(brute.left_image.mat, brute.right_image.mat) == inst.target.mat
+        assert reexponentiates(brute, inst) and reexponentiates(mitm, inst)
 
 
 def test_mitm_ops_linear_bound():
@@ -139,8 +144,7 @@ def assert_solvers_match_oracle(inst):
         got = None if sol is None else (sol.left_scalar, sol.right_scalar, sol.ops)
         assert got == oracle(*args), solver.__name__
         if sol is not None:
-            assert sol.left_image == exp_scaled(sol.left_scalar, inst.left_gen)
-            assert sol.right_image == exp_scaled(sol.right_scalar, inst.right_gen)
+            assert reexponentiates(sol, inst)
         results.append(got)
     return results
 
@@ -291,23 +295,25 @@ def test_not_found_outside_image_set():
     assert naf_mitm(inst) is None
 
 
-def test_bruteforce_budget_refusal():
+def test_bruteforce_budget_refusal(monkeypatch):
     upper, lower = shift_pair(7)
     inst = NafInstance(upper, lower, GroupElement(identity(2, 7)), 1 << 17, 1 << 17)
     with pytest.raises(BudgetRefusal) as exc:
         naf_bruteforce(inst)
     assert str(1 << 34) in str(exc.value)  # the refusal states its arithmetic
-    assert naf_bruteforce(planted(upper, lower, 1, 1, 7, 7), pair_budget=49) is not None
-    with pytest.raises(BudgetRefusal):
-        naf_bruteforce(planted(upper, lower, 1, 1, 7, 8), pair_budget=49)
+    monkeypatch.setattr(cryptanalysis, "BRUTE_PAIR_BUDGET", 49)
+    assert naf_bruteforce(planted(upper, lower, 1, 1, 7, 7)) is not None
+    with pytest.raises(BudgetRefusal, match="over the budget of 49"):
+        naf_bruteforce(planted(upper, lower, 1, 1, 7, 8))
 
 
-def test_mitm_budget_refusal():
+def test_mitm_budget_refusal(monkeypatch):
     upper, lower = shift_pair(7)
     inst = NafInstance(upper, lower, GroupElement(identity(2, 7)), 4, 1 << 23)
     with pytest.raises(BudgetRefusal):
         naf_mitm(inst)
-    assert naf_mitm(planted(upper, lower, 1, 1, 7, 7), table_budget=7) is not None
+    monkeypatch.setattr(cryptanalysis, "MITM_TABLE_BUDGET", 7)
+    assert naf_mitm(planted(upper, lower, 1, 1, 7, 7)) is not None
 
 
 def test_nai_known_toy_instance():
@@ -360,10 +366,10 @@ def test_sweep_costs_monotone_along_both_axes():
             assert ops == sorted(ops)
 
 
-def test_sweep_records_refusals():
-    rows = hardness_sweep(
-        2, [16], [8, 16], RngHandle(SEED), pair_budget=1 << 10, table_budget=1 << 10
-    )
+def test_sweep_records_refusals(monkeypatch):
+    monkeypatch.setattr(cryptanalysis, "BRUTE_PAIR_BUDGET", 1 << 10)
+    monkeypatch.setattr(cryptanalysis, "MITM_TABLE_BUDGET", 1 << 10)
+    rows = hardness_sweep(2, [16], [8, 16], RngHandle(SEED))
     brute = {r.bound_bits: r for r in rows if r.solver == "brute"}
     mitm = {r.bound_bits: r for r in rows if r.solver == "mitm"}
     assert brute[8].found == "yes"  # 2^8 pairs within 2^10

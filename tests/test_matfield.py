@@ -23,6 +23,7 @@ from lgpk import matfield
 from lgpk.cryptanalysis import NafInstance, naf_bruteforce, naf_mitm
 from lgpk.errors import NotInvertibleError, NotNilpotentError, ParameterError
 from lgpk.matfield import (
+    _SMALL_PRIMES,
     _jacobi,
     _strong_base2,
     _strong_lucas,
@@ -401,9 +402,13 @@ def _selfridge(n):
     return d, (1 - d) // 4
 
 
-BASE2_PSEUDOPRIMES = (2047, 3277, 4033, 1093**2, 3511**2)
+# The last two base-2 and last three Lucas entries have no prime factor below
+# 1024 (1069 * 2137, 1061 * 3181; 1069 * 1601, 1063 * 2129, 1123 * 2243), so
+# `is_probable_prime` hands them to the half of Baillie-PSW that must catch them.
+BASE2_PSEUDOPRIMES = (2047, 3277, 4033, 1093**2, 3511**2, 2284453, 3375041)
 LUCAS_PSEUDOPRIMES = (
     5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439,
+    1711469, 2263127, 2518889,
 )
 
 
@@ -419,6 +424,11 @@ def test_is_probable_prime_rejects_pseudoprimes():
     for n in BASE2_PSEUDOPRIMES + LUCAS_PSEUDOPRIMES + carmichael + (psp_first_nine_prime_bases,):
         assert not miller_rabin_prime(n), n  # composite by the oracle too
         assert not is_probable_prime(n), n
+    # trial division is by exactly the primes below 1024; these get past it
+    assert _SMALL_PRIMES == [q for q in range(1024) if trial_division_prime(q)]
+    beyond = [n for n in BASE2_PSEUDOPRIMES + LUCAS_PSEUDOPRIMES
+              if all(n % q for q in _SMALL_PRIMES)]
+    assert beyond == [1093**2, 3511**2, 2284453, 3375041, 1711469, 2263127, 2518889]
     with pytest.raises(ParameterError, match="not prime"):
         ParameterSet(kappa1=11, n=2, p=2047, kappa2=64, kappa3=8, kappa4=8, msg_len=128)
 

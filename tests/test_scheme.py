@@ -6,7 +6,7 @@ from lgpk.bitstrings import BitStr
 from lgpk.cli import make_params
 from lgpk.codec import decode, encode, pk_fingerprint
 from lgpk.errors import EncodingError, KeyMismatchError, NotInvertibleError
-from lgpk.hashsuite import SUITE_ID, h1, h2
+from lgpk.hashsuite import h1, h2
 from lgpk.matfield import (
     FieldMatrix,
     GroupElement,
@@ -91,9 +91,7 @@ def test_decrypt_operation_counts():
 def test_key_generators_exponentiate_without_products(monkeypatch):
     pk, _ = toy_keypair(params=SMALL)
     decoded = decode(encode(pk))
-    calls = []
-    real_mul = matfield.mat_mul
-    monkeypatch.setattr(matfield, "mat_mul", lambda a, b: calls.append(1) or real_mul(a, b))
+    calls = count_calls(monkeypatch, matfield, "mat_mul")
     for key in (pk, decoded):
         for gen in (key.left_gen, key.right_gen):
             assert gen.index == SMALL.n  # so a table built per call would need a product
@@ -183,7 +181,7 @@ def test_correctness_identity_at_group_level():
         rng = RngHandle(seed + b"!")
         m = rng.bitstr(TOY.msg_len)
         sigma = rng.bitstr(TOY.kappa2)
-        r_left, r_right = (r.to_int() for r in h1(pk.params, pk.suite_id, sigma, m))
+        r_left, r_right = (r.to_int() for r in h1(pk.params, sigma, m))
         left_rand = exp_scaled(r_left, pk.left_gen)
         right_rand = exp_scaled(r_right, pk.right_gen)
         lhs = mat_mul(mat_mul(left_rand.mat, pk.key_product.mat), right_rand.mat)
@@ -200,7 +198,7 @@ def test_toy_closed_form_of_rand_product():
     left_factor = GroupElement(FieldMatrix(2, p, ((1, 2), (0, 1))))   # exp(2*upper)
     right_factor = GroupElement(FieldMatrix(2, p, ((1, 0), (3, 1))))  # exp(3*lower)
     key_product = group_mul(left_factor, right_factor)
-    pk = PublicKey(TINY, upper, lower, key_product, SUITE_ID)
+    pk = PublicKey(TINY, upper, lower, key_product)
     sk = PrivateKey(left_factor, right_factor, pk_fingerprint(pk))
 
     rng = RngHandle(SEED)
@@ -209,7 +207,7 @@ def test_toy_closed_form_of_rand_product():
 
     replay = RngHandle(SEED)
     sigma = replay.bitstr(TINY.kappa2)
-    r_left, r_right = (r.to_int() % p for r in h1(TINY, SUITE_ID, sigma, m))
+    r_left, r_right = (r.to_int() % p for r in h1(TINY, sigma, m))
     expected = ((1 + r_left * r_right) % p, r_left), (r_right, 1)
     assert ct.rand_product.mat.rows == expected
     assert decrypt(sk, pk, ct) == m
@@ -255,7 +253,7 @@ def test_decrypt_rejects_rand_product_forged_under_an_h2_collision():
 
     def h2_of_sandwich(rand):
         sandwich = group_mul(group_mul(sk.left_factor, rand), sk.right_factor)
-        return h2(params, pk.suite_id, sandwich)
+        return h2(params, sandwich)
 
     honest = h2_of_sandwich(ct.rand_product)
     seed = ct.sealed_seed ^ honest

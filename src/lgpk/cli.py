@@ -247,10 +247,12 @@ def cmd_attack(args) -> int:
     if args.sweep:
         if args.pk_file:
             raise ParameterError("--sweep takes no public-key file")
+        if args.solver is not None:
+            raise ParameterError("--solver is not for --sweep, which runs both solvers")
         rng = RngHandle(parse_seed(args.seed))
-        p_bits = parse_int_list(args.p_bits, "--p-bits")
+        p_bits = parse_int_list(args.p_bits or "8", "--p-bits")
         bound_bits = parse_int_list(args.bounds_bits or "8,10,12,14", "--bounds-bits")
-        rows = hardness_sweep(args.n, p_bits, bound_bits, rng)
+        rows = hardness_sweep(2 if args.n is None else args.n, p_bits, bound_bits, rng)
         text = sweep_csv(rows)
         if args.out:
             write_atomic(args.out, text.encode())
@@ -261,9 +263,9 @@ def cmd_attack(args) -> int:
 
     if not args.pk_file:
         raise ParameterError("attack needs a public-key file (or --sweep)")
-    for flag in ("seed", "out"):
+    for flag in ("n", "p_bits", "seed", "out"):
         if getattr(args, flag) is not None:
-            raise ParameterError(f"--{flag} is only for --sweep")
+            raise ParameterError(f"--{flag.replace('_', '-')} is only for --sweep")
     pk = load_object(args.pk_file, codec.KIND_PUBLIC_KEY)
     if args.bounds_bits:
         values = parse_int_list(args.bounds_bits, "--bounds-bits")
@@ -275,7 +277,7 @@ def cmd_attack(args) -> int:
     bound_left = 1 << ((total_bits + 1) // 2)
     bound_right = 1 << (total_bits // 2)
     inst = NafInstance(pk.left_gen, pk.right_gen, pk.key_product, bound_left, bound_right)
-    solver = naf_bruteforce if args.solver == "brute" else naf_mitm
+    solver = naf_mitm if args.solver == "mitm" else naf_bruteforce
     sol = solver(inst)
     if sol is None:
         print(f"no factorization within 2^{total_bits} pairs")
@@ -441,14 +443,13 @@ def _inspect_args(p):
 
 def _attack_args(p):
     p.add_argument("pk_file", nargs="?", help="public-key file to attack")
-    p.add_argument("--solver", choices=("brute", "mitm"), default="brute")
+    p.add_argument("--solver", choices=("brute", "mitm"))
     p.add_argument("--bounds-bits", dest="bounds_bits",
                    help="total searched pair bits (comma list with --sweep)")
     p.add_argument("--sweep", action="store_true",
                    help="emit a cost-scaling CSV over a parameter grid")
-    p.add_argument("--n", type=int, default=2, help="matrix rank for --sweep")
-    p.add_argument("--p-bits", dest="p_bits", default="8",
-                   help="comma list of prime sizes for --sweep")
+    p.add_argument("--n", type=int, help="matrix rank for --sweep")
+    p.add_argument("--p-bits", dest="p_bits", help="comma list of prime sizes for --sweep")
     p.add_argument("--seed", help="32-byte hex seed for reproducibility")
     p.add_argument("--out", help="write the sweep CSV here instead of stdout")
     p.set_defaults(func=cmd_attack)

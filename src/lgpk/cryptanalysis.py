@@ -3,18 +3,15 @@
 Factoring: given a product exp(x*L)*exp(y*R) of exponentials of known
 non-commuting nilpotent generators, recover the scalar pair. Both solvers
 follow only the row v*exp(x*L)*exp(y*R), for one vector v chosen from the
-generators, and confirm a row hit by the full matrix product before
-reporting it.
+generators, and confirm a row hit by the full matrix product. Along x and
+along y the row is a polynomial of degree below that generator's index, so a
+few row products give its forward differences, and `itertools` running sums
+walk the whole search from them in C: no row product per pair or per probe.
 
-The brute-force solver tries every pair of the (x, y) grid. For each x it
-prefilters on one coordinate of the row, a polynomial in y of degree < n
-that `itertools` generates from its forward differences and compares with
-the target's, in C, with no Python step per pair; only a y that matches
-there has its full row evaluated. Nothing is stored per y, so its memory
-does not depend on the bounds. The meet-in-the-middle solver tabulates the
-right factor's rows for every y, each packed into one int, and probes them
-with left-inverses applied to the target, trading memory for a linear-time
-scan of row-times-matrix steps.
+The brute-force solver tries every pair of the (x, y) grid, prefiltering on
+one coordinate of the row, and stores nothing per pair. The meet-in-the-middle
+solver tabulates the rows for every y, packed into ints, and probes them with
+exp(-x*L) applied to the target, trading memory for a linear-time scan.
 
 Insertion: given two such products, produce the product with component-wise
 summed scalars; solved here by factoring both inputs and re-exponentiating.
@@ -29,8 +26,9 @@ from __future__ import annotations
 
 import operator
 import time
+from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat, tee
 from math import comb
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -123,23 +121,44 @@ def _confirm(inst: NafInstance, x: int, y: int, ops: int) -> Optional[NafSolutio
     return NafSolution(x, y, ops) if product.mat == inst.target.mat else None
 
 
-def _row_at(diffs: list[tuple[int, ...]], y: int, p: int) -> tuple[int, ...]:
-    """The row at y, sum over i of C(y, i) * diffs[i] mod p, from its forward
-    differences at y = 0 (Newton's forward formula)."""
-    weights = [comb(y, i) for i in range(len(diffs))]
+def _diff_rows(start: tuple[int, ...], step: Rows, index: int, p: int) -> list[tuple[int, ...]]:
+    """The rows start*(S - I)^i for i < index, S the matrix with rows `step`:
+    the forward differences at t = 0 of start*S^t. For S = exp(X), S - I is
+    X times a unit that commutes with X, so it vanishes from X's index on."""
+    cols = [[(e - (i == j)) % p for i, e in enumerate(col)] for j, col in enumerate(zip(*step))]
+    rows = [start]
+    for _ in range(1, index):
+        rows.append(_row_times(rows[-1], cols, p))
+    return rows
+
+
+def _walk(diffs: Sequence[int], length: int, p: int) -> Iterator[int]:
+    """The values at t = 0, 1, ..., length-1, mod p, of the polynomial whose
+    forward differences at 0 are `diffs`: running sums of running sums
+    (`itertools.accumulate`), with no Python step per value."""
+    values = repeat(diffs[-1])
+    for d in diffs[-2::-1]:
+        values = accumulate(values, initial=d)
+    return islice(map(operator.mod, values, repeat(p)), length)
+
+
+def _row_at(diffs: Sequence[tuple[int, ...]], t: int, p: int) -> tuple[int, ...]:
+    """The row at t, sum over i of C(t, i) * diffs[i] mod p, from its forward
+    differences at t = 0 (Newton's forward formula)."""
+    weights = [comb(t, i) for i in range(len(diffs))]
     return tuple([sum(map(operator.mul, weights, col)) % p for col in zip(*diffs)])
 
 
 def _matches(values: Iterator[int], goal: int) -> Iterator[int]:
     """The offsets at which `values` equals `goal`. `operator.indexOf` walks
     the stretch up to each one in C."""
-    y = -1
+    pos = -1
     while True:
         try:
-            y += 1 + operator.indexOf(values, goal)
+            pos += 1 + operator.indexOf(values, goal)
         except ValueError:
             return
-        yield y
+        yield pos
 
 
 def naf_bruteforce(inst: NafInstance) -> Optional[NafSolution]:
@@ -147,20 +166,16 @@ def naf_bruteforce(inst: NafInstance) -> Optional[NafSolution]:
     it the smallest y) wins. `ops` reports the number of pairs tried.
 
     The scan follows the row v*exp(x*L)*exp(y*R) (v from `_scan_vector`).
-    Stepping y multiplies the row by exp(R) = I + E, so its forward
-    difference in y is the row times E. E is nilpotent with R's index k, so
-    for a fixed x the row is a polynomial of degree < k in y whose
-    differences at y = 0 are v*exp(x*L)*E^i. For each x the scan runs:
-    - a prefilter on one coordinate of the row, one that moves with y when
-      any does: its values for y = 0, 1, ... are running sums of running
-      sums of its differences (`itertools.accumulate`), reduced mod p and
-      compared with that coordinate of v*target, with no Python step per pair;
-    - the full row, evaluated from the differences, at each y that passes;
-    - `_confirm`, the full product, at each y whose full row matches; a pair
-      that matches in the row alone is passed over.
-    When no coordinate moves with y, every y goes on to the full row.
-    Memory is k rows and a chain of k+2 iterators whatever the bounds, so
-    time grows with the pairs tried and memory does not.
+    With G = exp(L) - I and E = exp(R) - I, its forward differences in y are
+    v*exp(x*L)*E^i, polynomials in x with differences v*G^a*E^i: the only
+    row products made. The scan runs:
+    - a prefilter on one coordinate of the row: the x walks of its
+      y-differences give each x's y walk (`_walk`, one call per x), and
+      those chained end to end are compared with that coordinate of
+      v*target over the whole grid in C, with no Python step per pair;
+    - the full row, rebuilt from the differences, at each pair that passes;
+    - `_confirm`, the full product, at each pair whose full row matches.
+    Memory is the differences and a chain of iterators, whatever the bounds.
     """
     total = inst.bound_left * inst.bound_right
     if total > BRUTE_PAIR_BUDGET:
@@ -169,43 +184,53 @@ def naf_bruteforce(inst: NafInstance) -> Optional[NafSolution]:
             f"pair trials, over the budget of {BRUTE_PAIR_BUDGET}"
         )
     p = inst.target.mat.p
-    left_cols = tuple(zip(*mat_exp(inst.left_gen).mat.rows))
-    # the columns of E = exp(R) - I
-    diff_cols = tuple(
-        tuple((e - (i == j)) % p for i, e in enumerate(col))
-        for j, col in enumerate(zip(*mat_exp(inst.right_gen).mat.rows))
-    )
     start = _scan_vector(inst)
     goal = _row_times(start, tuple(zip(*inst.target.mat.rows)), p)
-    for x in range(inst.bound_left):
-        diffs = [start]
-        for _ in range(1, inst.right_gen.index):
-            diffs.append(_row_times(diffs[-1], diff_cols, p))
-        j = next((j for j in range(len(start)) if any(d[j] for d in diffs[1:])), 0)
-        values = repeat(diffs[-1][j])
-        for d in diffs[-2::-1]:
-            values = accumulate(values, initial=d[j])
-        values = islice(map(operator.mod, values, repeat(p)), inst.bound_right)
-        for y in _matches(values, goal[j]):
-            if _row_at(diffs, y, p) == goal:
-                sol = _confirm(inst, x, y, x * inst.bound_right + y + 1)
-                if sol is not None:
-                    return sol
-        start = _row_times(start, left_cols, p)
+    right = mat_exp(inst.right_gen).mat.rows
+    # by_y[i][a] = v*G^a*E^i: the x-differences of the i-th y-difference
+    by_y = list(zip(*[
+        _diff_rows(row, right, inst.right_gen.index, p)
+        for row in _diff_rows(start, mat_exp(inst.left_gen).mat.rows, inst.left_gen.index, p)
+    ]))
+    # the prefilter coordinate: the first that moves with y anywhere, or on a
+    # grid one y long, with x; 0 if none does
+    steps = [r for d in by_y[1:] for r in d] if inst.bound_right > 1 else by_y[0][1:]
+    j = next((j for j in range(len(start)) if any(r[j] for r in steps)), 0)
+    y_diffs = zip(*[_walk([r[j] for r in d], inst.bound_left, p) for d in by_y])
+    values = chain.from_iterable(map(_walk, y_diffs, repeat(inst.bound_right), repeat(p)))
+    for pos in _matches(values, goal[j]):
+        x, y = divmod(pos, inst.bound_right)
+        if _row_at([_row_at(d, x, p) for d in by_y], y, p) == goal:
+            sol = _confirm(inst, x, y, pos + 1)
+            if sol is not None:
+                return sol
     return None
+
+
+def _keys(diffs: Sequence[tuple[int, ...]], length: int, p: int) -> Iterator[int]:
+    """The rows at t = 0, 1, ..., length-1 of the walk whose row differences
+    are `diffs`, each packed into one int by Horner's rule in base p, in C."""
+    walks = [_walk(coord, length, p) for coord in zip(*diffs)]
+    keys = walks[0]
+    for walk in walks[1:]:
+        keys = map(operator.add, map(operator.mul, keys, repeat(p)), walk)
+    return keys
 
 
 def naf_mitm(inst: NafInstance) -> Optional[NafSolution]:
     """Meet-in-the-middle: tabulate v*exp(y*R) (v from `_scan_vector`) for
     all y, then probe v*exp(x*L)^-1*target for each x. Cost is
-    bound_left + bound_right row-times-matrix products instead of their
-    product; `ops` counts table entries built plus probes made. Ties resolve
-    to the smallest x, then the smallest y.
+    bound_left + bound_right rows instead of their product; `ops` counts
+    table entries built plus probes made. Ties resolve to the smallest x,
+    then the smallest y.
 
-    Each row is packed into one int, and the table maps it to its first y;
-    later y's with the same row, which occur only when rows repeat, wait in a
-    side dict. A probe that hits confirms its candidates by the full product,
-    smallest y first.
+    Both sides are walks (`_keys`): the table rows have y-differences v*E^i
+    (E = exp(R) - I), the probe rows x-differences v*H^a*target
+    (H = exp(-L) - I). The table maps each packed row to its first y, and
+    probes test membership, with no Python step per entry or probe. Later
+    y's with the same row, which occur only when rows repeat, wait in a side
+    dict filled by a second walk. A probe that hits confirms its candidates
+    by the full product, smallest y first.
     """
     if inst.bound_right > MITM_TABLE_BUDGET:
         raise BudgetRefusal(
@@ -213,36 +238,25 @@ def naf_mitm(inst: NafInstance) -> Optional[NafSolution]:
             f"over the budget of {MITM_TABLE_BUDGET}"
         )
     p = inst.target.mat.p
-
-    def pack(row: tuple[int, ...]) -> int:
-        key = 0
-        for e in row:
-            key = key * p + e
-        return key
-
     start = _scan_vector(inst)
-    right_cols = tuple(zip(*mat_exp(inst.right_gen).mat.rows))
+    right = _diff_rows(start, mat_exp(inst.right_gen).mat.rows, inst.right_gen.index, p)
     table: dict[int, int] = {}
+    deque(map(table.setdefault, _keys(right, inst.bound_right, p), count()), maxlen=0)
     later: dict[int, list[int]] = {}
-    row = start
-    for y in range(inst.bound_right):
-        key = pack(row)
-        if table.setdefault(key, y) != y:
-            later.setdefault(key, []).append(y)
-        row = _row_times(row, right_cols, p)
+    if len(table) < inst.bound_right:
+        for y, key in enumerate(_keys(right, inst.bound_right, p)):
+            if table[key] != y:
+                later.setdefault(key, []).append(y)
     # exp(L)^-1 = exp(-L) = exp((p-1)*L): scalars act mod p
-    inv_cols = tuple(zip(*exp_scaled(p - 1, inst.left_gen).mat.rows))
+    inv = exp_scaled(p - 1, inst.left_gen).mat.rows
     target_cols = tuple(zip(*inst.target.mat.rows))
-    row = start
-    for x in range(inst.bound_left):
-        key = pack(_row_times(row, target_cols, p))
-        first = table.get(key)
-        if first is not None:
-            for y in (first, *later.get(key, ())):
-                sol = _confirm(inst, x, y, inst.bound_right + x + 1)
-                if sol is not None:
-                    return sol
-        row = _row_times(row, inv_cols, p)
+    probe = [_row_times(r, target_cols, p) for r in _diff_rows(start, inv, inst.left_gen.index, p)]
+    keys, hit_keys = tee(_keys(probe, inst.bound_left, p))
+    for x, key in compress(zip(count(), hit_keys), map(table.__contains__, keys)):
+        for y in (table[key], *later.get(key, ())):
+            sol = _confirm(inst, x, y, inst.bound_right + x + 1)
+            if sol is not None:
+                return sol
     return None
 
 

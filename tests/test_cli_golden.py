@@ -129,6 +129,8 @@ CASES = [
     ("attack-no-key", "attack"),
     ("attack-out-without-sweep", "attack {d}/key.lgpk --out {d}/report.txt"),
     ("attack-seed-without-sweep", "attack {d}/key.lgpk --seed zz"),
+    ("attack-n-without-sweep", "attack {d}/key.lgpk --n 5"),
+    ("attack-p-bits-without-sweep", "attack {d}/key.lgpk --p-bits 99"),
     ("attack-brute-over-budget", "attack {d}/key.lgpk --solver brute --bounds-bits 64"),
     ("attack-mitm-over-budget", "attack {d}/key.lgpk --solver mitm --bounds-bits 64"),
     ("attack-bad-solver", "attack {d}/key.lgpk --solver guess"),
@@ -139,6 +141,7 @@ CASES = [
     ("sweep-not-integers", "attack --sweep --p-bits 8,x"),
     ("sweep-empty-list", "attack --sweep --p-bits ,"),
     ("sweep-with-key", "attack {d}/key.lgpk --sweep --p-bits 8 --bounds-bits 4"),
+    ("sweep-with-solver", "attack --sweep --solver mitm --p-bits 8 --bounds-bits 4"),
     ("kat-to-file", f"kat --profile toy --seed {SEED_A} --out {{d}}/kat.jsonl"),
     ("kat-no-seed", "kat --profile toy"),
     ("kat-bad-seed", "kat --seed xyz"),

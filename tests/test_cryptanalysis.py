@@ -118,20 +118,33 @@ def test_smallest_scalars_win_when_bounds_exceed_modulus():
 
 
 def grid_generators():
+    """Generator pairs by test id, with the walks of each solver as deep as
+    each generator's nilpotency index."""
     rng = RngHandle(b"\x5a" * 32)
-    pairs = [sample_noncommuting_pair(n, p, rng) for n, p in ((2, 7), (2, 11), (3, 7), (3, 11))]
+    grid = {f"n{n}-p{p}": sample_noncommuting_pair(n, p, rng)
+            for n, p in ((2, 7), (2, 11), (3, 7), (3, 11))}
+    for n in (4, 5):
+        pair = sample_noncommuting_pair(n, 7, rng)
+        while (pair[0].index, pair[1].index) != (n, n):
+            pair = sample_noncommuting_pair(n, 7, rng)
+        grid[f"n{n}-p7"] = pair
+    # u * w^T with w . u = 0 mod 7 squares to zero: index 2 against index 5
+    u, w = (1, 2, 3, 4, 5), (1, 3, 0, 0, 0)
+    square_zero = NilpotentMatrix(FieldMatrix(5, 7, tuple(tuple(a * b % 7 for b in w) for a in u)), 2)
+    deep = grid["n5-p7"][0]
+    grid["index2-index5-p7"] = (square_zero, deep)
+    grid["index5-index2-p7"] = (deep, square_zero)
     upper, lower = shift_pair(7)
     # every exp(y*lower) has row 0 = (1, 0): all of its row-0 table keys collide.
     # Swapped, the scanned row is (1+x, (1+x)*y + 1): coordinate 0 never moves
     # with y, and at x = 6 no coordinate does, so brute force's coordinate
     # prefilter passes every y or none.
-    return pairs + [(upper, lower), (lower, upper)]
+    grid["shift-p7"] = (upper, lower)
+    grid["shift-swapped-p7"] = (lower, upper)
+    return grid
 
 
 GRID = grid_generators()
-GRID_IDS = [f"n{left.base.n}-p{left.base.p}" for left, _ in GRID[:-2]] + [
-    "shift-p7", "shift-swapped-p7"
-]
 
 
 def assert_solvers_match_oracle(inst):
@@ -163,7 +176,7 @@ def grid_instances(left, right):
                 yield a, b, NafInstance(left, right, target, bound_left, bound_right)
 
 
-@pytest.mark.parametrize("left, right", GRID, ids=GRID_IDS)
+@pytest.mark.parametrize("left, right", list(GRID.values()), ids=list(GRID))
 def test_solvers_match_full_matrix_oracle_on_every_grid_target(left, right):
     for a, b, inst in grid_instances(left, right):
         brute, mitm = assert_solvers_match_oracle(inst)
@@ -201,7 +214,7 @@ def decoy_instances(left, right):
                 yield a, b, honest, NafInstance(left, right, decoy, p, p)
 
 
-@pytest.mark.parametrize("left, right", GRID, ids=GRID_IDS)
+@pytest.mark.parametrize("left, right", list(GRID.values()), ids=list(GRID))
 def test_row0_decoys_are_not_reported(left, right):
     for a, b, honest, inst in decoy_instances(left, right):
         assert inst.target.mat != honest.mat
@@ -243,13 +256,35 @@ def test_bruteforce_scans_a_long_row_in_constant_memory():
     assert peak < 64 * 1024  # no table per y
 
 
+def test_solvers_walk_a_long_column_in_constant_memory():
+    # 2^18 values of x and one y: the planted pair is the last x tried. The
+    # memory is traced on a 2^14 column after that first, cold call: tracing
+    # slows these scans 5-50 times, and one pointer kept per x would already
+    # take 128 KiB there.
+    upper, lower = shift_pair(4294967291)
+    for solver, table in ((naf_bruteforce, 0), (naf_mitm, 1)):
+        x = (1 << 18) - 1
+        sol = solver(planted(upper, lower, x, 0, 1 << 18, 1))
+        assert (sol.left_scalar, sol.right_scalar, sol.ops) == (x, 0, table + x + 1)
+        x = (1 << 14) - 1
+        inst = planted(upper, lower, x, 0, 1 << 14, 1)
+        tracemalloc.start()
+        try:
+            sol = solver(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (sol.left_scalar, sol.right_scalar) == (x, 0)
+        assert peak < 64 * 1024, solver.__name__
+
+
 def test_solves_make_a_constant_number_of_products(monkeypatch):
     rng = RngHandle(SEED)
     p = sample_prime(16, rng)
     left, right = sample_noncommuting_pair(3, p, rng)
-    calls = {"mat_mul": [], "group_mul": []}
+    calls = {"mat_mul": [], "group_mul": [], "_row_times": []}
     for name, seen in calls.items():
-        real = getattr(matfield, name)
+        real = getattr(cryptanalysis, name, None) or getattr(matfield, name)
         for module in (matfield, cryptanalysis):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, lambda *a, r=real, s=seen: s.append(1) or r(*a))
@@ -261,11 +296,12 @@ def test_solves_make_a_constant_number_of_products(monkeypatch):
                 seen.clear()
             sol = solver(inst)
             assert (sol.left_scalar, sol.right_scalar) == (13, 11)
-            counts[solver.__name__, bound] = (len(calls["mat_mul"]), len(calls["group_mul"]))
+            counts[solver.__name__, bound] = tuple(map(len, calls.values()))
     for solver in ("naf_bruteforce", "naf_mitm"):
-        muls, group_muls = counts[solver, 64]
-        assert counts[solver, 16] == (muls, group_muls)  # not one per pair tried
-        assert muls <= 8 and group_muls == 1
+        muls, group_muls, row_products = counts[solver, 64]
+        # not one per pair tried, per x step, per table entry or per probe
+        assert counts[solver, 16] == (muls, group_muls, row_products)
+        assert muls <= 8 and group_muls == 1 and row_products <= 9
 
 
 def image_census(left, right, p):

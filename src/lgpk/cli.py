@@ -1,5 +1,5 @@
 """Command-line front end: key lifecycle, file encryption, inspection,
-attack runs, and known-answer-test bundles.
+attacks on a public key, hardness sweeps, and known-answer-test bundles.
 
 Exit codes are part of the contract: 0 success, 2 usage, 3 I/O, 4 integrity
 (bad frame, failed validity check or tag), 5 key mismatch, 6 budget refusal.
@@ -44,11 +44,12 @@ from .matfield import (
     mat_mul,
 )
 from .sampler import (
+    PROFILES,
     RngHandle,
+    make_params,
     sample_invertible,
     sample_nilpotent,
     sample_noncommuting_pair,
-    sample_prime,
 )
 from .scheme import Ciphertext, OpCounter, PrivateKey, PublicKey, decrypt, encrypt, keygen
 from .hashsuite import h1, h2, h3
@@ -76,14 +77,6 @@ EXIT_TABLE = (
 )
 
 
-# ParameterSet fields per profile; make_params samples the prime p
-PROFILES = {
-    "toy": dict(kappa1=8, n=2, kappa2=64, kappa3=8, kappa4=8, msg_len=128, toy=True),
-    "small": dict(kappa1=32, n=3, kappa2=64, kappa3=16, kappa4=16, msg_len=128, toy=True),
-    "paper": dict(kappa1=256, n=5, kappa2=256, kappa3=128, kappa4=128, msg_len=256, toy=False),
-}
-
-
 def parse_seed(text: str | None) -> bytes | None:
     if text is None:
         return None
@@ -104,11 +97,6 @@ def parse_int_list(text: str, flag: str) -> list[int]:
     if not values:
         raise ParameterError(f"{flag} must not be empty")
     return values
-
-
-def make_params(profile_name: str, rng: RngHandle) -> ParameterSet:
-    fields = PROFILES[profile_name]
-    return ParameterSet(p=sample_prime(fields["kappa1"], rng), **fields)
 
 
 def read_file(path: str) -> bytes:
@@ -144,12 +132,6 @@ def load_object(path: str, expect_kind: int):
         return codec.decode(read_file(path), expect_kind=expect_kind)
 
 
-def resolve_params(args, rng: RngHandle) -> ParameterSet:
-    if getattr(args, "params", None):
-        return load_object(args.params, codec.KIND_PARAMS)
-    return make_params(args.profile, rng)
-
-
 # ---------------------------------------------------------------- commands
 
 def cmd_params(args) -> int:
@@ -162,7 +144,10 @@ def cmd_params(args) -> int:
 
 def cmd_keygen(args) -> int:
     rng = RngHandle(parse_seed(args.seed))
-    params = resolve_params(args, rng)
+    if args.params:
+        params = load_object(args.params, codec.KIND_PARAMS)
+    else:
+        params = make_params(args.profile, rng)
     pk, sk = keygen(params, rng)
     pk_path = args.out + codec.FILE_EXTENSIONS[codec.KIND_PUBLIC_KEY]
     sk_path = args.out + codec.FILE_EXTENSIONS[codec.KIND_PRIVATE_KEY]
@@ -209,6 +194,8 @@ def cmd_inspect(args) -> int:
     sealed = blob.startswith(codec.SEALED_MAGIC)
     with decode_errors_in(args.file):
         obj, body = codec.read_sealed_header(blob) if sealed else (codec.decode(blob), 0)
+    if args.pk and not isinstance(obj, PrivateKey):
+        raise ParameterError("--pk is only for a private-key file")
     lines = [f"{args.file}:"]
     if isinstance(obj, ParameterSet):
         lines.append("  kind: parameters")
@@ -244,36 +231,13 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    if args.sweep:
-        if args.pk_file:
-            raise ParameterError("--sweep takes no public-key file")
-        if args.solver is not None:
-            raise ParameterError("--solver is not for --sweep, which runs both solvers")
-        rng = RngHandle(parse_seed(args.seed))
-        p_bits = parse_int_list(args.p_bits or "8", "--p-bits")
-        bound_bits = parse_int_list(args.bounds_bits or "8,10,12,14", "--bounds-bits")
-        rows = hardness_sweep(2 if args.n is None else args.n, p_bits, bound_bits, rng)
-        text = sweep_csv(rows)
-        if args.out:
-            write_atomic(args.out, text.encode())
-            print(f"wrote {args.out} ({len(rows)} rows)")
-        else:
-            print(text, end="")
-        return EXIT_OK
-
-    if not args.pk_file:
-        raise ParameterError("attack needs a public-key file (or --sweep)")
-    for flag in ("n", "p_bits", "seed", "out"):
-        if getattr(args, flag) is not None:
-            raise ParameterError(f"--{flag.replace('_', '-')} is only for --sweep")
     pk = load_object(args.pk_file, codec.KIND_PUBLIC_KEY)
-    if args.bounds_bits:
-        values = parse_int_list(args.bounds_bits, "--bounds-bits")
-        if len(values) != 1 or values[0] < 0:
-            raise ParameterError("a single --bounds-bits value >= 0 is expected without --sweep")
-        total_bits = values[0]
-    else:
+    if args.bounds_bits is None:
         total_bits = pk.params.kappa3 + pk.params.kappa4
+    elif args.bounds_bits < 0:
+        raise ParameterError("--bounds-bits must be >= 0")
+    else:
+        total_bits = args.bounds_bits
     bound_left = 1 << ((total_bits + 1) // 2)
     bound_right = 1 << (total_bits // 2)
     inst = NafInstance(pk.left_gen, pk.right_gen, pk.key_product, bound_left, bound_right)
@@ -291,6 +255,20 @@ def cmd_attack(args) -> int:
         f"factored the public product: left_scalar={sol.left_scalar} "
         f"right_scalar={sol.right_scalar} ops={sol.ops} verified={str(verified).lower()}"
     )
+    return EXIT_OK
+
+
+def cmd_sweep(args) -> int:
+    rng = RngHandle(parse_seed(args.seed))
+    p_bits = parse_int_list(args.p_bits, "--p-bits")
+    bound_bits = parse_int_list(args.bounds_bits, "--bounds-bits")
+    rows = hardness_sweep(args.n, p_bits, bound_bits, rng)
+    text = sweep_csv(rows)
+    if args.out:
+        write_atomic(args.out, text.encode())
+        print(f"wrote {args.out} ({len(rows)} rows)")
+    else:
+        print(text, end="")
     return EXIT_OK
 
 
@@ -442,17 +420,20 @@ def _inspect_args(p):
 
 
 def _attack_args(p):
-    p.add_argument("pk_file", nargs="?", help="public-key file to attack")
-    p.add_argument("--solver", choices=("brute", "mitm"))
-    p.add_argument("--bounds-bits", dest="bounds_bits",
-                   help="total searched pair bits (comma list with --sweep)")
-    p.add_argument("--sweep", action="store_true",
-                   help="emit a cost-scaling CSV over a parameter grid")
-    p.add_argument("--n", type=int, help="matrix rank for --sweep")
-    p.add_argument("--p-bits", dest="p_bits", help="comma list of prime sizes for --sweep")
-    p.add_argument("--seed", help="32-byte hex seed for reproducibility")
-    p.add_argument("--out", help="write the sweep CSV here instead of stdout")
+    p.add_argument("pk_file", help="public-key file to attack")
+    p.add_argument("--solver", choices=("brute", "mitm"), default="brute")
+    p.add_argument("--bounds-bits", type=int, metavar="N", help="searched pair bits (default: all)")
     p.set_defaults(func=cmd_attack)
+
+
+def _sweep_args(p):
+    p.add_argument("--n", type=int, default=2, help="matrix rank (default %(default)s)")
+    p.add_argument("--p-bits", default="8", metavar="LIST", help="prime sizes (default %(default)s)")
+    p.add_argument("--bounds-bits", default="8,10,12,14", metavar="LIST",
+                   help="searched pair bits per instance (default %(default)s)")
+    p.add_argument("--seed", help="32-byte hex seed for reproducibility")
+    p.add_argument("--out", help="write the CSV here instead of stdout")
+    p.set_defaults(func=cmd_sweep)
 
 
 def _kat_args(p):
@@ -469,7 +450,8 @@ COMMANDS = {
     "encrypt": ("encrypt a file under a public key", _encrypt_args),
     "decrypt": ("decrypt a file with a private key", _decrypt_args),
     "inspect": ("validate and describe a wire file", _inspect_args),
-    "attack": ("factor a public product, or run a sweep", _attack_args),
+    "attack": ("factor a public key's product", _attack_args),
+    "sweep": ("time both solvers over a planted grid", _sweep_args),
     "kat": ("emit a known-answer-test bundle", _kat_args),
 }
 

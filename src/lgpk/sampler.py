@@ -1,4 +1,4 @@
-"""Randomness and samplers for the objects key generation needs.
+"""Randomness, the samplers key generation needs, and the parameter profiles.
 
 A seeded RngHandle expands its seed through SHAKE-256 in counter mode, so the
 whole sample transcript is reproducible bit-for-bit; unseeded handles read OS
@@ -17,6 +17,7 @@ from .matfield import (
     FieldMatrix,
     GroupElement,
     NilpotentMatrix,
+    ParameterSet,
     commutes,
     is_probable_prime,
     mat_inv,
@@ -26,6 +27,13 @@ from .matfield import (
 _DOMAIN = b"lgpk.rng.v1"
 _BLOCK = 136  # SHAKE-256 rate in bytes; one squeeze per counter step
 _PAIR_TRIES = 1000  # draws of a non-commuting pair before a broken handle is reported
+
+# ParameterSet fields per profile; make_params samples the prime p
+PROFILES = {
+    "toy": dict(kappa1=8, n=2, kappa2=64, kappa3=8, kappa4=8, msg_len=128, toy=True),
+    "small": dict(kappa1=32, n=3, kappa2=64, kappa3=16, kappa4=16, msg_len=128, toy=True),
+    "paper": dict(kappa1=256, n=5, kappa2=256, kappa3=128, kappa4=128, msg_len=256, toy=False),
+}
 
 
 class RngHandle:
@@ -92,6 +100,11 @@ def sample_prime(bits: int, rng: RngHandle) -> int:
             return cand
 
 
+def make_params(profile_name: str, rng: RngHandle) -> ParameterSet:
+    fields = PROFILES[profile_name]
+    return ParameterSet(p=sample_prime(fields["kappa1"], rng), **fields)
+
+
 def sample_matrix(n: int, p: int, rng: RngHandle) -> FieldMatrix:
     """Uniformly random n x n matrix over Z_p."""
     return FieldMatrix(
@@ -137,7 +150,7 @@ def sample_nilpotent(n: int, p: int, rng: RngHandle) -> NilpotentMatrix:
 def sample_noncommuting_pair(
     n: int, p: int, rng: RngHandle
 ) -> tuple[NilpotentMatrix, NilpotentMatrix]:
-    """Two independent nilpotent samples with S != T and S·T != T·S.
+    """Two independent nilpotent samples with S·T != T·S (so also S != T).
 
     Commuting draws are vanishingly rare, so rejection terminates almost
     immediately; the try budget exists only to turn a broken RngHandle into a
@@ -146,6 +159,6 @@ def sample_noncommuting_pair(
     for _ in range(_PAIR_TRIES):
         s = sample_nilpotent(n, p, rng)
         t = sample_nilpotent(n, p, rng)
-        if s.base != t.base and not commutes(s.base, t.base):
+        if not commutes(s.base, t.base):
             return s, t
     raise SamplingError(f"no non-commuting pair found in {_PAIR_TRIES} tries")

@@ -70,8 +70,6 @@ class PublicKey:
         for name, m in named:
             if m.n != n or m.p != p:
                 raise ParameterError(f"{name} does not match the parameter set")
-        if self.left_gen.base == self.right_gen.base:
-            raise ParameterError("generators must be distinct")
         if commutes(self.left_gen.base, self.right_gen.base):
             raise ParameterError("generators must not commute")
 

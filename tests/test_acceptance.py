@@ -14,7 +14,7 @@ import pytest
 from conftest import lin_comb, rational_exp
 from lgpk import codec
 from lgpk.bitstrings import BitStr
-from lgpk.cli import build_kat_bundle, make_params
+from lgpk.cli import build_kat_bundle
 from lgpk.cryptanalysis import NafInstance, naf_bruteforce, naf_mitm
 from lgpk.errors import BudgetRefusal, NotInvertibleError
 from lgpk.matfield import (
@@ -29,7 +29,7 @@ from lgpk.matfield import (
     mat_exp,
     mat_mul,
 )
-from lgpk.sampler import RngHandle, sample_nilpotent, sample_noncommuting_pair
+from lgpk.sampler import RngHandle, make_params, sample_nilpotent, sample_noncommuting_pair
 from lgpk.scheme import Ciphertext, OpCounter, decrypt, encrypt, keygen
 
 DATA = Path(__file__).parent / "data"

@@ -10,7 +10,7 @@ import pytest
 
 from lgpk import cli, codec
 from lgpk.bitstrings import BitStr
-from lgpk.cli import PROFILES, build_kat_bundle, main
+from lgpk.cli import build_kat_bundle, main
 from lgpk.errors import (
     BudgetRefusal,
     KeyMismatchError,
@@ -409,6 +409,9 @@ def test_inspect_validates_and_cross_checks(tmp_path, keypair, capsys):
     assert run("keygen", "--seed", SEED_C, "--out", str(tmp_path / "w")) == 0
     capsys.readouterr()
     assert run("inspect", str(tmp_path / "w.lgsk"), "--pk", pk_path) == 5
+    capsys.readouterr()
+    assert run("inspect", pk_path, "--pk", pk_path) == 2  # --pk checks only a private key
+    assert capsys.readouterr().err == "error: --pk is only for a private-key file\n"
 
 
 def test_inspect_corrupt_file_exits_4(tmp_path, keypair, capsys):
@@ -498,7 +501,7 @@ def test_attack_budget_refusal_exits_6(tmp_path, capsys):
     assert run("attack", prefix + ".lgpk", "--solver", "mitm") == 6
 
 
-def test_attack_without_file_or_sweep_exits_2():
+def test_attack_without_a_key_file_exits_2():
     assert run("attack") == 2
 
 
@@ -513,7 +516,7 @@ def test_attack_rejects_negative_bounds_bits(keypair, capsys):
     capsys.readouterr()
     assert run("attack", pk_path, "--bounds-bits", "-2") == 2
     assert capsys.readouterr().err == (
-        "error: a single --bounds-bits value >= 0 is expected without --sweep\n"
+        "error: --bounds-bits must be >= 0\n"
     )
     assert run("attack", pk_path, "--bounds-bits", "0") == 0  # one pair: (0, 0)
     assert capsys.readouterr().out == "no factorization within 2^0 pairs\n"
@@ -521,7 +524,7 @@ def test_attack_rejects_negative_bounds_bits(keypair, capsys):
 
 def test_sweep_writes_csv(tmp_path):
     out = tmp_path / "sweep.csv"
-    code = run("attack", "--sweep", "--n", "2", "--p-bits", "8,10",
+    code = run("sweep", "--n", "2", "--p-bits", "8,10",
                "--bounds-bits", "4,6", "--seed", SEED_A, "--out", str(out))
     assert code == 0
     lines = out.read_text().splitlines()
@@ -535,16 +538,18 @@ def test_sweep_deterministic_apart_from_timing(tmp_path):
     outputs = []
     for name in ("a.csv", "b.csv"):
         out = tmp_path / name
-        assert run("attack", "--sweep", "--p-bits", "8", "--bounds-bits", "4",
+        assert run("sweep", "--p-bits", "8", "--bounds-bits", "4",
                    "--seed", SEED_B, "--out", str(out)) == 0
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         outputs.append([row[:5] + row[6:] for row in rows])
     assert outputs[0] == outputs[1]
 
 
-def test_sweep_rejects_bad_grid():
-    assert run("attack", "--sweep", "--p-bits", "8", "--bounds-bits", "7") == 2
-    assert run("attack", "--sweep", "--p-bits", "8", "--bounds-bits", "16") == 2
+def test_sweep_rejects_bad_grid(capsys):
+    assert run("sweep", "--p-bits", "8", "--bounds-bits", "7") == 2
+    assert capsys.readouterr().err == "error: bound_bits must be even and >= 2, got 7\n"
+    assert run("sweep", "--p-bits", "8", "--bounds-bits", "16") == 2
+    assert "cannot be planted faithfully" in capsys.readouterr().err
 
 
 def test_kat_bundle_covers_every_operation():
@@ -587,7 +592,7 @@ def test_kat_internal_consistency():
         mitm["left_scalar"], mitm["right_scalar"])
 
 
-USAGE = "usage: lgpk [-h] {params,keygen,encrypt,decrypt,inspect,attack,kat} ...\n"
+USAGE = "usage: lgpk [-h] {params,keygen,encrypt,decrypt,inspect,attack,sweep,kat} ...\n"
 
 
 @pytest.mark.parametrize("name", list(cli.COMMANDS))
@@ -608,7 +613,7 @@ def test_single_command_parser_help_matches_full_parser(name, capsys, monkeypatc
 @pytest.mark.parametrize("argv, message", [
     ((), "the following arguments are required: command"),
     (("bogus",), "argument command: invalid choice: 'bogus' (choose from 'params', "
-                 "'keygen', 'encrypt', 'decrypt', 'inspect', 'attack', 'kat')"),
+                 "'keygen', 'encrypt', 'decrypt', 'inspect', 'attack', 'sweep', 'kat')"),
     (("encrypt", "k.lgpk", "msg", "--out", "ct", "--bogus"), "unrecognized arguments: --bogus"),
 ], ids=["no-command", "unknown-command", "bad-flag"])
 def test_parse_errors_exit_2_with_the_full_usage_line(argv, message, capsys, monkeypatch):

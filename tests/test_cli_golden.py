@@ -70,7 +70,7 @@ CASES = [
     _prepare_inputs,
     ("help", "-h"),
     *((f"help-{name}", f"{name} -h")
-      for name in ("params", "keygen", "encrypt", "decrypt", "inspect", "attack", "kat")),
+      for name in ("params", "keygen", "encrypt", "decrypt", "inspect", "attack", "sweep", "kat")),
     ("no-command", ""),
     ("unknown-command", "bogus"),
     ("params-toy", f"params --profile toy --seed {SEED_A} --out {{d}}/toy.lgparams"),
@@ -115,6 +115,8 @@ CASES = [
     ("inspect-private-key-against-pk", "inspect {d}/key.lgsk --pk {d}/key.lgpk"),
     ("inspect-private-key-against-other", "inspect {d}/other.lgsk --pk {d}/key.lgpk"),
     ("inspect-sealed-file", "inspect {d}/msg.lgct"),
+    ("inspect-public-key-with-pk", "inspect {d}/key.lgpk --pk {d}/key.lgpk"),
+    ("inspect-sealed-file-with-pk", "inspect {d}/msg.lgct --pk {d}/key.lgpk"),
     ("inspect-lone-frame", "inspect {d}/frame.lgct"),
     ("inspect-old-format", "inspect {d}/old.lgct"),
     ("inspect-truncated", "inspect {d}/cut.lgct"),
@@ -134,14 +136,14 @@ CASES = [
     ("attack-brute-over-budget", "attack {d}/key.lgpk --solver brute --bounds-bits 64"),
     ("attack-mitm-over-budget", "attack {d}/key.lgpk --solver mitm --bounds-bits 64"),
     ("attack-bad-solver", "attack {d}/key.lgpk --solver guess"),
-    ("sweep", f"attack --sweep --n 2 --p-bits 8 --bounds-bits 4,6 --seed {SEED_A}"),
-    ("sweep-to-file", f"attack --sweep --p-bits 8,10 --bounds-bits 4 --seed {SEED_B} --out {{d}}/s.csv"),
-    ("sweep-odd-bound", "attack --sweep --p-bits 8 --bounds-bits 7"),
-    ("sweep-bound-over-prime", "attack --sweep --p-bits 8 --bounds-bits 16"),
-    ("sweep-not-integers", "attack --sweep --p-bits 8,x"),
-    ("sweep-empty-list", "attack --sweep --p-bits ,"),
-    ("sweep-with-key", "attack {d}/key.lgpk --sweep --p-bits 8 --bounds-bits 4"),
-    ("sweep-with-solver", "attack --sweep --solver mitm --p-bits 8 --bounds-bits 4"),
+    ("sweep", f"sweep --n 2 --p-bits 8 --bounds-bits 4,6 --seed {SEED_A}"),
+    ("sweep-to-file", f"sweep --p-bits 8,10 --bounds-bits 4 --seed {SEED_B} --out {{d}}/s.csv"),
+    ("sweep-odd-bound", "sweep --p-bits 8 --bounds-bits 7"),
+    ("sweep-bound-over-prime", "sweep --p-bits 8 --bounds-bits 16"),
+    ("sweep-not-integers", "sweep --p-bits 8,x"),
+    ("sweep-empty-list", "sweep --p-bits ,"),
+    ("sweep-with-key", "sweep {d}/key.lgpk --p-bits 8 --bounds-bits 4"),
+    ("sweep-with-solver", "sweep --solver mitm --p-bits 8 --bounds-bits 4"),
     ("kat-to-file", f"kat --profile toy --seed {SEED_A} --out {{d}}/kat.jsonl"),
     ("kat-no-seed", "kat --profile toy"),
     ("kat-bad-seed", "kat --seed xyz"),

@@ -3,7 +3,6 @@ from conftest import count_calls
 
 from lgpk import codec, matfield, sampler
 from lgpk.bitstrings import BitStr
-from lgpk.cli import make_params
 from lgpk.codec import decode, encode, pk_fingerprint
 from lgpk.errors import EncodingError, KeyMismatchError, NotInvertibleError
 from lgpk.hashsuite import h1, h2
@@ -17,7 +16,7 @@ from lgpk.matfield import (
     identity,
     mat_mul,
 )
-from lgpk.sampler import RngHandle
+from lgpk.sampler import RngHandle, make_params
 from lgpk.scheme import Ciphertext, OpCounter, PrivateKey, PublicKey, decrypt, encrypt, keygen
 
 SEED = b"\x07" * 32

@@ -16,12 +16,29 @@ from .errors import EncodingError
 
 def mask_tail(data: bytes, nbits: int) -> bytes:
     """Zero the unused high bits of the final byte of an nbits-long string."""
+    if nbits < 0:
+        raise EncodingError("negative bit length")
     if len(data) != (nbits + 7) // 8:
         raise EncodingError(f"need {(nbits + 7) // 8} bytes for {nbits} bits, got {len(data)}")
     r = nbits % 8
     if r == 0 or not data:
         return data
     return data[:-1] + bytes([data[-1] & ((1 << r) - 1)])
+
+
+def trusted(cls, **fields):
+    """Build a frozen value of `cls` from known-good fields without running
+    its `__post_init__` checks. Only for results the code already knows are
+    valid; outside input goes through the public constructors.
+    """
+    obj = object.__new__(cls)
+    # attribute by attribute, so the instance keeps the compact shared-key
+    # layout; installing `fields` as obj.__dict__ is faster but costs a full
+    # dict per value, which long-lived matrices (planted attack instances)
+    # show in peak memory
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def xor_bytes(data: bytes, stream: int) -> bytes:
@@ -55,7 +72,7 @@ class BitStr:
     def from_int(cls, value: int, nbits: int) -> "BitStr":
         if value < 0 or value >> nbits:
             raise EncodingError(f"value does not fit in {nbits} bits")
-        return cls(nbits, value.to_bytes((nbits + 7) // 8, "little"))
+        return trusted(cls, nbits=nbits, data=value.to_bytes((nbits + 7) // 8, "little"))
 
     def to_int(self) -> int:
         return int.from_bytes(self.data, "little")
@@ -63,7 +80,8 @@ class BitStr:
     def __xor__(self, other: "BitStr") -> "BitStr":
         if self.nbits != other.nbits:
             raise EncodingError(f"xor of {self.nbits}-bit and {other.nbits}-bit strings")
-        return BitStr(self.nbits, xor_bytes(self.data, other.to_int()))
+        # two clean tails XOR to a clean tail
+        return trusted(BitStr, nbits=self.nbits, data=xor_bytes(self.data, other.to_int()))
 
     def hex(self) -> str:
         return self.data.hex()

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 
-from .bitstrings import BitStr, mask_tail
+from .bitstrings import BitStr, mask_tail, trusted
 from .errors import EncodingError
 from .matfield import GroupElement, ParameterSet, canonical_bytes
 
@@ -28,8 +28,9 @@ def xof_bits(domain: int, payload: bytes, nbits: int) -> BitStr:
     Truncation keeps ceil(nbits/8) bytes and zeroes the unused high bits of
     the last byte, matching the canonical bit-string layout.
     """
-    digest = hashlib.shake_256(bytes([domain, SUITE_ID]) + payload).digest((nbits + 7) // 8)
-    return BitStr(nbits, mask_tail(digest, nbits))
+    xof = hashlib.shake_256(bytes([domain, SUITE_ID]))
+    xof.update(payload)
+    return trusted(BitStr, nbits=nbits, data=mask_tail(xof.digest((nbits + 7) // 8), nbits))
 
 
 def h1(params: ParameterSet, sigma: BitStr, m: BitStr) -> tuple[BitStr, BitStr]:

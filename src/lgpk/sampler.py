@@ -8,6 +8,7 @@ matrices, non-commuting pairs) draws only through it.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 
@@ -142,8 +143,12 @@ def sample_nilpotent(n: int, p: int, rng: RngHandle) -> NilpotentMatrix:
         )
         if any(any(row) for row in upper):
             break
-    q = sample_invertible(n, p, rng)
-    base = mat_mul(mat_mul(q.mat, FieldMatrix(n, p, upper)), mat_inv(q.mat).mat)
+    while True:  # sample_invertible's draws, one reduction of [Q | I] each
+        q = sample_matrix(n, p, rng)
+        with contextlib.suppress(NotInvertibleError):
+            q_inv = mat_inv(q)
+            break
+    base = mat_mul(mat_mul(q, FieldMatrix(n, p, upper)), q_inv.mat)
     return NilpotentMatrix.from_matrix(base)
 
 

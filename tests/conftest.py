@@ -52,6 +52,20 @@ def rational_exp(rows, index, p):
     return [[e * inv % p for e in row] for row in num]
 
 
+def unpack_terms(nm):
+    """The rows of each packed term in nm._terms: n^2 little-endian slots of
+    ceil((2*bits(p) + bits(n))/8) bytes, row-major from the lowest slot.
+    to_bytes raises OverflowError if a term is wider than its n^2 slots."""
+    n, p = nm.base.n, nm.base.p
+    width = (2 * p.bit_length() + n.bit_length() + 7) // 8
+    terms = []
+    for term in nm._terms:
+        raw = term.to_bytes(n * n * width, "little")
+        entries = [int.from_bytes(raw[k * width:(k + 1) * width], "little") for k in range(n * n)]
+        terms.append(tuple(tuple(entries[i * n:(i + 1) * n]) for i in range(n)))
+    return tuple(terms)
+
+
 def slow_det(rows, p):
     """Cofactor-expansion determinant; fine for the tiny n used in tests."""
     n = len(rows)

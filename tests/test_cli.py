@@ -505,7 +505,7 @@ def test_attack_without_a_key_file_exits_2():
     assert run("attack") == 2
 
 
-def test_attack_out_without_sweep_writes_nothing(tmp_path, keypair):
+def test_attack_rejects_out_and_writes_nothing(tmp_path, keypair):
     report = tmp_path / "report.txt"
     assert run("attack", keypair[0], "--out", str(report)) == 2
     assert not report.exists()

@@ -129,10 +129,10 @@ CASES = [
     ("attack-negative-bits", "attack {d}/key.lgpk --bounds-bits -2"),
     ("attack-two-bounds", "attack {d}/key.lgpk --bounds-bits 4,6"),
     ("attack-no-key", "attack"),
-    ("attack-out-without-sweep", "attack {d}/key.lgpk --out {d}/report.txt"),
-    ("attack-seed-without-sweep", "attack {d}/key.lgpk --seed zz"),
-    ("attack-n-without-sweep", "attack {d}/key.lgpk --n 5"),
-    ("attack-p-bits-without-sweep", "attack {d}/key.lgpk --p-bits 99"),
+    ("attack-rejects-out", "attack {d}/key.lgpk --out {d}/report.txt"),
+    ("attack-rejects-seed", "attack {d}/key.lgpk --seed zz"),
+    ("attack-rejects-n", "attack {d}/key.lgpk --n 5"),
+    ("attack-rejects-p-bits", "attack {d}/key.lgpk --p-bits 99"),
     ("attack-brute-over-budget", "attack {d}/key.lgpk --solver brute --bounds-bits 64"),
     ("attack-mitm-over-budget", "attack {d}/key.lgpk --solver mitm --bounds-bits 64"),
     ("attack-bad-solver", "attack {d}/key.lgpk --solver guess"),

@@ -15,6 +15,7 @@ from conftest import (
     slow_det,
     slow_mat_mul,
     trial_division_prime,
+    unpack_terms,
     uv_strong_lucas,
     zeros,
 )
@@ -45,10 +46,11 @@ from lgpk.matfield import (
     mat_mul,
     row_reduce,
 )
-from lgpk.sampler import RngHandle, sample_noncommuting_pair
+from lgpk.sampler import PROFILES, RngHandle, make_params, sample_noncommuting_pair
 
 SHIFT3 = ((0, 1, 0), (0, 0, 1), (0, 0, 0))
 P256 = 2**255 - 19
+P4096 = 2**4096 - 2549  # the largest prime below 2^4096, at codec.MAX_PRIME_BITS
 KAT_DATA = Path(__file__).parent / "data"
 SHIFT4_MOD6 = [[int(j == i + 1) for j in range(4)] for i in range(4)]
 
@@ -245,6 +247,16 @@ def test_exp_scaled_zero_and_negative():
     assert exp_scaled(7, nm).mat == identity(3, 7)  # scalar reduced mod p
     with pytest.raises(ParameterError):
         exp_scaled(-1, nm)
+    # edge scalars on each profile's generators, against the rational oracle
+    for name in ("toy", "small", "paper"):
+        params = make_params(name, RngHandle(b"\x0c" * 32))
+        p = params.p
+        pair = sample_noncommuting_pair(params.n, p, RngHandle(b"\x0d" * 32))
+        for nm in pair:
+            for t in (0, 1, p - 1, p, 2 ** PROFILES[name]["kappa3"] - 1, p * p + 3):
+                scaled = [[t * e for e in row] for row in nm.base.rows]
+                want = rational_exp(scaled, nm.index, p)
+                assert [list(r) for r in exp_scaled(t, nm).mat.rows] == want
 
 
 def test_exp_scaled_one_parameter_law():
@@ -259,6 +271,28 @@ def test_exp_scaled_one_parameter_law():
         scaled = [[t * e for e in row] for row in nm.base.rows]
         want = rational_exp(scaled, nm.index, p)
         assert [list(r) for r in exp_scaled(t, nm).mat.rows] == want
+
+
+def test_packed_slots_hold_the_largest_sums():
+    # n = 16 at a 4096-bit prime, the codec's limits: every table entry of -J
+    # (J strictly upper triangular, all ones) is p - 1, and at t = p - 1 each
+    # slot sums up to 15 products of two residues; a slot of 2*bits(p) bits
+    # would carry into its neighbour, which the oracle comparison catches
+    n, p = 16, P4096
+    assert is_probable_prime(p) and p.bit_length() == 4096
+    nm = NilpotentMatrix(mat([[p - 1 if j > i else 0 for j in range(n)] for i in range(n)], p), n)
+    scalars = (p - 1, 2**4095 + 12345)
+    for t in scalars:
+        want = rational_exp([[t * e % p for e in row] for row in nm.base.rows], n, p)
+        assert [list(r) for r in exp_scaled(t, nm).mat.rows] == want
+    # the sums above do need more than 2*bits(p) bits per slot
+    terms = unpack_terms(nm)
+    assert all(e == p - 1 for i, row in enumerate(terms[0]) for e in row[i + 1:])
+    for t in scalars:
+        cs = [pow(t, m, p) for m in range(1, n)]
+        widest = max(sum(c * term[i][j] for c, term in zip(cs, terms))
+                     for i in range(n) for j in range(n))
+        assert widest >= 1 << 2 * p.bit_length()
 
 
 def test_exp_composite_modulus_raises_parameter_error():

@@ -1,9 +1,18 @@
 import pytest
-from conftest import miller_rabin_prime, trial_division_prime
+from conftest import count_calls, miller_rabin_prime, trial_division_prime
 
-from lgpk import sampler
+from lgpk import matfield, sampler
 from lgpk.errors import ParameterError
-from lgpk.matfield import commutes, det, is_nilpotent, mat_exp, mat_mul
+from lgpk.matfield import (
+    FieldMatrix,
+    NilpotentMatrix,
+    commutes,
+    det,
+    is_nilpotent,
+    mat_exp,
+    mat_inv,
+    mat_mul,
+)
 from lgpk.sampler import (
     RngHandle,
     sample_invertible,
@@ -136,6 +145,27 @@ def test_sample_nilpotent_properties():
         nm = sample_nilpotent(n, p, rng)
         ok, ell = is_nilpotent(nm.base)
         assert ok and nm.index == ell and 2 <= ell <= n
+
+
+def test_sample_nilpotent_reduces_each_conjugator_once(monkeypatch):
+    # over F_7 about one 3x3 draw in six is singular, so redraws happen; the
+    # result must match Q U Q^-1 built from sample_invertible's draws
+    n, p = 3, 7
+    expected = []
+    for seed in range(40):
+        rng = RngHandle(bytes([seed]) * 32)
+        while True:
+            upper = tuple(tuple(rng.below(p) if j > i else 0 for j in range(n)) for i in range(n))
+            if any(map(any, upper)):
+                break
+        q = sample_invertible(n, p, rng).mat
+        base = mat_mul(mat_mul(q, FieldMatrix(n, p, upper)), mat_inv(q).mat)
+        expected.append(NilpotentMatrix.from_matrix(base))
+    draws = count_calls(monkeypatch, sampler, "sample_matrix")
+    reductions = count_calls(monkeypatch, matfield, "row_reduce")
+    got = [sample_nilpotent(n, p, RngHandle(bytes([seed]) * 32)) for seed in range(40)]
+    assert got == expected
+    assert len(reductions) == len(draws) > 40
 
 
 def test_sample_nilpotent_not_always_triangular():

@@ -1,5 +1,5 @@
 import pytest
-from conftest import count_calls
+from conftest import count_calls, unpack_terms
 
 from lgpk import codec, matfield, sampler
 from lgpk.bitstrings import BitStr
@@ -145,7 +145,7 @@ def test_decoded_key_keeps_its_proof_tables_and_encrypts_alike():
         pk, _ = keygen(params, RngHandle(SEED))
         decoded = decode(encode(pk))
         for gen in (decoded.left_gen, decoded.right_gen):
-            assert gen._terms == exp_terms_oracle(gen.base, gen.index)
+            assert unpack_terms(gen) == exp_terms_oracle(gen.base, gen.index)
         m = m_rng.bitstr(params.msg_len)
         cts = [encode(encrypt(key, m, RngHandle(b"\x0b" * 32))) for key in (decoded, pk)]
         assert cts[0] == cts[1]

@@ -54,13 +54,7 @@ class BitStr:
     data: bytes
 
     def __post_init__(self):
-        if self.nbits < 0:
-            raise EncodingError("negative bit length")
-        if len(self.data) != (self.nbits + 7) // 8:
-            raise EncodingError(
-                f"bit string of {self.nbits} bits needs {(self.nbits + 7) // 8} bytes, "
-                f"got {len(self.data)}"
-            )
+        # mask_tail also rejects a negative length and a wrong byte count
         if self.data != mask_tail(self.data, self.nbits):
             raise EncodingError("unused high bits of final byte must be zero")
 

@@ -336,7 +336,7 @@ def _file_key_bits(pk: PublicKey) -> int:
     return bits
 
 
-def _file_keys(pk: PublicKey, key: BitStr, nbytes: int) -> tuple[bytes, int]:
+def _file_keys(key: BitStr, nbytes: int) -> tuple[bytes, int]:
     """From file key K: the MAC key, and an nbytes keystream as a little-endian int."""
     out = xof_bits(DOMAIN_FILE, key.data, 8 * (HMAC_BYTES + nbytes)).data
     return out[:HMAC_BYTES], int.from_bytes(out[HMAC_BYTES:], "little")
@@ -345,7 +345,7 @@ def _file_keys(pk: PublicKey, key: BitStr, nbytes: int) -> tuple[bytes, int]:
 def seal_file(pk: PublicKey, data: bytes, rng: RngHandle) -> bytes:
     """Seal `data` under one `encrypt` of a fresh file key K, drawn before its seed."""
     key = rng.bitstr(_file_key_bits(pk))
-    mac_key, stream = _file_keys(pk, key, len(data))
+    mac_key, stream = _file_keys(key, len(data))
     head = SEALED_MAGIC + bytes([SEALED_VERSION]) + encode(encrypt(pk, key, rng))
     sealed = head + len(data).to_bytes(8, "big") + xor_bytes(data, stream)
     return sealed + hmac.digest(mac_key, sealed, "sha256")
@@ -375,7 +375,7 @@ def open_file(sk: PrivateKey, pk: PublicKey, blob: bytes) -> bytes:
     if key is None:
         raise AuthenticationError("the file key failed the validity check")
     end = len(blob) - HMAC_BYTES
-    mac_key, stream = _file_keys(pk, key, end - body)
+    mac_key, stream = _file_keys(key, end - body)
     if not hmac.compare_digest(hmac.digest(mac_key, blob[:end], "sha256"), blob[end:]):
         raise AuthenticationError("tag mismatch")
     return xor_bytes(blob[body:end], stream)

@@ -16,10 +16,11 @@ exp(-x*L) applied to the target, trading memory for a linear-time scan.
 Insertion: given two such products, produce the product with component-wise
 summed scalars; solved here by factoring both inputs and re-exponentiating.
 
-Both solvers refuse instances whose cost exceeds a fixed budget instead
-of grinding forever — at production parameters the refusal arithmetic *is*
-the point. `hardness_sweep` turns that into measured scaling curves over a
-(prime size x search bound) grid.
+Both solvers refuse instances whose cost exceeds a fixed budget instead of
+grinding forever. A refusal shows only that these two solvers would exceed
+it, not hardness: a linearization, not bundled yet, breaks the paper profile
+(README "Security status", ROADMAP item 4). `hardness_sweep` measures the
+solvers' costs over a (prime size x search bound) grid.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .matfield import (
     commutes,
     exp_scaled,
     group_mul,
+    is_probable_prime,
     mat_exp,
 )
 from .sampler import RngHandle, sample_noncommuting_pair, sample_prime
@@ -65,8 +67,8 @@ class NafInstance:
         if self.bound_left < 1 or self.bound_right < 1:
             raise ParameterError("search bounds must be >= 1")
         a, b, t = self.left_gen.base, self.right_gen.base, self.target.mat
-        if not (a.n == b.n == t.n and a.p == b.p == t.p):
-            raise ParameterError("generators and target must share dimension and modulus")
+        if not (a.n == b.n == t.n and a.p == b.p == t.p and is_probable_prime(a.p)):
+            raise ParameterError("generators and target must share dimension and a prime modulus")
         if commutes(a, b):
             raise ParameterError("generators must not commute")
 
@@ -227,10 +229,9 @@ def naf_mitm(inst: NafInstance) -> Optional[NafSolution]:
     Both sides are walks (`_keys`): the table rows have y-differences v*E^i
     (E = exp(R) - I), the probe rows x-differences v*H^a*target
     (H = exp(-L) - I). The table maps each packed row to its first y, and
-    probes test membership, with no Python step per entry or probe. Later
-    y's with the same row, which occur only when rows repeat, wait in a side
-    dict filled by a second walk. A probe that hits confirms its candidates
-    by the full product, smallest y first.
+    probes test membership, with no Python step per entry or probe. A hit
+    confirms its first y alone: v*R != 0 makes v*R, v*R^2, ... independent over
+    Z_p (p prime), so rows repeat only for y's equal mod p: the same product.
     """
     if inst.bound_right > MITM_TABLE_BUDGET:
         raise BudgetRefusal(
@@ -242,21 +243,15 @@ def naf_mitm(inst: NafInstance) -> Optional[NafSolution]:
     right = _diff_rows(start, mat_exp(inst.right_gen).mat.rows, inst.right_gen.index, p)
     table: dict[int, int] = {}
     deque(map(table.setdefault, _keys(right, inst.bound_right, p), count()), maxlen=0)
-    later: dict[int, list[int]] = {}
-    if len(table) < inst.bound_right:
-        for y, key in enumerate(_keys(right, inst.bound_right, p)):
-            if table[key] != y:
-                later.setdefault(key, []).append(y)
     # exp(L)^-1 = exp(-L) = exp((p-1)*L): scalars act mod p
     inv = exp_scaled(p - 1, inst.left_gen).mat.rows
     target_cols = tuple(zip(*inst.target.mat.rows))
     probe = [_row_times(r, target_cols, p) for r in _diff_rows(start, inv, inst.left_gen.index, p)]
     keys, hit_keys = tee(_keys(probe, inst.bound_left, p))
     for x, key in compress(zip(count(), hit_keys), map(table.__contains__, keys)):
-        for y in (table[key], *later.get(key, ())):
-            sol = _confirm(inst, x, y, inst.bound_right + x + 1)
-            if sol is not None:
-                return sol
+        sol = _confirm(inst, x, table[key], inst.bound_right + x + 1)
+        if sol is not None:
+            return sol
     return None
 
 

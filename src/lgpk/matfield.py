@@ -79,7 +79,7 @@ def is_probable_prime(n: int) -> bool:
         if j == 0 and abs(d) != n:
             return False
         d = -d - 2 if d > 0 else -d + 2
-    return _strong_lucas(n, d, (1 - d) // 4)
+    return _strong_lucas(n, (1 - d) // 4)
 
 
 def _strong_base2(n: int) -> bool:
@@ -114,7 +114,7 @@ def _jacobi(a: int, n: int) -> int:
     return sign if n == 1 else 0
 
 
-def _strong_lucas(n: int, d: int, q: int) -> bool:
+def _strong_lucas(n: int, q: int) -> bool:
     """Strong Lucas probable-prime test for odd n with P = 1, D = 1 - 4Q and
     (D/n) = -1.
 

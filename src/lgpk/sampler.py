@@ -69,8 +69,6 @@ class RngHandle:
         """Uniform integer in [0, 2^k)."""
         if k < 0:
             raise ParameterError("bit count must be non-negative")
-        if k == 0:
-            return 0
         raw = int.from_bytes(self.take((k + 7) // 8), "big")
         return raw & ((1 << k) - 1)
 
@@ -117,8 +115,6 @@ def sample_invertible(n: int, p: int, rng: RngHandle) -> GroupElement:
     """Uniform element of GL_n(p) by rejection: redraw until the matrix is
     invertible. Acceptance probability is prod_{k=1..n}(1 - p^-k), close to 1
     for any p of cryptographic size."""
-    if n < 1:
-        raise ParameterError("dimension must be >= 1")
     while True:
         try:
             return GroupElement(sample_matrix(n, p, rng))

@@ -564,11 +564,15 @@ def test_kat_bundle_covers_every_operation():
     }
 
 
-def test_kat_command_deterministic(tmp_path):
+def test_kat_command_deterministic(tmp_path, capsys):
     paths = [tmp_path / "k1.jsonl", tmp_path / "k2.jsonl"]
     for path in paths:
         assert run("kat", "--profile", "toy", "--seed", SEED_A, "--out", str(path)) == 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
+    capsys.readouterr()
+    # without --out the bundle goes to stdout, byte for byte
+    assert run("kat", "--profile", "toy", "--seed", SEED_A) == 0
+    assert capsys.readouterr().out.encode() == paths[0].read_bytes()
 
 
 def test_kat_requires_seed():

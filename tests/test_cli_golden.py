@@ -27,7 +27,7 @@ from lgpk import codec
 from lgpk.cli import main
 from lgpk.matfield import ParameterSet
 from lgpk.sampler import RngHandle
-from lgpk.scheme import encrypt
+from lgpk.scheme import PrivateKey, encrypt
 
 RECORD = Path(__file__).parent / "data" / "cli_golden.json"
 SEED_A, SEED_B, SEED_C = "ab" * 32, "cd" * 32, "ef" * 32
@@ -63,6 +63,9 @@ def _prepare_tampered(d):
     key = (d / "key.lgpk").read_bytes()
     _flip(d, "key.lgpk", "corrupt.lgpk", len(key) - 1)
     (d / "padded.lgpk").write_bytes(key + b"xyz")
+    sk = codec.decode((d / "key.lgsk").read_bytes())
+    swapped = PrivateKey(sk.right_factor, sk.left_factor, sk.pk_fingerprint)
+    (d / "swapped.lgsk").write_bytes(codec.encode(swapped))
 
 
 # (name, argv) in run order; a callable in place of a case prepares files
@@ -114,6 +117,7 @@ CASES = [
     ("inspect-private-key", "inspect {d}/key.lgsk"),
     ("inspect-private-key-against-pk", "inspect {d}/key.lgsk --pk {d}/key.lgpk"),
     ("inspect-private-key-against-other", "inspect {d}/other.lgsk --pk {d}/key.lgpk"),
+    ("inspect-private-key-swapped-factors", "inspect {d}/swapped.lgsk --pk {d}/key.lgpk"),
     ("inspect-sealed-file", "inspect {d}/msg.lgct"),
     ("inspect-public-key-with-pk", "inspect {d}/key.lgpk --pk {d}/key.lgpk"),
     ("inspect-sealed-file-with-pk", "inspect {d}/msg.lgct --pk {d}/key.lgpk"),

@@ -9,7 +9,7 @@ import pytest
 from conftest import count_calls, zeros
 
 from lgpk import matfield
-from lgpk.bitstrings import BitStr
+from lgpk.bitstrings import BitStr, trusted
 from lgpk.codec import (
     KIND_CIPHERTEXT,
     KIND_PARAMS,
@@ -40,7 +40,7 @@ from lgpk.matfield import (
     identity,
 )
 from lgpk.sampler import RngHandle
-from lgpk.scheme import Ciphertext, decrypt, encrypt, keygen
+from lgpk.scheme import Ciphertext, PublicKey, decrypt, encrypt, keygen
 
 import zlib
 
@@ -200,6 +200,15 @@ def test_mismatched_secret_factor_groups_is_semantic():
     foreign = canonical_bytes(identity(3, 7))
     with pytest.raises(SemanticDecodeError):
         decode(reframe(data.replace(right, foreign)))
+
+
+def test_public_key_with_commuting_generators_is_semantic():
+    # the frame is well formed; only PublicKey's own check can reject it
+    _, pk, _, _ = sample_objects(TINY)
+    same = trusted(PublicKey, params=pk.params, left_gen=pk.left_gen,
+                   right_gen=pk.left_gen, key_product=pk.key_product)
+    with pytest.raises(SemanticDecodeError, match="generators must not commute"):
+        decode(encode(same))
 
 
 def test_set_padding_bits_are_structural():

@@ -60,6 +60,16 @@ def test_instance_validation():
         NafInstance(upper, lower, GroupElement(identity(2, 11)), 5, 5)
 
 
+def test_instance_rejects_a_composite_modulus():
+    # over Z_15, v*R = (3, 0, 0) for the scanned v = e_1: the rows of y and
+    # y + 5 agree while exp(y*R) and exp((y+5)*R) differ in row 2
+    shift = FieldMatrix(3, 15, ((0, 1, 0), (0, 0, 1), (0, 0, 0)))
+    lower = FieldMatrix(3, 15, ((0, 0, 0), (3, 0, 0), (1, 1, 0)))
+    left, right = NilpotentMatrix(shift, 3), NilpotentMatrix(lower, 3)
+    with pytest.raises(ParameterError, match="prime modulus"):
+        NafInstance(left, right, GroupElement(identity(3, 15)), 15, 15)
+
+
 def test_bruteforce_known_toy_instance():
     # with shift generators the product is [[1+xy, x], [y, 1]] mod 7
     upper, lower = shift_pair(7)
@@ -182,6 +192,19 @@ def test_solvers_match_full_matrix_oracle_on_every_grid_target(left, right):
         brute, mitm = assert_solvers_match_oracle(inst)
         if a < inst.bound_left and b < inst.bound_right:
             assert brute is not None and mitm is not None
+
+
+@pytest.mark.parametrize("left, right", list(GRID.values()), ids=list(GRID))
+def test_mitm_table_keys_below_p_are_distinct(left, right):
+    # naf_mitm keeps one y per packed row: v*R != 0 for the scanned v, so
+    # only y's equal mod p share a row, and they share the verdict too
+    p = left.base.p
+    inst = NafInstance(left, right, GroupElement(identity(left.base.n, p)), p, p)
+    start = cryptanalysis._scan_vector(inst)
+    diffs = cryptanalysis._diff_rows(start, matfield.mat_exp(right).mat.rows, right.index, p)
+    keys = list(cryptanalysis._keys(diffs, p, p))
+    assert len(keys) == p and len(set(keys)) == p
+    assert list(cryptanalysis._keys(diffs, 2 * p, p))[p:] == keys  # and repeat with period p
 
 
 def row0_decoy(good):

@@ -1,9 +1,10 @@
-"""Every top-level import in the library modules is used.
+"""Every top-level import and every parameter in the library modules is used.
 
 Stdlib only: each module under src/lgpk except the package's __init__ (whose
-imports are its public re-exports) is parsed with `ast`, and every name a
+imports are its public re-exports) is parsed with `ast`. Every name a
 top-level import binds must be read somewhere in that module, quoted
-annotations included.
+annotations included, and every parameter of a function or lambda except
+`self` and `cls` must be read in its body.
 """
 
 import ast
@@ -48,3 +49,25 @@ def test_no_unused_top_level_import(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     unused = sorted(set(imported_names(tree)) - used_names(tree))
     assert unused == [], f"{path.name} imports but never uses {unused}"
+
+
+def unread_parameters(tree):
+    """`function(parameter)` for each parameter its function never reads; a
+    nested function reading it counts."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+            read = {n.id for n in ast.walk(node)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            name = getattr(node, "name", "<lambda>")
+            for param in params:
+                if param is not None and param.arg not in ("self", "cls", *read):
+                    yield f"{name}({param.arg})"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_every_parameter_is_read(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unread = list(unread_parameters(tree))
+    assert unread == [], f"{path.name} never reads {unread}"

@@ -452,7 +452,7 @@ def test_is_probable_prime_rejects_pseudoprimes():
         assert _strong_base2(n), n
     for n in LUCAS_PSEUDOPRIMES:
         assert not _strong_base2(n), n
-        assert _strong_lucas(n, *_selfridge(n)), n
+        assert _strong_lucas(n, _selfridge(n)[1]), n
     carmichael = (561, 1105)
     psp_first_nine_prime_bases = 3825123056304260017
     for n in BASE2_PSEUDOPRIMES + LUCAS_PSEUDOPRIMES + carmichael + (psp_first_nine_prime_bases,):
@@ -472,12 +472,12 @@ def test_v_ladder_matches_uv_ladder_oracle():
     for n in range(3, 20000, 2):
         if isqrt(n) ** 2 != n:
             d, q = _selfridge(n)
-            verdict = _strong_lucas(n, d, q)
+            verdict = _strong_lucas(n, q)
             assert verdict == uv_strong_lucas(n, d, q), n
             verdicts.append(verdict)
     assert True in verdicts and False in verdicts
     for n in LUCAS_PSEUDOPRIMES:
-        assert _strong_lucas(n, *_selfridge(n)) and uv_strong_lucas(n, *_selfridge(n)), n
+        assert _strong_lucas(n, _selfridge(n)[1]) and uv_strong_lucas(n, *_selfridge(n)), n
 
 
 def test_is_probable_prime_accepts_known_primes():

@@ -16,7 +16,6 @@ from .errors import (
     NotInvertibleError,
     NotNilpotentError,
     ParameterError,
-    SamplingError,
     SemanticDecodeError,
     StructuralDecodeError,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "PrivateKey",
     "PublicKey",
     "RngHandle",
-    "SamplingError",
     "SemanticDecodeError",
     "StructuralDecodeError",
     "decode",

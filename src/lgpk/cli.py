@@ -14,6 +14,7 @@ import contextlib
 import json
 import os
 import sys
+from collections import Counter
 
 from . import codec
 from .cryptanalysis import (
@@ -51,7 +52,7 @@ from .sampler import (
     sample_nilpotent,
     sample_noncommuting_pair,
 )
-from .scheme import Ciphertext, OpCounter, PrivateKey, PublicKey, decrypt, encrypt, keygen
+from .scheme import Ciphertext, PrivateKey, PublicKey, decrypt, encrypt, keygen
 from .hashsuite import h1, h2, h3
 
 EXIT_OK = 0
@@ -333,14 +334,14 @@ def build_kat_bundle(profile_name: str, seed: bytes) -> str:
     emit(op="h3", sigma=sigma.hex(), out=h3(params, sigma).hex())
 
     emit(op="keygen", pk=codec.encode(pk).hex(), sk=codec.encode(sk).hex())
-    ops_enc = OpCounter()
+    ops_enc = Counter()
     ct = encrypt(pk, message, rng, ops_enc)
     emit(op="encrypt", m=message.hex(), ct=codec.encode(ct).hex(),
-         exp_maps=ops_enc.exp_maps, group_mults=ops_enc.group_mults)
-    ops_dec = OpCounter()
+         exp_maps=ops_enc["exp_maps"], group_mults=ops_enc["group_mults"])
+    ops_dec = Counter()
     recovered = decrypt(sk, pk, ct, ops_dec)
     emit(op="decrypt", ct=codec.encode(ct).hex(), m=recovered.hex(),
-         exp_maps=ops_dec.exp_maps, group_mults=ops_dec.group_mults)
+         exp_maps=ops_dec["exp_maps"], group_mults=ops_dec["group_mults"])
     emit(op="decode", kind="pk", accepted=codec.encode(codec.decode(codec.encode(pk))).hex())
 
     x, y = rng.below(16), rng.below(16)

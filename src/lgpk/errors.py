@@ -21,10 +21,6 @@ class EncodingError(LgpkError):
     """A bit string or byte encoding violates its declared length or mask rules."""
 
 
-class SamplingError(LgpkError):
-    """Rejection sampling exhausted its retry budget."""
-
-
 class KeyMismatchError(LgpkError):
     """A private key is not bound to the public key it was used with."""
 

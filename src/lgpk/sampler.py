@@ -3,17 +3,18 @@
 A seeded RngHandle expands its seed through SHAKE-256 in counter mode, so the
 whole sample transcript is reproducible bit-for-bit; unseeded handles read OS
 entropy. Everything above the handle (primes, invertible matrices, nilpotent
-matrices, non-commuting pairs) draws only through it.
+matrices, non-commuting pairs) draws only through it. The rejection loops
+assume a handle whose stream is not degenerate: on a constant stream they
+never terminate.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import os
 
-from .bitstrings import BitStr
-from .errors import NotInvertibleError, ParameterError, SamplingError
+from .bitstrings import BitStr, trusted
+from .errors import NotInvertibleError, ParameterError
 from .matfield import (
     FieldMatrix,
     GroupElement,
@@ -27,7 +28,6 @@ from .matfield import (
 
 _DOMAIN = b"lgpk.rng.v1"
 _BLOCK = 136  # SHAKE-256 rate in bytes; one squeeze per counter step
-_PAIR_TRIES = 1000  # draws of a non-commuting pair before a broken handle is reported
 
 # ParameterSet fields per profile; make_params samples the prime p
 PROFILES = {
@@ -111,15 +111,21 @@ def sample_matrix(n: int, p: int, rng: RngHandle) -> FieldMatrix:
     )
 
 
-def sample_invertible(n: int, p: int, rng: RngHandle) -> GroupElement:
-    """Uniform element of GL_n(p) by rejection: redraw until the matrix is
-    invertible. Acceptance probability is prod_{k=1..n}(1 - p^-k), close to 1
-    for any p of cryptographic size."""
+def _draw_invertible(n: int, p: int, rng: RngHandle) -> tuple[FieldMatrix, GroupElement]:
+    """(Q, Q^-1) for a uniform Q in GL_n(p), by rejection: redraw until the
+    one reduction of [Q | I] finds Q invertible. Acceptance probability is
+    prod_{k=1..n}(1 - p^-k), close to 1 for any p of cryptographic size."""
     while True:
+        q = sample_matrix(n, p, rng)
         try:
-            return GroupElement(sample_matrix(n, p, rng))
+            return q, mat_inv(q)
         except NotInvertibleError:
             pass
+
+
+def sample_invertible(n: int, p: int, rng: RngHandle) -> GroupElement:
+    """Uniform element of GL_n(p); mat_inv has just proved it invertible."""
+    return trusted(GroupElement, mat=_draw_invertible(n, p, rng)[0])
 
 
 def sample_nilpotent(n: int, p: int, rng: RngHandle) -> NilpotentMatrix:
@@ -139,11 +145,7 @@ def sample_nilpotent(n: int, p: int, rng: RngHandle) -> NilpotentMatrix:
         )
         if any(any(row) for row in upper):
             break
-    while True:  # sample_invertible's draws, one reduction of [Q | I] each
-        q = sample_matrix(n, p, rng)
-        with contextlib.suppress(NotInvertibleError):
-            q_inv = mat_inv(q)
-            break
+    q, q_inv = _draw_invertible(n, p, rng)
     base = mat_mul(mat_mul(q, FieldMatrix(n, p, upper)), q_inv.mat)
     return NilpotentMatrix.from_matrix(base)
 
@@ -154,12 +156,10 @@ def sample_noncommuting_pair(
     """Two independent nilpotent samples with S·T != T·S (so also S != T).
 
     Commuting draws are vanishingly rare, so rejection terminates almost
-    immediately; the try budget exists only to turn a broken RngHandle into a
-    clean error instead of a hang.
+    immediately.
     """
-    for _ in range(_PAIR_TRIES):
+    while True:
         s = sample_nilpotent(n, p, rng)
         t = sample_nilpotent(n, p, rng)
         if not commutes(s.base, t.base):
             return s, t
-    raise SamplingError(f"no non-commuting pair found in {_PAIR_TRIES} tries")

@@ -7,13 +7,15 @@ message). Decryption strips the sandwich with the stored secret factors,
 then re-encrypts and compares before releasing the message, so any tampering
 collapses to a single opaque rejection.
 
-Ops of interest (exponential-map evaluations and group multiplications) can
-be tallied through an optional OpCounter; encryption performs exactly 2 and
-3, decryption exactly 2 and 5.
+Ops of interest can be tallied in an optional collections.Counter, under the
+keys "exp_maps" (exponential-map evaluations) and "group_mults" (group
+multiplications); encryption performs exactly 2 and 3, decryption exactly 2
+and 5.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -31,20 +33,6 @@ from .matfield import (
 from .sampler import RngHandle, sample_noncommuting_pair
 
 FINGERPRINT_BYTES = 32
-
-
-@dataclass
-class OpCounter:
-    """Tally of group-level operations performed by a single scheme call."""
-
-    exp_maps: int = 0
-    group_mults: int = 0
-
-    def count_exp(self):
-        self.exp_maps += 1
-
-    def count_mul(self):
-        self.group_mults += 1
 
 
 @dataclass(frozen=True)
@@ -125,39 +113,39 @@ def keygen(params: ParameterSet, rng: RngHandle) -> tuple[PublicKey, PrivateKey]
     return pk, sk
 
 
-def _seal(pk: PublicKey, seed: BitStr, m: BitStr, ops: OpCounter) -> Ciphertext:
+def _seal(pk: PublicKey, seed: BitStr, m: BitStr, ops: Counter) -> Ciphertext:
     """The deterministic core of encryption: 2 exponential maps, 3 group
     multiplications. Encryption seals a fresh seed; decryption re-seals the
     seed it recovered and compares, so the scheme encrypts in one place."""
     params = pk.params
     r_left, r_right = (r.to_int() for r in h1(params, seed, m))
     left_rand = exp_scaled(r_left, pk.left_gen)
-    ops.count_exp()
+    ops["exp_maps"] += 1
     right_rand = exp_scaled(r_right, pk.right_gen)
-    ops.count_exp()
+    ops["exp_maps"] += 1
     inner = group_mul(left_rand, pk.key_product)
-    ops.count_mul()
+    ops["group_mults"] += 1
     sandwich = group_mul(inner, right_rand)
-    ops.count_mul()
+    ops["group_mults"] += 1
     rand_product = group_mul(left_rand, right_rand)
-    ops.count_mul()
+    ops["group_mults"] += 1
     sealed_seed = h2(params, sandwich) ^ seed
     masked_msg = h3(params, seed) ^ m
     return Ciphertext(sealed_seed, rand_product, masked_msg)
 
 
 def encrypt(
-    pk: PublicKey, m: BitStr, rng: RngHandle, ops: Optional[OpCounter] = None
+    pk: PublicKey, m: BitStr, rng: RngHandle, ops: Optional[Counter] = None
 ) -> Ciphertext:
     """Encrypt an msg_len-bit message: 2 exponential maps, 3 group multiplications."""
     if m.nbits != pk.params.msg_len:
         raise EncodingError(f"message must be {pk.params.msg_len} bits, got {m.nbits}")
-    ops = ops if ops is not None else OpCounter()
+    ops = ops if ops is not None else Counter()
     return _seal(pk, rng.bitstr(pk.params.kappa2), m, ops)
 
 
 def decrypt(
-    sk: PrivateKey, pk: PublicKey, ct: Ciphertext, ops: Optional[OpCounter] = None
+    sk: PrivateKey, pk: PublicKey, ct: Ciphertext, ops: Optional[Counter] = None
 ) -> Optional[BitStr]:
     """Recover the message, or None if the ciphertext fails the re-encryption check.
 
@@ -174,16 +162,16 @@ def decrypt(
     sm = sk.left_factor.mat
     if sm.n != params.n or sm.p != params.p:
         raise KeyMismatchError("private key factors do not live in the public key's group")
-    ops = ops if ops is not None else OpCounter()
+    ops = ops if ops is not None else Counter()
     if ct.sealed_seed.nbits != params.kappa2 or ct.masked_msg.nbits != params.msg_len:
         return None
     cm = ct.rand_product.mat
     if cm.n != params.n or cm.p != params.p:
         return None
     inner = group_mul(sk.left_factor, ct.rand_product)
-    ops.count_mul()
+    ops["group_mults"] += 1
     sandwich = group_mul(inner, sk.right_factor)
-    ops.count_mul()
+    ops["group_mults"] += 1
     seed = ct.sealed_seed ^ h2(params, sandwich)
     m = ct.masked_msg ^ h3(params, seed)
     # comparisons are bitwise on the canonical representations

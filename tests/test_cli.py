@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,13 +15,13 @@ from lgpk.cli import build_kat_bundle, main
 from lgpk.errors import (
     BudgetRefusal,
     KeyMismatchError,
+    NotNilpotentError,
     ParameterError,
-    SamplingError,
     SemanticDecodeError,
 )
 from lgpk.matfield import GroupElement, ParameterSet, identity
 from lgpk.sampler import RngHandle
-from lgpk.scheme import Ciphertext, OpCounter, PrivateKey, encrypt
+from lgpk.scheme import Ciphertext, PrivateKey, encrypt
 
 SEED_A = "ab" * 32
 SEED_B = "cd" * 32
@@ -227,9 +228,10 @@ def counted_scheme_calls(monkeypatch):
 
     def counted(name, fn):
         def wrapper(*args):
-            ops = OpCounter()
+            ops = Counter()
             result = fn(*args, ops)
-            calls.append((name, ops.exp_maps, ops.group_mults))
+            assert ops.keys() == {"exp_maps", "group_mults"}
+            calls.append((name, ops["exp_maps"], ops["group_mults"]))
             return result
         return wrapper
 
@@ -351,10 +353,10 @@ def test_exit_code_and_stderr_per_error_type(monkeypatch, capsys, error, code, s
 
 def test_unlisted_error_propagates(monkeypatch):
     def fail(args):
-        raise SamplingError("s")
+        raise NotNilpotentError("s")
 
     monkeypatch.setattr(cli, "cmd_inspect", fail)
-    with pytest.raises(SamplingError):
+    with pytest.raises(NotNilpotentError):
         run("inspect", "any.lgpk")
 
 

@@ -4,13 +4,16 @@ Stdlib only: each module under src/lgpk except the package's __init__ (whose
 imports are its public re-exports) is parsed with `ast`. Every name a
 top-level import binds must be read somewhere in that module, quoted
 annotations included, and every parameter of a function or lambda except
-`self` and `cls` must be read in its body.
+`self` and `cls` must be read in its body. The package's `__all__` is exactly
+the names its `__init__` imports, plus `__version__`.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import lgpk
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lgpk"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
@@ -71,3 +74,11 @@ def test_every_parameter_is_read(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     unread = list(unread_parameters(tree))
     assert unread == [], f"{path.name} never reads {unread}"
+
+
+def test_all_is_exactly_the_re_exports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    exported = [*imported_names(tree), "__version__"]
+    assert sorted(lgpk.__all__) == sorted(exported)
+    for name in lgpk.__all__:
+        assert hasattr(lgpk, name), name

@@ -85,6 +85,17 @@ def test_entry_out_of_range_rejected():
         FieldMatrix(2, 7, ((0, 1),))
 
 
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: FieldMatrix(0, 7, ()), "matrix dimension must be >= 1"),
+    (lambda: ParameterSet(kappa1=8, n=1, p=251, kappa2=64, kappa3=8, kappa4=8, msg_len=128),
+     "rank n must be >= 2, got 1"),
+], ids=["matrix-dim-0", "params-n-1"])
+def test_constructor_rejects_too_small_dimension(build, message):
+    with pytest.raises(ParameterError) as e:
+        build()
+    assert str(e.value) == message
+
 def test_identity_and_zeros():
     assert identity(3, 5).rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     assert zeros(2, 5).rows == ((0, 0), (0, 0))

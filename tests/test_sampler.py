@@ -116,6 +116,20 @@ def test_sample_prime_rejects_tiny_request():
         sample_prime(2, RngHandle(SEED))
 
 
+
+@pytest.mark.parametrize("draw, message", [
+    (lambda rng: RngHandle("00" * 32), "seed must be bytes or None"),
+    (lambda rng: rng.take(-1), "cannot take a negative number of bytes"),
+    (lambda rng: rng.randbits(-1), "bit count must be non-negative"),
+    (lambda rng: sample_invertible(0, 7, rng), "matrix dimension must be >= 1"),
+    # without the check, n = 1 redraws the empty upper triangle forever
+    (lambda rng: sample_nilpotent(1, 7, rng), "nilpotent sampling needs n >= 2"),
+], ids=["str-seed", "take-negative", "randbits-negative", "invertible-n-0", "nilpotent-n-1"])
+def test_sampler_rejects_invalid_requests(draw, message):
+    with pytest.raises(ParameterError) as e:
+        draw(RngHandle(SEED))
+    assert str(e.value) == message
+
 def test_sample_invertible_always_invertible():
     rng = RngHandle(SEED)
     for _ in range(20):

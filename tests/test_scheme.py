@@ -1,10 +1,12 @@
+from collections import Counter
+
 import pytest
 from conftest import count_calls, unpack_terms
 
 from lgpk import codec, matfield, sampler
 from lgpk.bitstrings import BitStr
 from lgpk.codec import decode, encode, pk_fingerprint
-from lgpk.errors import EncodingError, KeyMismatchError, NotInvertibleError
+from lgpk.errors import EncodingError, KeyMismatchError, NotInvertibleError, ParameterError
 from lgpk.hashsuite import h1, h2
 from lgpk.matfield import (
     FieldMatrix,
@@ -17,7 +19,7 @@ from lgpk.matfield import (
     mat_mul,
 )
 from lgpk.sampler import RngHandle, make_params
-from lgpk.scheme import Ciphertext, OpCounter, PrivateKey, PublicKey, decrypt, encrypt, keygen
+from lgpk.scheme import Ciphertext, PrivateKey, PublicKey, decrypt, encrypt, keygen
 
 SEED = b"\x07" * 32
 
@@ -49,6 +51,13 @@ def test_keygen_binds_sk_to_pk():
     assert sk.pk_fingerprint == pk_fingerprint(pk)
 
 
+
+def test_private_key_rejects_a_short_fingerprint():
+    _, sk = toy_keypair()
+    with pytest.raises(ParameterError) as e:
+        PrivateKey(sk.left_factor, sk.right_factor, sk.pk_fingerprint[:31])
+    assert str(e.value) == "fingerprint must be 32 bytes"
+
 def test_round_trip():
     pk, sk = toy_keypair()
     rng = RngHandle(b"\x21" * 32)
@@ -74,17 +83,17 @@ def test_encrypt_rejects_wrong_message_length():
 
 def test_encrypt_operation_counts():
     pk, _ = toy_keypair()
-    ops = OpCounter()
+    ops = Counter()
     encrypt(pk, BitStr.from_int(5, TOY.msg_len), RngHandle(SEED), ops)
-    assert (ops.exp_maps, ops.group_mults) == (2, 3)
+    assert ops == Counter(exp_maps=2, group_mults=3)
 
 
 def test_decrypt_operation_counts():
     pk, sk = toy_keypair()
     ct = encrypt(pk, BitStr.from_int(5, TOY.msg_len), RngHandle(SEED))
-    ops = OpCounter()
+    ops = Counter()
     decrypt(sk, pk, ct, ops)
-    assert (ops.exp_maps, ops.group_mults) == (2, 5)
+    assert ops == Counter(exp_maps=2, group_mults=5)
 
 
 def test_key_generators_exponentiate_without_products(monkeypatch):

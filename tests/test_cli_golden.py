@@ -151,6 +151,25 @@ CASES = [
     ("kat-to-file", f"kat --profile toy --seed {SEED_A} --out {{d}}/kat.jsonl"),
     ("kat-no-seed", "kat --profile toy"),
     ("kat-bad-seed", "kat --seed xyz"),
+    # argv shapes at the edge of parsing a command's arguments
+    ("encrypt-extra-positional", "encrypt {d}/key.lgpk {d}/msg --out {d}/x.lgct extra"),
+    ("encrypt-unknown-option", "encrypt {d}/key.lgpk {d}/msg --out {d}/x.lgct --bogus"),
+    ("encrypt-dashdash-positionals",
+     f"encrypt --out {{d}}/dd.lgct --seed {SEED_B} -- {{d}}/key.lgpk {{d}}/msg"),
+    ("encrypt-dashdash-trailing",
+     f"encrypt {{d}}/key.lgpk --out {{d}}/dt.lgct --seed {SEED_B} -- {{d}}/msg"),
+    ("encrypt-dashdash-extra", "encrypt {d}/key.lgpk {d}/msg --out {d}/x.lgct -- extra"),
+    ("encrypt-abbreviated-out", f"encrypt {{d}}/key.lgpk {{d}}/msg --ou {{d}}/ab.lgct --seed {SEED_B}"),
+    ("encrypt-out-equals", f"encrypt {{d}}/key.lgpk {{d}}/msg --out={{d}}/eq.lgct --seed {SEED_B}"),
+    ("encrypt-help-after-positionals", "encrypt {d}/key.lgpk {d}/msg -h"),
+    ("encrypt-abbreviated-help", "encrypt {d}/key.lgpk {d}/msg --he"),
+    ("encrypt-seed-without-value", "encrypt {d}/key.lgpk {d}/msg --out {d}/x.lgct --seed"),
+    ("encrypt-no-arguments", "encrypt"),
+    ("decrypt-extra-positional",
+     "decrypt {d}/key.lgsk {d}/key.lgpk {d}/msg.lgct extra --out {d}/x.out"),
+    ("attack-bounds-bits-not-integer", "attack {d}/key.lgpk --bounds-bits x"),
+    ("dashdash-before-command", "-- inspect {d}/key.lgpk"),
+    ("help-before-command", "-h encrypt"),
 ]
 
 

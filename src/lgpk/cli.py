@@ -476,12 +476,23 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse argv with its command's parser alone, which prints the errors and
+    help the full parser's subparser would; leftovers are reported as `lgpk`'s."""
+    if not argv or argv[0] not in COMMANDS:
+        return build_parser().parse_args(argv)
+    parser = argparse.ArgumentParser(prog=f"lgpk {argv[0]}")
+    COMMANDS[argv[0]][1](parser)
+    args, extras = parser.parse_known_args(argv[1:])
+    if extras:
+        build_parser(argv[0]).error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # a command in first place is the only subparser this run can reach
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
     try:

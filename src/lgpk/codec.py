@@ -16,8 +16,9 @@ n-1 packed terms, the primality check grows about 7.6x per doubling of the
 modulus length, and `encrypt` draws and hashes kappa2 + msg_len bits. At the
 limits (n = 16, 4096-bit p; kappa3 = kappa4 = 128), decoding a public key and
 then encrypting under it peaks at 10.9 MiB under `tracemalloc` (6.5 MiB with
-unpacked tables; packed slots are twice the modulus width) and takes 4.3-5.5 s
-to decode and 0.30-0.47 s to encrypt, as with unpacked tables within noise
+unpacked tables; packed slots are twice the modulus width) and takes 5.8-6.0 s
+to decode and 0.49-0.53 s to encrypt, against 5.8-6.3 s and 0.51-0.71 s with
+a full Gauss-Jordan rank check and one read per entry, in alternating runs
 (2 cores, Python 3.11.7). Only a frame whose checksum matches reaches the
 semantic phase. It builds the typed objects
 through their validating constructors, and `decode_prefix` alone turns what
@@ -237,10 +238,9 @@ def _read_matrix_raw(r: _Reader) -> tuple[int, int, tuple]:
     _check_limit("matrix dimension {}", n, MAX_DIM)
     p = _read_prime_raw(r)
     plen = (p.bit_length() + 7) // 8
-    rows = tuple(
-        tuple(int.from_bytes(r.take(plen), "big") for _ in range(n)) for _ in range(n)
-    )
-    return n, p, rows
+    body = r.take(n * n * plen)  # one read, bounded by the limits above
+    entries = [int.from_bytes(body[k:k + plen], "big") for k in range(0, len(body), plen)]
+    return n, p, tuple(tuple(entries[i:i + n]) for i in range(0, n * n, n))
 
 
 def _read_params_raw(r: _Reader) -> dict:

@@ -129,12 +129,15 @@ def _strong_lucas(n: int, q: int) -> bool:
     while k % 2 == 0:
         k //= 2
         s += 1
-    v, w, qm = 1, (1 - 2 * q) % n, q % n  # V_1, V_2, Q^1
+    reduce_qm = q != -1  # else Q^m is +-1: unreduced, it costs no big product
+    v, w, qm = 1, (1 - 2 * q) % n, q % n if reduce_qm else q  # V_1, V_2, Q^1
     for bit in bin(k)[3:]:
         if bit == "1":
-            v, w, qm = (v * w - qm) % n, (w * w - 2 * qm * q) % n, qm * qm * q % n
+            v, w, qm = (v * w - qm) % n, (w * w - 2 * qm * q) % n, qm * qm * q
         else:
-            v, w, qm = (v * v - 2 * qm) % n, (v * w - qm) % n, qm * qm % n
+            v, w, qm = (v * v - 2 * qm) % n, (v * w - qm) % n, qm * qm
+        if reduce_qm:
+            qm %= n
     if (2 * w - v) % n == 0 or v == 0:
         return True
     for _ in range(s - 1):
@@ -245,17 +248,9 @@ def mat_mul(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
     return trusted(FieldMatrix, n=n, p=p, rows=out)
 
 
-def row_reduce(rows, p: int) -> tuple[list[int], list[list[int]], int]:
-    """Inverse-free Gauss-Jordan elimination mod p, for a matrix of any shape.
-
-    The pivot of each column is its first nonzero entry at or below the next
-    pivot row; every other row r with entry f there becomes pivot*row_r -
-    f*row_pivot. A pivot sharing a factor with p raises ParameterError: p is
-    composite. Returns (pivot_cols, reduced, scale): the rank is
-    len(pivot_cols), column pivot_cols[i] is zero outside reduced row i, and
-    scale is the swap sign times the product of the scalings, so a square
-    matrix of full rank has det = prod(diagonal of reduced) / scale mod p.
-    """
+def _forward(rows, p: int) -> tuple[list[int], list[list[int]], int]:
+    """The forward pass of `row_reduce`, to row echelon form. Rows below a
+    pivot are zero left of its column, so their updates start at that column."""
     m = [[e % p for e in row] for row in rows]
     pivot_cols: list[int] = []
     scale = 1
@@ -267,31 +262,55 @@ def row_reduce(rows, p: int) -> tuple[list[int], list[list[int]], int]:
         if top != r:
             m[r], m[top] = m[top], m[r]
             scale = -scale
-        head = m[r]
-        pivot = head[col]
+        head = m[r][col:]
+        pivot = head[0]
         if gcd(pivot, p) != 1:
             raise _not_prime(pivot, p)
-        for i, row in enumerate(m):
+        for row in m[r + 1:]:
             f = row[col]
-            if f and i != r:
-                m[i] = [(pivot * x - f * y) % p for x, y in zip(row, head)]
+            if f:
+                row[col:] = [(pivot * x - f * y) % p for x, y in zip(row[col:], head)]
                 scale = scale * pivot % p
         pivot_cols.append(col)
+    return pivot_cols, m, scale
+
+
+def row_reduce(rows, p: int) -> tuple[list[int], list[list[int]], int]:
+    """Inverse-free Gauss-Jordan elimination mod p, for a matrix of any shape.
+
+    The pivot of each column is its first nonzero entry at or below the next
+    pivot row. Each pivot clears the rows below it (`_forward`), then, from the
+    last pivot up, the rows above it: a row r with entry f in the pivot column
+    becomes pivot*row_r - f*row_pivot. A pivot sharing a factor with p raises
+    ParameterError: p is composite. Returns (pivot_cols, reduced, scale): the
+    rank is len(pivot_cols), column pivot_cols[i] is zero outside reduced row
+    i, and scale is the swap sign times the product of the scalings, so a
+    square matrix of full rank has det = prod(diagonal of reduced) / scale.
+    """
+    pivot_cols, m, scale = _forward(rows, p)
+    for r in reversed(range(len(pivot_cols))):
+        head, col = m[r], pivot_cols[r]
+        pivot = head[col]
+        for i, row in enumerate(m[:r]):
+            f = row[col]
+            if f:
+                m[i] = [(pivot * x - f * y) % p for x, y in zip(row, head)]
+                scale = scale * pivot % p
     return pivot_cols, m, scale % p
 
 
 def det(a: FieldMatrix) -> int:
-    """Determinant mod p from one row reduction and one inverse."""
+    """Determinant mod p from the forward pass (triangular) and one inverse."""
     n, p = a.n, a.p
-    pivot_cols, m, scale = row_reduce(a.rows, p)
+    pivot_cols, m, scale = _forward(a.rows, p)
     if len(pivot_cols) < n:
         return 0
     return prod(m[i][i] for i in range(n)) * _inverse(scale, p) % p
 
 
 def is_invertible(a: FieldMatrix) -> bool:
-    """Whether a has full rank mod p, decided without any modular inverse."""
-    return len(row_reduce(a.rows, a.p)[0]) == a.n
+    """Whether a has full rank mod p: the pivots of the forward pass alone."""
+    return len(_forward(a.rows, a.p)[0]) == a.n
 
 
 def mat_inv(a: FieldMatrix) -> "GroupElement":

@@ -491,6 +491,35 @@ def test_v_ladder_matches_uv_ladder_oracle():
         assert _strong_lucas(n, _selfridge(n)[1]) and uv_strong_lucas(n, *_selfridge(n)), n
 
 
+def test_v_ladder_matches_uv_ladder_oracle_at_paper_size():
+    # 256-bit ladders, half of them with Q = -1, whose Q^m the ladder keeps
+    # unreduced; every other candidate is a prime, so both verdicts occur
+    rng = random.Random(2561)
+    verdicts = {True: [], False: []}  # keyed by whether Q = -1
+    while min(map(len, verdicts.values())) < 50:
+        n = rng.getrandbits(256) | (1 << 255) | 1
+        if sum(map(len, verdicts.values())) % 2:
+            while not miller_rabin_prime(n, rounds=8):
+                n += 2
+        if isqrt(n) ** 2 == n:
+            continue
+        d, q = _selfridge(n)
+        if len(verdicts[q == -1]) < 50:
+            verdict = _strong_lucas(n, q)
+            assert verdict == uv_strong_lucas(n, d, q), n
+            verdicts[q == -1].append(verdict)
+    for found in verdicts.values():
+        assert True in found and False in found
+    # the pinned primes: the paper one takes Q = -1, the small and toy ones Q = 2
+    kat = {}
+    for path in sorted(KAT_DATA.glob("kat_*.jsonl")):
+        for line in path.read_text().splitlines():
+            record = json.loads(line)
+            if record["op"] == "sample_prime":
+                kat[path.stem] = _selfridge(int(record["out"], 16))
+    assert kat == {"kat_paper": (5, -1), "kat_small": (-7, 2), "kat_toy": (-7, 2)}
+
+
 def test_is_probable_prime_accepts_known_primes():
     kat_primes = []
     for path in sorted(KAT_DATA.glob("kat_*.jsonl")):
@@ -518,6 +547,52 @@ def test_is_invertible_agrees_with_cofactor_det():
         expected = slow_det([list(r) for r in a.rows], p)
         assert is_invertible(a) == (expected != 0)
         assert det(a) == expected
+
+
+def _raised(f, *args):
+    """The ParameterError text f raises on args, or None when it returns."""
+    try:
+        f(*args)
+    except ParameterError as e:
+        return str(e)
+    return None
+
+
+def test_elimination_differential_on_sparse_matrices():
+    # is_invertible and det run the forward pass alone, mat_inv the whole
+    # reduction of [a | I]; they must agree with the cofactor determinant,
+    # with each other, and on the zero divisor a composite modulus meets
+    rng = random.Random(2024)
+    composite_errors = 0
+    for p in (2, 3, 4, 6, 9, 10, 15, 101, 2**61 - 1):
+        for _ in range(120):
+            n = rng.randint(1, 5)
+            rows = [[rng.randrange(p) if rng.random() < 0.5 else 0 for _ in range(n)]
+                    for _ in range(n)]
+            if n > 1 and rng.random() < 0.2:
+                rows[-1] = [rng.randrange(p) * e % p for e in rows[0]]
+            a = mat(rows, p)
+            augmented = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+            message = _raised(row_reduce, rows, p)
+            assert _raised(is_invertible, a) == _raised(det, a) == message, (rows, p)
+            if message is not None:
+                composite_errors += 1
+                assert _raised(row_reduce, augmented, p) == message
+            inv_message = _raised(row_reduce, augmented, p)
+            if inv_message is not None:
+                assert _raised(mat_inv, a) == inv_message
+                continue
+            if message is not None:
+                continue
+            expected = slow_det(rows, p)
+            assert det(a) == expected
+            assert is_invertible(a) == (expected != 0) == (len(row_reduce(rows, p)[0]) == n)
+            if expected:
+                assert slow_mat_mul(mat_inv(a).mat.rows, rows, p) == [list(r) for r in identity(n, p).rows]
+            else:
+                with pytest.raises(NotInvertibleError):
+                    mat_inv(a)
+    assert composite_errors > 50
 
 
 def has_nonzero_minor(rows, k, p, with_last=False):

@@ -167,6 +167,12 @@ CASES = [
     ("encrypt-no-arguments", "encrypt"),
     ("decrypt-extra-positional",
      "decrypt {d}/key.lgsk {d}/key.lgpk {d}/msg.lgct extra --out {d}/x.out"),
+    ("params-extra-positional", "params --out {d}/x.lgparams extra"),
+    ("keygen-extra-positional", "keygen --out {d}/k extra"),
+    ("inspect-extra-positional", "inspect {d}/key.lgpk extra"),
+    ("attack-extra-positional", "attack {d}/key.lgpk extra"),
+    ("sweep-extra-positional", "sweep --p-bits 8 extra"),
+    ("kat-extra-positional", f"kat --seed {SEED_A} extra"),
     ("attack-bounds-bits-not-integer", "attack {d}/key.lgpk --bounds-bits x"),
     ("dashdash-before-command", "-- inspect {d}/key.lgpk"),
     ("help-before-command", "-h encrypt"),

@@ -457,22 +457,15 @@ COMMANDS = {
 }
 
 
-def build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The `lgpk` parser with every command, or with the one named `only`.
-
-    Either way the usage line lists every command, so a parse error reads the
-    same whichever parser reports it.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The `lgpk` parser with every command."""
     parser = argparse.ArgumentParser(
         prog="lgpk",
         description="Public-key encryption over matrix Lie groups, with attack tooling.",
     )
-    # argparse names the choices it holds; with one of them, name them all
-    metavar = "{" + ",".join(COMMANDS) + "}" if only else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_arguments) in COMMANDS.items():
-        if only in (None, name):
-            add_arguments(sub.add_parser(name, help=help_text))
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -485,7 +478,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     COMMANDS[argv[0]][1](parser)
     args, extras = parser.parse_known_args(argv[1:])
     if extras:
-        build_parser(argv[0]).error(f"unrecognized arguments: {' '.join(extras)}")
+        build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
     return args
 
 
@@ -494,7 +487,7 @@ def main(argv=None) -> int:
     try:
         args = parse_args(argv)
     except SystemExit as e:
-        return e.code if isinstance(e.code, int) else EXIT_USAGE
+        return e.code
     try:
         code = args.func(args)
         sys.stdout.flush()  # so a closed stdout fails here, not at interpreter exit

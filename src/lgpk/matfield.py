@@ -197,10 +197,6 @@ def _inverse(x: int, p: int) -> int:
         raise _not_prime(x, p) from None
 
 
-def _is_zero(a: "FieldMatrix") -> bool:
-    return not any(map(any, a.rows))
-
-
 @dataclass(frozen=True)
 class FieldMatrix:
     """An n x n matrix over Z_p; entries are reduced residues in [0, p)."""
@@ -275,28 +271,28 @@ def _forward(rows, p: int) -> tuple[list[int], list[list[int]], int]:
     return pivot_cols, m, scale
 
 
-def row_reduce(rows, p: int) -> tuple[list[int], list[list[int]], int]:
-    """Inverse-free Gauss-Jordan elimination mod p, for a matrix of any shape.
+def row_reduce(rows, p: int) -> tuple[list[int], list[list[int]]]:
+    """The reduced row echelon form mod p of a matrix of any shape.
 
     The pivot of each column is its first nonzero entry at or below the next
-    pivot row. Each pivot clears the rows below it (`_forward`), then, from the
-    last pivot up, the rows above it: a row r with entry f in the pivot column
-    becomes pivot*row_r - f*row_pivot. A pivot sharing a factor with p raises
-    ParameterError: p is composite. Returns (pivot_cols, reduced, scale): the
-    rank is len(pivot_cols), column pivot_cols[i] is zero outside reduced row
-    i, and scale is the swap sign times the product of the scalings, so a
-    square matrix of full rank has det = prod(diagonal of reduced) / scale.
+    pivot row. Each pivot clears the rows below it (`_forward`); then, from the
+    last pivot up, each pivot row is scaled to a pivot of 1 and clears its
+    column in the rows above. A pivot sharing a factor with p raises
+    ParameterError: p is composite. Returns (pivot_cols, reduced): the rank is
+    len(pivot_cols), and column pivot_cols[i] is 1 in reduced row i and 0 in
+    every other row. That form is unique to the row space, so reordering the
+    rows or scaling them by units leaves the result unchanged.
     """
-    pivot_cols, m, scale = _forward(rows, p)
+    pivot_cols, m, _ = _forward(rows, p)
     for r in reversed(range(len(pivot_cols))):
-        head, col = m[r], pivot_cols[r]
-        pivot = head[col]
+        col = pivot_cols[r]
+        inv = _inverse(m[r][col], p)
+        head = m[r] = [x * inv % p for x in m[r]]
         for i, row in enumerate(m[:r]):
             f = row[col]
             if f:
-                m[i] = [(pivot * x - f * y) % p for x, y in zip(row, head)]
-                scale = scale * pivot % p
-    return pivot_cols, m, scale % p
+                m[i] = [(x - f * y) % p for x, y in zip(row, head)]
+    return pivot_cols, m
 
 
 def det(a: FieldMatrix) -> int:
@@ -314,16 +310,15 @@ def is_invertible(a: FieldMatrix) -> bool:
 
 
 def mat_inv(a: FieldMatrix) -> "GroupElement":
-    """Inverse mod p from one reduction of [a | I]: a is singular when a pivot
-    falls right of column n-1, else the right half over the diagonal is a^-1."""
+    """Inverse mod p from the reduced row echelon form of [a | I]: a is singular
+    when a pivot falls right of column n-1, else the right half is a^-1."""
     n, p = a.n, a.p
-    pivot_cols, m, _ = row_reduce(
+    pivot_cols, m = row_reduce(
         [row + tuple(int(i == j) for j in range(n)) for i, row in enumerate(a.rows)], p
     )
     if pivot_cols[n - 1] >= n:
         raise NotInvertibleError(f"matrix is singular mod {p}")
-    invs = [_inverse(row[i], p) for i, row in enumerate(m)]
-    rows = tuple(tuple(x * inv % p for x in row[n:]) for row, inv in zip(m, invs))
+    rows = tuple(tuple(row[n:]) for row in m)
     return trusted(GroupElement, mat=trusted(FieldMatrix, n=n, p=p, rows=rows))
 
 
@@ -337,7 +332,7 @@ def _nilpotency_proof(a: FieldMatrix, claim: Optional[int] = None) -> list[Field
     is nonzero is not nilpotent here, even if a higher power vanishes.
     """
     powers = [a]
-    while not _is_zero(powers[-1]):
+    while any(map(any, powers[-1].rows)):
         if len(powers) == a.n:
             claimed = f" of index {claim}" if claim else ""
             raise NotNilpotentError(f"matrix is not nilpotent{claimed}")

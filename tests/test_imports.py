@@ -5,7 +5,9 @@ imports are its public re-exports) is parsed with `ast`. Every name a
 top-level import binds must be read somewhere in that module, quoted
 annotations included, and every parameter of a function or lambda except
 `self` and `cls` must be read in its body. The package's `__all__` is exactly
-the names its `__init__` imports, plus `__version__`.
+the names its `__init__` imports, plus `__version__`. `bitstrings.trusted`,
+which builds a value without its checks, is called only at the sites listed
+in TRUSTED_CALL_SITES.
 """
 
 import ast
@@ -82,3 +84,40 @@ def test_all_is_exactly_the_re_exports():
     assert sorted(lgpk.__all__) == sorted(exported)
     for name in lgpk.__all__:
         assert hasattr(lgpk, name), name
+
+
+# (module, function) for each call of `trusted`, one entry per call: a new
+# unchecked construction is added here on purpose, and test_trust_boundary.py
+# runs every listed function under a validating `trusted`
+TRUSTED_CALL_SITES = sorted([
+    ("bitstrings", "BitStr.from_int"),
+    ("bitstrings", "BitStr.__xor__"),
+    ("hashsuite", "xof_bits"),
+    ("matfield", "mat_mul"),
+    ("matfield", "mat_inv"),
+    ("matfield", "mat_inv"),
+    ("matfield", "NilpotentMatrix.from_matrix"),
+    ("matfield", "group_mul"),
+    ("matfield", "exp_scaled"),
+    ("matfield", "exp_scaled"),
+    ("sampler", "sample_invertible"),
+])
+
+
+def trusted_calls(node, scope=()):
+    """The dotted class and function path of each call of `trusted` in node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from trusted_calls(child, (*scope, child.name))
+            continue
+        if isinstance(child, ast.Call):
+            func = child.func
+            if getattr(func, "id", None) == "trusted" or getattr(func, "attr", None) == "trusted":
+                yield ".".join(scope)
+        yield from trusted_calls(child, scope)
+
+
+def test_trusted_is_called_only_at_the_listed_sites():
+    sites = [(path.stem, site) for path in MODULES
+             for site in trusted_calls(ast.parse(path.read_text(), filename=str(path)))]
+    assert sorted(sites) == TRUSTED_CALL_SITES

@@ -613,10 +613,10 @@ def minor_rank(rows, p):
 
 
 def test_row_reduce_against_minor_rank():
-    rng = random.Random(1111)
+    rng, mix = random.Random(1111), random.Random(2222)
     shapes = [(r, c) for r in range(1, 7) for c in range(1, 7) if min(r, c) <= 4]
     ranks = set()
-    for p in (2, 3, 5, 7):
+    for p in (2, 3, 5, 7, 101, 2**61 - 1):
         for r, c in shapes:
             for _ in range(4):
                 # a product through k inner dimensions has rank at most k
@@ -625,16 +625,22 @@ def test_row_reduce_against_minor_rank():
                 right = [[rng.randrange(p) for _ in range(c)] for _ in range(k)]
                 rows = [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*right)]
                         for row in left]
-                pivot_cols, reduced, scale = row_reduce(rows, p)
+                pivot_cols, reduced = row_reduce(rows, p)
                 # entries are taken mod p: shifted representatives change nothing
                 shifted = [[x + p * rng.randint(-2, 2) for x in row] for row in rows]
-                assert row_reduce(shifted, p) == (pivot_cols, reduced, scale)
+                assert row_reduce(shifted, p) == (pivot_cols, reduced)
+                # the reduced row echelon form is one per row space: shuffled
+                # rows, each scaled by a unit, reduce to the same pair
+                units = [mix.randrange(1, p) for _ in rows]
+                mixed = [[x * u % p for x in row] for row, u in zip(rows, units)]
+                mix.shuffle(mixed)
+                assert row_reduce(mixed, p) == (pivot_cols, reduced), (rows, p)
                 rank = minor_rank(rows, p)
                 ranks.add(rank)
                 assert len(pivot_cols) == rank, (rows, p)
                 assert pivot_cols == sorted(set(pivot_cols))
                 for i, col in enumerate(pivot_cols):
-                    assert [row[col] != 0 for row in reduced] == [j == i for j in range(r)]
+                    assert [row[col] for row in reduced] == [int(j == i) for j in range(r)]
                 assert all(not any(row) for row in reduced[rank:])
                 # stacking a reduced row under the input keeps the rank, so
                 # the reduction keeps the row space

@@ -21,9 +21,8 @@ from .cryptanalysis import (
     NafInstance,
     NaiInstance,
     hardness_sweep,
-    naf_bruteforce,
-    naf_mitm,
     nai_via_naf,
+    solvers,
     sweep_csv,
 )
 from .errors import (
@@ -237,13 +236,14 @@ def cmd_attack(args) -> int:
         total_bits = pk.params.kappa3 + pk.params.kappa4
     elif args.bounds_bits < 0:
         raise ParameterError("--bounds-bits must be >= 0")
+    elif args.bounds_bits > 2 * codec.MAX_PRIME_BITS:  # no key has more: scalars act mod p
+        raise ParameterError(f"--bounds-bits must be <= {2 * codec.MAX_PRIME_BITS}")
     else:
         total_bits = args.bounds_bits
     bound_left = 1 << ((total_bits + 1) // 2)
     bound_right = 1 << (total_bits // 2)
     inst = NafInstance(pk.left_gen, pk.right_gen, pk.key_product, bound_left, bound_right)
-    solver = naf_mitm if args.solver == "mitm" else naf_bruteforce
-    sol = solver(inst)
+    sol = solvers()[args.solver](inst)
     if sol is None:
         print(f"no factorization within 2^{total_bits} pairs")
         return EXIT_OK
@@ -347,9 +347,9 @@ def build_kat_bundle(profile_name: str, seed: bytes) -> str:
     x, y = rng.below(16), rng.below(16)
     target = group_mul(exp_scaled(x, left), exp_scaled(y, right))
     inst = NafInstance(left, right, target, 16, 16)
-    for name, solver in (("naf_bruteforce", naf_bruteforce), ("naf_mitm", naf_mitm)):
+    for solver in solvers().values():
         sol = solver(inst)
-        emit(op=name, target=canonical_bytes(target.mat).hex(),
+        emit(op=solver.__name__, target=canonical_bytes(target.mat).hex(),
              bound_left=16, bound_right=16,
              left_scalar=sol.left_scalar, right_scalar=sol.right_scalar, ops=sol.ops)
     a, b, c, d = (rng.below(8) for _ in range(4))
@@ -362,7 +362,7 @@ def build_kat_bundle(profile_name: str, seed: bytes) -> str:
     emit(op="nai_via_naf",
          product_one=canonical_bytes(nai.product_one.mat).hex(),
          product_two=canonical_bytes(nai.product_two.mat).hex(),
-         out=canonical_bytes(nai_via_naf(nai, naf_bruteforce).mat).hex())
+         out=canonical_bytes(nai_via_naf(nai, next(iter(solvers().values()))).mat).hex())
 
     sweep_rows = hardness_sweep(2, [8], [4, 6], rng)
     emit(op="hardness_sweep", n=2, p_bits=[8], bound_bits=[4, 6],
@@ -422,7 +422,7 @@ def _inspect_args(p):
 
 def _attack_args(p):
     p.add_argument("pk_file", help="public-key file to attack")
-    p.add_argument("--solver", choices=("brute", "mitm"), default="brute")
+    p.add_argument("--solver", choices=list(solvers()), default=next(iter(solvers())))
     p.add_argument("--bounds-bits", type=int, metavar="N", help="searched pair bits (default: all)")
     p.set_defaults(func=cmd_attack)
 

@@ -12,6 +12,7 @@ The brute-force solver tries every pair of the (x, y) grid, prefiltering on
 one coordinate of the row, and stores nothing per pair. The meet-in-the-middle
 solver tabulates the rows for every y, packed into ints, and probes them with
 exp(-x*L) applied to the target, trading memory for a linear-time scan.
+`solvers()` is the one table of the solvers by name; every caller reads it.
 
 Insertion: given two such products, produce the product with component-wise
 summed scalars; solved here by factoring both inputs and re-exponentiating.
@@ -258,6 +259,13 @@ def naf_mitm(inst: NafInstance) -> Optional[NafSolution]:
 NafSolver = Callable[[NafInstance], Optional[NafSolution]]
 
 
+def solvers() -> dict[str, NafSolver]:
+    """The factoring solvers by command-line name, the default first. Built per
+    call from the module globals, so a solver rebound there (as bench/tracer.py
+    does) is the one run."""
+    return {"brute": naf_bruteforce, "mitm": naf_mitm}
+
+
 def nai_via_naf(inst: NaiInstance, naf_solver: NafSolver) -> Optional[GroupElement]:
     """Solve insertion by factoring both products and re-exponentiating the
     scalar sums: exp((a+c)*L)*exp((b+d)*R). None if either factoring fails."""
@@ -328,9 +336,7 @@ def hardness_sweep(
             y = y_master >> (s_max - s)
             target = group_mul(exp_scaled(x, left_gen), exp_scaled(y, right_gen))
             inst = NafInstance(left_gen, right_gen, target, 1 << s, 1 << s)
-            # built per call from the module globals, so a solver rebound there
-            # (as bench/tracer.py does) is the one run
-            for name, solver in (("brute", naf_bruteforce), ("mitm", naf_mitm)):
+            for name, solver in solvers().items():
                 start = time.perf_counter()
                 try:
                     sol = solver(inst)

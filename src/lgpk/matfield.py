@@ -20,9 +20,10 @@ those powers at no extra product.
 
 Each term is one packed integer (Kronecker substitution): n^2 little-endian
 slots, row-major from the lowest, of w = ceil((2*bits(p) + bits(n))/8) bytes
-each, room for the sum of n-1 products of two residues. So `exp_scaled` does
-index-1 big multiply-adds, one `to_bytes` and n^2 slot reductions, and no slot
-carries into the next. A table holds index-1 terms of n^2 * w bytes: at the
+each, room for the sum of n-1 products of two residues: no slot carries into
+the next. `_slots` is the one reader of the layout, for `exp_scaled` (index-1
+big multiply-adds, then n^2 slot reductions) and for `term_rows`, the public
+view of a table. A table holds index-1 terms of n^2 * w bytes: at the
 paper profile (n = 5, 256-bit p) 4 x 1,625 bytes per generator, about 14 KB
 per public key; at the codec's limits (n = 16, 4096-bit p) 15 x 262,400 bytes,
 about 8.4 MB per key, twice a table of separate entries.
@@ -412,6 +413,12 @@ def _slot_bytes(n: int, p: int) -> int:
     return (2 * p.bit_length() + n.bit_length() + 7) // 8
 
 
+def _slots(packed: int, n: int, w: int) -> list[int]:
+    """The n^2 unreduced slots of w bytes of a packed value, row-major."""
+    raw = packed.to_bytes(n * n * w, "little")  # OverflowError if it is wider
+    return [int.from_bytes(raw[k:k + w], "little") for k in range(0, len(raw), w)]
+
+
 def _table(powers: list[FieldMatrix], n: int, p: int) -> tuple[int, ...]:
     """The packed terms a^m/m! mod p for the powers a, a^2, ... given. Raises
     ParameterError when p <= n or when some m! has no inverse mod p (a
@@ -428,6 +435,14 @@ def _table(powers: list[FieldMatrix], n: int, p: int) -> tuple[int, ...]:
         slots = b"".join([(c * e % p).to_bytes(w, "little") for row in power.rows for e in row])
         terms.append(int.from_bytes(slots, "little"))
     return tuple(terms)
+
+
+def term_rows(x: NilpotentMatrix) -> tuple[Rows, ...]:
+    """The rows of each kept term X^m/m! mod p, 1 <= m < index: a basis of
+    the span that every exp(tX) - I lies in."""
+    n, w = x.base.n, _slot_bytes(x.base.n, x.base.p)
+    slots = [_slots(term, n, w) for term in x._terms]
+    return tuple([tuple([tuple(s[k:k + n]) for k in range(0, n * n, n)]) for s in slots])
 
 
 def mat_exp(x: NilpotentMatrix) -> GroupElement:
@@ -451,14 +466,11 @@ def exp_scaled(t: int, x: NilpotentMatrix) -> GroupElement:
     if t < 0:
         raise ParameterError("scalar must be non-negative")
     n, p = x.base.n, x.base.p
-    w = _slot_bytes(n, p)
     acc, c = 0, 1
     for term in x._terms:
         c = c * t % p
         acc += c * term
-    size = n * n * w
-    raw = acc.to_bytes(size, "little")
-    entries = [int.from_bytes(raw[k:k + w], "little") for k in range(0, size, w)]
+    entries = _slots(acc, n, _slot_bytes(n, p))
     for k in range(0, n * n, n + 1):
         entries[k] += 1  # the identity
     rows = tuple([tuple([e % p for e in entries[k:k + n]]) for k in range(0, n * n, n)])

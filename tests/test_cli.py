@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
+import functools
 import json
 import os
 import subprocess
@@ -9,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from lgpk import cli, codec
+from lgpk import cli, codec, cryptanalysis
 from lgpk.bitstrings import BitStr
 from lgpk.cli import build_kat_bundle, main
+from lgpk.cryptanalysis import hardness_sweep, solvers
 from lgpk.errors import (
     BudgetRefusal,
     KeyMismatchError,
@@ -484,7 +486,7 @@ def test_failed_write_leaves_no_temp_file(tmp_path, keypair, capsys):
 
 def test_attack_recovers_toy_secret(tmp_path, keypair, capsys):
     pk_path, _ = keypair
-    for solver in ("brute", "mitm"):
+    for solver in solvers():
         assert run("attack", pk_path, "--solver", solver) == 0
         out = capsys.readouterr().out
         assert "verified=true" in out
@@ -493,6 +495,28 @@ def test_attack_recovers_toy_secret(tmp_path, keypair, capsys):
     assert run("attack", pk_path, "--solver", "mitm") == 0
     second = capsys.readouterr().out
     assert first.split("ops=")[0] == second.split("ops=")[0]
+
+
+def test_every_caller_finds_a_solver_rebound_in_its_module(monkeypatch, keypair):
+    # a tracer rebinds each solver as an attribute of lgpk.cryptanalysis: the
+    # sweep, `lgpk attack` and the KAT bundle must each reach the rebound one
+    real = cryptanalysis.naf_mitm
+    calls = []
+
+    @functools.wraps(real)
+    def spy(inst):
+        calls.append(inst)
+        return real(inst)
+
+    monkeypatch.setattr(cryptanalysis, "naf_mitm", spy)
+    hardness_sweep(2, [8], [4], RngHandle(b"\x01" * 32))
+    assert len(calls) == 1
+    assert run("attack", keypair[0], "--solver", "mitm") == 0
+    assert len(calls) == 2
+    kat = build_kat_bundle("toy", bytes.fromhex("00112233445566778899aabbccddeeff" * 2))
+    assert len(calls) == 5  # its own solve, then one per cell of its sweep
+    # the wrapper keeps __name__, which labels the bundle's records
+    assert kat == (Path(__file__).parent / "data" / "kat_toy.jsonl").read_text()
 
 
 def test_attack_budget_refusal_exits_6(tmp_path, capsys):

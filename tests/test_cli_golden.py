@@ -141,6 +141,8 @@ CASES = [
     ("attack-mitm-over-budget", "attack {d}/key.lgpk --solver mitm --bounds-bits 64"),
     ("attack-brute-widest-bounds", "attack {d}/key.lgpk --solver brute --bounds-bits 8192"),
     ("attack-mitm-widest-bounds", "attack {d}/key.lgpk --solver mitm --bounds-bits 8192"),
+    ("attack-bounds-past-widest", "attack {d}/key.lgpk --bounds-bits 8193"),
+    ("attack-bounds-far-past-widest", "attack {d}/key.lgpk --bounds-bits 20000"),
     ("attack-bad-solver", "attack {d}/key.lgpk --solver guess"),
     ("sweep", f"sweep --n 2 --p-bits 8 --bounds-bits 4,6 --seed {SEED_A}"),
     ("sweep-to-file", f"sweep --p-bits 8,10 --bounds-bits 4 --seed {SEED_B} --out {{d}}/s.csv"),

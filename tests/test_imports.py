@@ -121,3 +121,27 @@ def test_trusted_is_called_only_at_the_listed_sites():
     sites = [(path.stem, site) for path in MODULES
              for site in trusted_calls(ast.parse(path.read_text(), filename=str(path)))]
     assert sorted(sites) == TRUSTED_CALL_SITES
+
+
+SOLVER_NAMES = {"brute", "mitm", "naf_bruteforce", "naf_mitm"}
+OUTSIDE_CRYPTANALYSIS = [path for path in sorted(PACKAGE.glob("*.py"))
+                         if path.name != "cryptanalysis.py"]
+
+
+def solver_mentions(tree):
+    """Each solver name that tree imports, reads, or spells as a string."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names if alias.name in SOLVER_NAMES)
+        for value in (getattr(node, "id", None), getattr(node, "attr", None),
+                      getattr(node, "value", None)):
+            if isinstance(value, str) and value in SOLVER_NAMES:
+                yield value
+
+
+@pytest.mark.parametrize("path", OUTSIDE_CRYPTANALYSIS, ids=[p.stem for p in OUTSIDE_CRYPTANALYSIS])
+def test_only_cryptanalysis_names_the_solvers(path):
+    # every other module reads the table `cryptanalysis.solvers()`, so a new
+    # solver is one function and one entry there
+    found = sorted(set(solver_mentions(ast.parse(path.read_text(), filename=str(path)))))
+    assert found == [], f"{path.name} names {found}"

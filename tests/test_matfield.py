@@ -15,7 +15,6 @@ from conftest import (
     slow_det,
     slow_mat_mul,
     trial_division_prime,
-    unpack_terms,
     uv_strong_lucas,
     zeros,
 )
@@ -45,6 +44,7 @@ from lgpk.matfield import (
     mat_inv,
     mat_mul,
     row_reduce,
+    term_rows,
 )
 from lgpk.sampler import PROFILES, RngHandle, make_params, sample_noncommuting_pair
 
@@ -297,7 +297,7 @@ def test_packed_slots_hold_the_largest_sums():
         want = rational_exp([[t * e % p for e in row] for row in nm.base.rows], n, p)
         assert [list(r) for r in exp_scaled(t, nm).mat.rows] == want
     # the sums above do need more than 2*bits(p) bits per slot
-    terms = unpack_terms(nm)
+    terms = term_rows(nm)
     assert all(e == p - 1 for i, row in enumerate(terms[0]) for e in row[i + 1:])
     for t in scalars:
         cs = [pow(t, m, p) for m in range(1, n)]

@@ -1,7 +1,7 @@
 from collections import Counter
 
 import pytest
-from conftest import count_calls, unpack_terms
+from conftest import count_calls
 
 from lgpk import codec, matfield, sampler
 from lgpk.bitstrings import BitStr
@@ -17,6 +17,7 @@ from lgpk.matfield import (
     group_mul,
     identity,
     mat_mul,
+    term_rows,
 )
 from lgpk.sampler import RngHandle, make_params
 from lgpk.scheme import Ciphertext, PrivateKey, PublicKey, decrypt, encrypt, keygen
@@ -154,7 +155,7 @@ def test_decoded_key_keeps_its_proof_tables_and_encrypts_alike():
         pk, _ = keygen(params, RngHandle(SEED))
         decoded = decode(encode(pk))
         for gen in (decoded.left_gen, decoded.right_gen):
-            assert unpack_terms(gen) == exp_terms_oracle(gen.base, gen.index)
+            assert term_rows(gen) == exp_terms_oracle(gen.base, gen.index)
         m = m_rng.bitstr(params.msg_len)
         cts = [encode(encrypt(key, m, RngHandle(b"\x0b" * 32))) for key in (decoded, pk)]
         assert cts[0] == cts[1]

@@ -3,6 +3,7 @@ attacks on a public key, hardness sweeps, and known-answer-test bundles.
 
 Exit codes are part of the contract: 0 success, 2 usage, 3 I/O, 4 integrity
 (bad frame, failed validity check or tag), 5 key mismatch, 6 budget refusal.
+A command reports failure only by raising; `main` maps the error to its code.
 Output files are written to a temp name and renamed, so a failing command
 never leaves a partial file behind.
 """
@@ -134,15 +135,14 @@ def load_object(path: str, expect_kind: int):
 
 # ---------------------------------------------------------------- commands
 
-def cmd_params(args) -> int:
+def cmd_params(args):
     rng = RngHandle(parse_seed(args.seed))
     params = make_params(args.profile, rng)
     write_atomic(args.out, codec.encode(params))
     print(f"wrote {args.out} (profile {args.profile}, n={params.n}, p of {params.kappa1} bits)")
-    return EXIT_OK
 
 
-def cmd_keygen(args) -> int:
+def cmd_keygen(args):
     rng = RngHandle(parse_seed(args.seed))
     if args.params:
         params = load_object(args.params, codec.KIND_PARAMS)
@@ -155,19 +155,17 @@ def cmd_keygen(args) -> int:
     write_atomic(sk_path, codec.encode(sk))
     print(f"wrote {pk_path} (n={params.n}, p of {params.kappa1} bits)")
     print(f"wrote {sk_path} (fingerprint {sk.pk_fingerprint.hex()[:16]}…)")
-    return EXIT_OK
 
 
-def cmd_encrypt(args) -> int:
+def cmd_encrypt(args):
     pk = load_object(args.pk, codec.KIND_PUBLIC_KEY)
     rng = RngHandle(parse_seed(args.seed))
     data = read_file(args.infile)
     write_atomic(args.out, codec.seal_file(pk, data, rng))
     print(f"wrote {args.out} ({len(data)} bytes sealed)")
-    return EXIT_OK
 
 
-def cmd_decrypt(args) -> int:
+def cmd_decrypt(args):
     sk = load_object(args.sk, codec.KIND_PRIVATE_KEY)
     pk = load_object(args.pk, codec.KIND_PUBLIC_KEY)
     if sk.pk_fingerprint != codec.pk_fingerprint(pk):
@@ -175,7 +173,6 @@ def cmd_decrypt(args) -> int:
     plain = codec.open_file(sk, pk, read_file(args.infile))
     write_atomic(args.out, plain)
     print(f"wrote {args.out} ({len(plain)} bytes)")
-    return EXIT_OK
 
 
 def _describe_params(params: ParameterSet) -> list[str]:
@@ -189,7 +186,7 @@ def _describe_params(params: ParameterSet) -> list[str]:
     ]
 
 
-def cmd_inspect(args) -> int:
+def cmd_inspect(args):
     blob = read_file(args.file)
     sealed = blob.startswith(codec.SEALED_MAGIC)
     with decode_errors_in(args.file):
@@ -227,10 +224,9 @@ def cmd_inspect(args) -> int:
             lines.append(f"  plaintext bytes: {len(blob) - body - codec.HMAC_BYTES}")
             lines.append("  tag: HMAC-SHA256, checked only with the private key")
     print("\n".join(lines))
-    return EXIT_OK
 
 
-def cmd_attack(args) -> int:
+def cmd_attack(args):
     pk = load_object(args.pk_file, codec.KIND_PUBLIC_KEY)
     if args.bounds_bits is None:
         total_bits = pk.params.kappa3 + pk.params.kappa4
@@ -246,7 +242,7 @@ def cmd_attack(args) -> int:
     sol = solvers()[args.solver](inst)
     if sol is None:
         print(f"no factorization within 2^{total_bits} pairs")
-        return EXIT_OK
+        return
     # an independent check: re-exponentiate the scalars the report prints
     product = group_mul(
         exp_scaled(sol.left_scalar, pk.left_gen), exp_scaled(sol.right_scalar, pk.right_gen)
@@ -256,13 +252,14 @@ def cmd_attack(args) -> int:
         f"factored the public product: left_scalar={sol.left_scalar} "
         f"right_scalar={sol.right_scalar} ops={sol.ops} verified={str(verified).lower()}"
     )
-    return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args):
     rng = RngHandle(parse_seed(args.seed))
     p_bits = parse_int_list(args.p_bits, "--p-bits")
     bound_bits = parse_int_list(args.bounds_bits, "--bounds-bits")
+    if args.n > codec.MAX_DIM or max(p_bits) > codec.MAX_PRIME_BITS:  # no key is larger
+        raise ParameterError(f"--n must be <= {codec.MAX_DIM}, --p-bits <= {codec.MAX_PRIME_BITS}")
     rows = hardness_sweep(args.n, p_bits, bound_bits, rng)
     text = sweep_csv(rows)
     if args.out:
@@ -270,7 +267,6 @@ def cmd_sweep(args) -> int:
         print(f"wrote {args.out} ({len(rows)} rows)")
     else:
         print(text, end="")
-    return EXIT_OK
 
 
 def build_kat_bundle(profile_name: str, seed: bytes) -> str:
@@ -370,14 +366,13 @@ def build_kat_bundle(profile_name: str, seed: bytes) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_kat(args) -> int:
+def cmd_kat(args):
     text = build_kat_bundle(args.profile, parse_seed(args.seed))  # --seed is required
     if args.out:
         write_atomic(args.out, text.encode())
         print(f"wrote {args.out} ({len(text.splitlines())} vectors)")
     else:
         print(text, end="")
-    return EXIT_OK
 
 
 # ------------------------------------------------------------------ parser
@@ -489,19 +484,18 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return e.code
     try:
-        code = args.func(args)
+        args.func(args)
         sys.stdout.flush()  # so a closed stdout fails here, not at interpreter exit
-        return code
     except BrokenPipeError:
         # the reader left (`lgpk inspect f | head`): not a failure of this command;
         # stdout goes to devnull so that the interpreter's final flush cannot raise
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_OK
     except tuple(kind for kind, _, _ in EXIT_TABLE) as e:
         for kind, code, prefix in EXIT_TABLE:
             if isinstance(e, kind):
                 print(f"{prefix}{e}", file=sys.stderr)
                 return code
+    return EXIT_OK
 
 
 def main_entry():

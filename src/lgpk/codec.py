@@ -15,19 +15,16 @@ nilpotency proof grows as n^4, each decoded generator keeps a table of up to
 n-1 packed terms, the primality check grows about 7.6x per doubling of the
 modulus length, and `encrypt` draws and hashes kappa2 + msg_len bits. At the
 limits (n = 16, 4096-bit p; kappa3 = kappa4 = 128), decoding a public key and
-then encrypting under it peaks at 10.9 MiB under `tracemalloc` (6.5 MiB with
-unpacked tables; packed slots are twice the modulus width) and takes 5.8-6.0 s
-to decode and 0.49-0.53 s to encrypt, against 5.8-6.3 s and 0.51-0.71 s with
-a full Gauss-Jordan rank check and one read per entry, in alternating runs
-(2 cores, Python 3.11.7). Only a frame whose checksum matches reaches the
-semantic phase. It builds the typed objects
-through their validating constructors, and `decode_prefix` alone turns what
-they reject into SemanticDecodeError: entries >= p, wrong nilpotency index,
-singular matrices, mismatched dimensions, and a composite modulus in parameter
-and public-key frames. Ciphertext and private-key frames carry a bare modulus
-that is not tested for primality: a composite one is caught only when an
-elimination pivot shares a factor with it. It then differs from the public
-key's prime, so `decrypt` returns None for such a ciphertext and raises
+then encrypting under it peaks at 10.9 MiB under `tracemalloc` and takes
+5.8-6.0 s to decode and 0.49-0.53 s to encrypt (2 cores, Python 3.11.7).
+Only a frame whose checksum matches reaches the semantic phase. It builds the
+typed objects through their validating constructors, and `decode_prefix` alone
+turns what they reject into SemanticDecodeError: entries >= p, wrong nilpotency
+index, singular matrices, mismatched dimensions, and a composite modulus in
+parameter and public-key frames. Ciphertext and private-key frames carry a
+bare modulus that is not tested for primality: a composite one is caught only
+when an elimination pivot shares a factor with it. It then differs from the
+public key's prime, so `decrypt` returns None for such a ciphertext and raises
 KeyMismatchError for such a private key.
 
 A sealed file (`seal_file`, `open_file`) is "LGPF" ‖ version ‖ one ciphertext
@@ -91,9 +88,6 @@ SEALED_MAGIC = b"LGPF"
 SEALED_VERSION = 0x01
 MIN_FILE_KEY_BITS = 128  # a shorter file key K can be searched, whatever the scheme
 HMAC_BYTES = 32  # the HMAC-SHA256 key and tag length
-# files were once a run of bare ciphertext frames, one per message-size block
-_FRAME_HEAD = MAGIC + bytes([VERSION, KIND_CIPHERTEXT])
-_OLD_FORMAT = "old per-block format, no longer read: encrypt again"
 
 
 # ----------------------------------------------------------------- encoding
@@ -318,12 +312,9 @@ def decode_prefix(
 
 
 def decode(data: bytes, expect_kind: Optional[int] = None) -> Encodable:
-    """Decode exactly one envelope; trailing bytes are a structural error, which
-    names the old file format when a second ciphertext frame follows the first."""
+    """Decode exactly one envelope; trailing bytes are a structural error."""
     obj, end = decode_prefix(data, 0, expect_kind)
     if end != len(data):
-        if isinstance(obj, Ciphertext) and data.startswith(_FRAME_HEAD, end):
-            raise StructuralDecodeError(_OLD_FORMAT)
         raise StructuralDecodeError(f"{len(data) - end} trailing bytes after frame")
     return obj
 
@@ -357,8 +348,6 @@ def read_sealed_header(blob: bytes) -> tuple[Ciphertext, int]:
     nothing from it. Return the KEM ciphertext and where the body starts."""
     head = SEALED_MAGIC + bytes([SEALED_VERSION])
     if not blob.startswith(head):
-        if blob.startswith(_FRAME_HEAD):
-            raise StructuralDecodeError(_OLD_FORMAT)
         raise StructuralDecodeError(f"not a sealed file of version {SEALED_VERSION}")
     ct, end = decode_prefix(blob, len(head), KIND_CIPHERTEXT)
     claimed, body = int.from_bytes(_Reader(blob, end).take(8), "big"), end + 8

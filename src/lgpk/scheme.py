@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .bitstrings import BitStr
-from .errors import EncodingError, KeyMismatchError, ParameterError
+from .errors import KeyMismatchError, ParameterError
 from .hashsuite import h1, h2, h3
 from .matfield import (
     GroupElement,
@@ -137,9 +137,8 @@ def _seal(pk: PublicKey, seed: BitStr, m: BitStr, ops: Counter) -> Ciphertext:
 def encrypt(
     pk: PublicKey, m: BitStr, rng: RngHandle, ops: Optional[Counter] = None
 ) -> Ciphertext:
-    """Encrypt an msg_len-bit message: 2 exponential maps, 3 group multiplications."""
-    if m.nbits != pk.params.msg_len:
-        raise EncodingError(f"message must be {pk.params.msg_len} bits, got {m.nbits}")
+    """Encrypt an msg_len-bit message: 2 exponential maps, 3 group multiplications.
+    `h1`, the first step of the seal, rejects a message of another length."""
     ops = ops if ops is not None else Counter()
     return _seal(pk, rng.bitstr(pk.params.kappa2), m, ops)
 

@@ -206,20 +206,23 @@ def test_tampered_sealed_file_exits_4_without_output(tmp_path, keypair, capsys, 
     assert out.read_bytes() == data
 
 
-def test_old_per_block_file_exits_4_naming_the_format(tmp_path, keypair, capsys):
+def test_old_per_block_file_exits_4_without_output(tmp_path, keypair, capsys):
     pk_path, sk_path = keypair
     old = tmp_path / "old.lgct"
-    old.write_bytes(_old_format(pk_path))
+    blob = _old_format(pk_path)
+    old.write_bytes(blob)
     out = tmp_path / "old.out"
     capsys.readouterr()
     assert run("decrypt", sk_path, pk_path, str(old), "--out", str(out)) == 4
     assert capsys.readouterr().err == (
-        "error: integrity failure: old per-block format, no longer read: encrypt again\n"
+        "error: integrity failure: not a sealed file of version 1\n"
     )
     assert not out.exists()
+    # inspect reads the first ciphertext frame, and the second is left over
+    trailing = len(blob) - codec.decode_prefix(blob)[1]
     assert run("inspect", str(old)) == 4
     assert capsys.readouterr().err == (
-        f"error: integrity failure in {old}: old per-block format, no longer read: encrypt again\n"
+        f"error: integrity failure in {old}: {trailing} trailing bytes after frame\n"
     )
 
 
@@ -569,6 +572,21 @@ def test_sweep_deterministic_apart_from_timing(tmp_path):
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         outputs.append([row[:5] + row[6:] for row in rows])
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ("--p-bits", "200000"),
+    ("--p-bits", "8,4097"),
+    ("--n", "17"),
+])
+def test_sweep_past_the_codec_limits_exits_2_before_sampling(argv, capsys, monkeypatch):
+    # no key has a larger n or prime; a 200,000-bit prime search would not end
+    def fail(bits, rng):
+        raise AssertionError("sampled a prime")
+
+    monkeypatch.setattr(cryptanalysis, "sample_prime", fail)
+    assert run("sweep", *argv, "--bounds-bits", "4") == 2
+    assert capsys.readouterr().err == "error: --n must be <= 16, --p-bits <= 4096\n"
 
 
 def test_sweep_rejects_bad_grid(capsys):

@@ -78,7 +78,8 @@ def test_round_trip_tiny_field():
 
 def test_encrypt_rejects_wrong_message_length():
     pk, _ = toy_keypair()
-    with pytest.raises(EncodingError):
+    expected = f"^message must be {TOY.msg_len} bits, got {TOY.msg_len - 1}$"
+    with pytest.raises(EncodingError, match=expected):
         encrypt(pk, BitStr.from_int(0, TOY.msg_len - 1), RngHandle(SEED))
 
 

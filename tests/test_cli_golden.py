@@ -150,6 +150,7 @@ CASES = [
     ("sweep-bound-over-prime", "sweep --p-bits 8 --bounds-bits 16"),
     ("sweep-not-integers", "sweep --p-bits 8,x"),
     ("sweep-empty-list", "sweep --p-bits ,"),
+    ("sweep-empty-item", f"sweep --p-bits 8,,10 --bounds-bits 2 --seed {SEED_A}"),
     ("sweep-with-key", "sweep {d}/key.lgpk --p-bits 8 --bounds-bits 4"),
     ("sweep-with-solver", "sweep --solver mitm --p-bits 8 --bounds-bits 4"),
     ("sweep-n-past-widest", f"sweep --n 17 --p-bits 8 --bounds-bits 4 --seed {SEED_A}"),

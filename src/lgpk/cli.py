@@ -92,12 +92,9 @@ def parse_seed(text: str | None) -> bytes | None:
 
 def parse_int_list(text: str, flag: str) -> list[int]:
     try:
-        values = [int(part) for part in text.split(",") if part]
+        return [int(part) for part in text.split(",")]
     except ValueError:
         raise ParameterError(f"{flag} expects a comma-separated list of integers") from None
-    if not values:
-        raise ParameterError(f"{flag} must not be empty")
-    return values
 
 
 def read_file(path: str) -> bytes:

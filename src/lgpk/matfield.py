@@ -323,10 +323,9 @@ def mat_inv(a: FieldMatrix) -> "GroupElement":
     return trusted(GroupElement, mat=trusted(FieldMatrix, n=n, p=p, rows=rows))
 
 
-def _nilpotency_proof(a: FieldMatrix, claim: Optional[int] = None) -> list[FieldMatrix]:
+def _nilpotency_proof(a: FieldMatrix) -> list[FieldMatrix]:
     """The chain a, a^2, ..., a^index, which ends at the first zero power, so
-    it costs index-1 products. Raises NotNilpotentError, naming the `claim`ed
-    index if one is given, when a^n is not zero.
+    it costs index-1 products. Raises NotNilpotentError when a^n is not zero.
 
     Over a field the nilpotency index never exceeds n, so the chain up to a^n
     settles the question. Over Z_p with p composite a matrix whose n-th power
@@ -335,8 +334,7 @@ def _nilpotency_proof(a: FieldMatrix, claim: Optional[int] = None) -> list[Field
     powers = [a]
     while any(map(any, powers[-1].rows)):
         if len(powers) == a.n:
-            claimed = f" of index {claim}" if claim else ""
-            raise NotNilpotentError(f"matrix is not nilpotent{claimed}")
+            raise NotNilpotentError("matrix is not nilpotent")
         powers.append(mat_mul(powers[-1], a))
     return powers
 
@@ -378,9 +376,7 @@ class NilpotentMatrix:
     def __post_init__(self):
         """Prove the claimed index: the proof's chain ends at a^index."""
         a, k = self.base, self.index
-        if not 1 <= k <= a.n:
-            raise NotNilpotentError(f"nilpotency index {k} outside [1, {a.n}]")
-        powers = _nilpotency_proof(a, k)
+        powers = _nilpotency_proof(a)
         if len(powers) != k:
             raise NotNilpotentError(f"nilpotency index is {len(powers)}, not {k}")
         object.__setattr__(self, "_terms", _table(powers[:-1], a.n, a.p))

@@ -272,6 +272,13 @@ def test_one_scheme_call_per_file_at_the_paper_profile(tmp_path, monkeypatch):
     assert calls == [("encrypt", 2, 3), ("decrypt", 2, 5)]
     assert out.read_bytes() == data
     assert len(blob) - len(data) == 5 + (_kem_end(blob) - KEM_START) + 8 + 32 == 967
+    # the 256-bit checks of both key frames, and a checksum that fails
+    assert run("inspect", prefix + ".lgsk", "--pk", prefix + ".lgpk") == 0
+    key = bytearray(Path(prefix + ".lgpk").read_bytes())
+    key[-1] ^= 0xFF
+    flipped = tmp_path / "flipped.lgpk"
+    flipped.write_bytes(bytes(key))
+    assert run("inspect", str(flipped)) == 4
 
 
 @pytest.mark.parametrize("msg_len, code", [(64, 2), (127, 2), (128, 0), (130, 0)])

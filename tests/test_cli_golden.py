@@ -3,7 +3,10 @@
 The cases run in order through `cli.main` in one scratch directory, at the toy
 profile with fixed seeds, so the output of each is the same on every run. The
 record masks the scratch directory as {d}, the pid in a temp-file name, and
-the millis column of the sweep CSV, the only parts that vary.
+the millis column of the sweep CSV, the only parts that vary. The first case
+of each exit code then runs again through `python -m lgpk` in a subprocess,
+in the same directory, so the record also pins what only a real process
+shows: the entry point, argv from sys.argv, and the exit status.
 
 After a change that alters some output on purpose, rewrite the record with
 
@@ -17,8 +20,10 @@ import io
 import json
 import os
 import re
+import subprocess
 import sys
 import tempfile
+import zlib
 from pathlib import Path
 
 import pytest
@@ -63,6 +68,10 @@ def _prepare_tampered(d):
     key = (d / "key.lgpk").read_bytes()
     _flip(d, "key.lgpk", "corrupt.lgpk", len(key) - 1)
     (d / "padded.lgpk").write_bytes(key + b"xyz")
+    suite = bytearray(key)
+    suite[len(codec.encode(pk.params)) - 4] = 2  # the hash-suite byte follows the parameters
+    suite[-4:] = zlib.crc32(suite[:-4]).to_bytes(4, "big")
+    (d / "suite.lgpk").write_bytes(bytes(suite))
     sk = codec.decode((d / "key.lgsk").read_bytes())
     swapped = PrivateKey(sk.right_factor, sk.left_factor, sk.pk_fingerprint)
     (d / "swapped.lgsk").write_bytes(codec.encode(swapped))
@@ -126,6 +135,7 @@ CASES = [
     ("inspect-truncated", "inspect {d}/cut.lgct"),
     ("inspect-corrupt-key", "inspect {d}/corrupt.lgpk"),
     ("inspect-padded-key", "inspect {d}/padded.lgpk"),
+    ("inspect-other-hash-suite", "inspect {d}/suite.lgpk"),
     ("inspect-missing", "inspect {d}/nope.lgpk"),
     ("attack-brute", "attack {d}/key.lgpk --solver brute"),
     ("attack-mitm", "attack {d}/key.lgpk --solver mitm"),
@@ -145,6 +155,7 @@ CASES = [
     ("attack-bounds-far-past-widest", "attack {d}/key.lgpk --bounds-bits 20000"),
     ("attack-bad-solver", "attack {d}/key.lgpk --solver guess"),
     ("sweep", f"sweep --n 2 --p-bits 8 --bounds-bits 4,6 --seed {SEED_A}"),
+    ("sweep-n-3", f"sweep --n 3 --p-bits 16 --bounds-bits 4,8,12 --seed {SEED_C}"),
     ("sweep-to-file", f"sweep --p-bits 8,10 --bounds-bits 4 --seed {SEED_B} --out {{d}}/s.csv"),
     ("sweep-odd-bound", "sweep --p-bits 8 --bounds-bits 7"),
     ("sweep-bound-over-prime", "sweep --p-bits 8 --bounds-bits 16"),
@@ -209,11 +220,16 @@ def run_cases(d):
 
 
 @pytest.fixture(scope="module")
-def results(tmp_path_factory):
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("golden")
+
+
+@pytest.fixture(scope="module")
+def results(scratch):
     columns = os.environ.get("COLUMNS")
     os.environ["COLUMNS"] = "80"  # argparse wraps help text to the terminal width
     try:
-        return run_cases(tmp_path_factory.mktemp("golden"))
+        return run_cases(scratch)
     finally:
         if columns is None:
             del os.environ["COLUMNS"]
@@ -222,6 +238,8 @@ def results(tmp_path_factory):
 
 
 RECORDED = json.loads(RECORD.read_text()) if RECORD.exists() else {}
+# the first recorded case of each exit code: an earlier case overwrites a later one
+FIRST_OF_EACH_EXIT = {case["exit"]: name for name, case in reversed(RECORDED.items())}
 
 
 def test_the_record_covers_every_exit_code():
@@ -232,6 +250,19 @@ def test_the_record_covers_every_exit_code():
 @pytest.mark.parametrize("name", list(RECORDED))
 def test_cli_output_matches_the_golden_record(results, name):
     assert results[name] == RECORDED[name]
+
+
+@pytest.mark.usefixtures("results")  # the in-process run fills the scratch directory first
+@pytest.mark.parametrize("name", [FIRST_OF_EACH_EXIT[code] for code in sorted(FIRST_OF_EACH_EXIT)])
+def test_python_m_lgpk_matches_the_record(scratch, name):
+    src = str(Path(codec.__file__).parents[1])
+    env = {**os.environ, "COLUMNS": "80",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = RECORDED[name]["argv"]
+    done = subprocess.run([sys.executable, "-m", "lgpk", *argv.format(d=scratch).split()],
+                          capture_output=True, text=True, cwd=scratch, env=env, timeout=60)
+    assert {"argv": argv, "exit": done.returncode, "stdout": _mask(done.stdout, scratch),
+            "stderr": _mask(done.stderr, scratch)} == RECORDED[name]
 
 
 if __name__ == "__main__":

@@ -423,7 +423,10 @@ def test_decode_verdicts_of_mutated_toy_frames_are_pinned():
     # failed later in the structural phase (2,571 / 608 / 821 in all).
     # 15 are public keys whose suite byte is not SUITE_ID; before that check
     # 5 of them decoded, 3 failed semantically and 7 failed later in the
-    # structural phase (2,769 / 497 / 734 in all)
+    # structural phase (2,769 / 497 / 734 in all). 42 semantic verdicts lost
+    # their claimed nilpotency index when the proof became the one index check:
+    # 32 read "matrix is not nilpotent" without "of index k", and 10 claims
+    # outside [1, n] now fail the proof like any other wrong claim
     assert Counter(v[0] for v in verdicts) == {
         "StructuralDecodeError": 2777, "SemanticDecodeError": 494, "decoded": 729,
     }
@@ -431,7 +434,7 @@ def test_decode_verdicts_of_mutated_toy_frames_are_pinned():
                for v in verdicts) == 15
     assert all(v[1] for v in verdicts if v[0] == "decoded")
     digest = hashlib.sha256(json.dumps(verdicts).encode()).hexdigest()
-    assert digest == "b6575163c6802f03a48601a086375d7320990f19f6de36a888ff5eaede333aa0"
+    assert digest == "fdb660561b14cf5e990d15410066fff178359096990fe12f98362ce9c8abe5a4"
 
 
 def test_open_file_verdicts_of_mutated_sealed_files_are_pinned():

@@ -181,7 +181,10 @@ def test_nilpotent_matrix_validates_index():
         NilpotentMatrix(shift, 2)  # not yet zero at power 2
     with pytest.raises(NotNilpotentError, match=r"^nilpotency index is 1, not 2$"):
         NilpotentMatrix(zeros(3, 7), 2)  # index not minimal
-    with pytest.raises(NotNilpotentError, match=r"^matrix is not nilpotent of index 2$"):
+    for claim in (0, -1, 4):  # outside [1, n]: the proof is the one index check
+        with pytest.raises(NotNilpotentError, match=rf"^nilpotency index is 3, not {claim}$"):
+            NilpotentMatrix(shift, claim)
+    with pytest.raises(NotNilpotentError, match=r"^matrix is not nilpotent$"):
         NilpotentMatrix(identity(3, 7), 2)
     with pytest.raises(NotNilpotentError, match=r"^matrix is not nilpotent$"):
         NilpotentMatrix.from_matrix(identity(3, 7))
@@ -195,12 +198,14 @@ def test_a_nilpotency_proof_walks_the_powers_once(monkeypatch):
         muls.clear()
         NilpotentMatrix(base, k)
         assert len(muls) == k - 1
-    # a wrong claim costs one walk, not a second one to find the true index
+    # a wrong claim, in [1, n] or not, costs one walk, not a second one to
+    # find the true index
     for wrong in (mat([list(r) for r in SHIFT3], 7), identity(3, 7)):
-        muls.clear()
-        with pytest.raises(NotNilpotentError):
-            NilpotentMatrix(wrong, 2)
-        assert len(muls) == 2
+        for claim in (0, 2, 4):
+            muls.clear()
+            with pytest.raises(NotNilpotentError):
+                NilpotentMatrix(wrong, claim)
+            assert len(muls) == 2
 
 
 def test_nilpotency_over_composite_modulus_stops_at_n():

@@ -166,6 +166,8 @@ CASES = [
     ("sweep-with-solver", "sweep --solver mitm --p-bits 8 --bounds-bits 4"),
     ("sweep-n-past-widest", f"sweep --n 17 --p-bits 8 --bounds-bits 4 --seed {SEED_A}"),
     ("sweep-p-bits-past-widest", f"sweep --p-bits 4097 --bounds-bits 4 --seed {SEED_A}"),
+    ("sweep-p-bits-negative", f"sweep --p-bits -5 --bounds-bits 2 --seed {SEED_A}"),
+    ("sweep-p-bits-zero-after-valid", f"sweep --p-bits 8,0 --bounds-bits 2 --seed {SEED_A}"),
     ("kat-to-file", f"kat --profile toy --seed {SEED_A} --out {{d}}/kat.jsonl"),
     ("kat-no-seed", "kat --profile toy"),
     ("kat-bad-seed", "kat --seed xyz"),

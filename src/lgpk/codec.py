@@ -1,10 +1,10 @@
 """Framed, checksummed wire formats for parameters, keys, and ciphertexts.
 
 Every object is one envelope: magic "LGPK", a version byte, a kind
-byte, a kind-specific body, then a CRC-32 over everything before it. Bodies
-are built from three primitives only — 4-byte big-endian integers, the
-canonical matrix encoding from matfield, and bit strings prefixed with their
-bit length — so each envelope is self-delimiting and streams concatenate.
+byte, a kind-specific body, then a CRC-32 over everything before it.
+`LAYOUTS` is the one statement of each body: its fields in wire order, each
+written, read and built by its `FIELDS` entry. Every field is self-delimiting,
+so envelopes stream and concatenate.
 
 Decoding is two-phase. The structural phase rejects bad frames: truncation,
 wrong magic/version/kind/suite, CRC mismatch, non-canonical primitive bytes
@@ -42,9 +42,7 @@ from .bitstrings import BitStr, mask_tail, xor_bytes
 from .errors import (
     AuthenticationError,
     CodecError,
-    EncodingError,
-    NotInvertibleError,
-    NotNilpotentError,
+    LgpkError,
     ParameterError,
     SemanticDecodeError,
     StructuralDecodeError,
@@ -96,10 +94,6 @@ def _u32(v: int) -> bytes:
     return v.to_bytes(4, "big")
 
 
-def _encode_bitstr(b: BitStr) -> bytes:
-    return _u32(b.nbits) + b.data
-
-
 def _encode_params_body(ps: ParameterSet) -> bytes:
     plen = (ps.p.bit_length() + 7) // 8
     return b"".join(
@@ -117,51 +111,17 @@ def _encode_params_body(ps: ParameterSet) -> bytes:
     )
 
 
-def _encode_pk_body(pk: PublicKey) -> bytes:
-    return b"".join(
-        (
-            _encode_params_body(pk.params),
-            bytes([SUITE_ID]),
-            canonical_bytes(pk.left_gen.base),
-            bytes([pk.left_gen.index]),
-            canonical_bytes(pk.right_gen.base),
-            bytes([pk.right_gen.index]),
-            canonical_bytes(pk.key_product.mat),
-        )
+def encode(obj: Encodable) -> bytes:
+    """The frame of `obj`: its kind's layout, field by field in wire order."""
+    kind = _KINDS.get(type(obj))
+    if kind is None:
+        raise CodecError(f"cannot encode objects of type {type(obj).__name__}")
+    body = b"".join(
+        FIELDS[field][0](obj if name is None else getattr(obj, name))
+        for name, field in LAYOUTS[kind][1]
     )
-
-
-def _encode_sk_body(sk: PrivateKey) -> bytes:
-    return (
-        sk.pk_fingerprint
-        + canonical_bytes(sk.left_factor.mat)
-        + canonical_bytes(sk.right_factor.mat)
-    )
-
-
-def _encode_ct_body(ct: Ciphertext) -> bytes:
-    return (
-        _encode_bitstr(ct.sealed_seed)
-        + canonical_bytes(ct.rand_product.mat)
-        + _encode_bitstr(ct.masked_msg)
-    )
-
-
-def _frame(kind: int, body: bytes) -> bytes:
     head = MAGIC + bytes([VERSION, kind]) + body
     return head + _u32(zlib.crc32(head))
-
-
-def encode(obj: Encodable) -> bytes:
-    if isinstance(obj, ParameterSet):
-        return _frame(KIND_PARAMS, _encode_params_body(obj))
-    if isinstance(obj, PublicKey):
-        return _frame(KIND_PUBLIC_KEY, _encode_pk_body(obj))
-    if isinstance(obj, PrivateKey):
-        return _frame(KIND_PRIVATE_KEY, _encode_sk_body(obj))
-    if isinstance(obj, Ciphertext):
-        return _frame(KIND_CIPHERTEXT, _encode_ct_body(obj))
-    raise CodecError(f"cannot encode objects of type {type(obj).__name__}")
 
 
 def pk_fingerprint(pk: PublicKey) -> bytes:
@@ -251,38 +211,48 @@ def _read_params_raw(r: _Reader) -> dict:
     return fields
 
 
+def _read_suite_params_raw(r: _Reader) -> dict:
+    params = _read_params_raw(r)
+    if (suite := r.u8()) != SUITE_ID:
+        raise StructuralDecodeError(f"unsupported hash suite {suite}")
+    return params
+
+
+# Each kind of field: (write its value, read its raw parts structurally,
+# build its value from those parts through the validating constructors)
+FIELDS = {
+    "params": (_encode_params_body, _read_params_raw, lambda raw: ParameterSet(**raw)),
+    "params+suite": (lambda ps: _encode_params_body(ps) + bytes([SUITE_ID]),
+                     _read_suite_params_raw, lambda raw: ParameterSet(**raw)),
+    "nilpotent": (lambda m: canonical_bytes(m.base) + bytes([m.index]),
+                  lambda r: (_read_matrix_raw(r), r.u8()),
+                  lambda raw: NilpotentMatrix(FieldMatrix(*raw[0]), raw[1])),
+    "element": (lambda g: canonical_bytes(g.mat), _read_matrix_raw,
+                lambda raw: GroupElement(FieldMatrix(*raw))),
+    "bitstr": (lambda b: _u32(b.nbits) + b.data, _read_bitstr_raw, lambda raw: BitStr(*raw)),
+    "fingerprint": (bytes, lambda r: r.take(FINGERPRINT_BYTES), bytes),
+}
+
+# The one statement of each frame body, which `encode` and `_read_body` both
+# read: kind -> (type, its fields in wire order as (attribute, field kind)).
+# A parameter frame's one field is the parameter set itself, named None.
+LAYOUTS = {
+    KIND_PARAMS: (ParameterSet, ((None, "params"),)),
+    KIND_PUBLIC_KEY: (PublicKey, (("params", "params+suite"), ("left_gen", "nilpotent"),
+                                  ("right_gen", "nilpotent"), ("key_product", "element"))),
+    KIND_PRIVATE_KEY: (PrivateKey, (("pk_fingerprint", "fingerprint"),
+                                    ("left_factor", "element"), ("right_factor", "element"))),
+    KIND_CIPHERTEXT: (Ciphertext, (("sealed_seed", "bitstr"), ("rand_product", "element"),
+                                   ("masked_msg", "bitstr"))),
+}
+_KINDS = {cls: kind for kind, (cls, _) in LAYOUTS.items()}
+
+
 def _read_body(kind: int, r: _Reader):
-    """Structural pass over one body of a checked kind: read its fields, and
-    return the call that builds its object through the validating constructors."""
-    if kind == KIND_PARAMS:
-        params = _read_params_raw(r)
-        return lambda: ParameterSet(**params)
-    if kind == KIND_PUBLIC_KEY:
-        params = _read_params_raw(r)
-        if (suite := r.u8()) != SUITE_ID:
-            raise StructuralDecodeError(f"unsupported hash suite {suite}")
-        left = _read_matrix_raw(r)
-        left_index = r.u8()
-        right = _read_matrix_raw(r)
-        right_index = r.u8()
-        product = _read_matrix_raw(r)
-        return lambda: PublicKey(
-            ParameterSet(**params),
-            NilpotentMatrix(FieldMatrix(*left), left_index),
-            NilpotentMatrix(FieldMatrix(*right), right_index),
-            GroupElement(FieldMatrix(*product)),
-        )
-    if kind == KIND_PRIVATE_KEY:
-        fingerprint = r.take(FINGERPRINT_BYTES)
-        left = _read_matrix_raw(r)
-        right = _read_matrix_raw(r)
-        return lambda: PrivateKey(
-            GroupElement(FieldMatrix(*left)), GroupElement(FieldMatrix(*right)), fingerprint
-        )
-    sealed = _read_bitstr_raw(r)
-    product = _read_matrix_raw(r)
-    masked = _read_bitstr_raw(r)
-    return lambda: Ciphertext(BitStr(*sealed), GroupElement(FieldMatrix(*product)), BitStr(*masked))
+    """Structural pass over one body of a checked kind: its type, and each
+    field's name, raw parts and the call that builds it from them."""
+    cls, fields = LAYOUTS[kind]
+    return cls, [(name, FIELDS[field][1](r), FIELDS[field][2]) for name, field in fields]
 
 
 def decode_prefix(
@@ -296,18 +266,19 @@ def decode_prefix(
     if version != VERSION:
         raise StructuralDecodeError(f"unsupported version {version}")
     kind = r.u8()
-    if kind not in FILE_EXTENSIONS:
+    if kind not in LAYOUTS:
         raise StructuralDecodeError(f"unknown object kind 0x{kind:02x}")
     if expect_kind is not None and kind != expect_kind:
         raise StructuralDecodeError(f"expected kind 0x{expect_kind:02x}, found 0x{kind:02x}")
-    build = _read_body(kind, r)
+    cls, raws = _read_body(kind, r)
     claimed = int.from_bytes(r.take(4), "big")
     actual = zlib.crc32(data[offset:r.offset - 4])
     if claimed != actual:
         raise StructuralDecodeError("checksum mismatch")
     try:
-        return build(), r.offset
-    except (ParameterError, NotNilpotentError, NotInvertibleError, EncodingError) as e:
+        values = {name: build(raw) for name, raw, build in raws}
+        return (values[None] if None in values else cls(**values)), r.offset
+    except LgpkError as e:  # the validating constructors raise nothing else
         raise SemanticDecodeError(str(e)) from e
 
 

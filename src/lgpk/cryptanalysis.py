@@ -319,6 +319,8 @@ def hardness_sweep(
             raise ParameterError(f"bound_bits must be even and >= 2, got {b}")
     s_max = max(b // 2 for b in bound_bits_list)
     for p_bits in p_bits_list:
+        if p_bits < 3:  # sample_prime's floor, checked before any prime is drawn
+            raise ParameterError("prime bit length must be >= 3")
         if s_max > p_bits - 1:
             raise ParameterError(
                 f"bound of 2^{s_max} per scalar cannot be planted faithfully "

@@ -13,12 +13,16 @@ from lgpk.bitstrings import BitStr, trusted
 from lgpk.codec import (
     KIND_CIPHERTEXT,
     KIND_PARAMS,
+    KIND_PRIVATE_KEY,
     KIND_PUBLIC_KEY,
+    LAYOUTS,
     MAGIC,
     MAX_DIM,
     MAX_LENGTH_BITS,
     MAX_PRIME_BITS,
     VERSION,
+    _Reader,
+    _read_params_raw,
     decode,
     decode_prefix,
     encode,
@@ -40,7 +44,7 @@ from lgpk.matfield import (
     identity,
 )
 from lgpk.sampler import RngHandle
-from lgpk.scheme import Ciphertext, PublicKey, decrypt, encrypt, keygen
+from lgpk.scheme import Ciphertext, PrivateKey, PublicKey, decrypt, encrypt, keygen
 
 import zlib
 
@@ -66,6 +70,19 @@ def test_round_trip_every_kind():
     for params in (TOY, TINY):
         for obj in sample_objects(params):
             assert decode(encode(obj)) == obj
+
+
+def test_every_field_of_a_type_has_a_slot_in_its_layout():
+    # a field the layout does not name would be dropped on the wire, and the
+    # round trip would still pass for any field with a default
+    for kind, cls in ((KIND_PUBLIC_KEY, PublicKey), (KIND_PRIVATE_KEY, PrivateKey),
+                      (KIND_CIPHERTEXT, Ciphertext)):
+        layout_cls, fields = LAYOUTS[kind]
+        assert layout_cls is cls
+        assert sorted(name for name, _ in fields) == sorted(f.name for f in dataclasses.fields(cls))
+    assert LAYOUTS[KIND_PARAMS] == (ParameterSet, ((None, "params"),))
+    raw = _read_params_raw(_Reader(encode(TOY), len(MAGIC) + 2))
+    assert sorted(raw) == sorted(f.name for f in dataclasses.fields(ParameterSet))
 
 
 def test_encode_is_deterministic():

@@ -444,6 +444,16 @@ def test_sweep_validates_grid():
         hardness_sweep(2, [8], [16], RngHandle(SEED))  # 2^8 scalars in 8-bit prime
 
 
+@pytest.mark.parametrize("p_bits", [[-5], [0], [2], [8, 0]])
+def test_sweep_refuses_a_prime_below_3_bits_before_sampling(monkeypatch, p_bits):
+    # the size check comes before the plant check and before any draw
+    monkeypatch.setattr(cryptanalysis, "sample_prime", None)
+    rng = RngHandle(SEED)
+    with pytest.raises(ParameterError, match=r"^prime bit length must be >= 3$"):
+        hardness_sweep(2, p_bits, [2], rng)
+    assert rng.take(8) == RngHandle(SEED).take(8)
+
+
 def test_sweep_csv_format():
     rows = hardness_sweep(2, [8], [4], RngHandle(SEED))
     text = sweep_csv(rows)

@@ -12,7 +12,8 @@ After a change that alters some output on purpose, rewrite the record with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
-and review the diff of tests/data/cli_golden.json.
+which prints the name of each case whose exit code, stdout or stderr changed
+(or "no case changed"), and review the diff of tests/data/cli_golden.json.
 """
 
 import contextlib
@@ -273,3 +274,7 @@ if __name__ == "__main__":
         record = run_cases(Path(tmp))
     RECORD.write_text(json.dumps(record, indent=1, ensure_ascii=False) + "\n")
     print(f"wrote {RECORD} ({len(record)} cases)", file=sys.stderr)
+    changed = [name for name in {**RECORDED, **record}
+               if any(RECORDED.get(name, {}).get(key) != record.get(name, {}).get(key)
+                      for key in ("exit", "stdout", "stderr"))]
+    print("\n".join(changed) or "no case changed")

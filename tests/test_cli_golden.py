@@ -50,6 +50,8 @@ def _prepare_inputs(d):
     (d / "msg").write_bytes(bytes(range(256)) + b"golden")
     (d / "empty").write_bytes(b"")
     (d / "outdir").mkdir()
+    (d / "skdir.lgsk").mkdir()
+    (d / "pkdir.lgpk").mkdir()
     short = ParameterSet(kappa1=8, n=2, p=251, kappa2=64, kappa3=8, kappa4=8, msg_len=64)
     (d / "short.lgparams").write_bytes(codec.encode(short))
 
@@ -93,6 +95,8 @@ CASES = [
     ("keygen-from-params", f"keygen --params {{d}}/small.lgparams --seed {SEED_B} --out {{d}}/pkey"),
     ("keygen-other", f"keygen --seed {SEED_C} --out {{d}}/other"),
     ("keygen-short", f"keygen --params {{d}}/short.lgparams --seed {SEED_A} --out {{d}}/short"),
+    ("keygen-private-key-is-directory", f"keygen --profile toy --seed {SEED_A} --out {{d}}/skdir"),
+    ("keygen-public-key-is-directory", f"keygen --profile toy --seed {SEED_A} --out {{d}}/pkdir"),
     ("keygen-seed-not-hex", "keygen --seed zz --out {d}/k"),
     ("keygen-seed-short", f"keygen --seed {'ab' * 16} --out {{d}}/k"),
     ("keygen-unknown-flag", "keygen --frobnicate"),

@@ -4,8 +4,8 @@ attacks on a public key, hardness sweeps, and known-answer-test bundles.
 Exit codes are part of the contract: 0 success, 2 usage, 3 I/O, 4 integrity
 (bad frame, failed validity check or tag), 5 key mismatch, 6 budget refusal.
 A command reports failure only by raising; `main` maps the error to its code.
-Output files are written to a temp name and renamed, so a failing command
-never leaves a partial file behind.
+Output files are written to temp names and renamed, so a failing command
+never leaves a partial file, or one key of a pair, behind.
 """
 
 from __future__ import annotations
@@ -102,16 +102,24 @@ def read_file(path: str) -> bytes:
         return fh.read()
 
 
-def write_atomic(path: str, data: bytes):
-    """Write to a temp name, then rename; on failure remove the temp file."""
-    tmp = f"{path}.tmp.{os.getpid()}"
+def write_atomic(path: str, data: bytes, *also: tuple[str, bytes]):
+    """Write `data`, and each further (path, data) pair, to a temp name; then
+    rename them into place in that order. On failure remove the temp files
+    and every file already renamed, so a failing call leaves none behind."""
+    files = [(path, data), *also]
+    temps = [f"{name}.tmp.{os.getpid()}" for name, _ in files]
+    placed = []
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
+        for tmp, (_, blob) in zip(temps, files):
+            with open(tmp, "wb") as fh:
+                fh.write(blob)
+        for tmp, (name, _) in zip(temps, files):
+            os.replace(tmp, name)
+            placed.append(name)
     except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
+        for name in temps + placed:
+            with contextlib.suppress(OSError):
+                os.remove(name)
         raise
 
 
@@ -148,8 +156,8 @@ def cmd_keygen(args):
     pk, sk = keygen(params, rng)
     pk_path = args.out + codec.FILE_EXTENSIONS[codec.KIND_PUBLIC_KEY]
     sk_path = args.out + codec.FILE_EXTENSIONS[codec.KIND_PRIVATE_KEY]
-    write_atomic(pk_path, codec.encode(pk))
-    write_atomic(sk_path, codec.encode(sk))
+    # the private key first, so not even a killed process leaves a public key without it
+    write_atomic(sk_path, codec.encode(sk), (pk_path, codec.encode(pk)))
     print(f"wrote {pk_path} (n={params.n}, p of {params.kappa1} bits)")
     print(f"wrote {sk_path} (fingerprint {sk.pk_fingerprint.hex()[:16]}…)")
 

@@ -494,6 +494,15 @@ def test_failed_write_leaves_no_temp_file(tmp_path, keypair, capsys):
     assert target.is_dir() and not list(target.iterdir())
 
 
+@pytest.mark.parametrize("blocked", [".lgsk", ".lgpk"])
+def test_failed_keygen_leaves_neither_key_file(tmp_path, capsys, blocked):
+    # a key path that is a directory makes the rename of that one key fail
+    (tmp_path / f"key{blocked}").mkdir()
+    assert run("keygen", "--seed", SEED_A, "--out", str(tmp_path / "key")) == 3
+    assert [path.name for path in tmp_path.iterdir()] == [f"key{blocked}"]
+    assert not list((tmp_path / f"key{blocked}").iterdir())
+
+
 def test_attack_recovers_toy_secret(tmp_path, keypair, capsys):
     pk_path, _ = keypair
     for solver in solvers():

@@ -100,8 +100,10 @@ def sample_prime(bits: int, rng: RngHandle) -> int:
 
 
 def make_params(profile_name: str, rng: RngHandle) -> ParameterSet:
+    """The profile's constant fields and a fresh prime, which `sample_prime`
+    has just proved: the set is built without proving it again."""
     fields = PROFILES[profile_name]
-    return ParameterSet(p=sample_prime(fields["kappa1"], rng), **fields)
+    return trusted(ParameterSet, p=sample_prime(fields["kappa1"], rng), **fields)
 
 
 def sample_matrix(n: int, p: int, rng: RngHandle) -> FieldMatrix:

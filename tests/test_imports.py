@@ -100,6 +100,7 @@ TRUSTED_CALL_SITES = sorted([
     ("matfield", "group_mul"),
     ("matfield", "exp_scaled"),
     ("matfield", "exp_scaled"),
+    ("sampler", "make_params"),
     ("sampler", "sample_invertible"),
 ])
 

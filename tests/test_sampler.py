@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from conftest import count_calls, miller_rabin_prime, trial_division_prime
 
@@ -6,6 +8,7 @@ from lgpk.errors import ParameterError
 from lgpk.matfield import (
     FieldMatrix,
     NilpotentMatrix,
+    ParameterSet,
     commutes,
     det,
     is_nilpotent,
@@ -14,7 +17,9 @@ from lgpk.matfield import (
     mat_mul,
 )
 from lgpk.sampler import (
+    PROFILES,
     RngHandle,
+    make_params,
     sample_invertible,
     sample_matrix,
     sample_nilpotent,
@@ -114,6 +119,22 @@ def test_sample_prime_same_under_miller_rabin_oracle(monkeypatch):
 def test_sample_prime_rejects_tiny_request():
     with pytest.raises(ParameterError):
         sample_prime(2, RngHandle(SEED))
+
+
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+def test_make_params_proves_its_prime_once(monkeypatch, profile):
+    tested = []
+    real = matfield.is_probable_prime
+
+    def recorded(n):
+        tested.append(n)
+        return real(n)
+
+    for module in (matfield, sampler):
+        monkeypatch.setattr(module, "is_probable_prime", recorded)
+    params = make_params(profile, RngHandle(SEED))
+    assert tested.count(params.p) == 1
+    assert ParameterSet(**dataclasses.asdict(params)) == params
 
 
 

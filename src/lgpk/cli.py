@@ -123,6 +123,16 @@ def write_atomic(path: str, data: bytes, *also: tuple[str, bytes]):
         raise
 
 
+def write_or_print(out: str | None, text: str, count: str):
+    """Write `text` to the file `out` and report it with `count`; print it
+    when there is no `out`."""
+    if out:
+        write_atomic(out, text.encode())
+        print(f"wrote {out} ({count})")
+    else:
+        print(text, end="")
+
+
 @contextlib.contextmanager
 def decode_errors_in(path: str):
     """Report a decode error as an integrity failure that names `path`."""
@@ -266,12 +276,7 @@ def cmd_sweep(args):
     if args.n > codec.MAX_DIM or max(p_bits) > codec.MAX_PRIME_BITS:  # no key is larger
         raise ParameterError(f"--n must be <= {codec.MAX_DIM}, --p-bits <= {codec.MAX_PRIME_BITS}")
     rows = hardness_sweep(args.n, p_bits, bound_bits, rng)
-    text = sweep_csv(rows)
-    if args.out:
-        write_atomic(args.out, text.encode())
-        print(f"wrote {args.out} ({len(rows)} rows)")
-    else:
-        print(text, end="")
+    write_or_print(args.out, sweep_csv(rows), f"{len(rows)} rows")
 
 
 def build_kat_bundle(profile_name: str, seed: bytes) -> str:
@@ -367,17 +372,13 @@ def build_kat_bundle(profile_name: str, seed: bytes) -> str:
 
     sweep_rows = hardness_sweep(2, [8], [4, 6], rng)
     emit(op="hardness_sweep", n=2, p_bits=[8], bound_bits=[4, 6],
-         rows=[[r.n, r.p_bits, r.bound_bits, r.solver, r.ops, r.found] for r in sweep_rows])
+         rows=[row.untimed() for row in sweep_rows])
     return "\n".join(lines) + "\n"
 
 
 def cmd_kat(args):
     text = build_kat_bundle(args.profile, parse_seed(args.seed))  # --seed is required
-    if args.out:
-        write_atomic(args.out, text.encode())
-        print(f"wrote {args.out} ({len(text.splitlines())} vectors)")
-    else:
-        print(text, end="")
+    write_or_print(args.out, text, f"{len(text.splitlines())} vectors")
 
 
 # ------------------------------------------------------------------ parser

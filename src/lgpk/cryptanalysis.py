@@ -29,7 +29,7 @@ from __future__ import annotations
 import operator
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from itertools import accumulate, chain, compress, count, islice, repeat, tee
 from math import comb
 from typing import Callable, Iterator, Optional, Sequence
@@ -49,8 +49,6 @@ from .sampler import RngHandle, sample_noncommuting_pair, sample_prime
 
 BRUTE_PAIR_BUDGET = 1 << 32
 MITM_TABLE_BUDGET = 1 << 22
-
-SWEEP_CSV_HEADER = "n,p_bits,bound_bits,solver,ops,millis,found"
 
 
 @dataclass(frozen=True)
@@ -284,6 +282,8 @@ def nai_via_naf(inst: NaiInstance, naf_solver: NafSolver) -> Optional[GroupEleme
 
 @dataclass(frozen=True)
 class SweepRow:
+    """A sweep's columns, in order; the float ones are timings, which a seed does not fix."""
+
     n: int
     p_bits: int
     bound_bits: int
@@ -292,15 +292,18 @@ class SweepRow:
     millis: float
     found: str
 
-    def csv(self) -> str:
-        return (
-            f"{self.n},{self.p_bits},{self.bound_bits},{self.solver},"
-            f"{self.ops},{self.millis:.3f},{self.found}"
-        )
+    def untimed(self) -> list:
+        """The columns a seed fixes, in order: all but the timings."""
+        return [v for v in astuple(self) if not isinstance(v, float)]
+
+
+SWEEP_CSV_HEADER = ",".join(field.name for field in fields(SweepRow))
 
 
 def sweep_csv(rows: Sequence[SweepRow]) -> str:
-    return "\n".join([SWEEP_CSV_HEADER] + [row.csv() for row in rows]) + "\n"
+    lines = [",".join(f"{v:.3f}" if isinstance(v, float) else str(v) for v in astuple(row))
+             for row in rows]
+    return "\n".join([SWEEP_CSV_HEADER, *lines]) + "\n"
 
 
 def hardness_sweep(
@@ -346,11 +349,7 @@ def hardness_sweep(
                     rows.append(SweepRow(n, p_bits, bound_bits, name, 0, 0.0, "refused"))
                     continue
                 millis = (time.perf_counter() - start) * 1000.0
-                if sol is not None and (sol.left_scalar, sol.right_scalar) == (x, y):
-                    found = "yes"
-                else:
-                    found = "no"
-                rows.append(SweepRow(
-                    n, p_bits, bound_bits, name, sol.ops if sol else 0, millis, found
-                ))
+                found = sol is not None and (sol.left_scalar, sol.right_scalar) == (x, y)
+                rows.append(SweepRow(n, p_bits, bound_bits, name, sol.ops if sol else 0,
+                                     millis, "yes" if found else "no"))
     return rows

@@ -1,14 +1,18 @@
+import dataclasses
+import json
 import tracemalloc
 
 import pytest
 from conftest import slow_naf_bruteforce, slow_naf_mitm
+from test_kat import PIN_SEED
 
-from lgpk import cryptanalysis, matfield
+from lgpk import cli, cryptanalysis, matfield
 from lgpk.cryptanalysis import (
     BRUTE_PAIR_BUDGET,
     SWEEP_CSV_HEADER,
     NafInstance,
     NaiInstance,
+    SweepRow,
     hardness_sweep,
     naf_bruteforce,
     naf_mitm,
@@ -463,6 +467,36 @@ def test_sweep_csv_format():
     first = lines[1].split(",")
     assert first[0] == "2" and first[1] == "8" and first[2] == "4"
     assert first[3] in solvers() and first[6] == "yes"
+
+
+def test_sweep_csv_has_one_value_per_field(monkeypatch):
+    names = [field.name for field in dataclasses.fields(SweepRow)]
+    assert SWEEP_CSV_HEADER == ",".join(names)
+    monkeypatch.setattr(cryptanalysis, "BRUTE_PAIR_BUDGET", 16)
+    monkeypatch.setattr(cryptanalysis, "MITM_TABLE_BUDGET", 4)
+    rows = hardness_sweep(2, [8], [4, 6], RngHandle(SEED))  # the 6-bit cells are refused
+    assert [row.found for row in rows] == ["yes", "yes", "refused", "refused"]
+    lines = sweep_csv(rows).splitlines()
+    assert lines[0] == SWEEP_CSV_HEADER and len(lines) == 1 + len(rows)
+    for line, row in zip(lines[1:], rows):
+        values = {**dataclasses.asdict(row), "millis": f"{row.millis:.3f}"}
+        assert line.split(",") == [str(values[name]) for name in names]
+
+
+def test_kat_records_the_sweep_rows_without_millis(monkeypatch):
+    swept = []
+
+    def recorded(*args):
+        swept.extend(hardness_sweep(*args))
+        return swept
+
+    monkeypatch.setattr(cli, "hardness_sweep", recorded)
+    record = json.loads(cli.build_kat_bundle("toy", PIN_SEED).splitlines()[-1])
+    assert record["op"] == "hardness_sweep" and len(swept) == 4
+    assert record["rows"] == [
+        [value for name, value in dataclasses.asdict(row).items() if name != "millis"]
+        for row in swept
+    ]
 
 
 def test_sweep_deterministic_given_seed():

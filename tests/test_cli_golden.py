@@ -31,13 +31,14 @@ import pytest
 
 from lgpk import codec
 from lgpk.cli import main
+from lgpk.cryptanalysis import SWEEP_CSV_HEADER
 from lgpk.matfield import ParameterSet
 from lgpk.sampler import RngHandle
 from lgpk.scheme import PrivateKey, encrypt
 
 RECORD = Path(__file__).parent / "data" / "cli_golden.json"
 SEED_A, SEED_B, SEED_C = "ab" * 32, "cd" * 32, "ef" * 32
-SWEEP_ROW = re.compile(r"^(\d+,\d+,\d+,\w+,\d+,)[0-9.]+(,\w+)$", re.MULTILINE)
+MILLIS = SWEEP_CSV_HEADER.split(",").index("millis")
 
 
 def _flip(d, src, dst, pos):
@@ -207,7 +208,12 @@ CASES = [
 def _mask(text, d):
     text = text.replace(str(d), "{d}")
     text = re.sub(r"\.tmp\.\d+", ".tmp.{pid}", text)
-    return SWEEP_ROW.sub(r"\1{millis}\2", text)
+    if not text.startswith(SWEEP_CSV_HEADER + "\n"):
+        return text
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    for row in rows:
+        row[MILLIS] = "{millis}"
+    return "\n".join([SWEEP_CSV_HEADER] + [",".join(row) for row in rows]) + "\n"
 
 
 def run_cases(d):

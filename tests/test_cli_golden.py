@@ -96,14 +96,14 @@ CASES = [
     ("keygen-from-params", f"keygen --params {{d}}/small.lgparams --seed {SEED_B} --out {{d}}/pkey"),
     ("keygen-other", f"keygen --seed {SEED_C} --out {{d}}/other"),
     ("keygen-short", f"keygen --params {{d}}/short.lgparams --seed {SEED_A} --out {{d}}/short"),
-    ("keygen-private-key-is-directory", f"keygen --profile toy --seed {SEED_A} --out {{d}}/skdir"),
-    ("keygen-public-key-is-directory", f"keygen --profile toy --seed {SEED_A} --out {{d}}/pkdir"),
     ("keygen-seed-not-hex", "keygen --seed zz --out {d}/k"),
     ("keygen-seed-short", f"keygen --seed {'ab' * 16} --out {{d}}/k"),
     ("keygen-unknown-flag", "keygen --frobnicate"),
     ("keygen-profile-and-params", "keygen --profile toy --params {d}/toy.lgparams --out {d}/k"),
     ("keygen-params-missing", "keygen --params {d}/nope.lgparams --out {d}/k"),
     ("keygen-params-wrong-kind", "keygen --params {d}/key.lgpk --out {d}/k"),
+    ("keygen-private-key-is-directory", f"keygen --profile toy --seed {SEED_A} --out {{d}}/skdir"),
+    ("keygen-public-key-is-directory", f"keygen --profile toy --seed {SEED_A} --out {{d}}/pkdir"),
     ("encrypt", f"encrypt {{d}}/key.lgpk {{d}}/msg --out {{d}}/msg.lgct --seed {SEED_B}"),
     ("encrypt-empty", f"encrypt {{d}}/key.lgpk {{d}}/empty --out {{d}}/empty.lgct --seed {SEED_C}"),
     ("encrypt-small", f"encrypt {{d}}/pkey.lgpk {{d}}/msg --out {{d}}/small.lgct --seed {SEED_A}"),

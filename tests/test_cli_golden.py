@@ -171,6 +171,7 @@ CASES = [
     ("sweep-with-key", "sweep {d}/key.lgpk --p-bits 8 --bounds-bits 4"),
     ("sweep-with-solver", "sweep --solver mitm --p-bits 8 --bounds-bits 4"),
     ("sweep-n-past-widest", f"sweep --n 17 --p-bits 8 --bounds-bits 4 --seed {SEED_A}"),
+    ("sweep-n-below-2", f"sweep --n 1 --p-bits 8 --bounds-bits 4 --seed {SEED_A}"),
     ("sweep-p-bits-past-widest", f"sweep --p-bits 4097 --bounds-bits 4 --seed {SEED_A}"),
     ("sweep-p-bits-negative", f"sweep --p-bits -5 --bounds-bits 2 --seed {SEED_A}"),
     ("sweep-p-bits-zero-after-valid", f"sweep --p-bits 8,0 --bounds-bits 2 --seed {SEED_A}"),

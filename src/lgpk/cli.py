@@ -275,6 +275,8 @@ def cmd_sweep(args):
     bound_bits = parse_int_list(args.bounds_bits, "--bounds-bits")
     if args.n > codec.MAX_DIM or max(p_bits) > codec.MAX_PRIME_BITS:  # no key is larger
         raise ParameterError(f"--n must be <= {codec.MAX_DIM}, --p-bits <= {codec.MAX_PRIME_BITS}")
+    if args.n < 2:  # no nilpotent generator is smaller; refused before any prime is drawn
+        raise ParameterError("--n must be >= 2")
     rows = hardness_sweep(args.n, p_bits, bound_bits, rng)
     write_or_print(args.out, sweep_csv(rows), f"{len(rows)} rows")
 

@@ -281,6 +281,7 @@ def test_one_scheme_call_per_file_at_the_paper_profile(tmp_path, monkeypatch):
     assert run("inspect", str(flipped)) == 4
 
 
+
 @pytest.mark.parametrize("msg_len, code", [(64, 2), (127, 2), (128, 0), (130, 0)])
 def test_file_mode_needs_a_128_bit_file_key(tmp_path, capsys, msg_len, code):
     # p = 251 as in the toy profile; 130 bits is not byte-aligned, which the
@@ -604,6 +605,17 @@ def test_sweep_past_the_codec_limits_exits_2_before_sampling(argv, capsys, monke
     assert run("sweep", *argv, "--bounds-bits", "4") == 2
     assert capsys.readouterr().err == "error: --n must be <= 16, --p-bits <= 4096\n"
 
+
+@pytest.mark.parametrize("n", ["1", "0", "-3"])
+def test_sweep_below_rank_2_exits_2_before_sampling(n, capsys, monkeypatch):
+    # no nilpotent generator has rank below 2; a 2048-bit prime would be
+    # drawn for nothing
+    def fail(bits, rng):
+        raise AssertionError("sampled a prime")
+
+    monkeypatch.setattr(cryptanalysis, "sample_prime", fail)
+    assert run("sweep", "--n", n, "--p-bits", "2048", "--bounds-bits", "2") == 2
+    assert capsys.readouterr().err == "error: --n must be >= 2\n"
 
 def test_sweep_rejects_bad_grid(capsys):
     assert run("sweep", "--p-bits", "8", "--bounds-bits", "7") == 2

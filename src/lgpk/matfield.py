@@ -12,18 +12,21 @@ results are built unchecked by `bitstrings.trusted`: on validated inputs each
 operation keeps entries reduced mod p, products invertible and, over the field
 F_p, the index of a nonzero multiple of a nilpotent matrix.
 
-Exponentials are evaluated from a table of the terms X^m/m! (1 <= m < index):
-exp(tX) = I + sum of t^m * X^m/m!, with no matrix products. One rule decides
-who keeps a table: every `NilpotentMatrix` does. Both constructors prove
-nilpotency by walking X, X^2, ..., X^index, and they keep the table built from
-those powers at no extra product.
+Exponentials are evaluated from a table of the plain powers X^m
+(1 <= m < index): exp(tX) = I + sum of (t^m/m!) * X^m, with no matrix
+products; each pair in the table keeps m^-1 mod p beside X^m, so the scalar
+t^m/m! is one step from the last. One rule decides who keeps a table: every
+`NilpotentMatrix` does. Both constructors prove nilpotency by walking X, X^2,
+..., X^(index-1) and then showing X^index = 0, and they keep those powers as
+the table at no extra product. For index n the last step costs no product
+either when n! is a unit mod p: tr(X^k) = 0 for k = 1..n proves X^n = 0.
 
-Each term is one packed integer (Kronecker substitution): n^2 little-endian
+Each power is one packed integer (Kronecker substitution): n^2 little-endian
 slots, row-major from the lowest, of w = ceil((2*bits(p) + bits(n))/8) bytes
 each, room for the sum of n-1 products of two residues: no slot carries into
 the next. `_slots` is the one reader of the layout, for `exp_scaled` (index-1
 big multiply-adds, then n^2 slot reductions) and for `term_rows`, the public
-view of a table. A table holds index-1 terms of n^2 * w bytes: at the
+view of a table. A table holds index-1 powers of n^2 * w bytes: at the
 paper profile (n = 5, 256-bit p) 4 x 1,625 bytes per generator, about 14 KB
 per public key; at the codec's limits (n = 16, 4096-bit p) 15 x 262,400 bytes,
 about 8.4 MB per key, twice a table of separate entries.
@@ -33,7 +36,8 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from math import gcd, isqrt, prod
+from itertools import chain
+from math import factorial, gcd, isqrt, prod
 from typing import Optional
 
 from .bitstrings import trusted
@@ -247,7 +251,8 @@ def mat_mul(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
 
 def _forward(rows, p: int) -> tuple[list[int], list[list[int]], int]:
     """The forward pass of `row_reduce`, to row echelon form. Rows below a
-    pivot are zero left of its column, so their updates start at that column."""
+    pivot are zero left of its column and become zero in it, so their updates
+    write that 0 and start one column to its right."""
     m = [[e % p for e in row] for row in rows]
     pivot_cols: list[int] = []
     scale = 1
@@ -259,14 +264,14 @@ def _forward(rows, p: int) -> tuple[list[int], list[list[int]], int]:
         if top != r:
             m[r], m[top] = m[top], m[r]
             scale = -scale
-        head = m[r][col:]
-        pivot = head[0]
+        pivot, head = m[r][col], m[r][col + 1:]
         if gcd(pivot, p) != 1:
             raise _not_prime(pivot, p)
         for row in m[r + 1:]:
             f = row[col]
             if f:
-                row[col:] = [(pivot * x - f * y) % p for x, y in zip(row[col:], head)]
+                row[col] = 0
+                row[col + 1:] = [(pivot * x - f * y) % p for x, y in zip(row[col + 1:], head)]
                 scale = scale * pivot % p
         pivot_cols.append(col)
     return pivot_cols, m, scale
@@ -324,25 +329,54 @@ def mat_inv(a: FieldMatrix) -> "GroupElement":
 
 
 def _nilpotency_proof(a: FieldMatrix) -> list[FieldMatrix]:
-    """The chain a, a^2, ..., a^index, which ends at the first zero power, so
-    it costs index-1 products. Raises NotNilpotentError when a^n is not zero.
+    """The nonzero powers a, a^2, ..., a^(index-1), so index is one more than
+    their count. Raises NotNilpotentError when a^n is not zero.
 
-    Over a field the nilpotency index never exceeds n, so the chain up to a^n
-    settles the question. Over Z_p with p composite a matrix whose n-th power
-    is nonzero is not nilpotent here, even if a higher power vanishes.
+    Over a field the nilpotency index never exceeds n, so a^n settles the
+    question. Over Z_p with p composite a matrix whose n-th power is nonzero
+    is not nilpotent here, even if a higher power vanishes.
+
+    Each power costs one product, but a^n is proved zero without one when
+    `_traces_vanish` holds; otherwise it is multiplied out as the others are.
     """
-    powers = [a]
-    while any(map(any, powers[-1].rows)):
-        if len(powers) == a.n:
+    n = a.n
+    powers: list[FieldMatrix] = []
+    power = a
+    while any(map(any, power.rows)):
+        powers.append(power)
+        if len(powers) == n:
             raise NotNilpotentError("matrix is not nilpotent")
-        powers.append(mat_mul(powers[-1], a))
+        if len(powers) == n - 1 and _traces_vanish(powers, a):
+            break
+        power = mat_mul(power, a)
     return powers
+
+
+def _traces_vanish(powers: list[FieldMatrix], a: FieldMatrix) -> bool:
+    """Whether n! is a unit mod p and tr(a^k) = 0 mod p for k = 1, ..., n,
+    given powers = [a, ..., a^(n-1)]. If so, a^n = 0: Newton's identities,
+    which hold over any commutative ring, zero every coefficient of the
+    characteristic polynomial but the leading one, and Cayley-Hamilton does
+    the rest. tr(a^n), the sum of (a^(n-1))_ij * a_ji, costs n^2 products of
+    residues, a fifth of a product at n = 5.
+
+    The unit condition is needed: over Z_2 the identity has every trace 0.
+    Over a composite modulus the test is not necessary either: over Z_9,
+    diag(3, 0) is nilpotent with trace 3.
+    """
+    n, p = a.n, a.p
+    if gcd(factorial(n), p) != 1:
+        return False
+    if any(sum(x.rows[i][i] for i in range(n)) % p for x in powers):
+        return False
+    last = chain.from_iterable(powers[-1].rows)
+    return sum(map(operator.mul, last, chain.from_iterable(zip(*a.rows)))) % p == 0
 
 
 def is_nilpotent(a: FieldMatrix) -> tuple[bool, Optional[int]]:
     """(True, l) with the minimal l <= n such that a^l = 0, else (False, None)."""
     try:
-        return True, len(_nilpotency_proof(a))
+        return True, len(_nilpotency_proof(a)) + 1
     except NotNilpotentError:
         return False, None
 
@@ -363,9 +397,9 @@ def commutes(a: FieldMatrix, b: FieldMatrix) -> bool:
 @dataclass(frozen=True)
 class NilpotentMatrix:
     """A FieldMatrix proven nilpotent, its exact index, and the table `_terms`
-    of packed X^m/m! (1 <= m < index; format in the module docstring) that
-    exp_scaled reads. Both constructors keep the table built from the powers
-    their proof walks, for as long as the matrix lives. `_terms` is not a
+    of pairs (m^-1 mod p, packed X^m) (1 <= m < index; format in the module
+    docstring) that exp_scaled reads. Both constructors keep the powers their
+    proof walks as the table, for as long as the matrix lives. `_terms` is not a
     field, so equality, hash, repr and the codec ignore it. When some m! has
     no inverse mod p (p <= n, or p composite), both constructors raise
     ParameterError."""
@@ -374,18 +408,18 @@ class NilpotentMatrix:
     index: int
 
     def __post_init__(self):
-        """Prove the claimed index: the proof's chain ends at a^index."""
+        """Prove the claimed index: the proof's powers end at a^(index-1)."""
         a, k = self.base, self.index
         powers = _nilpotency_proof(a)
-        if len(powers) != k:
-            raise NotNilpotentError(f"nilpotency index is {len(powers)}, not {k}")
-        object.__setattr__(self, "_terms", _table(powers[:-1], a.n, a.p))
+        if len(powers) + 1 != k:
+            raise NotNilpotentError(f"nilpotency index is {len(powers) + 1}, not {k}")
+        object.__setattr__(self, "_terms", _table(powers, a.n, a.p))
 
     @classmethod
     def from_matrix(cls, a: FieldMatrix) -> "NilpotentMatrix":
         """Prove nilpotency and keep the minimal index."""
         powers = _nilpotency_proof(a)
-        return trusted(cls, base=a, index=len(powers), _terms=_table(powers[:-1], a.n, a.p))
+        return trusted(cls, base=a, index=len(powers) + 1, _terms=_table(powers, a.n, a.p))
 
 
 @dataclass(frozen=True)
@@ -415,10 +449,10 @@ def _slots(packed: int, n: int, w: int) -> list[int]:
     return [int.from_bytes(raw[k:k + w], "little") for k in range(0, len(raw), w)]
 
 
-def _table(powers: list[FieldMatrix], n: int, p: int) -> tuple[int, ...]:
-    """The packed terms a^m/m! mod p for the powers a, a^2, ... given. Raises
-    ParameterError when p <= n or when some m! has no inverse mod p (a
-    composite p).
+def _table(powers: list[FieldMatrix], n: int, p: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (m^-1 mod p, packed a^m) for the powers a, a^2, ... given.
+    Raises ParameterError when p <= n or when some m! has no inverse mod p
+    (a composite p).
     """
     if p <= n:
         raise ParameterError(f"need p > n for factorial inverses (p={p}, n={n})")
@@ -426,19 +460,23 @@ def _table(powers: list[FieldMatrix], n: int, p: int) -> tuple[int, ...]:
     terms = []
     fact = 1
     for m, power in enumerate(powers, 1):
-        fact = fact * m % p
-        c = _inverse(fact, p)
-        slots = b"".join([(c * e % p).to_bytes(w, "little") for row in power.rows for e in row])
-        terms.append(int.from_bytes(slots, "little"))
+        prev, fact = fact, fact * m % p
+        inv_m = prev * _inverse(fact, p) % p  # (m-1)!/m!, so the first m! without an inverse raises
+        slots = b"".join([e.to_bytes(w, "little") for row in power.rows for e in row])
+        terms.append((inv_m, int.from_bytes(slots, "little")))
     return tuple(terms)
 
 
 def term_rows(x: NilpotentMatrix) -> tuple[Rows, ...]:
-    """The rows of each kept term X^m/m! mod p, 1 <= m < index: a basis of
-    the span that every exp(tX) - I lies in."""
-    n, w = x.base.n, _slot_bytes(x.base.n, x.base.p)
-    slots = [_slots(term, n, w) for term in x._terms]
-    return tuple([tuple([tuple(s[k:k + n]) for k in range(0, n * n, n)]) for s in slots])
+    """The rows of each term X^m/m! mod p, 1 <= m < index: a basis of the
+    span that every exp(tX) - I lies in."""
+    n, p = x.base.n, x.base.p
+    w, c, terms = _slot_bytes(n, p), 1, []
+    for inv_m, power in x._terms:
+        c = c * inv_m % p
+        s = [c * e % p for e in _slots(power, n, w)]
+        terms.append(tuple([tuple(s[k:k + n]) for k in range(0, n * n, n)]))
+    return tuple(terms)
 
 
 def mat_exp(x: NilpotentMatrix) -> GroupElement:
@@ -456,16 +494,17 @@ def exp_scaled(t: int, x: NilpotentMatrix) -> GroupElement:
 
     t -> exp_scaled(t, x) is a one-parameter subgroup of GL_n(p): it maps 0 to
     the identity and addition of scalars (mod p) to multiplication of images.
-    Sums c_m * T_m with c_m = t^m mod p over x's packed terms T_m, unpacks the
-    sum once and reduces each slot; builds no matrix product.
+    Sums c_m * P_m with c_m = t^m/m! mod p over x's packed powers P_m = x^m,
+    each c_m one step c_(m-1) * t * m^-1 from the last; unpacks the sum once
+    and reduces each slot; builds no matrix product.
     """
     if t < 0:
         raise ParameterError("scalar must be non-negative")
     n, p = x.base.n, x.base.p
     acc, c = 0, 1
-    for term in x._terms:
-        c = c * t % p
-        acc += c * term
+    for inv_m, power in x._terms:
+        c = c * t * inv_m % p
+        acc += c * power
     entries = _slots(acc, n, _slot_bytes(n, p))
     for k in range(0, n * n, n + 1):
         entries[k] += 1  # the identity

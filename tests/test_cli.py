@@ -9,8 +9,9 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from conftest import count_calls
 
-from lgpk import cli, codec, cryptanalysis
+from lgpk import cli, codec, cryptanalysis, matfield
 from lgpk.bitstrings import BitStr
 from lgpk.cli import build_kat_bundle, main
 from lgpk.cryptanalysis import hardness_sweep, solvers
@@ -280,6 +281,20 @@ def test_one_scheme_call_per_file_at_the_paper_profile(tmp_path, monkeypatch):
     flipped.write_bytes(bytes(key))
     assert run("inspect", str(flipped)) == 4
 
+
+def test_paper_commands_take_the_pinned_products(tmp_path, monkeypatch):
+    prefix = str(tmp_path / "paper")
+    assert run("keygen", "--profile", "paper", "--seed", SEED_A, "--out", prefix) == 0
+    muls = count_calls(monkeypatch, matfield, "mat_mul")
+    _seal(tmp_path, prefix + ".lgpk", "m", bytes(100), SEED_B)
+    # decoding the key: 2 x 3 nilpotency products, the traces proving X^5 = 0;
+    # sealing: 3 group products
+    assert len(muls) == 9
+    muls.clear()
+    assert run("decrypt", prefix + ".lgsk", prefix + ".lgpk", str(tmp_path / "m.lgct"),
+               "--out", str(tmp_path / "m.out")) == 0
+    # the same 6 decoding the key, and 5 group products opening
+    assert len(muls) == 11
 
 
 @pytest.mark.parametrize("msg_len, code", [(64, 2), (127, 2), (128, 0), (130, 0)])

@@ -191,21 +191,114 @@ def test_nilpotent_matrix_validates_index():
 
 
 def test_a_nilpotency_proof_walks_the_powers_once(monkeypatch):
-    # a valid index-k proof stops at the first zero power: k-1 products
+    # a valid index-k proof stops at the first zero power: k-1 products, but
+    # k-2 for k = n, whose last power the traces prove zero
     muls = count_calls(monkeypatch, matfield, "mat_mul")
     for k in (1, 2, 3):
         base = mat([[int(j == i + 1 and i + 1 < k) for j in range(3)] for i in range(3)], 7)
         muls.clear()
         NilpotentMatrix(base, k)
-        assert len(muls) == k - 1
+        assert len(muls) == (k - 2 if k == 3 else k - 1)
     # a wrong claim, in [1, n] or not, costs one walk, not a second one to
-    # find the true index
-    for wrong in (mat([list(r) for r in SHIFT3], 7), identity(3, 7)):
+    # find the true index: 1 product for the index-3 shift, 2 for the
+    # identity, whose trace is not zero
+    for wrong, walk in ((mat([list(r) for r in SHIFT3], 7), 1), (identity(3, 7), 2)):
         for claim in (0, 2, 4):
             muls.clear()
             with pytest.raises(NotNilpotentError):
                 NilpotentMatrix(wrong, claim)
-            assert len(muls) == 2
+            assert len(muls) == walk
+
+
+def walk_index(rows, p):
+    """The nilpotency index that multiplying out every power finds, or None
+    when the n-th power is not zero."""
+    power, index = rows, 1
+    while any(map(any, power)):
+        if index == len(rows):
+            return None
+        power = slow_mat_mul(power, rows, p)
+        index += 1
+    return index
+
+
+def walk_outcome(index, n, p, claim=None):
+    """What the constructors must return for a matrix of that walk index: the
+    index, or the type and message of the error they raise."""
+    if index is None:
+        return NotNilpotentError, "matrix is not nilpotent"
+    if claim is not None and claim != index:
+        return NotNilpotentError, f"nilpotency index is {index}, not {claim}"
+    if p <= n:  # for the sizes below, every m! with m < index <= n < p is a unit mod p
+        return ParameterError, f"need p > n for factorial inverses (p={p}, n={n})"
+    return index
+
+
+def built_outcome(build, *args):
+    try:
+        return build(*args).index
+    except (NotNilpotentError, ParameterError) as e:
+        return type(e), str(e)
+
+
+def assert_verdicts_agree(rows, p, claim_all=True):
+    """from_matrix against the walk, and a claim of index n too: for every
+    matrix, or with claim_all off for those the walk finds nilpotent."""
+    n = len(rows)
+    a = FieldMatrix(n, p, tuple(map(tuple, rows)))
+    index = walk_index(rows, p)
+    assert built_outcome(NilpotentMatrix.from_matrix, a) == walk_outcome(index, n, p), (rows, p)
+    if claim_all or index is not None:
+        assert built_outcome(NilpotentMatrix, a, n) == walk_outcome(index, n, p, n), (rows, p)
+
+
+def conjugated(rng, rows, p):
+    """rows conjugated by a few random transvections I + c*e_ij, each
+    invertible over any Z_p with inverse I - c*e_ij."""
+    n = len(rows)
+    for _ in range(3):
+        i, j = rng.sample(range(n), 2)
+        c = rng.randrange(p)
+        e = [[int(r == s) for s in range(n)] for r in range(n)]
+        e_inv = [row[:] for row in e]
+        e[i][j], e_inv[i][j] = c, -c % p
+        rows = slow_mat_mul(slow_mat_mul(e, rows, p), e_inv, p)
+    return rows
+
+
+def test_trace_proof_keeps_every_nilpotency_verdict(monkeypatch):
+    # the proof skips a^n when n! is a unit mod p and every tr(a^k), k <= n,
+    # is zero; a walk that multiplies out each power must reach the same
+    # index, or the same error, on every 2x2 matrix over these moduli (over
+    # Z_25 a claim is tried on the nilpotent ones only, to keep the time down)
+    for p in (2, 3, 4, 6, 9, 25):
+        for entries in itertools.product(range(p), repeat=4):
+            assert_verdicts_agree((entries[:2], entries[2:]), p, claim_all=p < 25)
+    # 3x3: uniform draws (rarely nilpotent), conjugated strictly upper
+    # triangular ones (index up to 3, traces zero) and, over Z_9 and Z_49,
+    # multiples of 3 or 7 (nilpotent, traces often not zero)
+    rng = random.Random(3131)
+    for p, root in ((3, 3), (7, 7), (9, 3), (49, 7)):
+        for _ in range(300):
+            uniform = [[rng.randrange(p) for _ in range(3)] for _ in range(3)]
+            upper = [[rng.randrange(p) if j > i else 0 for j in range(3)] for i in range(3)]
+            for rows in (uniform, conjugated(rng, upper, p),
+                         [[root * e % p for e in row] for row in uniform]):
+                assert_verdicts_agree(rows, p)
+    # each fallback multiplies a^n out: diag(3, 0) over Z_9 is nilpotent with
+    # trace 3, and 2! shares a factor with 6, 3! with 3 = p <= n
+    muls = count_calls(monkeypatch, matfield, "mat_mul")
+    for rows, p, walk, products in (
+        ([[0, 1], [0, 0]], 7, 2, 0),  # the traces prove a^2 = 0
+        ([[3, 0], [0, 0]], 9, 2, 1),
+        ([[0, 1], [0, 0]], 6, 2, 1),
+        ([list(r) for r in SHIFT3], 3,
+         (ParameterError, "need p > n for factorial inverses (p=3, n=3)"), 2),
+    ):
+        assert walk_outcome(walk_index(rows, p), len(rows), p) == walk
+        muls.clear()
+        assert built_outcome(NilpotentMatrix.from_matrix, mat(rows, p)) == walk
+        assert len(muls) == products
 
 
 def test_nilpotency_over_composite_modulus_stops_at_n():

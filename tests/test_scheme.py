@@ -113,10 +113,10 @@ def test_paper_keygen_builds_each_table_once(monkeypatch):
     params = make_params("paper", RngHandle(SEED))
     muls = count_calls(monkeypatch, matfield, "mat_mul", aliases=(sampler,))
     pk, _ = keygen(params, RngHandle(SEED))
-    # 2 x (2 conjugation products + 4 nilpotency products) sampling, whose
-    # powers also fill the generators' tables, and 1 for the key product;
-    # commutes takes none
-    assert len(muls) == 13
+    # 2 x (2 conjugation products + 3 nilpotency products, the traces
+    # proving X^5 = 0) sampling, whose powers also fill the generators'
+    # tables, and 1 for the key product; commutes takes none
+    assert len(muls) == 11
     assert len(pk.left_gen._terms) == pk.left_gen.index - 1
     assert len(pk.right_gen._terms) == pk.right_gen.index - 1
 
@@ -131,11 +131,11 @@ def test_decode_checks_primality_once_and_takes_no_det(monkeypatch):
     dets = count_calls(monkeypatch, matfield, "det")
     muls = count_calls(monkeypatch, matfield, "mat_mul")
     assert decode(pk_wire) == pk
-    # 2 x 4 nilpotency products, whose powers also fill the key's tables;
-    # commutes takes none
-    assert (len(primes), len(dets), len(muls)) == (1, 0, 8)
+    # 2 x 3 nilpotency products, the traces proving X^5 = 0, whose powers
+    # also fill the key's tables; commutes takes none
+    assert (len(primes), len(dets), len(muls)) == (1, 0, 6)
     decode(ct_wire)
-    assert (len(primes), len(dets), len(muls)) == (1, 0, 8)
+    assert (len(primes), len(dets), len(muls)) == (1, 0, 6)
 
 
 def exp_terms_oracle(base, index):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import time
 import tracemalloc
 
 import pytest
@@ -457,6 +458,27 @@ def test_sweep_refuses_a_prime_below_3_bits_before_sampling(monkeypatch, p_bits)
         hardness_sweep(2, p_bits, [2], rng)
     assert rng.take(8) == RngHandle(SEED).take(8)
 
+
+def test_sweep_takes_a_3_bit_prime():
+    # sample_prime's floor is a sweep's too: 3 bits is the smallest it accepts
+    rows = hardness_sweep(2, [3], [2], RngHandle(SEED))
+    assert [(row.p_bits, row.found) for row in rows] == [(3, "yes"), (3, "yes")]
+
+
+def test_sweep_plants_scalars_up_to_one_bit_below_the_prime():
+    # scalars of p_bits - 1 bits fit below every p_bits-bit prime; p_bits bits do not
+    rows = hardness_sweep(2, [5], [8], RngHandle(SEED))
+    assert [row.found for row in rows] == ["yes", "yes"]
+    with pytest.raises(ParameterError, match=r"^bound of 2\^5 per scalar cannot be planted"):
+        hardness_sweep(2, [5], [10], RngHandle(SEED))
+
+
+def test_sweep_millis_is_a_duration_within_the_call():
+    start = time.perf_counter()
+    rows = hardness_sweep(2, [8], [4, 6], RngHandle(SEED))
+    wall = (time.perf_counter() - start) * 1000.0
+    assert all(0 <= row.millis <= wall for row in rows)
+    assert sum(row.millis for row in rows) <= wall
 
 def test_sweep_csv_format():
     rows = hardness_sweep(2, [8], [4], RngHandle(SEED))

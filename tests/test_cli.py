@@ -632,6 +632,8 @@ def test_sweep_below_rank_2_exits_2_before_sampling(n, capsys, monkeypatch):
     assert run("sweep", "--n", n, "--p-bits", "2048", "--bounds-bits", "2") == 2
     assert capsys.readouterr().err == "error: --n must be >= 2\n"
 
+
+
 def test_sweep_rejects_bad_grid(capsys):
     assert run("sweep", "--p-bits", "8", "--bounds-bits", "7") == 2
     assert capsys.readouterr().err == "error: bound_bits must be even and >= 2, got 7\n"

@@ -480,6 +480,8 @@ def test_sweep_millis_is_a_duration_within_the_call():
     assert all(0 <= row.millis <= wall for row in rows)
     assert sum(row.millis for row in rows) <= wall
 
+
+
 def test_sweep_csv_format():
     rows = hardness_sweep(2, [8], [4], RngHandle(SEED))
     text = sweep_csv(rows)

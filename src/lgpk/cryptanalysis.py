@@ -30,7 +30,7 @@ import operator
 import time
 from collections import deque
 from dataclasses import astuple, dataclass, fields
-from itertools import accumulate, chain, compress, count, islice, repeat, tee
+from itertools import accumulate, chain, compress, count, repeat, tee
 from math import comb
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -135,12 +135,14 @@ def _diff_rows(start: tuple[int, ...], step: Rows, index: int, p: int) -> list[t
 
 def _walk(diffs: Sequence[int], length: int, p: int) -> Iterator[int]:
     """The values at t = 0, 1, ..., length-1, mod p, of the polynomial whose
-    forward differences at 0 are `diffs`: running sums of running sums
-    (`itertools.accumulate`), with no Python step per value."""
-    values = repeat(diffs[-1])
-    for d in diffs[-2::-1]:
+    forward differences at 0 are `diffs`: running sums of running sums, with
+    no Python step per value. `itertools.count` sums the constant last
+    difference and `itertools.accumulate` each earlier one; the `map` that
+    reduces them mod p stops after `length`."""
+    values = count(diffs[-2], diffs[-1]) if len(diffs) > 1 else repeat(diffs[0])
+    for d in diffs[-3::-1]:
         values = accumulate(values, initial=d)
-    return islice(map(operator.mod, values, repeat(p)), length)
+    return map(operator.mod, values, repeat(p, length))
 
 
 def _row_at(diffs: Sequence[tuple[int, ...]], t: int, p: int) -> tuple[int, ...]:
@@ -329,6 +331,8 @@ def hardness_sweep(
                 f"bound of 2^{s_max} per scalar cannot be planted faithfully "
                 f"inside a {p_bits}-bit prime"
             )
+    if n < 2:  # sample_nilpotent's floor, checked before any draw
+        raise ParameterError("nilpotent sampling needs n >= 2")
     x_master = rng.randbits(s_max)
     y_master = rng.randbits(s_max)
     rows = []

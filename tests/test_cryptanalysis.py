@@ -2,9 +2,10 @@ import dataclasses
 import json
 import time
 import tracemalloc
+from math import comb
 
 import pytest
-from conftest import slow_naf_bruteforce, slow_naf_mitm
+from conftest import count_calls, slow_naf_bruteforce, slow_naf_mitm
 from test_kat import PIN_SEED
 
 from lgpk import cli, cryptanalysis, matfield
@@ -131,6 +132,17 @@ def test_smallest_scalars_win_when_bounds_exceed_modulus():
     for solver in (naf_bruteforce, naf_mitm):
         sol = solver(inst)
         assert (sol.left_scalar, sol.right_scalar) == (1, 2)
+
+
+@pytest.mark.parametrize("diffs", [[5], [0], [3, 0], [3, 4], [2, 0, 6], [1, 6, 0, 5], [4, 1, 3, 0]])
+@pytest.mark.parametrize("length", [1, 5, 17])
+def test_walk_is_newtons_forward_formula(diffs, length):
+    # exactly `length` values, the t-th being sum over i of C(t, i) * d_i mod p,
+    # also past t = p, where the walk wraps
+    p = 7
+    got = list(cryptanalysis._walk(diffs, length, p))
+    assert len(got) == length
+    assert got == [sum(comb(t, i) * d for i, d in enumerate(diffs)) % p for t in range(length)]
 
 
 def grid_generators():
@@ -268,6 +280,19 @@ def test_shift_pair_scans_confirm_few_false_hits(monkeypatch):
             naf_mitm(inst)
         counts.append(len(failed))
     assert counts == [42, 98]
+
+
+def test_bruteforce_prefilters_on_a_coordinate_that_moves_with_x_on_a_grid_one_y_long(monkeypatch):
+    # the row is (1 + (1+x)*y, 1+x). With bound_right 1, coordinate 0 reads 1
+    # at every x, so a prefilter on it (chosen by the y-differences) passes
+    # all 2^10 x's, each rebuilding its row (3 `_row_at` calls); coordinate 1
+    # moves with x and lets only the planted x through
+    upper, lower = shift_pair(4294967291)
+    calls = count_calls(monkeypatch, cryptanalysis, "_row_at")
+    x = (1 << 10) - 1
+    sol = naf_bruteforce(planted(upper, lower, x, 0, 1 << 10, 1))
+    assert (sol.left_scalar, sol.right_scalar, sol.ops) == (x, 0, 1 << 10)
+    assert len(calls) == 3
 
 
 def test_bruteforce_scans_a_long_row_in_constant_memory():
@@ -456,6 +481,18 @@ def test_sweep_refuses_a_prime_below_3_bits_before_sampling(monkeypatch, p_bits)
     rng = RngHandle(SEED)
     with pytest.raises(ParameterError, match=r"^prime bit length must be >= 3$"):
         hardness_sweep(2, p_bits, [2], rng)
+    assert rng.take(8) == RngHandle(SEED).take(8)
+
+
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_sweep_refuses_rank_below_2_before_sampling(monkeypatch, n):
+    # the rank check comes after the grid checks and before any draw
+    monkeypatch.setattr(cryptanalysis, "sample_prime", None)
+    rng = RngHandle(SEED)
+    with pytest.raises(ParameterError, match=r"^nilpotent sampling needs n >= 2$"):
+        hardness_sweep(n, [2048], [2], rng)
+    with pytest.raises(ParameterError, match=r"^prime bit length must be >= 3$"):
+        hardness_sweep(n, [2], [2], rng)
     assert rng.take(8) == RngHandle(SEED).take(8)
 
 

@@ -12,6 +12,15 @@ results are built unchecked by `bitstrings.trusted`: on validated inputs each
 operation keeps entries reduced mod p, products invertible and, over the field
 F_p, the index of a nonzero multiple of a nilpotent matrix.
 
+Every matrix product is `mat_mul`, and it runs a straight-line kernel that
+`_product_kernel(n)` compiles once per process and dimension. The kernel's
+source text is built from range(n) alone, never from p or matrix data, so
+one kernel serves every modulus and the cache holds one entry per n. It does
+the exact integer sums of a triple loop (125 multiplications and 25
+reductions at n = 5) with no `map` or `sum` per entry. Compiling it costs
+0.09-0.15 ms at n = 2, 0.4 ms at n = 5, 2.3-3.4 ms at n = 16 and 80-110 ms at
+n = 64 (2 cores, Python 3.11.7).
+
 Exponentials are evaluated from a table of the plain powers X^m
 (1 <= m < index): exp(tX) = I + sum of (t^m/m!) * X^m, with no matrix
 products; each pair in the table keeps m^-1 mod p beside X^m, so the scalar
@@ -36,6 +45,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain
 from math import factorial, gcd, isqrt, prod
 from typing import Optional
@@ -239,14 +249,42 @@ def _check_compatible(a: FieldMatrix, b: FieldMatrix):
         )
 
 
+@cache
+def _product_kernel(n: int):
+    """product(arows, brows, p): the rows of A times B mod p for n x n row
+    tuples, with no loop but the one over A's rows. It unpacks B's n^2
+    entries into locals b{k}_{j} once, then gives each row (a0, ..., a(n-1))
+    of A the n entries (a0*b0_j + ... + a(n-1)*b(n-1)_j) % p. The source
+    text comes from range(n) alone (see the module docstring).
+    """
+    r = range(n)
+    brows = "".join(["(" + "".join([f"b{k}_{j}, " for j in r]) + "), " for k in r])
+    arow = "".join([f"a{k}, " for k in r])
+    entries = "".join(["(" + " + ".join([f"a{k} * b{k}_{j}" for k in r]) + ") % p, " for j in r])
+    namespace: dict = {}
+    exec(
+        f"def product(arows, brows, p):\n"
+        f"    {brows}= brows\n"
+        f"    return tuple([({entries}) for ({arow}) in arows])\n",
+        namespace,
+    )
+    return namespace["product"]
+
+
 def mat_mul(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
-    """Schoolbook product reduced mod p. n is tiny here; exactness over speed."""
+    """Schoolbook product reduced mod p, the same exact integer sums as a
+    triple loop, by the straight-line kernel `_product_kernel(n)`.
+
+    At the paper profile (n = 5, 256-bit p) a product takes 40-50 us in a
+    warm process against 53-63 us for sums over `map` (medians of 15
+    interleaved rounds, 2 cores, Python 3.11.7). A fresh `lgpk encrypt`
+    process pays the 0.4 ms compile at n = 5 once and saves 13-20 us on each
+    of its 9 products: within 0.3 ms, or half a percent, of break-even on a
+    77 ms command.
+    """
     _check_compatible(a, b)
     n, p = a.n, a.p
-    bcols = list(zip(*b.rows))
-    mul = operator.mul
-    out = tuple([tuple([sum(map(mul, row, col)) % p for col in bcols]) for row in a.rows])
-    return trusted(FieldMatrix, n=n, p=p, rows=out)
+    return trusted(FieldMatrix, n=n, p=p, rows=_product_kernel(n)(a.rows, b.rows, p))
 
 
 def _forward(rows, p: int) -> tuple[list[int], list[list[int]], int]:

@@ -119,6 +119,30 @@ def test_mat_mul_incompatible_raises():
         mat_mul(identity(2, 5), identity(2, 7))
 
 
+PRODUCT_CASES = [(n, p) for n in range(1, 17) for p in (2, 3, 2**61 - 1, P256)] + [(16, P4096)]
+
+
+@pytest.mark.parametrize(
+    "n, p", PRODUCT_CASES, ids=[f"n{n}-p{p.bit_length()}bit" for n, p in PRODUCT_CASES]
+)
+def test_product_kernel_against_slow_oracle_at_every_dimension(n, p):
+    rng = random.Random(n * 1009 + p.bit_length())
+    top = mat([[p - 1] * n] * n, p)  # every entry p - 1: the largest sums
+    for a, b in ((random_matrix(rng, n, p), random_matrix(rng, n, p)), (top, top)):
+        out = mat_mul(a, b)
+        assert type(out.rows) is tuple and all(type(row) is tuple for row in out.rows)
+        assert out == FieldMatrix(n, p, tuple(map(tuple, slow_mat_mul(a.rows, b.rows, p))))
+
+
+def test_product_kernel_is_keyed_on_dimension_alone():
+    matfield._product_kernel.cache_clear()
+    rng = random.Random(5)
+    for p in (7, 2**61 - 1, P256):
+        mat_mul(random_matrix(rng, 5, p), random_matrix(rng, 5, p))
+    assert matfield._product_kernel.cache_info().currsize == 1
+    assert matfield._product_kernel(5) is matfield._product_kernel(5)
+
+
 def test_det_known_values():
     assert det(mat([[1, 2], [3, 4]], 7)) == 5
     assert det(identity(4, 11)) == 1

@@ -121,6 +121,18 @@ def test_paper_keygen_builds_each_table_once(monkeypatch):
     assert len(pk.right_gen._terms) == pk.right_gen.index - 1
 
 
+def test_paper_round_trip_multiplies_through_mat_mul(monkeypatch):
+    params = make_params("paper", RngHandle(SEED))
+    pk, sk = keygen(params, RngHandle(SEED))
+    rng = RngHandle(b"\x09" * 32)
+    msg = rng.bitstr(params.msg_len)
+    muls = count_calls(monkeypatch, matfield, "mat_mul")
+    assert decrypt(sk, pk, encrypt(pk, msg, rng)) == msg
+    # 3 products to encrypt and 5 to decrypt, each one `mat_mul` call that
+    # the benchmark's tracer sees
+    assert len(muls) == 8
+
+
 def test_decode_checks_primality_once_and_takes_no_det(monkeypatch):
     params = make_params("paper", RngHandle(SEED))
     pk, _ = keygen(params, RngHandle(SEED))

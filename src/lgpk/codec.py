@@ -11,12 +11,13 @@ wrong magic/version/kind/suite, CRC mismatch, non-canonical primitive bytes
 (a prime with a leading zero byte, set padding bits in a bit string's last
 byte), n above MAX_DIM, a modulus longer than MAX_PRIME_BITS, and a kappa2 or
 msg_len above MAX_LENGTH_BITS. The limits come before any semantic work: the
-nilpotency proof grows as n^4, each decoded generator keeps a table of up to
-n-1 packed terms, the primality check grows about 7.6x per doubling of the
+nilpotency proof grows as n^4, each decoded generator keeps up to n-1 powers
+as its table, the primality check grows about 7.6x per doubling of the
 modulus length, and `encrypt` draws and hashes kappa2 + msg_len bits. At the
-limits (n = 16, 4096-bit p; kappa3 = kappa4 = 128), decoding a public key and
-then encrypting under it peaks at 10.9 MiB under `tracemalloc` and takes
-5.8-6.0 s to decode and 0.49-0.53 s to encrypt (2 cores, Python 3.11.7).
+limits (n = 16, 4096-bit p; kappa2 = kappa3 = kappa4 = msg_len = 128),
+decoding a public key and then encrypting under it peaks at 5.5 MiB under
+`tracemalloc` (11.0 MiB when each power was one packed integer) and takes
+3.6-4.7 s to decode and 0.43-0.64 s to encrypt (2 cores, Python 3.11.7).
 Only a frame whose checksum matches reaches the semantic phase. It builds the
 typed objects through their validating constructors, and `decode_prefix` alone
 turns what they reject into SemanticDecodeError: entries >= p, wrong nilpotency

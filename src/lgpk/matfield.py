@@ -13,32 +13,33 @@ operation keeps entries reduced mod p, products invertible and, over the field
 F_p, the index of a nonzero multiple of a nilpotent matrix.
 
 Every matrix product is `mat_mul`, and it runs a straight-line kernel that
-`_product_kernel(n)` compiles once per process and dimension. The kernel's
-source text is built from range(n) alone, never from p or matrix data, so
-one kernel serves every modulus and the cache holds one entry per n. It does
-the exact integer sums of a triple loop (125 multiplications and 25
-reductions at n = 5) with no `map` or `sum` per entry. Compiling it costs
-0.09-0.15 ms at n = 2, 0.4 ms at n = 5, 2.3-3.4 ms at n = 16 and 80-110 ms at
-n = 64 (2 cores, Python 3.11.7).
+`_product_kernel(n, n)` compiles once per process and dimension. A kernel's
+source text is built from the ranges of its shape alone, never from p or
+matrix data, so one kernel serves every modulus and the cache holds one entry
+per shape. It does the exact integer sums of a triple loop (125
+multiplications and 25 reductions at n = 5) with no `map` or `sum` per entry.
+Compiling it costs 0.09-0.15 ms at n = 2, 0.4 ms at n = 5, 2.3-3.4 ms at
+n = 16 and 80-110 ms at n = 64 (2 cores, Python 3.11.7).
 
 Exponentials are evaluated from a table of the plain powers X^m
 (1 <= m < index): exp(tX) = I + sum of (t^m/m!) * X^m, with no matrix
-products; each pair in the table keeps m^-1 mod p beside X^m, so the scalar
-t^m/m! is one step from the last. One rule decides who keeps a table: every
-`NilpotentMatrix` does. Both constructors prove nilpotency by walking X, X^2,
-..., X^(index-1) and then showing X^index = 0, and they keep those powers as
-the table at no extra product. For index n the last step costs no product
-either when n! is a unit mod p: tr(X^k) = 0 for k = 1..n proves X^n = 0.
+products. One rule decides who keeps a table: every `NilpotentMatrix` does.
+Both constructors prove nilpotency by walking X, X^2, ..., X^(index-1) and
+then showing X^index = 0, and they keep those powers as the table at no extra
+product. For index n the last step costs no product either when n! is a unit
+mod p: tr(X^k) = 0 for k = 1..n proves X^n = 0.
 
-Each power is one packed integer (Kronecker substitution): n^2 little-endian
-slots, row-major from the lowest, of w = ceil((2*bits(p) + bits(n))/8) bytes
-each, room for the sum of n-1 products of two residues: no slot carries into
-the next. `_slots` is the one reader of the layout, for `exp_scaled` (index-1
-big multiply-adds, then n^2 slot reductions) and for `term_rows`, the public
-view of a table. A table holds index-1 powers of n^2 * w bytes: at the
-paper profile (n = 5, 256-bit p) 4 x 1,625 bytes per generator, about 14 KB
-per public key; at the codec's limits (n = 16, 4096-bit p) 15 x 262,400 bytes,
-about 8.4 MB per key, twice a table of separate entries.
+The table is a pair (inverses, blocks). inverses holds m^-1 mod p for
+m = 1..index-1, so each t^m/m! is one step from the last. blocks[i] is
+(row i of I, row i of X, ..., row i of X^(index-1)): the powers' own row
+tuples, not copies, and one shared identity row tuple per n. Row i of exp(tX)
+is the coefficient row (1, t, t^2/2!, ...) times block i, one call of
+`_product_kernel(index, n)`. At index n, the index of every paper key, that
+is mat_mul's own (n, n) kernel, so no exponential compiles code of its own.
+Beyond its base X, a generator keeps X^2, ..., X^(index-1) and its blocks:
+about 6.8 KB at the paper profile (n = 5, 256-bit p) and 2.1 MB at the
+codec's limits (n = 16, 4096-bit p), against 7.7 KB and 4.2 MB when each
+power was one packed integer (`tracemalloc`, one generator of index n).
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain
+from itertools import accumulate, chain
 from math import factorial, gcd, isqrt, prod
 from typing import Optional
 
@@ -238,8 +239,14 @@ class FieldMatrix:
         return cls(n, p, tuple(tuple(e % p for e in row) for row in rows))
 
 
+@cache
+def _unit_rows(n: int) -> Rows:
+    """The rows of the n x n identity, one shared tuple per n."""
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
 def identity(n: int, p: int) -> FieldMatrix:
-    return FieldMatrix(n, p, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+    return FieldMatrix(n, p, _unit_rows(n))
 
 
 def _check_compatible(a: FieldMatrix, b: FieldMatrix):
@@ -250,17 +257,20 @@ def _check_compatible(a: FieldMatrix, b: FieldMatrix):
 
 
 @cache
-def _product_kernel(n: int):
-    """product(arows, brows, p): the rows of A times B mod p for n x n row
-    tuples, with no loop but the one over A's rows. It unpacks B's n^2
-    entries into locals b{k}_{j} once, then gives each row (a0, ..., a(n-1))
-    of A the n entries (a0*b0_j + ... + a(n-1)*b(n-1)_j) % p. The source
-    text comes from range(n) alone (see the module docstring).
+def _product_kernel(k: int, m: int):
+    """product(arows, brows, p): the rows of A times B mod p, for rows of A
+    with k entries and k rows of B with m entries each, with no loop but the
+    one over A's rows. It unpacks B's k*m entries into locals b{s}_{j} once,
+    then gives each row (a0, ..., a(k-1)) of A the m entries
+    (a0*b0_j + ... + a(k-1)*b(k-1)_j) % p. The source text comes from range(k)
+    and range(m) alone (see the module docstring).
     """
-    r = range(n)
-    brows = "".join(["(" + "".join([f"b{k}_{j}, " for j in r]) + "), " for k in r])
-    arow = "".join([f"a{k}, " for k in r])
-    entries = "".join(["(" + " + ".join([f"a{k} * b{k}_{j}" for k in r]) + ") % p, " for j in r])
+    inner, cols = range(k), range(m)
+    brows = "".join(["(" + "".join([f"b{s}_{j}, " for j in cols]) + "), " for s in inner])
+    arow = "".join([f"a{s}, " for s in inner])
+    entries = "".join(
+        ["(" + " + ".join([f"a{s} * b{s}_{j}" for s in inner]) + ") % p, " for j in cols]
+    )
     namespace: dict = {}
     exec(
         f"def product(arows, brows, p):\n"
@@ -273,7 +283,7 @@ def _product_kernel(n: int):
 
 def mat_mul(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
     """Schoolbook product reduced mod p, the same exact integer sums as a
-    triple loop, by the straight-line kernel `_product_kernel(n)`.
+    triple loop, by the straight-line kernel `_product_kernel(n, n)`.
 
     At the paper profile (n = 5, 256-bit p) a product takes 40-50 us in a
     warm process against 53-63 us for sums over `map` (medians of 15
@@ -284,7 +294,7 @@ def mat_mul(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
     """
     _check_compatible(a, b)
     n, p = a.n, a.p
-    return trusted(FieldMatrix, n=n, p=p, rows=_product_kernel(n)(a.rows, b.rows, p))
+    return trusted(FieldMatrix, n=n, p=p, rows=_product_kernel(n, n)(a.rows, b.rows, p))
 
 
 def _forward(rows, p: int) -> tuple[list[int], list[list[int]], int]:
@@ -357,9 +367,7 @@ def mat_inv(a: FieldMatrix) -> "GroupElement":
     """Inverse mod p from the reduced row echelon form of [a | I]: a is singular
     when a pivot falls right of column n-1, else the right half is a^-1."""
     n, p = a.n, a.p
-    pivot_cols, m = row_reduce(
-        [row + tuple(int(i == j) for j in range(n)) for i, row in enumerate(a.rows)], p
-    )
+    pivot_cols, m = row_reduce([row + unit for row, unit in zip(a.rows, _unit_rows(n))], p)
     if pivot_cols[n - 1] >= n:
         raise NotInvertibleError(f"matrix is singular mod {p}")
     rows = tuple(tuple(row[n:]) for row in m)
@@ -434,13 +442,13 @@ def commutes(a: FieldMatrix, b: FieldMatrix) -> bool:
 
 @dataclass(frozen=True)
 class NilpotentMatrix:
-    """A FieldMatrix proven nilpotent, its exact index, and the table `_terms`
-    of pairs (m^-1 mod p, packed X^m) (1 <= m < index; format in the module
-    docstring) that exp_scaled reads. Both constructors keep the powers their
-    proof walks as the table, for as long as the matrix lives. `_terms` is not a
-    field, so equality, hash, repr and the codec ignore it. When some m! has
-    no inverse mod p (p <= n, or p composite), both constructors raise
-    ParameterError."""
+    """A FieldMatrix proven nilpotent, its exact index, and the table
+    `_terms` = (inverses, blocks) that exp_scaled and term_rows read (format
+    in the module docstring). Both constructors keep the rows of the powers
+    their proof walks as the table, for as long as the matrix lives. `_terms`
+    is not a field, so equality, hash, repr and the codec ignore it. When
+    some m! has no inverse mod p (p <= n, or p composite), both constructors
+    raise ParameterError."""
 
     base: FieldMatrix
     index: int
@@ -476,45 +484,39 @@ def group_mul(a: GroupElement, b: GroupElement) -> GroupElement:
     return trusted(GroupElement, mat=mat_mul(a.mat, b.mat))
 
 
-def _slot_bytes(n: int, p: int) -> int:
-    """Bytes per slot of a packed term (index <= n, so at most n-1 terms)."""
-    return (2 * p.bit_length() + n.bit_length() + 7) // 8
-
-
-def _slots(packed: int, n: int, w: int) -> list[int]:
-    """The n^2 unreduced slots of w bytes of a packed value, row-major."""
-    raw = packed.to_bytes(n * n * w, "little")  # OverflowError if it is wider
-    return [int.from_bytes(raw[k:k + w], "little") for k in range(0, len(raw), w)]
-
-
-def _table(powers: list[FieldMatrix], n: int, p: int) -> tuple[tuple[int, int], ...]:
-    """The pairs (m^-1 mod p, packed a^m) for the powers a, a^2, ... given.
-    Raises ParameterError when p <= n or when some m! has no inverse mod p
-    (a composite p).
+def _table(powers: list[FieldMatrix], n: int, p: int) -> tuple[tuple[int, ...], tuple[Rows, ...]]:
+    """(inverses, blocks) for the powers a, a^2, ..., a^(index-1) given:
+    inverses[m-1] = m^-1 mod p, and blocks[i] = (row i of I, row i of a, ...,
+    row i of a^(index-1)), the powers' own row tuples. Raises ParameterError
+    when p <= n or when some m! has no inverse mod p (a composite p).
     """
     if p <= n:
         raise ParameterError(f"need p > n for factorial inverses (p={p}, n={n})")
-    w = _slot_bytes(n, p)
-    terms = []
+    inverses = []
     fact = 1
-    for m, power in enumerate(powers, 1):
+    for m in range(1, len(powers) + 1):
         prev, fact = fact, fact * m % p
-        inv_m = prev * _inverse(fact, p) % p  # (m-1)!/m!, so the first m! without an inverse raises
-        slots = b"".join([e.to_bytes(w, "little") for row in power.rows for e in row])
-        terms.append((inv_m, int.from_bytes(slots, "little")))
-    return tuple(terms)
+        inverses.append(prev * _inverse(fact, p) % p)  # (m-1)!/m!, so the first m! without an inverse raises
+    return tuple(inverses), tuple(zip(_unit_rows(n), *[power.rows for power in powers]))
+
+
+def _coefficients(t: int, inverses: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """(1, t, t^2/2!, ..., t^(index-1)/(index-1)!) mod p, each entry one
+    step c * t * m^-1 from the last."""
+    return tuple(accumulate(inverses, lambda c, inv_m: c * t * inv_m % p, initial=1))
 
 
 def term_rows(x: NilpotentMatrix) -> tuple[Rows, ...]:
     """The rows of each term X^m/m! mod p, 1 <= m < index: a basis of the
-    span that every exp(tX) - I lies in."""
-    n, p = x.base.n, x.base.p
-    w, c, terms = _slot_bytes(n, p), 1, []
-    for inv_m, power in x._terms:
-        c = c * inv_m % p
-        s = [c * e % p for e in _slots(power, n, w)]
-        terms.append(tuple([tuple(s[k:k + n]) for k in range(0, n * n, n)]))
-    return tuple(terms)
+    span that every exp(tX) - I lies in. Row i of X^m is entry m of x's
+    table block i."""
+    inverses, blocks = x._terms
+    p = x.base.p
+    coefficients = _coefficients(1, inverses, p)
+    return tuple(
+        tuple(tuple([coefficients[m] * e % p for e in block[m]]) for block in blocks)
+        for m in range(1, x.index)
+    )
 
 
 def mat_exp(x: NilpotentMatrix) -> GroupElement:
@@ -532,21 +534,17 @@ def exp_scaled(t: int, x: NilpotentMatrix) -> GroupElement:
 
     t -> exp_scaled(t, x) is a one-parameter subgroup of GL_n(p): it maps 0 to
     the identity and addition of scalars (mod p) to multiplication of images.
-    Sums c_m * P_m with c_m = t^m/m! mod p over x's packed powers P_m = x^m,
-    each c_m one step c_(m-1) * t * m^-1 from the last; unpacks the sum once
-    and reduces each slot; builds no matrix product.
+    Row i is the coefficient row (1, t, t^2/2!, ...) times x's table block i,
+    the rows i of I, x, x^2, ...: one `_product_kernel(index, n)` call per
+    row, the kernel `mat_mul` runs when index = n, and no matrix product.
     """
     if t < 0:
         raise ParameterError("scalar must be non-negative")
     n, p = x.base.n, x.base.p
-    acc, c = 0, 1
-    for inv_m, power in x._terms:
-        c = c * t * inv_m % p
-        acc += c * power
-    entries = _slots(acc, n, _slot_bytes(n, p))
-    for k in range(0, n * n, n + 1):
-        entries[k] += 1  # the identity
-    rows = tuple([tuple([e % p for e in entries[k:k + n]]) for k in range(0, n * n, n)])
+    inverses, blocks = x._terms
+    coefficients = (_coefficients(t, inverses, p),)
+    product = _product_kernel(x.index, n)
+    rows = tuple([product(coefficients, block, p)[0] for block in blocks])
     return trusted(GroupElement, mat=trusted(FieldMatrix, n=n, p=p, rows=rows))
 
 

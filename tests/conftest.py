@@ -9,7 +9,8 @@ hide in its own oracle.
 import hashlib
 from math import factorial
 
-from lgpk.matfield import FieldMatrix
+from lgpk import matfield
+from lgpk.matfield import FieldMatrix, identity
 
 
 def slow_mat_mul(a, b, p):
@@ -220,3 +221,31 @@ def count_calls(monkeypatch, module, name, aliases=()):
     for owner in (module, *aliases):
         monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def record_proofs(monkeypatch):
+    """Keep the list of powers that each nilpotency proof in `matfield` walks."""
+    walked = []
+    real = matfield._nilpotency_proof
+
+    def recorded(a):
+        walked.append(real(a))
+        return walked[-1]
+
+    monkeypatch.setattr(matfield, "_nilpotency_proof", recorded)
+    return walked
+
+
+def assert_table_holds_proof_rows(nm, walked):
+    """nm's table `_terms = (inverses, blocks)` holds m^-1 mod p for
+    m = 1..index-1 and n blocks of index rows. Row m of block i is row i of
+    the m-th power that nm's proof walked, and row 0 the shared identity row:
+    the tuples themselves, not copies."""
+    inverses, blocks = nm._terms
+    n, p, index = nm.base.n, nm.base.p, nm.index
+    powers = [found for found in walked if found and found[0] is nm.base][-1]
+    assert list(inverses) == [pow(m, -1, p) for m in range(1, index)]
+    assert len(blocks) == n and all(len(block) == index for block in blocks)
+    for i, block in enumerate(blocks):
+        assert block[0] is identity(n, p).rows[i]
+        assert all(block[m] is powers[m - 1].rows[i] for m in range(1, index))

@@ -7,11 +7,13 @@ from pathlib import Path
 
 import pytest
 from conftest import (
+    assert_table_holds_proof_rows,
     count_calls,
     lin_comb,
     mat,
     miller_rabin_prime,
     rational_exp,
+    record_proofs,
     slow_det,
     slow_mat_mul,
     trial_division_prime,
@@ -20,6 +22,7 @@ from conftest import (
 )
 
 from lgpk import matfield
+from lgpk.codec import decode, encode
 from lgpk.cryptanalysis import NafInstance, naf_bruteforce, naf_mitm
 from lgpk.errors import NotInvertibleError, NotNilpotentError, ParameterError
 from lgpk.matfield import (
@@ -47,6 +50,7 @@ from lgpk.matfield import (
     term_rows,
 )
 from lgpk.sampler import PROFILES, RngHandle, make_params, sample_noncommuting_pair
+from lgpk.scheme import decrypt, encrypt, keygen
 
 SHIFT3 = ((0, 1, 0), (0, 0, 1), (0, 0, 0))
 P256 = 2**255 - 19
@@ -134,13 +138,77 @@ def test_product_kernel_against_slow_oracle_at_every_dimension(n, p):
         assert out == FieldMatrix(n, p, tuple(map(tuple, slow_mat_mul(a.rows, b.rows, p))))
 
 
-def test_product_kernel_is_keyed_on_dimension_alone():
+def index_k_rows(rng, n, k):
+    """Small-entry rows of a nilpotent matrix of index k: a strictly upper
+    triangular k x k block with a nonzero superdiagonal, zero elsewhere, its
+    rows and columns permuted alike (a conjugation)."""
+    upper = [[(rng.randrange(1, 4) if j == i + 1 else rng.randrange(4)) if i < j < k else 0
+              for j in range(n)] for i in range(n)]
+    perm = rng.sample(range(n), n)
+    return [[upper[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+
+
+def test_product_kernel_is_cached_by_shape():
     matfield._product_kernel.cache_clear()
     rng = random.Random(5)
     for p in (7, 2**61 - 1, P256):
+        x = NilpotentMatrix(mat(index_k_rows(rng, 5, 5), p), 5)
         mat_mul(random_matrix(rng, 5, p), random_matrix(rng, 5, p))
+        exp_scaled(rng.randrange(p), x)
+        term_rows(x)
+    # products and index-5 exponentials at n = 5 share mat_mul's kernel
     assert matfield._product_kernel.cache_info().currsize == 1
-    assert matfield._product_kernel(5) is matfield._product_kernel(5)
+    assert matfield._product_kernel(5, 5) is matfield._product_kernel(5, 5)
+    assert matfield._product_kernel.cache_info().currsize == 1
+    exp_scaled(3, NilpotentMatrix(mat(index_k_rows(rng, 5, 3), P256), 3))
+    assert matfield._product_kernel.cache_info().currsize == 2
+    matfield._product_kernel(3, 5)
+    assert matfield._product_kernel.cache_info().currsize == 2
+
+
+def test_paper_key_compiles_only_the_product_kernel():
+    # a fresh process that makes a paper key, a round trip and a public-key
+    # decode compiles mat_mul's (5, 5) kernel and nothing else
+    matfield._product_kernel.cache_clear()
+    rng = RngHandle(b"\x0e" * 32)
+    pk, sk = keygen(make_params("paper", rng), rng)
+    msg = rng.bitstr(pk.params.msg_len)
+    assert decrypt(sk, pk, encrypt(pk, msg, rng)) == msg
+    assert decode(encode(pk)) == pk
+    assert matfield._product_kernel.cache_info().currsize == 1
+    matfield._product_kernel(5, 5)
+    assert matfield._product_kernel.cache_info().currsize == 1
+
+
+EXP_PRIMES = (17, 2**61 - 1, P256)  # 17: the smallest prime above 16
+
+
+@pytest.mark.parametrize("p", EXP_PRIMES, ids=[f"p{p.bit_length()}bit" for p in EXP_PRIMES])
+def test_exponential_against_rational_oracle_at_every_shape(p):
+    # every n = 1..16 and every index 1..n: the zero matrix, n = 1 and
+    # generators below full index included. t = 0 gives the identity, a t
+    # above p the value of its residue, and t = p - 1 the inverse of t = 1
+    rng = random.Random(p)
+    for n in range(1, 17):
+        one = [list(row) for row in identity(n, p).rows]
+        for k in range(1, n + 1):
+            rows = index_k_rows(rng, n, k)
+            nm = NilpotentMatrix(mat(rows, p), k)
+            terms = term_rows(nm)
+            assert len(terms) == k - 1 and all(len(term) == n for term in terms)
+            assert [list(row) for row in exp_scaled(0, nm).mat.rows] == one
+            r = rng.randrange(p)
+            for residue, scalars in ((1, (1,)), (r, (r, r + p * rng.randrange(1, p)))):
+                want = rational_exp([[residue * e % p for e in row] for row in rows], k, p)
+                for t in scalars:
+                    assert [list(row) for row in exp_scaled(t, nm).mat.rows] == want
+                # the terms X^m/m! sum to the same exponential
+                summed = lin_comb((1, identity(n, p)), *[
+                    (pow(residue, m, p), FieldMatrix(n, p, term)) for m, term in enumerate(terms, 1)
+                ])
+                assert [list(row) for row in summed.rows] == want
+                if residue == 1:
+                    assert slow_mat_mul(want, exp_scaled(p - 1, nm).mat.rows, p) == one
 
 
 def test_det_known_values():
@@ -406,11 +474,11 @@ def test_exp_scaled_one_parameter_law():
         assert [list(r) for r in exp_scaled(t, nm).mat.rows] == want
 
 
-def test_packed_slots_hold_the_largest_sums():
+def test_exponential_holds_the_largest_sums_at_the_codec_limits():
     # n = 16 at a 4096-bit prime, the codec's limits: every table entry of -J
     # (J strictly upper triangular, all ones) is p - 1, and at t = p - 1 each
-    # slot sums up to 15 products of two residues; a slot of 2*bits(p) bits
-    # would carry into its neighbour, which the oracle comparison catches
+    # entry sums up to 15 products of two residues, wider than 2*bits(p) bits
+    # before its one reduction; the oracle comparison checks every entry
     n, p = 16, P4096
     assert is_probable_prime(p) and p.bit_length() == 4096
     nm = NilpotentMatrix(mat([[p - 1 if j > i else 0 for j in range(n)] for i in range(n)], p), n)
@@ -418,7 +486,7 @@ def test_packed_slots_hold_the_largest_sums():
     for t in scalars:
         want = rational_exp([[t * e % p for e in row] for row in nm.base.rows], n, p)
         assert [list(r) for r in exp_scaled(t, nm).mat.rows] == want
-    # the sums above do need more than 2*bits(p) bits per slot
+    # the sums above do need more than 2*bits(p) bits per entry
     terms = term_rows(nm)
     assert all(e == p - 1 for i, row in enumerate(terms[0]) for e in row[i + 1:])
     for t in scalars:
@@ -446,14 +514,17 @@ def test_validated_generator_without_factorial_inverses_keeps_no_table():
             build()
 
 
-def test_stored_table_is_invisible_to_value_semantics():
+def test_stored_table_is_invisible_to_value_semantics(monkeypatch):
     assert [f.name for f in dataclasses.fields(NilpotentMatrix)] == ["base", "index"]
+    walked = record_proofs(monkeypatch)
     rng = random.Random(717)
     for p in (101, P256):
         nm = NilpotentMatrix.from_matrix(random_nilpotent(rng, 5, p))
         fresh = NilpotentMatrix(FieldMatrix(5, p, nm.base.rows), nm.index)
-        # both constructors keep the table their proof built, and it is the same
-        assert nm._terms == fresh._terms and len(nm._terms) == nm.index - 1
+        # both constructors keep the rows their proof walked, and the tables are equal
+        assert nm._terms == fresh._terms
+        for built in (nm, fresh):
+            assert_table_holds_proof_rows(built, walked)
         assert nm == fresh and hash(nm) == hash(fresh) and repr(nm) == repr(fresh)
         assert "_terms" not in repr(nm)
         assert canonical_bytes(nm.base) == canonical_bytes(fresh.base)

@@ -1,7 +1,7 @@
 from collections import Counter
 
 import pytest
-from conftest import count_calls
+from conftest import assert_table_holds_proof_rows, count_calls, record_proofs
 
 from lgpk import codec, matfield, sampler
 from lgpk.bitstrings import BitStr
@@ -112,13 +112,14 @@ def test_key_generators_exponentiate_without_products(monkeypatch):
 def test_paper_keygen_builds_each_table_once(monkeypatch):
     params = make_params("paper", RngHandle(SEED))
     muls = count_calls(monkeypatch, matfield, "mat_mul", aliases=(sampler,))
+    walked = record_proofs(monkeypatch)
     pk, _ = keygen(params, RngHandle(SEED))
     # 2 x (2 conjugation products + 3 nilpotency products, the traces
     # proving X^5 = 0) sampling, whose powers also fill the generators'
     # tables, and 1 for the key product; commutes takes none
     assert len(muls) == 11
-    assert len(pk.left_gen._terms) == pk.left_gen.index - 1
-    assert len(pk.right_gen._terms) == pk.right_gen.index - 1
+    for gen in (pk.left_gen, pk.right_gen):
+        assert_table_holds_proof_rows(gen, walked)
 
 
 def test_paper_round_trip_multiplies_through_mat_mul(monkeypatch):

@@ -3,10 +3,10 @@ unchecked through `bitstrings.trusted` passes its own constructor's checks.
 
 `trusted` skips `__post_init__` for results the code already knows are valid.
 Here a validating stand-in replaces it in each module that calls it: it builds
-the value through `cls(**fields)`, so every check runs, and compares a packed
-`_terms` table with the one `__post_init__` builds. Under it the pinned KAT
-bundles regenerate byte for byte, and a round trip, a tampered decrypt, both
-solvers and a sealed file behave as they do unchecked.
+the value through `cls(**fields)`, so every check runs, and compares a
+`_terms` table of power rows with the one `__post_init__` builds. Under it the
+pinned KAT bundles regenerate byte for byte, and a round trip, a tampered
+decrypt, both solvers and a sealed file behave as they do unchecked.
 """
 
 import importlib

@@ -3,10 +3,13 @@
 Factoring: given a product exp(x*L)*exp(y*R) of exponentials of known
 non-commuting nilpotent generators, recover the scalar pair. Both solvers
 follow only the row v*exp(x*L)*exp(y*R), for one vector v chosen from the
-generators, and confirm a row hit by the full matrix product. Along x and
+generators, and confirm a row hit by the full n x n product. Along x and
 along y the row is a polynomial of degree below that generator's index, so a
 few row products give its forward differences, and `itertools` running sums
-walk the whole search from them in C: no row product per pair or per probe.
+walk the whole search from them in C: no row product per pair or per probe,
+and no Python call per x. A solve works on row tuples alone: the rows of
+exponentials (`matfield.exp_rows`) and their products (`matfield.rows_mul`),
+with no matrix object built.
 
 The brute-force solver tries every pair of the (x, y) grid, prefiltering on
 one coordinate of the row, and stores nothing per pair. The meet-in-the-middle
@@ -32,7 +35,7 @@ from collections import deque
 from dataclasses import astuple, dataclass, fields
 from itertools import accumulate, chain, compress, count, repeat, tee
 from math import comb
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import BudgetRefusal, ParameterError
 from .matfield import (
@@ -40,10 +43,11 @@ from .matfield import (
     NilpotentMatrix,
     Rows,
     commutes,
+    exp_rows,
     exp_scaled,
     group_mul,
     is_probable_prime,
-    mat_exp,
+    rows_mul,
 )
 from .sampler import RngHandle, sample_noncommuting_pair, sample_prime
 
@@ -92,11 +96,6 @@ class NafSolution:
     ops: int
 
 
-def _row_times(row: tuple[int, ...], cols: Rows, p: int) -> tuple[int, ...]:
-    """Row vector times the matrix whose columns are `cols`, reduced mod p."""
-    return tuple([sum(map(operator.mul, row, col)) % p for col in cols])
-
-
 def _scan_vector(inst: NafInstance) -> tuple[int, ...]:
     """A 0/1 vector v with v*L != 0 and v*R != 0, so that v*exp(x*L) moves
     with x and v*exp(y*R) with y; a fixed e_0 can fail this, as for
@@ -117,39 +116,50 @@ def _scan_vector(inst: NafInstance) -> tuple[int, ...]:
 
 
 def _confirm(inst: NafInstance, x: int, y: int, ops: int) -> Optional[NafSolution]:
-    """The full check behind a row hit: exp(x*L)*exp(y*R) == target."""
-    product = group_mul(exp_scaled(x, inst.left_gen), exp_scaled(y, inst.right_gen))
-    return NafSolution(x, y, ops) if product.mat == inst.target.mat else None
+    """The full check behind a row hit: the n x n product of the rows of
+    exp(x*L) and exp(y*R) equals the target's rows."""
+    product = rows_mul(exp_rows(x, inst.left_gen), exp_rows(y, inst.right_gen), inst.target.mat.p)
+    return NafSolution(x, y, ops) if product == inst.target.mat.rows else None
 
 
-def _diff_rows(start: tuple[int, ...], step: Rows, index: int, p: int) -> list[tuple[int, ...]]:
-    """The rows start*(S - I)^i for i < index, S the matrix with rows `step`:
-    the forward differences at t = 0 of start*S^t. For S = exp(X), S - I is
-    X times a unit that commutes with X, so it vanishes from X's index on."""
-    cols = [[(e - (i == j)) % p for i, e in enumerate(col)] for j, col in enumerate(zip(*step))]
-    rows = [start]
-    for _ in range(1, index):
-        rows.append(_row_times(rows[-1], cols, p))
-    return rows
+def _diff_rows(rows: Rows, t: int, gen: NilpotentMatrix) -> list[Rows]:
+    """The blocks of row tuples rows*(S - I)^i for i below gen's index,
+    S = exp(t*gen), each one `rows_mul` of the last: for each row r of
+    `rows`, the forward differences at s = 0 of r*S^s. S - I is t*gen times
+    a unit that commutes with gen, so it vanishes from gen's index on.
+    `rows_mul` reduces the -1s."""
+    p = gen.base.p
+    diff = [[e - (i == j) for j, e in enumerate(row)] for i, row in enumerate(exp_rows(t, gen))]
+    blocks = [rows]
+    for _ in range(1, gen.index):
+        blocks.append(rows_mul(blocks[-1], diff, p))
+    return blocks
+
+
+def _walks(diffs: Sequence[Iterable[int]], length: int, p: int) -> Iterator[Iterator[int]]:
+    """One walk per position of the streams `diffs`: the values at t = 0, 1,
+    ..., length-1, mod p, of the polynomial whose forward differences at 0
+    are the streams' entries there, diffs[0] first. Each walk is running sums
+    of running sums: `itertools.count` sums the constant last difference and
+    `itertools.accumulate` over `chain((d,), ...)` each earlier one d, and the
+    `map` that reduces them mod p stops after `length`. Those constructors
+    are mapped over the streams, so no Python frame runs per walk or per
+    value."""
+    values = map(count, diffs[-2], diffs[-1]) if len(diffs) > 1 else map(repeat, diffs[0])
+    for d in diffs[-3::-1]:
+        values = map(accumulate, map(chain, zip(d), values))
+    return map(map, repeat(operator.mod), values, map(repeat, repeat(p), repeat(length)))
 
 
 def _walk(diffs: Sequence[int], length: int, p: int) -> Iterator[int]:
-    """The values at t = 0, 1, ..., length-1, mod p, of the polynomial whose
-    forward differences at 0 are `diffs`: running sums of running sums, with
-    no Python step per value. `itertools.count` sums the constant last
-    difference and `itertools.accumulate` each earlier one; the `map` that
-    reduces them mod p stops after `length`."""
-    values = count(diffs[-2], diffs[-1]) if len(diffs) > 1 else repeat(diffs[0])
-    for d in diffs[-3::-1]:
-        values = accumulate(values, initial=d)
-    return map(operator.mod, values, repeat(p, length))
+    """The walk of `_walks` whose forward differences at 0 are `diffs`."""
+    return next(_walks([(d,) for d in diffs], length, p))
 
 
 def _row_at(diffs: Sequence[tuple[int, ...]], t: int, p: int) -> tuple[int, ...]:
     """The row at t, sum over i of C(t, i) * diffs[i] mod p, from its forward
-    differences at t = 0 (Newton's forward formula)."""
-    weights = [comb(t, i) for i in range(len(diffs))]
-    return tuple([sum(map(operator.mul, weights, col)) % p for col in zip(*diffs)])
+    differences at t = 0 (Newton's forward formula): one `rows_mul`."""
+    return rows_mul(([comb(t, i) for i in range(len(diffs))],), diffs, p)[0]
 
 
 def _matches(values: Iterator[int], goal: int) -> Iterator[int]:
@@ -171,11 +181,12 @@ def naf_bruteforce(inst: NafInstance) -> Optional[NafSolution]:
     The scan follows the row v*exp(x*L)*exp(y*R) (v from `_scan_vector`).
     With G = exp(L) - I and E = exp(R) - I, its forward differences in y are
     v*exp(x*L)*E^i, polynomials in x with differences v*G^a*E^i: the only
-    row products made. The scan runs:
+    row products made, all on row tuples. The scan runs:
     - a prefilter on one coordinate of the row: the x walks of its
-      y-differences give each x's y walk (`_walk`, one call per x), and
-      those chained end to end are compared with that coordinate of
-      v*target over the whole grid in C, with no Python step per pair;
+      y-differences give each x's y walk (`_walks`, its constructors mapped
+      over the x walks, so no Python frame runs per x), and those chained
+      end to end are compared with that coordinate of v*target over the
+      whole grid in C, with no Python step per pair;
     - the full row, rebuilt from the differences, at each pair that passes;
     - `_confirm`, the full product, at each pair whose full row matches.
     Memory is the differences and a chain of iterators, whatever the bounds.
@@ -188,19 +199,16 @@ def naf_bruteforce(inst: NafInstance) -> Optional[NafSolution]:
         )
     p = inst.target.mat.p
     start = _scan_vector(inst)
-    goal = _row_times(start, tuple(zip(*inst.target.mat.rows)), p)
-    right = mat_exp(inst.right_gen).mat.rows
+    goal = rows_mul((start,), inst.target.mat.rows, p)[0]
+    left = [row for (row,) in _diff_rows((start,), 1, inst.left_gen)]
     # by_y[i][a] = v*G^a*E^i: the x-differences of the i-th y-difference
-    by_y = list(zip(*[
-        _diff_rows(row, right, inst.right_gen.index, p)
-        for row in _diff_rows(start, mat_exp(inst.left_gen).mat.rows, inst.left_gen.index, p)
-    ]))
+    by_y = _diff_rows(left, 1, inst.right_gen)
     # the prefilter coordinate: the first that moves with y anywhere, or on a
     # grid one y long, with x; 0 if none does
     steps = [r for d in by_y[1:] for r in d] if inst.bound_right > 1 else by_y[0][1:]
     j = next((j for j in range(len(start)) if any(r[j] for r in steps)), 0)
-    y_diffs = zip(*[_walk([r[j] for r in d], inst.bound_left, p) for d in by_y])
-    values = chain.from_iterable(map(_walk, y_diffs, repeat(inst.bound_right), repeat(p)))
+    x_walks = [_walk([r[j] for r in d], inst.bound_left, p) for d in by_y]
+    values = chain.from_iterable(_walks(x_walks, inst.bound_right, p))
     for pos in _matches(values, goal[j]):
         x, y = divmod(pos, inst.bound_right)
         if _row_at([_row_at(d, x, p) for d in by_y], y, p) == goal:
@@ -213,9 +221,9 @@ def naf_bruteforce(inst: NafInstance) -> Optional[NafSolution]:
 def _keys(diffs: Sequence[tuple[int, ...]], length: int, p: int) -> Iterator[int]:
     """The rows at t = 0, 1, ..., length-1 of the walk whose row differences
     are `diffs`, each packed into one int by Horner's rule in base p, in C."""
-    walks = [_walk(coord, length, p) for coord in zip(*diffs)]
-    keys = walks[0]
-    for walk in walks[1:]:
+    walks = _walks(diffs, length, p)  # one per coordinate
+    keys = next(walks)
+    for walk in walks:
         keys = map(operator.add, map(operator.mul, keys, repeat(p)), walk)
     return keys
 
@@ -239,15 +247,19 @@ def naf_mitm(inst: NafInstance) -> Optional[NafSolution]:
             f"meet-in-the-middle table needs {inst.bound_right} entries, "
             f"over the budget of {MITM_TABLE_BUDGET}"
         )
+    if inst.bound_left > BRUTE_PAIR_BUDGET:
+        raise BudgetRefusal(
+            f"meet-in-the-middle needs {inst.bound_left} probes, "
+            f"over the budget of {BRUTE_PAIR_BUDGET}"
+        )
     p = inst.target.mat.p
     start = _scan_vector(inst)
-    right = _diff_rows(start, mat_exp(inst.right_gen).mat.rows, inst.right_gen.index, p)
+    right = [row for (row,) in _diff_rows((start,), 1, inst.right_gen)]
     table: dict[int, int] = {}
     deque(map(table.setdefault, _keys(right, inst.bound_right, p), count()), maxlen=0)
     # exp(L)^-1 = exp(-L) = exp((p-1)*L): scalars act mod p
-    inv = exp_scaled(p - 1, inst.left_gen).mat.rows
-    target_cols = tuple(zip(*inst.target.mat.rows))
-    probe = [_row_times(r, target_cols, p) for r in _diff_rows(start, inv, inst.left_gen.index, p)]
+    probe = rows_mul([row for (row,) in _diff_rows((start,), p - 1, inst.left_gen)],
+                     inst.target.mat.rows, p)
     keys, hit_keys = tee(_keys(probe, inst.bound_left, p))
     for x, key in compress(zip(count(), hit_keys), map(table.__contains__, keys)):
         sol = _confirm(inst, x, table[key], inst.bound_right + x + 1)

@@ -12,14 +12,20 @@ results are built unchecked by `bitstrings.trusted`: on validated inputs each
 operation keeps entries reduced mod p, products invertible and, over the field
 F_p, the index of a nonzero multiple of a nilpotent matrix.
 
-Every matrix product is `mat_mul`, and it runs a straight-line kernel that
-`_product_kernel(n, n)` compiles once per process and dimension. A kernel's
-source text is built from the ranges of its shape alone, never from p or
-matrix data, so one kernel serves every modulus and the cache holds one entry
-per shape. It does the exact integer sums of a triple loop (125
-multiplications and 25 reductions at n = 5) with no `map` or `sum` per entry.
-Compiling it costs 0.09-0.15 ms at n = 2, 0.4 ms at n = 5, 2.3-3.4 ms at
-n = 16 and 80-110 ms at n = 64 (2 cores, Python 3.11.7).
+Every matrix product runs a straight-line kernel that `_product_kernel(k, m)`
+compiles once per process and shape: `mat_mul` through `rows_mul`, the
+rows-level product that the factoring solvers call on bare row tuples, and
+every exponential directly. A kernel's source text is built from the ranges
+of its shape alone, never from p or matrix data, so one kernel serves every
+modulus and the cache holds one entry per shape. It does the exact integer
+sums of a triple loop (125 multiplications and 25 reductions at n = 5) with
+no `map` or `sum` per entry. Compiling it costs 0.09-0.15 ms at n = 2,
+0.4 ms at n = 5, 2.3-3.4 ms at n = 16 and 80-110 ms at n = 64 (2 cores,
+Python 3.11.7). Every caller in the package asks for a shape (k, n) with
+k <= n at dimension n: (n, n) for a product and (index, n) for an
+exponential, and the solvers' row products use only those two kinds. So
+dimensions up to n compile at most n(n+1)/2 kernels, 136 for every key the
+codec accepts (n <= 16).
 
 Exponentials are evaluated from a table of the plain powers X^m
 (1 <= m < index): exp(tX) = I + sum of (t^m/m!) * X^m, with no matrix
@@ -47,7 +53,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate, chain
+from itertools import chain
 from math import factorial, gcd, isqrt, prod
 from typing import Optional
 
@@ -281,6 +287,14 @@ def _product_kernel(k: int, m: int):
     return namespace["product"]
 
 
+def rows_mul(arows, brows, p: int) -> Rows:
+    """The rows of A times B mod p, for the rows `arows` of A and `brows` of B:
+    any number of rows of k entries times k rows of m entries, by
+    `_product_kernel(k, m)`. The rows-level product of `mat_mul` and of the
+    factoring solvers, which build no matrix object."""
+    return _product_kernel(len(brows), len(brows[0]))(arows, brows, p)
+
+
 def mat_mul(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
     """Schoolbook product reduced mod p, the same exact integer sums as a
     triple loop, by the straight-line kernel `_product_kernel(n, n)`.
@@ -293,8 +307,7 @@ def mat_mul(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
     77 ms command.
     """
     _check_compatible(a, b)
-    n, p = a.n, a.p
-    return trusted(FieldMatrix, n=n, p=p, rows=_product_kernel(n, n)(a.rows, b.rows, p))
+    return trusted(FieldMatrix, n=a.n, p=a.p, rows=rows_mul(a.rows, b.rows, a.p))
 
 
 def _forward(rows, p: int) -> tuple[list[int], list[list[int]], int]:
@@ -500,10 +513,14 @@ def _table(powers: list[FieldMatrix], n: int, p: int) -> tuple[tuple[int, ...], 
     return tuple(inverses), tuple(zip(_unit_rows(n), *[power.rows for power in powers]))
 
 
-def _coefficients(t: int, inverses: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """(1, t, t^2/2!, ..., t^(index-1)/(index-1)!) mod p, each entry one
+def _coefficients(t: int, inverses: tuple[int, ...], p: int) -> list[int]:
+    """[1, t, t^2/2!, ..., t^(index-1)/(index-1)!] mod p, each entry one
     step c * t * m^-1 from the last."""
-    return tuple(accumulate(inverses, lambda c, inv_m: c * t * inv_m % p, initial=1))
+    c, row = 1, [1]
+    for inv_m in inverses:
+        c = c * t * inv_m % p
+        row.append(c)
+    return row
 
 
 def term_rows(x: NilpotentMatrix) -> tuple[Rows, ...]:
@@ -529,23 +546,31 @@ def mat_exp(x: NilpotentMatrix) -> GroupElement:
     return exp_scaled(1, x)
 
 
-def exp_scaled(t: int, x: NilpotentMatrix) -> GroupElement:
-    """Exponential of t*x for a non-negative integer scalar t, reduced mod p.
+def exp_rows(t: int, x: NilpotentMatrix) -> Rows:
+    """The rows of exp(t*x) for a non-negative integer scalar t, reduced mod p.
 
-    t -> exp_scaled(t, x) is a one-parameter subgroup of GL_n(p): it maps 0 to
-    the identity and addition of scalars (mod p) to multiplication of images.
     Row i is the coefficient row (1, t, t^2/2!, ...) times x's table block i,
     the rows i of I, x, x^2, ...: one `_product_kernel(index, n)` call per
     row, the kernel `mat_mul` runs when index = n, and no matrix product.
     """
     if t < 0:
         raise ParameterError("scalar must be non-negative")
-    n, p = x.base.n, x.base.p
     inverses, blocks = x._terms
+    p = x.base.p
     coefficients = (_coefficients(t, inverses, p),)
-    product = _product_kernel(x.index, n)
-    rows = tuple([product(coefficients, block, p)[0] for block in blocks])
-    return trusted(GroupElement, mat=trusted(FieldMatrix, n=n, p=p, rows=rows))
+    product = _product_kernel(x.index, x.base.n)
+    return tuple([product(coefficients, block, p)[0] for block in blocks])
+
+
+def exp_scaled(t: int, x: NilpotentMatrix) -> GroupElement:
+    """Exponential of t*x for a non-negative integer scalar t, reduced mod p:
+    the rows `exp_rows` gives, as a group element.
+
+    t -> exp_scaled(t, x) is a one-parameter subgroup of GL_n(p): it maps 0 to
+    the identity and addition of scalars (mod p) to multiplication of images.
+    """
+    n, p = x.base.n, x.base.p
+    return trusted(GroupElement, mat=trusted(FieldMatrix, n=n, p=p, rows=exp_rows(t, x)))
 
 
 def canonical_bytes(a: FieldMatrix) -> bytes:

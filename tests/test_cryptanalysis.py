@@ -1,16 +1,21 @@
 import dataclasses
 import json
+import sys
 import time
 import tracemalloc
+from collections import Counter
 from math import comb
+from pathlib import Path
 
 import pytest
 from conftest import count_calls, slow_naf_bruteforce, slow_naf_mitm
 from test_kat import PIN_SEED
 
+import lgpk
 from lgpk import cli, cryptanalysis, matfield
 from lgpk.cryptanalysis import (
     BRUTE_PAIR_BUDGET,
+    MITM_TABLE_BUDGET,
     SWEEP_CSV_HEADER,
     NafInstance,
     NaiInstance,
@@ -219,7 +224,7 @@ def test_mitm_table_keys_below_p_are_distinct(left, right):
     p = left.base.p
     inst = NafInstance(left, right, GroupElement(identity(left.base.n, p)), p, p)
     start = cryptanalysis._scan_vector(inst)
-    diffs = cryptanalysis._diff_rows(start, matfield.mat_exp(right).mat.rows, right.index, p)
+    diffs = [row for (row,) in cryptanalysis._diff_rows((start,), 1, right)]
     keys = list(cryptanalysis._keys(diffs, p, p))
     assert len(keys) == p and len(set(keys)) == p
     assert list(cryptanalysis._keys(diffs, 2 * p, p))[p:] == keys  # and repeat with period p
@@ -333,15 +338,18 @@ def test_solvers_walk_a_long_column_in_constant_memory():
 
 
 def test_solves_make_a_constant_number_of_products(monkeypatch):
+    # a solve works on row tuples: no matrix product and no matrix-valued
+    # exponential, and the same rows products and row exponentials at
+    # every bound, not one per pair tried, per x step, per table entry or
+    # per probe
     rng = RngHandle(SEED)
     p = sample_prime(16, rng)
     left, right = sample_noncommuting_pair(3, p, rng)
-    calls = {"mat_mul": [], "group_mul": [], "_row_times": []}
-    for name, seen in calls.items():
-        real = getattr(cryptanalysis, name, None) or getattr(matfield, name)
-        for module in (matfield, cryptanalysis):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, lambda *a, r=real, s=seen: s.append(1) or r(*a))
+    assert (left.index, right.index) == (3, 3)
+    names = ("mat_mul", "group_mul", "mat_exp", "exp_scaled", "rows_mul", "exp_rows")
+    calls = {name: count_calls(monkeypatch, matfield, name,
+                               aliases=[cryptanalysis] * hasattr(cryptanalysis, name))
+             for name in names}
     counts = {}
     for bound in (16, 64):
         inst = planted(left, right, 13, 11, bound, bound)
@@ -350,12 +358,67 @@ def test_solves_make_a_constant_number_of_products(monkeypatch):
                 seen.clear()
             sol = solver(inst)
             assert (sol.left_scalar, sol.right_scalar) == (13, 11)
-            counts[solver.__name__, bound] = tuple(map(len, calls.values()))
-    for solver in ("naf_bruteforce", "naf_mitm"):
-        muls, group_muls, row_products = counts[solver, 64]
-        # not one per pair tried, per x step, per table entry or per probe
-        assert counts[solver, 16] == (muls, group_muls, row_products)
-        assert muls <= 8 and group_muls == 1 and row_products <= 9
+            counts[solver.__name__, bound] = {name: len(seen) for name, seen in calls.items()}
+    zero = dict.fromkeys(names[:4], 0)
+    # brute force: the goal row, 2 + 2 blocks of difference rows, 3 + 1
+    # `_row_at` calls and the confirm; meet-in-the-middle: 2 + 2 difference
+    # rows, the probe rows and the confirm. exp_rows: two steps each, and the
+    # confirm's two.
+    for bound in (16, 64):
+        assert counts["naf_bruteforce", bound] == {**zero, "rows_mul": 10, "exp_rows": 4}
+        assert counts["naf_mitm", bound] == {**zero, "rows_mul": 6, "exp_rows": 4}
+
+
+def python_calls_into_lgpk(fn, *args):
+    """fn(*args), and the name of each Python frame that `sys.setprofile`
+    sees start or resume in a source file of the lgpk package."""
+    root = str(Path(lgpk.__file__).parent)
+    names = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(root):
+            names[frame.f_code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return result, names
+
+
+def test_bruteforce_makes_no_python_call_per_x():
+    # the planted pair is the last x's: one Python frame per x (a `_walk`
+    # call each) would make 48 more calls at bound_left 64 than at 16
+    upper, lower = shift_pair(4294967291)
+    naf_bruteforce(planted(upper, lower, 15, 5, 16, 8))  # compiles the kernels it runs
+    seen = []
+    for bound_left in (16, 64):
+        x = bound_left - 1
+        inst = planted(upper, lower, x, 5, bound_left, 8)
+        sol, names = python_calls_into_lgpk(naf_bruteforce, inst)
+        assert (sol.left_scalar, sol.right_scalar, sol.ops) == (x, 5, 8 * x + 6)
+        seen.append(names)
+    assert seen[0] == seen[1]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_solves_compile_only_the_shapes_planting_compiled(n):
+    # (k, n) with k <= n: a product's (n, n) and each exponential's
+    # (index, n); any other shape would outlive the solve in the cache
+    rng = RngHandle(bytes([n]) * 32)
+    for _ in range(4):
+        matfield._product_kernel.cache_clear()
+        left, right = sample_noncommuting_pair(n, sample_prime(16, rng), rng)
+        inst = planted(left, right, 5, 6, 8, 8)
+        shapes = matfield._product_kernel.cache_info().currsize
+        for solver in (naf_bruteforce, naf_mitm):
+            sol = solver(inst)
+            assert (sol.left_scalar, sol.right_scalar) == (5, 6)
+        assert matfield._product_kernel.cache_info().currsize == shapes
+        for k in range(1, n + 1):
+            matfield._product_kernel(k, n)
+        assert matfield._product_kernel.cache_info().currsize == n
 
 
 def image_census(left, right, p):
@@ -404,6 +467,23 @@ def test_mitm_budget_refusal(monkeypatch):
         naf_mitm(inst)
     monkeypatch.setattr(cryptanalysis, "MITM_TABLE_BUDGET", 7)
     assert naf_mitm(planted(upper, lower, 1, 1, 7, 7)) is not None
+
+
+def test_mitm_refuses_a_left_bound_over_the_pair_budget():
+    # at 2^64 the probe walk's `repeat(p, bound_left)` raised OverflowError
+    # (Python int too large to convert to C ssize_t), planted x = 3 or not
+    upper, lower = shift_pair(4294967291)
+    with pytest.raises(BudgetRefusal, match=f"over the budget of {BRUTE_PAIR_BUDGET}$"):
+        naf_mitm(planted(upper, lower, 3, 2, 1 << 64, 4))
+    # the table's refusal comes first, so its text is unchanged
+    with pytest.raises(BudgetRefusal, match=f"over the budget of {MITM_TABLE_BUDGET}$"):
+        naf_mitm(planted(upper, lower, 3, 2, 1 << 64, MITM_TABLE_BUDGET + 1))
+
+
+def test_mitm_solves_at_a_left_bound_of_the_pair_budget():
+    upper, lower = shift_pair(4294967291)
+    sol = naf_mitm(planted(upper, lower, 3, 2, BRUTE_PAIR_BUDGET, 4))
+    assert (sol.left_scalar, sol.right_scalar, sol.ops) == (3, 2, 4 + 3 + 1)
 
 
 def test_nai_known_toy_instance():

@@ -57,6 +57,9 @@ class BitStr:
         # mask_tail also rejects a negative length and a wrong byte count
         if self.data != mask_tail(self.data, self.nbits):
             raise EncodingError("unused high bits of final byte must be zero")
+        # one form per value: a bytearray would neither hash nor stay fixed
+        if type(self.data) is not bytes:
+            raise EncodingError(f"bit string data must be bytes, not {type(self.data).__name__}")
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "BitStr":

@@ -225,7 +225,7 @@ def cmd_inspect(args):
             if obj.pk_fingerprint != codec.pk_fingerprint(pk):
                 raise KeyMismatchError(f"{args.file} is not bound to {args.pk}")
             product = group_mul(obj.left_factor, obj.right_factor)
-            if product.mat != pk.key_product.mat:
+            if product != pk.key_product:
                 raise IntegrityError(
                     "integrity failure: secret factors do not multiply to the public product"
                 )
@@ -233,7 +233,7 @@ def cmd_inspect(args):
     elif isinstance(obj, Ciphertext):
         lines.append("  kind: " + ("sealed file" if sealed else "ciphertext frame"))
         lines.append(f"  sealed seed bits: {obj.sealed_seed.nbits}")
-        lines.append(f"  group element: {obj.rand_product.mat.n}x{obj.rand_product.mat.n}")
+        lines.append(f"  group element: {obj.rand_product.n}x{obj.rand_product.n}")
         lines.append(f"  masked message bits: {obj.masked_msg.nbits}")
         if sealed:
             lines.append(f"  plaintext bytes: {len(blob) - body - codec.HMAC_BYTES}")
@@ -262,7 +262,7 @@ def cmd_attack(args):
     product = group_mul(
         exp_scaled(sol.left_scalar, pk.left_gen), exp_scaled(sol.right_scalar, pk.right_gen)
     )
-    verified = product.mat == pk.key_product.mat
+    verified = product == pk.key_product
     print(
         f"factored the public product: left_scalar={sol.left_scalar} "
         f"right_scalar={sol.right_scalar} ops={sol.ops} verified={str(verified).lower()}"
@@ -300,7 +300,7 @@ def build_kat_bundle(profile_name: str, seed: bytes) -> str:
     emit(op="encode", kind="params", out=codec.encode(params).hex())
 
     unit = sample_invertible(n, p, rng)
-    emit(op="sample_invertible", n=n, out=canonical_bytes(unit.mat).hex())
+    emit(op="sample_invertible", n=n, out=canonical_bytes(unit).hex())
     nil = sample_nilpotent(n, p, rng)
     emit(op="sample_nilpotent", index=nil.index, out=canonical_bytes(nil.base).hex())
     left, right = sample_noncommuting_pair(n, p, rng)
@@ -312,23 +312,23 @@ def build_kat_bundle(profile_name: str, seed: bytes) -> str:
 
     emit(
         op="mat_mul",
-        a=canonical_bytes(unit.mat).hex(), b=canonical_bytes(nil.base).hex(),
-        out=canonical_bytes(mat_mul(unit.mat, nil.base)).hex(),
+        a=canonical_bytes(unit).hex(), b=canonical_bytes(nil.base).hex(),
+        out=canonical_bytes(mat_mul(unit, nil.base)).hex(),
     )
     emit(
         op="mat_inv",
-        a=canonical_bytes(unit.mat).hex(),
-        out=canonical_bytes(mat_inv(unit.mat).mat).hex(),
+        a=canonical_bytes(unit).hex(),
+        out=canonical_bytes(mat_inv(unit)).hex(),
     )
     ok, index = is_nilpotent(nil.base)
     emit(op="is_nilpotent", a=canonical_bytes(nil.base).hex(), nilpotent=ok, index=index)
-    emit(op="is_nilpotent", a=canonical_bytes(unit.mat).hex(),
-         nilpotent=is_nilpotent(unit.mat)[0], index=None)
+    emit(op="is_nilpotent", a=canonical_bytes(unit).hex(),
+         nilpotent=is_nilpotent(unit)[0], index=None)
     emit(op="mat_exp", a=canonical_bytes(nil.base).hex(), index=nil.index,
-         out=canonical_bytes(mat_exp(nil).mat).hex())
+         out=canonical_bytes(mat_exp(nil)).hex())
     scalar = rng.below(p)
     emit(op="exp_scaled", t=scalar, a=canonical_bytes(nil.base).hex(),
-         out=canonical_bytes(exp_scaled(scalar, nil).mat).hex())
+         out=canonical_bytes(exp_scaled(scalar, nil)).hex())
     emit(op="commutes", a=canonical_bytes(left.base).hex(),
          b=canonical_bytes(right.base).hex(), out=commutes(left.base, right.base))
 
@@ -338,7 +338,7 @@ def build_kat_bundle(profile_name: str, seed: bytes) -> str:
     r_left, r_right = h1(params, sigma, message)
     emit(op="h1", sigma=sigma.hex(), m=message.hex(),
          r_left=r_left.hex(), r_right=r_right.hex())
-    emit(op="h2", g=canonical_bytes(unit.mat).hex(), out=h2(params, unit).hex())
+    emit(op="h2", g=canonical_bytes(unit).hex(), out=h2(params, unit).hex())
     emit(op="h3", sigma=sigma.hex(), out=h3(params, sigma).hex())
 
     emit(op="keygen", pk=codec.encode(pk).hex(), sk=codec.encode(sk).hex())
@@ -357,7 +357,7 @@ def build_kat_bundle(profile_name: str, seed: bytes) -> str:
     inst = NafInstance(left, right, target, 16, 16)
     for solver in solvers().values():
         sol = solver(inst)
-        emit(op=solver.__name__, target=canonical_bytes(target.mat).hex(),
+        emit(op=solver.__name__, target=canonical_bytes(target).hex(),
              bound_left=16, bound_right=16,
              left_scalar=sol.left_scalar, right_scalar=sol.right_scalar, ops=sol.ops)
     a, b, c, d = (rng.below(8) for _ in range(4))
@@ -368,9 +368,9 @@ def build_kat_bundle(profile_name: str, seed: bytes) -> str:
         16, 16,
     )
     emit(op="nai_via_naf",
-         product_one=canonical_bytes(nai.product_one.mat).hex(),
-         product_two=canonical_bytes(nai.product_two.mat).hex(),
-         out=canonical_bytes(nai_via_naf(nai, next(iter(solvers().values()))).mat).hex())
+         product_one=canonical_bytes(nai.product_one).hex(),
+         product_two=canonical_bytes(nai.product_two).hex(),
+         out=canonical_bytes(nai_via_naf(nai, next(iter(solvers().values())))).hex())
 
     sweep_rows = hardness_sweep(2, [8], [4, 6], rng)
     emit(op="hardness_sweep", n=2, p_bits=[8], bound_bits=[4, 6],

@@ -171,7 +171,7 @@ def _read_bitstr_raw(r: _Reader) -> tuple[int, bytes]:
     data = r.take((nbits + 7) // 8)
     if data != mask_tail(data, nbits):
         raise StructuralDecodeError("bit string padding bits must be zero")
-    return nbits, data
+    return nbits, bytes(data)
 
 
 def _read_prime_raw(r: _Reader) -> int:
@@ -228,8 +228,7 @@ FIELDS = {
     "nilpotent": (lambda m: canonical_bytes(m.base) + bytes([m.index]),
                   lambda r: (_read_matrix_raw(r), r.u8()),
                   lambda raw: NilpotentMatrix(FieldMatrix(*raw[0]), raw[1])),
-    "element": (lambda g: canonical_bytes(g.mat), _read_matrix_raw,
-                lambda raw: GroupElement(FieldMatrix(*raw))),
+    "element": (canonical_bytes, _read_matrix_raw, lambda raw: GroupElement(*raw)),
     "bitstr": (lambda b: _u32(b.nbits) + b.data, _read_bitstr_raw, lambda raw: BitStr(*raw)),
     "fingerprint": (bytes, lambda r: r.take(FINGERPRINT_BYTES), bytes),
 }

@@ -69,7 +69,7 @@ class NafInstance:
     def __post_init__(self):
         if self.bound_left < 1 or self.bound_right < 1:
             raise ParameterError("search bounds must be >= 1")
-        a, b, t = self.left_gen.base, self.right_gen.base, self.target.mat
+        a, b, t = self.left_gen.base, self.right_gen.base, self.target
         if not (a.n == b.n == t.n and a.p == b.p == t.p and is_probable_prime(a.p)):
             raise ParameterError("generators and target must share dimension and a prime modulus")
         if commutes(a, b):
@@ -118,8 +118,8 @@ def _scan_vector(inst: NafInstance) -> tuple[int, ...]:
 def _confirm(inst: NafInstance, x: int, y: int, ops: int) -> Optional[NafSolution]:
     """The full check behind a row hit: the n x n product of the rows of
     exp(x*L) and exp(y*R) equals the target's rows."""
-    product = rows_mul(exp_rows(x, inst.left_gen), exp_rows(y, inst.right_gen), inst.target.mat.p)
-    return NafSolution(x, y, ops) if product == inst.target.mat.rows else None
+    product = rows_mul(exp_rows(x, inst.left_gen), exp_rows(y, inst.right_gen), inst.target.p)
+    return NafSolution(x, y, ops) if product == inst.target.rows else None
 
 
 def _diff_rows(rows: Rows, t: int, gen: NilpotentMatrix) -> list[Rows]:
@@ -197,9 +197,9 @@ def naf_bruteforce(inst: NafInstance) -> Optional[NafSolution]:
             f"brute force needs {inst.bound_left} * {inst.bound_right} = {total} "
             f"pair trials, over the budget of {BRUTE_PAIR_BUDGET}"
         )
-    p = inst.target.mat.p
+    p = inst.target.p
     start = _scan_vector(inst)
-    goal = rows_mul((start,), inst.target.mat.rows, p)[0]
+    goal = rows_mul((start,), inst.target.rows, p)[0]
     left = [row for (row,) in _diff_rows((start,), 1, inst.left_gen)]
     # by_y[i][a] = v*G^a*E^i: the x-differences of the i-th y-difference
     by_y = _diff_rows(left, 1, inst.right_gen)
@@ -252,14 +252,14 @@ def naf_mitm(inst: NafInstance) -> Optional[NafSolution]:
             f"meet-in-the-middle needs {inst.bound_left} probes, "
             f"over the budget of {BRUTE_PAIR_BUDGET}"
         )
-    p = inst.target.mat.p
+    p = inst.target.p
     start = _scan_vector(inst)
     right = [row for (row,) in _diff_rows((start,), 1, inst.right_gen)]
     table: dict[int, int] = {}
     deque(map(table.setdefault, _keys(right, inst.bound_right, p), count()), maxlen=0)
     # exp(L)^-1 = exp(-L) = exp((p-1)*L): scalars act mod p
     probe = rows_mul([row for (row,) in _diff_rows((start,), p - 1, inst.left_gen)],
-                     inst.target.mat.rows, p)
+                     inst.target.rows, p)
     keys, hit_keys = tee(_keys(probe, inst.bound_left, p))
     for x, key in compress(zip(count(), hit_keys), map(table.__contains__, keys)):
         sol = _confirm(inst, x, table[key], inst.bound_right + x + 1)

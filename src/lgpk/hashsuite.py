@@ -52,7 +52,7 @@ def h1(params: ParameterSet, sigma: BitStr, m: BitStr) -> tuple[BitStr, BitStr]:
 
 def h2(params: ParameterSet, g: GroupElement) -> BitStr:
     """Hash a group element to κ2 bits via its canonical byte encoding."""
-    return xof_bits(DOMAIN_H2, canonical_bytes(g.mat), params.kappa2)
+    return xof_bits(DOMAIN_H2, canonical_bytes(g), params.kappa2)
 
 
 def h3(params: ParameterSet, sigma: BitStr) -> BitStr:

@@ -5,7 +5,9 @@ built on the operations here, in particular the truncated exponential of a
 nilpotent matrix, which lands in the unipotent subgroup of GL_n(p).
 
 All values are immutable after construction and all reductions mod p are
-eager, so every matrix has a single bit-exact representation.
+eager, so every matrix has a single bit-exact representation, tuple rows of
+`int` residues. A `GroupElement` is a `FieldMatrix` proven invertible, and
+`mat_mul` of two group elements is one: GL_n(p) is closed under products.
 
 Only the public constructors, which codec decoding uses, validate. Arithmetic
 results are built unchecked by `bitstrings.trusted`: on validated inputs each
@@ -234,10 +236,14 @@ class FieldMatrix:
             raise ParameterError("modulus must be >= 2")
         if len(self.rows) != self.n or any(len(r) != self.n for r in self.rows):
             raise ParameterError(f"expected {self.n}x{self.n} rows")
+        if type(self.rows) is not tuple or any(type(r) is not tuple for r in self.rows):
+            raise ParameterError("rows must be a tuple of tuples")
         for row in self.rows:
             for e in row:
                 if not 0 <= e < self.p:
                     raise ParameterError(f"entry {e} out of range [0, {self.p})")
+                if type(e) is not int:
+                    raise ParameterError(f"entry {e!r} is not an int")
 
     @classmethod
     def from_rows(cls, rows, p: int) -> "FieldMatrix":
@@ -304,10 +310,11 @@ def mat_mul(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
     interleaved rounds, 2 cores, Python 3.11.7). A fresh `lgpk encrypt`
     process pays the 0.4 ms compile at n = 5 once and saves 13-20 us on each
     of its 9 products: within 0.3 ms, or half a percent, of break-even on a
-    77 ms command.
+    77 ms command. The product of two group elements is a group element.
     """
     _check_compatible(a, b)
-    return trusted(FieldMatrix, n=a.n, p=a.p, rows=rows_mul(a.rows, b.rows, a.p))
+    cls = GroupElement if type(a) is type(b) is GroupElement else FieldMatrix
+    return trusted(cls, n=a.n, p=a.p, rows=rows_mul(a.rows, b.rows, a.p))
 
 
 def _forward(rows, p: int) -> tuple[list[int], list[list[int]], int]:
@@ -383,8 +390,7 @@ def mat_inv(a: FieldMatrix) -> "GroupElement":
     pivot_cols, m = row_reduce([row + unit for row, unit in zip(a.rows, _unit_rows(n))], p)
     if pivot_cols[n - 1] >= n:
         raise NotInvertibleError(f"matrix is singular mod {p}")
-    rows = tuple(tuple(row[n:]) for row in m)
-    return trusted(GroupElement, mat=trusted(FieldMatrix, n=n, p=p, rows=rows))
+    return trusted(GroupElement, n=n, p=p, rows=tuple(tuple(row[n:]) for row in m))
 
 
 def _nilpotency_proof(a: FieldMatrix) -> list[FieldMatrix]:
@@ -460,8 +466,8 @@ class NilpotentMatrix:
     in the module docstring). Both constructors keep the rows of the powers
     their proof walks as the table, for as long as the matrix lives. `_terms`
     is not a field, so equality, hash, repr and the codec ignore it. When
-    some m! has no inverse mod p (p <= n, or p composite), both constructors
-    raise ParameterError."""
+    some m < index has no inverse mod p (p <= n, or p composite), both
+    constructors raise ParameterError."""
 
     base: FieldMatrix
     index: int
@@ -482,35 +488,30 @@ class NilpotentMatrix:
 
 
 @dataclass(frozen=True)
-class GroupElement:
-    """An invertible FieldMatrix, i.e. an element of GL_n(p)."""
-
-    mat: FieldMatrix
+class GroupElement(FieldMatrix):
+    """An invertible FieldMatrix, i.e. an element of GL_n(p); never equal to a plain one."""
 
     def __post_init__(self):
-        if not is_invertible(self.mat):
+        super().__post_init__()
+        if not is_invertible(self):
             raise NotInvertibleError("group element must be invertible")
 
 
 def group_mul(a: GroupElement, b: GroupElement) -> GroupElement:
-    """Product in GL_n(p). Invertibility is closed, so skip the invertibility check."""
-    return trusted(GroupElement, mat=mat_mul(a.mat, b.mat))
+    """Product in GL_n(p): `mat_mul` of two group elements is one."""
+    return mat_mul(a, b)
 
 
 def _table(powers: list[FieldMatrix], n: int, p: int) -> tuple[tuple[int, ...], tuple[Rows, ...]]:
     """(inverses, blocks) for the powers a, a^2, ..., a^(index-1) given:
     inverses[m-1] = m^-1 mod p, and blocks[i] = (row i of I, row i of a, ...,
     row i of a^(index-1)), the powers' own row tuples. Raises ParameterError
-    when p <= n or when some m! has no inverse mod p (a composite p).
+    when p <= n or when some m < index has no inverse mod p (a composite p).
     """
     if p <= n:
         raise ParameterError(f"need p > n for factorial inverses (p={p}, n={n})")
-    inverses = []
-    fact = 1
-    for m in range(1, len(powers) + 1):
-        prev, fact = fact, fact * m % p
-        inverses.append(prev * _inverse(fact, p) % p)  # (m-1)!/m!, so the first m! without an inverse raises
-    return tuple(inverses), tuple(zip(_unit_rows(n), *[power.rows for power in powers]))
+    inverses = tuple(_inverse(m, p) for m in range(1, len(powers) + 1))
+    return inverses, tuple(zip(_unit_rows(n), *[power.rows for power in powers]))
 
 
 def _coefficients(t: int, inverses: tuple[int, ...], p: int) -> list[int]:
@@ -569,8 +570,7 @@ def exp_scaled(t: int, x: NilpotentMatrix) -> GroupElement:
     t -> exp_scaled(t, x) is a one-parameter subgroup of GL_n(p): it maps 0 to
     the identity and addition of scalars (mod p) to multiplication of images.
     """
-    n, p = x.base.n, x.base.p
-    return trusted(GroupElement, mat=trusted(FieldMatrix, n=n, p=p, rows=exp_rows(t, x)))
+    return trusted(GroupElement, n=x.base.n, p=x.base.p, rows=exp_rows(t, x))
 
 
 def canonical_bytes(a: FieldMatrix) -> bytes:

@@ -127,7 +127,7 @@ def _draw_invertible(n: int, p: int, rng: RngHandle) -> tuple[FieldMatrix, Group
 
 def sample_invertible(n: int, p: int, rng: RngHandle) -> GroupElement:
     """Uniform element of GL_n(p); mat_inv has just proved it invertible."""
-    return trusted(GroupElement, mat=_draw_invertible(n, p, rng)[0])
+    return trusted(GroupElement, n=n, p=p, rows=_draw_invertible(n, p, rng)[0].rows)
 
 
 def sample_nilpotent(n: int, p: int, rng: RngHandle) -> NilpotentMatrix:
@@ -148,7 +148,7 @@ def sample_nilpotent(n: int, p: int, rng: RngHandle) -> NilpotentMatrix:
         if any(any(row) for row in upper):
             break
     q, q_inv = _draw_invertible(n, p, rng)
-    base = mat_mul(mat_mul(q, FieldMatrix(n, p, upper)), q_inv.mat)
+    base = mat_mul(mat_mul(q, FieldMatrix(n, p, upper)), q_inv)
     return NilpotentMatrix.from_matrix(base)
 
 

@@ -53,7 +53,7 @@ class PublicKey:
         named = (
             ("left generator", self.left_gen.base),
             ("right generator", self.right_gen.base),
-            ("key product", self.key_product.mat),
+            ("key product", self.key_product),
         )
         for name, m in named:
             if m.n != n or m.p != p:
@@ -75,7 +75,7 @@ class PrivateKey:
     pk_fingerprint: bytes
 
     def __post_init__(self):
-        a, b = self.left_factor.mat, self.right_factor.mat
+        a, b = self.left_factor, self.right_factor
         if a.n != b.n or a.p != b.p:
             raise ParameterError("secret factors live in different groups")
         if len(self.pk_fingerprint) != FINGERPRINT_BYTES:
@@ -158,14 +158,12 @@ def decrypt(
     if sk.pk_fingerprint != pk_fingerprint(pk):
         raise KeyMismatchError("private key is not bound to this public key")
     params = pk.params
-    sm = sk.left_factor.mat
-    if sm.n != params.n or sm.p != params.p:
+    if sk.left_factor.n != params.n or sk.left_factor.p != params.p:
         raise KeyMismatchError("private key factors do not live in the public key's group")
     ops = ops if ops is not None else Counter()
     if ct.sealed_seed.nbits != params.kappa2 or ct.masked_msg.nbits != params.msg_len:
         return None
-    cm = ct.rand_product.mat
-    if cm.n != params.n or cm.p != params.p:
+    if ct.rand_product.n != params.n or ct.rand_product.p != params.p:
         return None
     inner = group_mul(sk.left_factor, ct.rand_product)
     ops["group_mults"] += 1

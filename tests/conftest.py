@@ -10,7 +10,7 @@ import hashlib
 from math import factorial
 
 from lgpk import matfield
-from lgpk.matfield import FieldMatrix, identity
+from lgpk.matfield import FieldMatrix, GroupElement, identity
 
 
 def slow_mat_mul(a, b, p):
@@ -200,6 +200,11 @@ def mat(rows, p):
 
 def zeros(n, p):
     return FieldMatrix(n, p, tuple((0,) * n for _ in range(n)))
+
+
+def unit_element(n, p):
+    """The n x n identity as a GroupElement, which never equals identity(n, p)."""
+    return GroupElement(n, p, identity(n, p).rows)
 
 
 def lin_comb(*terms):

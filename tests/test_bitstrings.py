@@ -23,6 +23,8 @@ def test_constructor_validates_length_and_tail():
         BitStr(5, b"\x1f\x00")  # too many bytes
     with pytest.raises(EncodingError):
         BitStr(-1, b"")
+    with pytest.raises(EncodingError, match="must be bytes, not bytearray"):
+        BitStr(8, bytearray(b"\x01"))  # would not hash
 
 
 def test_int_round_trip_little_endian():

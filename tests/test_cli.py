@@ -348,7 +348,7 @@ def test_private_key_outside_the_public_group_exits_5(tmp_path, keypair, capsys,
     pk_path, sk_path = keypair
     sk = codec.decode((tmp_path / "key.lgsk").read_bytes())
     alien = tmp_path / "alien.lgsk"
-    factor = GroupElement(foreign)
+    factor = GroupElement(foreign.n, foreign.p, foreign.rows)
     alien.write_bytes(codec.encode(PrivateKey(factor, factor, sk.pk_fingerprint)))
     msg = tmp_path / "m.bin"
     msg.write_bytes(b"secret")

@@ -6,7 +6,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from conftest import count_calls, zeros
+from conftest import count_calls, unit_element, zeros
 
 from lgpk import matfield
 from lgpk.bitstrings import BitStr, trusted
@@ -38,7 +38,6 @@ from lgpk.errors import (
 from lgpk.hashsuite import SUITE_ID
 from lgpk.matfield import (
     FieldMatrix,
-    GroupElement,
     ParameterSet,
     canonical_bytes,
     identity,
@@ -83,6 +82,14 @@ def test_every_field_of_a_type_has_a_slot_in_its_layout():
     assert LAYOUTS[KIND_PARAMS] == (ParameterSet, ((None, "params"),))
     raw = _read_params_raw(_Reader(encode(TOY), len(MAGIC) + 2))
     assert sorted(raw) == sorted(f.name for f in dataclasses.fields(ParameterSet))
+
+
+def test_decoding_a_bytearray_gives_bytes_fields():
+    # the bit strings once kept bytearray slices, so the ciphertext did not hash
+    *_, ct = sample_objects()
+    got = decode(bytearray(encode(ct)))
+    assert got == ct and hash(got) == hash(ct)
+    assert type(got.sealed_seed.data) is type(got.masked_msg.data) is bytes
 
 
 def test_encode_is_deterministic():
@@ -167,7 +174,7 @@ def test_composite_modulus_is_semantic():
 def test_entry_out_of_range_is_semantic():
     _, pk, _, _ = sample_objects(TINY)
     data = encode(pk)
-    canon = canonical_bytes(pk.key_product.mat)
+    canon = canonical_bytes(pk.key_product)
     # bump the first entry of the key product to p+1 (structurally fine, 1 byte)
     idx = data.index(canon)
     entry_off = idx + len(canon) - 4  # 4 one-byte entries for n=2, p=7
@@ -189,7 +196,7 @@ def test_wrong_nilpotency_index_is_semantic():
 def test_singular_rand_product_is_semantic():
     _, pk, _, ct = sample_objects(TINY)
     data = encode(ct)
-    good = canonical_bytes(ct.rand_product.mat)
+    good = canonical_bytes(ct.rand_product)
     bad = canonical_bytes(zeros(2, 7))
     assert len(good) == len(bad)
     with pytest.raises(SemanticDecodeError):
@@ -202,7 +209,7 @@ def test_composite_modulus_ciphertext_is_semantic():
     # and over Z_6 the check goes on past a pivotless column to the pivot 2
     _, _, _, ct = sample_objects(TINY)
     data = encode(ct)
-    good = canonical_bytes(ct.rand_product.mat)
+    good = canonical_bytes(ct.rand_product)
     for p, rows in ((9, ((3, 1), (1, 1))), (6, ((0, 2), (0, 1)))):
         bad = canonical_bytes(FieldMatrix(2, p, rows))
         assert len(good) == len(bad)
@@ -213,7 +220,7 @@ def test_composite_modulus_ciphertext_is_semantic():
 def test_mismatched_secret_factor_groups_is_semantic():
     _, _, sk, _ = sample_objects(TINY)
     data = encode(sk)
-    right = canonical_bytes(sk.right_factor.mat)
+    right = canonical_bytes(sk.right_factor)
     foreign = canonical_bytes(identity(3, 7))
     with pytest.raises(SemanticDecodeError):
         decode(reframe(data.replace(right, foreign)))
@@ -231,7 +238,7 @@ def test_public_key_with_commuting_generators_is_semantic():
 def test_set_padding_bits_are_structural():
     ct = Ciphertext(
         BitStr.from_int(5, 13),
-        GroupElement(identity(2, 7)),
+        unit_element(2, 7),
         BitStr.from_int(0, 16),
     )
     data = encode(ct)
@@ -301,11 +308,11 @@ def test_composite_modulus_ciphertext_decodes_and_decrypts_to_none():
     # mod 9 has unit pivots, so no elimination step exposes the modulus
     _, pk, sk, ct = sample_objects(TINY)
     data = encode(ct)
-    good = canonical_bytes(ct.rand_product.mat)
+    good = canonical_bytes(ct.rand_product)
     bad = canonical_bytes(identity(2, 9))
     assert len(good) == len(bad)
     forged = decode(reframe(data.replace(good, bad)))
-    assert forged.rand_product.mat.p == 9
+    assert forged.rand_product.p == 9
     assert decrypt(sk, pk, forged) is None
 
 

@@ -8,7 +8,7 @@ from math import comb
 from pathlib import Path
 
 import pytest
-from conftest import count_calls, slow_naf_bruteforce, slow_naf_mitm
+from conftest import count_calls, slow_naf_bruteforce, slow_naf_mitm, unit_element
 from test_kat import PIN_SEED
 
 import lgpk
@@ -36,7 +36,6 @@ from lgpk.matfield import (
     det,
     exp_scaled,
     group_mul,
-    identity,
     is_invertible,
     mat_mul,
 )
@@ -59,17 +58,17 @@ def planted(left, right, x, y, bound_left, bound_right):
 def reexponentiates(sol, inst):
     """The solution's scalars, exponentiated again, multiply to the target."""
     left = exp_scaled(sol.left_scalar, inst.left_gen)
-    return group_mul(left, exp_scaled(sol.right_scalar, inst.right_gen)).mat == inst.target.mat
+    return group_mul(left, exp_scaled(sol.right_scalar, inst.right_gen)) == inst.target
 
 
 def test_instance_validation():
     upper, lower = shift_pair(7)
     with pytest.raises(ParameterError):
-        NafInstance(upper, lower, GroupElement(identity(2, 7)), 0, 5)
+        NafInstance(upper, lower, unit_element(2, 7), 0, 5)
     with pytest.raises(ParameterError):  # commuting generators
-        NafInstance(upper, upper, GroupElement(identity(2, 7)), 5, 5)
+        NafInstance(upper, upper, unit_element(2, 7), 5, 5)
     with pytest.raises(ParameterError):  # modulus mismatch
-        NafInstance(upper, lower, GroupElement(identity(2, 11)), 5, 5)
+        NafInstance(upper, lower, unit_element(2, 11), 5, 5)
 
 
 def test_instance_rejects_a_composite_modulus():
@@ -79,13 +78,13 @@ def test_instance_rejects_a_composite_modulus():
     lower = FieldMatrix(3, 15, ((0, 0, 0), (3, 0, 0), (1, 1, 0)))
     left, right = NilpotentMatrix(shift, 3), NilpotentMatrix(lower, 3)
     with pytest.raises(ParameterError, match="prime modulus"):
-        NafInstance(left, right, GroupElement(identity(3, 15)), 15, 15)
+        NafInstance(left, right, unit_element(3, 15), 15, 15)
 
 
 def test_bruteforce_known_toy_instance():
     # with shift generators the product is [[1+xy, x], [y, 1]] mod 7
     upper, lower = shift_pair(7)
-    target = GroupElement(FieldMatrix(2, 7, ((2, 3), (5, 1))))
+    target = GroupElement(2, 7, ((2, 3), (5, 1)))
     inst = NafInstance(upper, lower, target, 7, 7)
     sol = naf_bruteforce(inst)
     assert (sol.left_scalar, sol.right_scalar) == (3, 5)
@@ -94,7 +93,7 @@ def test_bruteforce_known_toy_instance():
 
 def test_bruteforce_identity_target():
     upper, lower = shift_pair(7)
-    sol = naf_bruteforce(NafInstance(upper, lower, GroupElement(identity(2, 7)), 7, 7))
+    sol = naf_bruteforce(NafInstance(upper, lower, unit_element(2, 7), 7, 7))
     assert (sol.left_scalar, sol.right_scalar) == (0, 0)
     assert sol.ops == 1
 
@@ -183,7 +182,7 @@ GRID = grid_generators()
 def assert_solvers_match_oracle(inst):
     """Both solvers return the full-matrix oracle's (x, y, ops), or None with it."""
     gens = [([list(r) for r in g.base.rows], g.index) for g in (inst.left_gen, inst.right_gen)]
-    args = (*gens, inst.target.mat.rows, inst.target.mat.p, inst.bound_left, inst.bound_right)
+    args = (*gens, inst.target.rows, inst.target.p, inst.bound_left, inst.bound_right)
     results = []
     for solver, oracle in ((naf_bruteforce, slow_naf_bruteforce), (naf_mitm, slow_naf_mitm)):
         sol = solver(inst)
@@ -222,7 +221,7 @@ def test_mitm_table_keys_below_p_are_distinct(left, right):
     # naf_mitm keeps one y per packed row: v*R != 0 for the scanned v, so
     # only y's equal mod p share a row, and they share the verdict too
     p = left.base.p
-    inst = NafInstance(left, right, GroupElement(identity(left.base.n, p)), p, p)
+    inst = NafInstance(left, right, unit_element(left.base.n, p), p, p)
     start = cryptanalysis._scan_vector(inst)
     diffs = [row for (row,) in cryptanalysis._diff_rows((start,), 1, right)]
     keys = list(cryptanalysis._keys(diffs, p, p))
@@ -238,7 +237,7 @@ def row0_decoy(good):
         rows[1][0] = (good.rows[1][0] + delta) % p
         decoy = FieldMatrix(n, p, tuple(map(tuple, rows)))
         if is_invertible(decoy):
-            return GroupElement(decoy)
+            return GroupElement(n, p, decoy.rows)
     raise AssertionError("no invertible decoy")
 
 
@@ -253,8 +252,8 @@ def decoy_instances(left, right):
         for b in range(p):
             honest = group_mul(exp_scaled(a, left), exp_scaled(b, right))
             decoys = (
-                row0_decoy(honest.mat),
-                group_mul(exp_scaled(a, left), row0_decoy(exp_scaled(b, right).mat)),
+                row0_decoy(honest),
+                group_mul(exp_scaled(a, left), row0_decoy(exp_scaled(b, right))),
             )
             for decoy in decoys:
                 yield a, b, honest, NafInstance(left, right, decoy, p, p)
@@ -263,7 +262,7 @@ def decoy_instances(left, right):
 @pytest.mark.parametrize("left, right", list(GRID.values()), ids=list(GRID))
 def test_row0_decoys_are_not_reported(left, right):
     for a, b, honest, inst in decoy_instances(left, right):
-        assert inst.target.mat != honest.mat
+        assert inst.target != honest
         for got in assert_solvers_match_oracle(inst):
             assert got is None or got[:2] != (a, b)
 
@@ -425,7 +424,7 @@ def image_census(left, right, p):
     seen = set()
     for x in range(p):
         for y in range(p):
-            g = mat_mul(exp_scaled(x, left).mat, exp_scaled(y, right).mat)
+            g = mat_mul(exp_scaled(x, left), exp_scaled(y, right))
             seen.add(canonical_bytes(g))
     return seen
 
@@ -440,7 +439,7 @@ def test_not_found_outside_image_set():
         rows = ((bits % 5, bits // 5 % 5), (bits // 25 % 5, bits // 125 % 5))
         m = FieldMatrix(2, p, rows)
         if det(m) != 0 and canonical_bytes(m) not in census:
-            outsider = GroupElement(m)
+            outsider = GroupElement(m.n, m.p, m.rows)
             break
     assert outsider is not None
     inst = NafInstance(upper, lower, outsider, p, p)
@@ -450,7 +449,7 @@ def test_not_found_outside_image_set():
 
 def test_bruteforce_budget_refusal(monkeypatch):
     upper, lower = shift_pair(7)
-    inst = NafInstance(upper, lower, GroupElement(identity(2, 7)), 1 << 17, 1 << 17)
+    inst = NafInstance(upper, lower, unit_element(2, 7), 1 << 17, 1 << 17)
     with pytest.raises(BudgetRefusal) as exc:
         naf_bruteforce(inst)
     assert str(1 << 34) in str(exc.value)  # the refusal states its arithmetic
@@ -462,7 +461,7 @@ def test_bruteforce_budget_refusal(monkeypatch):
 
 def test_mitm_budget_refusal(monkeypatch):
     upper, lower = shift_pair(7)
-    inst = NafInstance(upper, lower, GroupElement(identity(2, 7)), 4, 1 << 23)
+    inst = NafInstance(upper, lower, unit_element(2, 7), 4, 1 << 23)
     with pytest.raises(BudgetRefusal):
         naf_mitm(inst)
     monkeypatch.setattr(cryptanalysis, "MITM_TABLE_BUDGET", 7)
@@ -499,14 +498,14 @@ def test_nai_known_toy_instance():
     )
     for solver in (naf_bruteforce, naf_mitm):
         out = nai_via_naf(inst, solver)
-        assert out.mat.rows == ((4, 4), (6, 1))
+        assert out.rows == ((4, 4), (6, 1))
 
 
 def test_nai_identity_insertion():
     upper, lower = shift_pair(7)
     delta_one = group_mul(exp_scaled(2, upper), exp_scaled(3, lower))
-    inst = NaiInstance(upper, lower, delta_one, GroupElement(identity(2, 7)), 7, 7)
-    assert nai_via_naf(inst, naf_bruteforce).mat == delta_one.mat
+    inst = NaiInstance(upper, lower, delta_one, unit_element(2, 7), 7, 7)
+    assert nai_via_naf(inst, naf_bruteforce) == delta_one
 
 
 def test_nai_fails_when_factoring_fails():

@@ -95,10 +95,7 @@ TRUSTED_CALL_SITES = sorted([
     ("hashsuite", "xof_bits"),
     ("matfield", "mat_mul"),
     ("matfield", "mat_inv"),
-    ("matfield", "mat_inv"),
     ("matfield", "NilpotentMatrix.from_matrix"),
-    ("matfield", "group_mul"),
-    ("matfield", "exp_scaled"),
     ("matfield", "exp_scaled"),
     ("sampler", "make_params"),
     ("sampler", "sample_invertible"),

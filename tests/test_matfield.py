@@ -17,6 +17,7 @@ from conftest import (
     slow_det,
     slow_mat_mul,
     trial_division_prime,
+    unit_element,
     uv_strong_lucas,
     zeros,
 )
@@ -76,7 +77,7 @@ def random_nilpotent(rng, n, p):
     """Random strictly upper-triangular matrix conjugated by a random unit."""
     upper = [[rng.randrange(p) if j > i else 0 for j in range(n)] for i in range(n)]
     q = random_invertible(rng, n, p)
-    return mat_mul(mat_mul(q, mat(upper, p)), mat_inv(q).mat)
+    return mat_mul(mat_mul(q, mat(upper, p)), mat_inv(q))
 
 
 def test_from_rows_reduces_mod_p():
@@ -90,6 +91,20 @@ def test_entry_out_of_range_rejected():
     with pytest.raises(ParameterError):
         FieldMatrix(2, 7, ((0, 1),))
 
+
+@pytest.mark.parametrize("rows, message", [
+    ([[1, 0], [0, 1]], "rows must be a tuple of tuples"),
+    (((1, 0), [0, 1]), "rows must be a tuple of tuples"),
+    (((1.5, 0), (0, 1)), "entry 1.5 is not an int"),
+    (((True, 0), (0, 1)), "entry True is not an int"),
+], ids=["list-rows", "list-row", "float-entry", "bool-entry"])
+def test_constructors_reject_a_second_form_of_a_matrix(rows, message):
+    # list rows neither hash nor equal their tuple twins, so the solvers
+    # missed a list-rowed target; a float entry made mat_mul return floats
+    for cls in (FieldMatrix, GroupElement):
+        with pytest.raises(ParameterError) as e:
+            cls(2, 7, rows)
+        assert str(e.value) == message
 
 
 @pytest.mark.parametrize("build, message", [
@@ -226,20 +241,20 @@ def test_exponential_against_rational_oracle_at_every_shape(p):
             nm = NilpotentMatrix(mat(rows, p), k)
             terms = term_rows(nm)
             assert len(terms) == k - 1 and all(len(term) == n for term in terms)
-            assert [list(row) for row in exp_scaled(0, nm).mat.rows] == one
+            assert [list(row) for row in exp_scaled(0, nm).rows] == one
             r = rng.randrange(p)
             for residue, scalars in ((1, (1,)), (r, (r, r + p * rng.randrange(1, p)))):
                 want = rational_exp([[residue * e % p for e in row] for row in rows], k, p)
                 for t in scalars:
-                    assert [list(row) for row in exp_scaled(t, nm).mat.rows] == want
-                    assert exp_rows(t, nm) == exp_scaled(t, nm).mat.rows
+                    assert [list(row) for row in exp_scaled(t, nm).rows] == want
+                    assert exp_rows(t, nm) == exp_scaled(t, nm).rows
                 # the terms X^m/m! sum to the same exponential
                 summed = lin_comb((1, identity(n, p)), *[
                     (pow(residue, m, p), FieldMatrix(n, p, term)) for m, term in enumerate(terms, 1)
                 ])
                 assert [list(row) for row in summed.rows] == want
                 if residue == 1:
-                    assert slow_mat_mul(want, exp_scaled(p - 1, nm).mat.rows, p) == one
+                    assert slow_mat_mul(want, exp_scaled(p - 1, nm).rows, p) == one
 
 
 def test_det_known_values():
@@ -263,8 +278,8 @@ def test_mat_inv_roundtrip():
         n = rng.choice([2, 3, 5])
         p = rng.choice([7, 101, 2**31 - 1])
         a = random_invertible(rng, n, p)
-        assert mat_mul(a, mat_inv(a).mat) == identity(n, p)
-        assert mat_mul(mat_inv(a).mat, a) == identity(n, p)
+        assert mat_mul(a, mat_inv(a)) == identity(n, p)
+        assert mat_mul(mat_inv(a), a) == identity(n, p)
 
 
 def test_composite_modulus_inverse_raises_parameter_error():
@@ -439,12 +454,12 @@ def test_nilpotency_over_composite_modulus_stops_at_n():
 def test_mat_exp_shift3_mod7_known_value():
     # I + N + N^2/2 with 2^-1 = 4 (mod 7)
     g = mat_exp(NilpotentMatrix.from_matrix(mat([list(r) for r in SHIFT3], 7)))
-    assert g.mat.rows == ((1, 1, 4), (0, 1, 1), (0, 0, 1))
+    assert g.rows == ((1, 1, 4), (0, 1, 1), (0, 0, 1))
 
 
 def test_mat_exp_zero_is_identity():
     g = mat_exp(NilpotentMatrix.from_matrix(zeros(4, 11)))
-    assert g.mat == identity(4, 11)
+    assert g == unit_element(4, 11)
 
 
 def test_mat_exp_against_rational_oracle():
@@ -453,7 +468,7 @@ def test_mat_exp_against_rational_oracle():
         n = rng.choice([2, 3, 5])
         p = rng.choice([7, 101, 2**31 - 1, P256])
         nm = NilpotentMatrix.from_matrix(random_nilpotent(rng, n, p))
-        got = mat_exp(nm).mat.rows
+        got = mat_exp(nm).rows
         want = rational_exp([list(r) for r in nm.base.rows], nm.index, p)
         assert [list(r) for r in got] == want
 
@@ -463,20 +478,20 @@ def test_mat_exp_is_unipotent():
     for _ in range(20):
         nm = NilpotentMatrix.from_matrix(random_nilpotent(rng, 3, 101))
         g = mat_exp(nm)
-        assert det(g.mat) == 1
-        diff = lin_comb((1, g.mat), (-1, identity(3, 101)))
+        assert det(g) == 1
+        diff = lin_comb((1, g), (-1, identity(3, 101)))
         assert is_nilpotent(diff)[0]
 
 
 def test_exp_scaled_shift3_known_value():
     nm = NilpotentMatrix.from_matrix(mat([list(r) for r in SHIFT3], 7))
-    assert exp_scaled(3, nm).mat.rows == ((1, 3, 1), (0, 1, 3), (0, 0, 1))
+    assert exp_scaled(3, nm).rows == ((1, 3, 1), (0, 1, 3), (0, 0, 1))
 
 
 def test_exp_scaled_zero_and_negative():
     nm = NilpotentMatrix.from_matrix(mat([list(r) for r in SHIFT3], 7))
-    assert exp_scaled(0, nm).mat == identity(3, 7)
-    assert exp_scaled(7, nm).mat == identity(3, 7)  # scalar reduced mod p
+    assert exp_scaled(0, nm) == unit_element(3, 7)
+    assert exp_scaled(7, nm) == unit_element(3, 7)  # scalar reduced mod p
     with pytest.raises(ParameterError):
         exp_scaled(-1, nm)
     # edge scalars on each profile's generators, against the rational oracle
@@ -488,7 +503,7 @@ def test_exp_scaled_zero_and_negative():
             for t in (0, 1, p - 1, p, 2 ** PROFILES[name]["kappa3"] - 1, p * p + 3):
                 scaled = [[t * e for e in row] for row in nm.base.rows]
                 want = rational_exp(scaled, nm.index, p)
-                assert [list(r) for r in exp_scaled(t, nm).mat.rows] == want
+                assert [list(r) for r in exp_scaled(t, nm).rows] == want
 
 
 def test_exp_scaled_one_parameter_law():
@@ -498,11 +513,11 @@ def test_exp_scaled_one_parameter_law():
         n = rng.choice([2, 3, 5])
         nm = NilpotentMatrix.from_matrix(random_nilpotent(rng, n, p))
         t, s = rng.randrange(2 * p), rng.randrange(2 * p)
-        lhs = mat_mul(exp_scaled(t, nm).mat, exp_scaled(s, nm).mat)
-        assert lhs == exp_scaled(t + s, nm).mat
+        lhs = mat_mul(exp_scaled(t, nm), exp_scaled(s, nm))
+        assert lhs == exp_scaled(t + s, nm)
         scaled = [[t * e for e in row] for row in nm.base.rows]
         want = rational_exp(scaled, nm.index, p)
-        assert [list(r) for r in exp_scaled(t, nm).mat.rows] == want
+        assert [list(r) for r in exp_scaled(t, nm).rows] == want
 
 
 def test_exponential_holds_the_largest_sums_at_the_codec_limits():
@@ -516,7 +531,7 @@ def test_exponential_holds_the_largest_sums_at_the_codec_limits():
     scalars = (p - 1, 2**4095 + 12345)
     for t in scalars:
         want = rational_exp([[t * e % p for e in row] for row in nm.base.rows], n, p)
-        assert [list(r) for r in exp_scaled(t, nm).mat.rows] == want
+        assert [list(r) for r in exp_scaled(t, nm).rows] == want
     # the sums above do need more than 2*bits(p) bits per entry
     terms = term_rows(nm)
     assert all(e == p - 1 for i, row in enumerate(terms[0]) for e in row[i + 1:])
@@ -606,16 +621,31 @@ def test_commutes_agrees_with_full_products():
 
 def test_group_element_rejects_singular():
     with pytest.raises(NotInvertibleError):
-        GroupElement(mat([[1, 2], [2, 4]], 7))
+        GroupElement.from_rows([[1, 2], [2, 4]], 7)
+
+
+def test_group_element_is_an_invertible_field_matrix():
+    assert [f.name for f in dataclasses.fields(GroupElement)] == ["n", "p", "rows"]
+    assert dataclasses.fields(GroupElement) == dataclasses.fields(FieldMatrix)
+    nm = NilpotentMatrix.from_matrix(mat([list(r) for r in SHIFT3], 7))
+    g, one = exp_scaled(3, nm), identity(3, 7)
+    for h in (g, mat_exp(nm), group_mul(g, g), mat_mul(g, g), mat_inv(g), mat_inv(one)):
+        assert type(h) is GroupElement and isinstance(h, FieldMatrix)
+    # one plain operand makes a plain product
+    for a, b in ((one, one), (g, one), (one, g)):
+        assert type(mat_mul(a, b)) is FieldMatrix
+    plain = FieldMatrix(g.n, g.p, g.rows)
+    assert g != plain and plain != g
+    assert g == GroupElement(g.n, g.p, g.rows) and hash(g) == hash(GroupElement(3, 7, g.rows))
 
 
 def test_group_mul_and_inverse():
     rng = random.Random(808)
     for _ in range(20):
-        a = GroupElement(random_invertible(rng, 3, 101))
-        b = GroupElement(random_invertible(rng, 3, 101))
-        assert group_mul(a, b).mat == mat_mul(a.mat, b.mat)
-        assert group_mul(a, mat_inv(a.mat)).mat == identity(3, 101)
+        ma, mb = random_invertible(rng, 3, 101), random_invertible(rng, 3, 101)
+        a, b = GroupElement(ma.n, ma.p, ma.rows), GroupElement(mb.n, mb.p, mb.rows)
+        assert group_mul(a, b).rows == mat_mul(ma, mb).rows
+        assert group_mul(a, mat_inv(ma)) == unit_element(3, 101)
 
 
 def test_canonical_bytes_layout():
@@ -810,7 +840,7 @@ def test_elimination_differential_on_sparse_matrices():
             assert det(a) == expected
             assert is_invertible(a) == (expected != 0) == (len(row_reduce(rows, p)[0]) == n)
             if expected:
-                assert slow_mat_mul(mat_inv(a).mat.rows, rows, p) == [list(r) for r in identity(n, p).rows]
+                assert slow_mat_mul(mat_inv(a).rows, rows, p) == [list(r) for r in identity(n, p).rows]
             else:
                 with pytest.raises(NotInvertibleError):
                     mat_inv(a)
@@ -882,7 +912,7 @@ def test_is_invertible_composite_modulus_raises_parameter_error():
         with pytest.raises(ParameterError, match="modulus must be prime"):
             is_invertible(a)
         with pytest.raises(ParameterError, match="modulus must be prime"):
-            GroupElement(a)
+            GroupElement(a.n, a.p, a.rows)
     assert is_invertible(identity(3, 6))
 
 

@@ -37,7 +37,7 @@ def toy_keypair(seed=SEED, params=TOY):
 
 def test_keygen_secret_factors_multiply_to_key_product():
     pk, sk = toy_keypair()
-    assert group_mul(sk.left_factor, sk.right_factor).mat == pk.key_product.mat
+    assert group_mul(sk.left_factor, sk.right_factor) == pk.key_product
 
 
 def test_keygen_deterministic_under_seed():
@@ -191,7 +191,7 @@ def test_encryption_is_randomized():
     rng = RngHandle(b"\x33" * 32)
     for _ in range(100):
         ct = encrypt(pk, m, rng)
-        key = (ct.sealed_seed.hex(), ct.rand_product.mat.rows, ct.masked_msg.hex())
+        key = (ct.sealed_seed.hex(), ct.rand_product.rows, ct.masked_msg.hex())
         assert key not in seen
         seen.add(key)
 
@@ -207,9 +207,9 @@ def test_correctness_identity_at_group_level():
         r_left, r_right = (r.to_int() for r in h1(pk.params, sigma, m))
         left_rand = exp_scaled(r_left, pk.left_gen)
         right_rand = exp_scaled(r_right, pk.right_gen)
-        lhs = mat_mul(mat_mul(left_rand.mat, pk.key_product.mat), right_rand.mat)
-        rand_product = mat_mul(left_rand.mat, right_rand.mat)
-        rhs = mat_mul(mat_mul(sk.left_factor.mat, rand_product), sk.right_factor.mat)
+        lhs = mat_mul(mat_mul(left_rand, pk.key_product), right_rand)
+        rand_product = mat_mul(left_rand, right_rand)
+        rhs = mat_mul(mat_mul(sk.left_factor, rand_product), sk.right_factor)
         assert lhs == rhs
 
 
@@ -218,8 +218,8 @@ def test_toy_closed_form_of_rand_product():
     p = 7
     upper = NilpotentMatrix(FieldMatrix(2, p, ((0, 1), (0, 0))), 2)
     lower = NilpotentMatrix(FieldMatrix(2, p, ((0, 0), (1, 0))), 2)
-    left_factor = GroupElement(FieldMatrix(2, p, ((1, 2), (0, 1))))   # exp(2*upper)
-    right_factor = GroupElement(FieldMatrix(2, p, ((1, 0), (3, 1))))  # exp(3*lower)
+    left_factor = GroupElement(2, p, ((1, 2), (0, 1)))   # exp(2*upper)
+    right_factor = GroupElement(2, p, ((1, 0), (3, 1)))  # exp(3*lower)
     key_product = group_mul(left_factor, right_factor)
     pk = PublicKey(TINY, upper, lower, key_product)
     sk = PrivateKey(left_factor, right_factor, pk_fingerprint(pk))
@@ -232,7 +232,7 @@ def test_toy_closed_form_of_rand_product():
     sigma = replay.bitstr(TINY.kappa2)
     r_left, r_right = (r.to_int() % p for r in h1(TINY, sigma, m))
     expected = ((1 + r_left * r_right) % p, r_left), (r_right, 1)
-    assert ct.rand_product.mat.rows == expected
+    assert ct.rand_product.rows == expected
     assert decrypt(sk, pk, ct) == m
 
 
@@ -254,11 +254,11 @@ def test_decrypt_rejects_rand_product_perturbation():
     pk, sk = toy_keypair()
     ct = encrypt(pk, BitStr.from_int(77, TOY.msg_len), RngHandle(SEED))
     p = TOY.p
-    rows = [list(r) for r in ct.rand_product.mat.rows]
+    rows = [list(r) for r in ct.rand_product.rows]
     for delta in range(1, p):
-        rows[0][1] = (ct.rand_product.mat.rows[0][1] + delta) % p
+        rows[0][1] = (ct.rand_product.rows[0][1] + delta) % p
         try:
-            perturbed = GroupElement(FieldMatrix(2, p, tuple(tuple(r) for r in rows)))
+            perturbed = GroupElement(2, p, tuple(tuple(r) for r in rows))
         except NotInvertibleError:
             continue
         assert decrypt(sk, pk, Ciphertext(ct.sealed_seed, perturbed, ct.masked_msg)) is None
@@ -284,7 +284,7 @@ def test_decrypt_rejects_rand_product_forged_under_an_h2_collision():
         rows = tuple(tuple(rng.below(params.p) for _ in range(2)) for _ in range(2))
         if not matfield.is_invertible(FieldMatrix(2, params.p, rows)):
             continue
-        forged_rand = group_mul(ct.rand_product, GroupElement(FieldMatrix(2, params.p, rows)))
+        forged_rand = group_mul(ct.rand_product, GroupElement(2, params.p, rows))
         digest = h2_of_sandwich(forged_rand)
         if digest == honest and forged_rand != ct.rand_product:
             break
@@ -325,7 +325,7 @@ def test_decrypt_returns_none_on_shape_mismatch():
     ct = encrypt(pk, BitStr.from_int(1, TOY.msg_len), RngHandle(SEED))
     short_seed = BitStr.from_int(0, TOY.kappa2 - 8)
     assert decrypt(sk, pk, Ciphertext(short_seed, ct.rand_product, ct.masked_msg)) is None
-    other_group = GroupElement(FieldMatrix(2, 7, ((1, 0), (0, 1))))
+    other_group = GroupElement(2, 7, ((1, 0), (0, 1)))
     assert decrypt(sk, pk, Ciphertext(ct.sealed_seed, other_group, ct.masked_msg)) is None
 
 
@@ -335,6 +335,7 @@ def test_decrypt_rejects_private_key_outside_the_public_group(foreign):
     # its factors live in another group; it must be refused, not multiplied
     pk, sk = toy_keypair()
     ct = encrypt(pk, BitStr.from_int(5, TOY.msg_len), RngHandle(SEED))
-    alien = PrivateKey(GroupElement(foreign), GroupElement(foreign), sk.pk_fingerprint)
+    factor = GroupElement(foreign.n, foreign.p, foreign.rows)
+    alien = PrivateKey(factor, factor, sk.pk_fingerprint)
     with pytest.raises(KeyMismatchError, match="public key's group"):
         decrypt(alien, pk, ct)

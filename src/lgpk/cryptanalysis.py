@@ -6,15 +6,19 @@ follow only the row v*exp(x*L)*exp(y*R), for one vector v chosen from the
 generators, and confirm a row hit by the full n x n product. Along x and
 along y the row is a polynomial of degree below that generator's index, so a
 few row products give its forward differences, and `itertools` running sums
-walk the whole search from them in C: no row product per pair or per probe,
-and no Python call per x. A solve works on row tuples alone: the rows of
-exponentials (`matfield.exp_rows`) and their products (`matfield.rows_mul`),
-with no matrix object built.
+walk them in C: no row product per pair or per probe, and no Python call per
+x. A solve works on row tuples alone: the rows of exponentials
+(`matfield.exp_rows`) and their products (`matfield.rows_mul`), with no
+matrix object built.
 
 The brute-force solver tries every pair of the (x, y) grid, prefiltering on
-one coordinate of the row, and stores nothing per pair. The meet-in-the-middle
-solver tabulates the rows for every y, packed into ints, and probes them with
-exp(-x*L) applied to the target, trading memory for a linear-time scan.
+one coordinate of the row. It packs that coordinate for up to `LANES`
+consecutive y into the lanes of one int and steps x by lane-wise additions
+mod p, so a few big-int operations test a whole chunk of y at each x (SIMD
+within a register); it stores one chunk, never a value per pair. The
+meet-in-the-middle solver tabulates the rows for every y, packed into ints,
+and probes them with exp(-x*L) applied to the target, trading memory for a
+linear-time scan.
 `solvers()` is the one table of the solvers by name; every caller reads it.
 
 Insertion: given two such products, produce the product with component-wise
@@ -33,7 +37,7 @@ import operator
 import time
 from collections import deque
 from dataclasses import astuple, dataclass, fields
-from itertools import accumulate, chain, compress, count, repeat, tee
+from itertools import accumulate, chain, compress, count, islice, repeat, tee
 from math import comb
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -53,6 +57,7 @@ from .sampler import RngHandle, sample_noncommuting_pair, sample_prime
 
 BRUTE_PAIR_BUDGET = 1 << 32
 MITM_TABLE_BUDGET = 1 << 22
+LANES = 256  # y values per brute-force chunk: the lanes of one int
 
 
 @dataclass(frozen=True)
@@ -151,45 +156,52 @@ def _walks(diffs: Sequence[Iterable[int]], length: int, p: int) -> Iterator[Iter
     return map(map, repeat(operator.mod), values, map(repeat, repeat(p), repeat(length)))
 
 
-def _walk(diffs: Sequence[int], length: int, p: int) -> Iterator[int]:
-    """The walk of `_walks` whose forward differences at 0 are `diffs`."""
-    return next(_walks([(d,) for d in diffs], length, p))
-
-
 def _row_at(diffs: Sequence[tuple[int, ...]], t: int, p: int) -> tuple[int, ...]:
     """The row at t, sum over i of C(t, i) * diffs[i] mod p, from its forward
     differences at t = 0 (Newton's forward formula): one `rows_mul`."""
     return rows_mul(([comb(t, i) for i in range(len(diffs))],), diffs, p)[0]
 
 
-def _matches(values: Iterator[int], goal: int) -> Iterator[int]:
-    """The offsets at which `values` equals `goal`. `operator.indexOf` walks
-    the stretch up to each one in C."""
-    pos = -1
-    while True:
-        try:
-            pos += 1 + operator.indexOf(values, goal)
-        except ValueError:
-            return
-        yield pos
+def _first_hit(inst: NafInstance, by_y: list[Rows], goal: tuple[int, ...], x: int,
+               y0: int, hits: int, width: int) -> Optional[NafSolution]:
+    """The first pair (x, y0 + k), lowest lane k first, among the prefilter
+    hits (bit width*(k+1) - 1 set in `hits`) whose full row matches `goal`
+    and whose product `_confirm` accepts."""
+    p = inst.target.p
+    while hits:
+        lane = hits & -hits
+        hits ^= lane
+        y = y0 + lane.bit_length() // width - 1
+        if _row_at([_row_at(d, x, p) for d in by_y], y, p) == goal:
+            sol = _confirm(inst, x, y, x * inst.bound_right + y + 1)
+            if sol is not None:
+                return sol
+    return None
 
 
 def naf_bruteforce(inst: NafInstance) -> Optional[NafSolution]:
     """Exhaustive scan of the (x, y) grid, x-major, so the smallest x (and for
-    it the smallest y) wins. `ops` reports the number of pairs tried.
+    it the smallest y) wins. `ops` reports the number of pairs tried up to the
+    winner, x * bound_right + y + 1.
 
     The scan follows the row v*exp(x*L)*exp(y*R) (v from `_scan_vector`).
-    With G = exp(L) - I and E = exp(R) - I, its forward differences in y are
-    v*exp(x*L)*E^i, polynomials in x with differences v*G^a*E^i: the only
+    With G = exp(L) - I and E = exp(R) - I, its forward differences in x are
+    v*G^a*exp(y*R), polynomials in y with differences v*G^a*E^i: the only
     row products made, all on row tuples. The scan runs:
-    - a prefilter on one coordinate of the row: the x walks of its
-      y-differences give each x's y walk (`_walks`, its constructors mapped
-      over the x walks, so no Python frame runs per x), and those chained
-      end to end are compared with that coordinate of v*target over the
-      whole grid in C, with no Python step per pair;
-    - the full row, rebuilt from the differences, at each pair that passes;
+    - a prefilter on one coordinate of the row, SIMD within a register: for
+      each chunk of at most `LANES` consecutive y, the y walks (`_walks`) of
+      that coordinate's x-differences fill one int per difference, one
+      byte-aligned lane per y, whose top (guard) bit a sum of two lanes never
+      reaches. An x step adds each difference into the one before it,
+      lane-wise mod p, and an XOR with the goal and a guard-bit test mark the
+      matching lanes: a few big-int operations per x for the whole chunk,
+      and no Python call per x;
+    - the full row, rebuilt from the differences, at each marked lane,
+      lowest y first;
     - `_confirm`, the full product, at each pair whose full row matches.
-    Memory is the differences and a chain of iterators, whatever the bounds.
+    Chunks run in y order, and each scans only the x below the best pair
+    found so far, so the x-major winner is the one returned. Memory is the
+    differences and one chunk, whatever the bounds.
     """
     total = inst.bound_left * inst.bound_right
     if total > BRUTE_PAIR_BUDGET:
@@ -207,15 +219,36 @@ def naf_bruteforce(inst: NafInstance) -> Optional[NafSolution]:
     # grid one y long, with x; 0 if none does
     steps = [r for d in by_y[1:] for r in d] if inst.bound_right > 1 else by_y[0][1:]
     j = next((j for j in range(len(start)) if any(r[j] for r in steps)), 0)
-    x_walks = [_walk([r[j] for r in d], inst.bound_left, p) for d in by_y]
-    values = chain.from_iterable(_walks(x_walks, inst.bound_right, p))
-    for pos in _matches(values, goal[j]):
-        x, y = divmod(pos, inst.bound_right)
-        if _row_at([_row_at(d, x, p) for d in by_y], y, p) == goal:
-            sol = _confirm(inst, x, y, pos + 1)
-            if sol is not None:
-                return sol
-    return None
+    # walks[a] gives, for y = 0, 1, ..., the a-th x-difference at x = 0
+    walks = list(_walks([[r[j] for r in d] for d in by_y], inst.bound_right, p))
+    size = (p.bit_length() + 9) // 8  # bytes per lane: a sum below 2p stays under the guard bit
+    width = 8 * size
+    top = width - 1
+    stepped = range(len(walks) - 1)  # every difference but the constant last
+    best, limit = None, inst.bound_left
+    for y0 in range(0, inst.bound_right, LANES):
+        if not limit:
+            break
+        k = min(LANES, inst.bound_right - y0)
+        ones = int.from_bytes((b"\x01" + bytes(size - 1)) * k, "little")
+        guard = ones << top
+        low, bias, pones = guard - ones, guard - p * ones, p * ones
+        target = goal[j] * ones
+        # s[a]: the a-th x-difference at the current x, one lane per y of the chunk
+        s = [int.from_bytes(b"".join(map(int.to_bytes, islice(walk, k), repeat(size),
+                                         repeat("little"))), "little") for walk in walks]
+        for x in range(limit):
+            hits = ((s[0] ^ target) + low & guard) ^ guard
+            if hits:
+                sol = _first_hit(inst, by_y, goal, x, y0, hits, width)
+                if sol is not None:
+                    best, limit = sol, x
+                    break
+            for a in stepped:
+                t = s[a] + s[a + 1]
+                c = t + bias >> top & ones  # 1 in each lane at or past p
+                s[a] = t - (pones & (c << width) - c)
+    return best
 
 
 def _keys(diffs: Sequence[tuple[int, ...]], length: int, p: int) -> Iterator[int]:
@@ -331,6 +364,8 @@ def hardness_sweep(
     counts are non-decreasing along both grid axes; over-budget cells are
     recorded as refused rather than run.
     """
+    if not p_bits_list or not bound_bits_list:  # checked before any draw
+        raise ParameterError("a sweep needs at least one prime size and one bound size")
     for b in bound_bits_list:
         if b < 2 or b % 2:
             raise ParameterError(f"bound_bits must be even and >= 2, got {b}")

@@ -144,7 +144,8 @@ def test_walk_is_newtons_forward_formula(diffs, length):
     # exactly `length` values, the t-th being sum over i of C(t, i) * d_i mod p,
     # also past t = p, where the walk wraps
     p = 7
-    got = list(cryptanalysis._walk(diffs, length, p))
+    (walk,) = cryptanalysis._walks([(d,) for d in diffs], length, p)
+    got = list(walk)
     assert len(got) == length
     assert got == [sum(comb(t, i) * d for i, d in enumerate(diffs)) % p for t in range(length)]
 
@@ -387,8 +388,9 @@ def python_calls_into_lgpk(fn, *args):
 
 
 def test_bruteforce_makes_no_python_call_per_x():
-    # the planted pair is the last x's: one Python frame per x (a `_walk`
-    # call each) would make 48 more calls at bound_left 64 than at 16
+    # the planted pair is the last x's: one Python frame per x (a helper
+    # call per lane-wise step) would make 48 more calls at bound_left 64
+    # than at 16
     upper, lower = shift_pair(4294967291)
     naf_bruteforce(planted(upper, lower, 15, 5, 16, 8))  # compiles the kernels it runs
     seen = []
@@ -399,6 +401,67 @@ def test_bruteforce_makes_no_python_call_per_x():
         assert (sol.left_scalar, sol.right_scalar, sol.ops) == (x, 5, 8 * x + 6)
         seen.append(names)
     assert seen[0] == seen[1]
+
+
+def reference_bruteforce(inst):
+    """(x, y, pairs tried) at the first pair, x-major, whose product of the
+    rows of exp(x*L) and exp(y*R) equals the target's rows, else None: one
+    `exp_rows` and one `rows_mul` per pair."""
+    p = inst.target.p
+    for x in range(inst.bound_left):
+        left = matfield.exp_rows(x, inst.left_gen)
+        for y in range(inst.bound_right):
+            if matfield.rows_mul(left, matfield.exp_rows(y, inst.right_gen), p) == inst.target.rows:
+                return x, y, x * inst.bound_right + y + 1
+    return None
+
+
+LANE_SHAPES = ((1, 1), (1, 7), (9, 1), (5, 13), (16, 16), (40, 3), (8, 70))
+
+
+def lane_instances(n):
+    """Planted instances over every shape of LANE_SHAPES, for small primes
+    (bounds past p give repeated and spurious prefilter hits) and a 20-bit
+    one, each planted at two pairs inside the bounds and two just outside."""
+    rng = RngHandle(bytes([0x60 + n]) * 32)
+    for p in (5, 7, 11, 13, sample_prime(20, rng)):
+        left, right = sample_noncommuting_pair(n, p, rng)
+        for bl, br in LANE_SHAPES:
+            for x, y in ((bl - 1, br - 1), (bl // 2, br // 3), (bl, br // 2), (bl // 3, br)):
+                yield planted(left, right, x, y, bl, br)
+
+
+LANE_CASES = {n: [(inst, reference_bruteforce(inst)) for inst in lane_instances(n)]
+              for n in (2, 3, 4)}
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 3, None])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_bruteforce_matches_a_pair_by_pair_scan(monkeypatch, n, lanes):
+    # a few lanes per chunk puts chunk boundaries inside every grid, and a
+    # later chunk scans only the x below the best pair found so far
+    if lanes is not None:
+        monkeypatch.setattr(cryptanalysis, "LANES", lanes)
+    found = 0
+    for inst, expected in LANE_CASES[n]:
+        sol = naf_bruteforce(inst)
+        got = None if sol is None else (sol.left_scalar, sol.right_scalar, sol.ops)
+        assert got == expected, (inst.target.p, inst.bound_left, inst.bound_right)
+        found += got is not None
+    assert 0 < found < len(LANE_CASES[n])  # both outcomes are covered
+
+
+@pytest.mark.parametrize("bits", [14, 15, 16, 17, 30, 31, 32, 33])
+def test_bruteforce_lanes_hold_values_near_p(bits):
+    # a lane is ceil((bits(p) + 2) / 8) bytes: exactly bits(p) + 2 bits at
+    # 14 and 30 bits, and a byte more just past them
+    rng = RngHandle(bytes([bits]) * 32)
+    for _ in range(3):
+        p = sample_prime(bits, rng)
+        assert p.bit_length() == bits
+        left, right = sample_noncommuting_pair(3, p, rng)
+        sol = naf_bruteforce(planted(left, right, 15, 15, 16, 16))
+        assert (sol.left_scalar, sol.right_scalar, sol.ops) == (15, 15, 256)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -560,6 +623,17 @@ def test_sweep_refuses_a_prime_below_3_bits_before_sampling(monkeypatch, p_bits)
     rng = RngHandle(SEED)
     with pytest.raises(ParameterError, match=r"^prime bit length must be >= 3$"):
         hardness_sweep(2, p_bits, [2], rng)
+    assert rng.take(8) == RngHandle(SEED).take(8)
+
+
+@pytest.mark.parametrize("p_bits, bound_bits", [([16], []), ([], [8]), ([], [])])
+def test_sweep_refuses_an_empty_grid_before_sampling(monkeypatch, p_bits, bound_bits):
+    # an empty bound list raised a bare ValueError from max(); an empty prime
+    # list drew both master scalars and returned no rows
+    monkeypatch.setattr(cryptanalysis, "sample_prime", None)
+    rng = RngHandle(SEED)
+    with pytest.raises(ParameterError, match="at least one prime size and one bound size"):
+        hardness_sweep(3, p_bits, bound_bits, rng)
     assert rng.take(8) == RngHandle(SEED).take(8)
 
 

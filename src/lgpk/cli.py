@@ -302,35 +302,35 @@ def build_kat_bundle(profile_name: str, seed: bytes) -> str:
     unit = sample_invertible(n, p, rng)
     emit(op="sample_invertible", n=n, out=canonical_bytes(unit).hex())
     nil = sample_nilpotent(n, p, rng)
-    emit(op="sample_nilpotent", index=nil.index, out=canonical_bytes(nil.base).hex())
+    emit(op="sample_nilpotent", index=nil.index, out=canonical_bytes(nil).hex())
     left, right = sample_noncommuting_pair(n, p, rng)
     emit(
         op="sample_noncommuting_pair",
-        left=canonical_bytes(left.base).hex(), left_index=left.index,
-        right=canonical_bytes(right.base).hex(), right_index=right.index,
+        left=canonical_bytes(left).hex(), left_index=left.index,
+        right=canonical_bytes(right).hex(), right_index=right.index,
     )
 
     emit(
         op="mat_mul",
-        a=canonical_bytes(unit).hex(), b=canonical_bytes(nil.base).hex(),
-        out=canonical_bytes(mat_mul(unit, nil.base)).hex(),
+        a=canonical_bytes(unit).hex(), b=canonical_bytes(nil).hex(),
+        out=canonical_bytes(mat_mul(unit, nil)).hex(),
     )
     emit(
         op="mat_inv",
         a=canonical_bytes(unit).hex(),
         out=canonical_bytes(mat_inv(unit)).hex(),
     )
-    ok, index = is_nilpotent(nil.base)
-    emit(op="is_nilpotent", a=canonical_bytes(nil.base).hex(), nilpotent=ok, index=index)
+    ok, index = is_nilpotent(nil)
+    emit(op="is_nilpotent", a=canonical_bytes(nil).hex(), nilpotent=ok, index=index)
     emit(op="is_nilpotent", a=canonical_bytes(unit).hex(),
          nilpotent=is_nilpotent(unit)[0], index=None)
-    emit(op="mat_exp", a=canonical_bytes(nil.base).hex(), index=nil.index,
+    emit(op="mat_exp", a=canonical_bytes(nil).hex(), index=nil.index,
          out=canonical_bytes(mat_exp(nil)).hex())
     scalar = rng.below(p)
-    emit(op="exp_scaled", t=scalar, a=canonical_bytes(nil.base).hex(),
+    emit(op="exp_scaled", t=scalar, a=canonical_bytes(nil).hex(),
          out=canonical_bytes(exp_scaled(scalar, nil)).hex())
-    emit(op="commutes", a=canonical_bytes(left.base).hex(),
-         b=canonical_bytes(right.base).hex(), out=commutes(left.base, right.base))
+    emit(op="commutes", a=canonical_bytes(left).hex(),
+         b=canonical_bytes(right).hex(), out=commutes(left, right))
 
     pk, sk = keygen(params, rng)
     sigma = rng.bitstr(params.kappa2)

@@ -49,13 +49,7 @@ from .errors import (
     StructuralDecodeError,
 )
 from .hashsuite import DOMAIN_FILE, DOMAIN_FINGERPRINT, SUITE_ID, xof_bits
-from .matfield import (
-    FieldMatrix,
-    GroupElement,
-    NilpotentMatrix,
-    ParameterSet,
-    canonical_bytes,
-)
+from .matfield import GroupElement, NilpotentMatrix, ParameterSet, canonical_bytes
 from .sampler import RngHandle
 from .scheme import FINGERPRINT_BYTES, Ciphertext, PrivateKey, PublicKey, decrypt, encrypt
 
@@ -68,6 +62,10 @@ MAX_DIM = 16
 MAX_PRIME_BITS = 4096
 # longest seed (kappa2) and message (msg_len), in bits, a frame may declare
 MAX_LENGTH_BITS = 4096
+
+# the u32 fields of a parameter body in wire order, between its flags byte and
+# its prime
+PARAMS_U32 = ("kappa1", "kappa2", "kappa3", "kappa4", "msg_len", "n")
 
 KIND_PARAMS = 0x01
 KIND_PUBLIC_KEY = 0x02
@@ -97,19 +95,10 @@ def _u32(v: int) -> bytes:
 
 def _encode_params_body(ps: ParameterSet) -> bytes:
     plen = (ps.p.bit_length() + 7) // 8
-    return b"".join(
-        (
-            bytes([1 if ps.toy else 0]),
-            _u32(ps.kappa1),
-            _u32(ps.kappa2),
-            _u32(ps.kappa3),
-            _u32(ps.kappa4),
-            _u32(ps.msg_len),
-            _u32(ps.n),
-            _u32(plen),
-            ps.p.to_bytes(plen, "big"),
-        )
-    )
+    return b"".join([
+        bytes([1 if ps.toy else 0]), *[_u32(getattr(ps, name)) for name in PARAMS_U32],
+        _u32(plen), ps.p.to_bytes(plen, "big"),
+    ])
 
 
 def encode(obj: Encodable) -> bytes:
@@ -203,7 +192,7 @@ def _read_params_raw(r: _Reader) -> dict:
     if flags > 1:
         raise StructuralDecodeError("unknown parameter flags")
     fields = {"toy": bool(flags & 1)}
-    for name in ("kappa1", "kappa2", "kappa3", "kappa4", "msg_len", "n"):
+    for name in PARAMS_U32:
         fields[name] = r.u32()
     _check_limit("matrix dimension {}", fields["n"], MAX_DIM)
     for name in ("kappa2", "msg_len"):
@@ -225,9 +214,9 @@ FIELDS = {
     "params": (_encode_params_body, _read_params_raw, lambda raw: ParameterSet(**raw)),
     "params+suite": (lambda ps: _encode_params_body(ps) + bytes([SUITE_ID]),
                      _read_suite_params_raw, lambda raw: ParameterSet(**raw)),
-    "nilpotent": (lambda m: canonical_bytes(m.base) + bytes([m.index]),
-                  lambda r: (_read_matrix_raw(r), r.u8()),
-                  lambda raw: NilpotentMatrix(FieldMatrix(*raw[0]), raw[1])),
+    "nilpotent": (lambda m: canonical_bytes(m) + bytes([m.index]),
+                  lambda r: (*_read_matrix_raw(r), r.u8()),
+                  lambda raw: NilpotentMatrix(*raw)),
     "element": (canonical_bytes, _read_matrix_raw, lambda raw: GroupElement(*raw)),
     "bitstr": (lambda b: _u32(b.nbits) + b.data, _read_bitstr_raw, lambda raw: BitStr(*raw)),
     "fingerprint": (bytes, lambda r: r.take(FINGERPRINT_BYTES), bytes),

@@ -74,7 +74,7 @@ class NafInstance:
     def __post_init__(self):
         if self.bound_left < 1 or self.bound_right < 1:
             raise ParameterError("search bounds must be >= 1")
-        a, b, t = self.left_gen.base, self.right_gen.base, self.target
+        a, b, t = self.left_gen, self.right_gen, self.target
         if not (a.n == b.n == t.n and a.p == b.p == t.p and is_probable_prime(a.p)):
             raise ParameterError("generators and target must share dimension and a prime modulus")
         if commutes(a, b):
@@ -110,7 +110,7 @@ def _scan_vector(inst: NafInstance) -> tuple[int, ...]:
     Failing that, every row k is zero in L or in R, so v = e_i + e_j with row
     i of R and row j of L nonzero gives v*R = R_i and v*L = L_j.
     """
-    left, right = inst.left_gen.base.rows, inst.right_gen.base.rows
+    left, right = inst.left_gen.rows, inst.right_gen.rows
     idx = range(len(left))
     both = [i for i in idx if any(left[i]) and any(right[i])]
     ones = both[:1] or [
@@ -133,7 +133,7 @@ def _diff_rows(rows: Rows, t: int, gen: NilpotentMatrix) -> list[Rows]:
     `rows`, the forward differences at s = 0 of r*S^s. S - I is t*gen times
     a unit that commutes with gen, so it vanishes from gen's index on.
     `rows_mul` reduces the -1s."""
-    p = gen.base.p
+    p = gen.p
     diff = [[e - (i == j) for j, e in enumerate(row)] for i, row in enumerate(exp_rows(t, gen))]
     blocks = [rows]
     for _ in range(1, gen.index):

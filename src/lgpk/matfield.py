@@ -6,8 +6,10 @@ nilpotent matrix, which lands in the unipotent subgroup of GL_n(p).
 
 All values are immutable after construction and all reductions mod p are
 eager, so every matrix has a single bit-exact representation, tuple rows of
-`int` residues. A `GroupElement` is a `FieldMatrix` proven invertible, and
-`mat_mul` of two group elements is one: GL_n(p) is closed under products.
+`int` residues. A matrix with a proof is a `FieldMatrix` subclass: a
+`GroupElement` is one proven invertible, and a `NilpotentMatrix` one proven
+nilpotent, with its index. `mat_mul` of two group elements is one, since
+GL_n(p) is closed under products; every other product is a plain matrix.
 
 Only the public constructors, which codec decoding uses, validate. Arithmetic
 results are built unchecked by `bitstrings.trusted`: on validated inputs each
@@ -21,9 +23,8 @@ every exponential directly. A kernel's source text is built from the ranges
 of its shape alone, never from p or matrix data, so one kernel serves every
 modulus and the cache holds one entry per shape. It does the exact integer
 sums of a triple loop (125 multiplications and 25 reductions at n = 5) with
-no `map` or `sum` per entry. Compiling it costs 0.09-0.15 ms at n = 2,
-0.4 ms at n = 5, 2.3-3.4 ms at n = 16 and 80-110 ms at n = 64 (2 cores,
-Python 3.11.7). Every caller in the package asks for a shape (k, n) with
+no `map` or `sum` per entry, and its compile time grows with the shape's
+k * m entries. Every caller in the package asks for a shape (k, n) with
 k <= n at dimension n: (n, n) for a product and (index, n) for an
 exponential, and the solvers' row products use only those two kinds. So
 dimensions up to n compile at most n(n+1)/2 kernels, 136 for every key the
@@ -44,7 +45,7 @@ tuples, not copies, and one shared identity row tuple per n. Row i of exp(tX)
 is the coefficient row (1, t, t^2/2!, ...) times block i, one call of
 `_product_kernel(index, n)`. At index n, the index of every paper key, that
 is mat_mul's own (n, n) kernel, so no exponential compiles code of its own.
-Beyond its base X, a generator keeps X^2, ..., X^(index-1) and its blocks:
+Beyond its own rows X, a generator keeps X^2, ..., X^(index-1) and its blocks:
 about 6.8 KB at the paper profile (n = 5, 256-bit p) and 2.1 MB at the
 codec's limits (n = 16, 4096-bit p), against 7.7 KB and 4.2 MB when each
 power was one packed integer (`tracemalloc`, one generator of index n).
@@ -240,10 +241,10 @@ class FieldMatrix:
             raise ParameterError("rows must be a tuple of tuples")
         for row in self.rows:
             for e in row:
-                if not 0 <= e < self.p:
-                    raise ParameterError(f"entry {e} out of range [0, {self.p})")
                 if type(e) is not int:
                     raise ParameterError(f"entry {e!r} is not an int")
+                if not 0 <= e < self.p:
+                    raise ParameterError(f"entry {e} out of range [0, {self.p})")
 
     @classmethod
     def from_rows(cls, rows, p: int) -> "FieldMatrix":
@@ -303,14 +304,10 @@ def rows_mul(arows, brows, p: int) -> Rows:
 
 def mat_mul(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
     """Schoolbook product reduced mod p, the same exact integer sums as a
-    triple loop, by the straight-line kernel `_product_kernel(n, n)`.
-
-    At the paper profile (n = 5, 256-bit p) a product takes 40-50 us in a
-    warm process against 53-63 us for sums over `map` (medians of 15
-    interleaved rounds, 2 cores, Python 3.11.7). A fresh `lgpk encrypt`
-    process pays the 0.4 ms compile at n = 5 once and saves 13-20 us on each
-    of its 9 products: within 0.3 ms, or half a percent, of break-even on a
-    77 ms command. The product of two group elements is a group element.
+    triple loop, by the straight-line kernel `_product_kernel(n, n)`, which
+    is faster than sums over `map` and is compiled once per process. The
+    product of two group elements is a group element; any other product,
+    two nilpotent matrices' included, is a plain FieldMatrix.
     """
     _check_compatible(a, b)
     cls = GroupElement if type(a) is type(b) is GroupElement else FieldMatrix
@@ -460,31 +457,34 @@ def commutes(a: FieldMatrix, b: FieldMatrix) -> bool:
 
 
 @dataclass(frozen=True)
-class NilpotentMatrix:
-    """A FieldMatrix proven nilpotent, its exact index, and the table
-    `_terms` = (inverses, blocks) that exp_scaled and term_rows read (format
-    in the module docstring). Both constructors keep the rows of the powers
-    their proof walks as the table, for as long as the matrix lives. `_terms`
-    is not a field, so equality, hash, repr and the codec ignore it. When
-    some m < index has no inverse mod p (p <= n, or p composite), both
-    constructors raise ParameterError."""
+class NilpotentMatrix(FieldMatrix):
+    """A FieldMatrix proven nilpotent, with its exact index; never equal to a
+    plain one or to a GroupElement. It keeps the table `_terms` =
+    (inverses, blocks) that exp_scaled and term_rows read (format in the
+    module docstring): both constructors keep the rows of the powers their
+    proof walks, for as long as the matrix lives. `_terms` is not a field, so
+    equality, hash, repr and the codec ignore it. When some m < index has no
+    inverse mod p (p <= n, or p composite), both constructors raise
+    ParameterError. The inherited `from_rows` builds no NilpotentMatrix: it
+    has no index to give."""
 
-    base: FieldMatrix
     index: int
 
     def __post_init__(self):
-        """Prove the claimed index: the proof's powers end at a^(index-1)."""
-        a, k = self.base, self.index
-        powers = _nilpotency_proof(a)
-        if len(powers) + 1 != k:
-            raise NotNilpotentError(f"nilpotency index is {len(powers) + 1}, not {k}")
-        object.__setattr__(self, "_terms", _table(powers, a.n, a.p))
+        """Check the rows, then prove the claimed index: the proof's powers
+        end at a^(index-1)."""
+        super().__post_init__()
+        powers = _nilpotency_proof(self)
+        if len(powers) + 1 != self.index:
+            raise NotNilpotentError(f"nilpotency index is {len(powers) + 1}, not {self.index}")
+        object.__setattr__(self, "_terms", _table(powers, self.n, self.p))
 
     @classmethod
     def from_matrix(cls, a: FieldMatrix) -> "NilpotentMatrix":
         """Prove nilpotency and keep the minimal index."""
-        powers = _nilpotency_proof(a)
-        return trusted(cls, base=a, index=len(powers) + 1, _terms=_table(powers, a.n, a.p))
+        n, p, powers = a.n, a.p, _nilpotency_proof(a)
+        return trusted(cls, n=n, p=p, rows=a.rows, index=len(powers) + 1,
+                       _terms=_table(powers, n, p))
 
 
 @dataclass(frozen=True)
@@ -529,7 +529,7 @@ def term_rows(x: NilpotentMatrix) -> tuple[Rows, ...]:
     span that every exp(tX) - I lies in. Row i of X^m is entry m of x's
     table block i."""
     inverses, blocks = x._terms
-    p = x.base.p
+    p = x.p
     coefficients = _coefficients(1, inverses, p)
     return tuple(
         tuple(tuple([coefficients[m] * e % p for e in block[m]]) for block in blocks)
@@ -557,9 +557,9 @@ def exp_rows(t: int, x: NilpotentMatrix) -> Rows:
     if t < 0:
         raise ParameterError("scalar must be non-negative")
     inverses, blocks = x._terms
-    p = x.base.p
+    p = x.p
     coefficients = (_coefficients(t, inverses, p),)
-    product = _product_kernel(x.index, x.base.n)
+    product = _product_kernel(x.index, x.n)
     return tuple([product(coefficients, block, p)[0] for block in blocks])
 
 
@@ -570,7 +570,7 @@ def exp_scaled(t: int, x: NilpotentMatrix) -> GroupElement:
     t -> exp_scaled(t, x) is a one-parameter subgroup of GL_n(p): it maps 0 to
     the identity and addition of scalars (mod p) to multiplication of images.
     """
-    return trusted(GroupElement, n=x.base.n, p=x.base.p, rows=exp_rows(t, x))
+    return trusted(GroupElement, n=x.n, p=x.p, rows=exp_rows(t, x))
 
 
 def canonical_bytes(a: FieldMatrix) -> bytes:

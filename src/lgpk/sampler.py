@@ -163,5 +163,5 @@ def sample_noncommuting_pair(
     while True:
         s = sample_nilpotent(n, p, rng)
         t = sample_nilpotent(n, p, rng)
-        if not commutes(s.base, t.base):
+        if not commutes(s, t):
             return s, t

@@ -51,14 +51,14 @@ class PublicKey:
     def __post_init__(self):
         n, p = self.params.n, self.params.p
         named = (
-            ("left generator", self.left_gen.base),
-            ("right generator", self.right_gen.base),
+            ("left generator", self.left_gen),
+            ("right generator", self.right_gen),
             ("key product", self.key_product),
         )
         for name, m in named:
             if m.n != n or m.p != p:
                 raise ParameterError(f"{name} does not match the parameter set")
-        if commutes(self.left_gen.base, self.right_gen.base):
+        if commutes(self.left_gen, self.right_gen):
             raise ParameterError("generators must not commute")
 
 

@@ -10,7 +10,7 @@ import hashlib
 from math import factorial
 
 from lgpk import matfield
-from lgpk.matfield import FieldMatrix, GroupElement, identity
+from lgpk.matfield import FieldMatrix, GroupElement, NilpotentMatrix, identity
 
 
 def slow_mat_mul(a, b, p):
@@ -198,6 +198,12 @@ def mat(rows, p):
     return FieldMatrix.from_rows(rows, p)
 
 
+def nilpotent(a, index):
+    """a's rows as a NilpotentMatrix of the claimed index, through the
+    validating constructor."""
+    return NilpotentMatrix(a.n, a.p, a.rows, index)
+
+
 def zeros(n, p):
     return FieldMatrix(n, p, tuple((0,) * n for _ in range(n)))
 
@@ -247,8 +253,8 @@ def assert_table_holds_proof_rows(nm, walked):
     the m-th power that nm's proof walked, and row 0 the shared identity row:
     the tuples themselves, not copies."""
     inverses, blocks = nm._terms
-    n, p, index = nm.base.n, nm.base.p, nm.index
-    powers = [found for found in walked if found and found[0] is nm.base][-1]
+    n, p, index = nm.n, nm.p, nm.index
+    powers = [found for found in walked if found and found[0].rows is nm.rows][-1]
     assert list(inverses) == [pow(m, -1, p) for m in range(1, index)]
     assert len(blocks) == n and all(len(block) == index for block in blocks)
     for i, block in enumerate(blocks):

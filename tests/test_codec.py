@@ -38,6 +38,7 @@ from lgpk.errors import (
 from lgpk.hashsuite import SUITE_ID
 from lgpk.matfield import (
     FieldMatrix,
+    NilpotentMatrix,
     ParameterSet,
     canonical_bytes,
     identity,
@@ -82,6 +83,15 @@ def test_every_field_of_a_type_has_a_slot_in_its_layout():
     assert LAYOUTS[KIND_PARAMS] == (ParameterSet, ((None, "params"),))
     raw = _read_params_raw(_Reader(encode(TOY), len(MAGIC) + 2))
     assert sorted(raw) == sorted(f.name for f in dataclasses.fields(ParameterSet))
+
+
+def test_decoded_generators_are_nilpotent_matrices_with_no_base():
+    # a generator is its own matrix, with its index: no wrapped `base` matrix
+    _, pk, _, _ = sample_objects()
+    decoded = decode(encode(pk))
+    for gen in (decoded.left_gen, decoded.right_gen):
+        assert type(gen) is NilpotentMatrix and not hasattr(gen, "base")
+    assert (decoded.left_gen, decoded.right_gen) == (pk.left_gen, pk.right_gen)
 
 
 def test_decoding_a_bytearray_gives_bytes_fields():
@@ -186,7 +196,7 @@ def test_entry_out_of_range_is_semantic():
 def test_wrong_nilpotency_index_is_semantic():
     _, pk, _, _ = sample_objects(TINY)
     data = encode(pk)
-    marker = canonical_bytes(pk.left_gen.base) + bytes([pk.left_gen.index])
+    marker = canonical_bytes(pk.left_gen) + bytes([pk.left_gen.index])
     idx = data.index(marker)
     bad = data[:idx + len(marker) - 1] + bytes([pk.left_gen.index + 1]) + data[idx + len(marker):]
     with pytest.raises(SemanticDecodeError):

@@ -45,8 +45,8 @@ SEED = b"\x99" * 32
 
 
 def shift_pair(p):
-    upper = NilpotentMatrix(FieldMatrix(2, p, ((0, 1), (0, 0))), 2)
-    lower = NilpotentMatrix(FieldMatrix(2, p, ((0, 0), (1, 0))), 2)
+    upper = NilpotentMatrix(2, p, ((0, 1), (0, 0)), 2)
+    lower = NilpotentMatrix(2, p, ((0, 0), (1, 0)), 2)
     return upper, lower
 
 
@@ -74,9 +74,8 @@ def test_instance_validation():
 def test_instance_rejects_a_composite_modulus():
     # over Z_15, v*R = (3, 0, 0) for the scanned v = e_1: the rows of y and
     # y + 5 agree while exp(y*R) and exp((y+5)*R) differ in row 2
-    shift = FieldMatrix(3, 15, ((0, 1, 0), (0, 0, 1), (0, 0, 0)))
-    lower = FieldMatrix(3, 15, ((0, 0, 0), (3, 0, 0), (1, 1, 0)))
-    left, right = NilpotentMatrix(shift, 3), NilpotentMatrix(lower, 3)
+    left = NilpotentMatrix(3, 15, ((0, 1, 0), (0, 0, 1), (0, 0, 0)), 3)
+    right = NilpotentMatrix(3, 15, ((0, 0, 0), (3, 0, 0), (1, 1, 0)), 3)
     with pytest.raises(ParameterError, match="prime modulus"):
         NafInstance(left, right, unit_element(3, 15), 15, 15)
 
@@ -163,7 +162,7 @@ def grid_generators():
         grid[f"n{n}-p7"] = pair
     # u * w^T with w . u = 0 mod 7 squares to zero: index 2 against index 5
     u, w = (1, 2, 3, 4, 5), (1, 3, 0, 0, 0)
-    square_zero = NilpotentMatrix(FieldMatrix(5, 7, tuple(tuple(a * b % 7 for b in w) for a in u)), 2)
+    square_zero = NilpotentMatrix(5, 7, tuple(tuple(a * b % 7 for b in w) for a in u), 2)
     deep = grid["n5-p7"][0]
     grid["index2-index5-p7"] = (square_zero, deep)
     grid["index5-index2-p7"] = (deep, square_zero)
@@ -182,7 +181,7 @@ GRID = grid_generators()
 
 def assert_solvers_match_oracle(inst):
     """Both solvers return the full-matrix oracle's (x, y, ops), or None with it."""
-    gens = [([list(r) for r in g.base.rows], g.index) for g in (inst.left_gen, inst.right_gen)]
+    gens = [([list(r) for r in g.rows], g.index) for g in (inst.left_gen, inst.right_gen)]
     args = (*gens, inst.target.rows, inst.target.p, inst.bound_left, inst.bound_right)
     results = []
     for solver, oracle in ((naf_bruteforce, slow_naf_bruteforce), (naf_mitm, slow_naf_mitm)):
@@ -201,7 +200,7 @@ def grid_instances(left, right):
     Bounds below p miss some targets; bounds above p repeat images, so the
     smallest-y tie-break decides.
     """
-    p = left.base.p
+    p = left.p
     for bound_left, bound_right in ((p // 2, p - 2), (p, p), (p + 2, 2 * p + 1)):
         for a in range(p):
             for b in range(p):
@@ -221,8 +220,8 @@ def test_solvers_match_full_matrix_oracle_on_every_grid_target(left, right):
 def test_mitm_table_keys_below_p_are_distinct(left, right):
     # naf_mitm keeps one y per packed row: v*R != 0 for the scanned v, so
     # only y's equal mod p share a row, and they share the verdict too
-    p = left.base.p
-    inst = NafInstance(left, right, unit_element(left.base.n, p), p, p)
+    p = left.p
+    inst = NafInstance(left, right, unit_element(left.n, p), p, p)
     start = cryptanalysis._scan_vector(inst)
     diffs = [row for (row,) in cryptanalysis._diff_rows((start,), 1, right)]
     keys = list(cryptanalysis._keys(diffs, p, p))
@@ -248,7 +247,7 @@ def decoy_instances(left, right):
     Brute force sees row 0 of exp(aL)exp(bR) in the first kind; the
     meet-in-the-middle probe at x = a sees row 0 of exp(bR) in the second.
     """
-    p = left.base.p
+    p = left.p
     for a in range(p):
         for b in range(p):
             honest = group_mul(exp_scaled(a, left), exp_scaled(b, right))

@@ -12,6 +12,7 @@ from conftest import (
     lin_comb,
     mat,
     miller_rabin_prime,
+    nilpotent,
     rational_exp,
     record_proofs,
     slow_det,
@@ -23,6 +24,7 @@ from conftest import (
 )
 
 from lgpk import matfield
+from lgpk.bitstrings import trusted
 from lgpk.codec import decode, encode
 from lgpk.cryptanalysis import NafInstance, naf_bruteforce, naf_mitm
 from lgpk.errors import NotInvertibleError, NotNilpotentError, ParameterError
@@ -97,13 +99,18 @@ def test_entry_out_of_range_rejected():
     (((1, 0), [0, 1]), "rows must be a tuple of tuples"),
     (((1.5, 0), (0, 1)), "entry 1.5 is not an int"),
     (((True, 0), (0, 1)), "entry True is not an int"),
-], ids=["list-rows", "list-row", "float-entry", "bool-entry"])
+    ((("a", 1), (0, 1)), "entry 'a' is not an int"),
+    (((None, 0), (0, 1)), "entry None is not an int"),
+    (((b"\x01", 0), (0, 1)), "entry b'\\x01' is not an int"),
+], ids=["list-rows", "list-row", "float-entry", "bool-entry", "str-entry", "none-entry",
+        "bytes-entry"])
 def test_constructors_reject_a_second_form_of_a_matrix(rows, message):
     # list rows neither hash nor equal their tuple twins, so the solvers
-    # missed a list-rowed target; a float entry made mat_mul return floats
-    for cls in (FieldMatrix, GroupElement):
+    # missed a list-rowed target; a float entry made mat_mul return floats;
+    # an entry with no order against ints is a ParameterError, not a TypeError
+    for cls, index in ((FieldMatrix, ()), (GroupElement, ()), (NilpotentMatrix, (2,))):
         with pytest.raises(ParameterError) as e:
-            cls(2, 7, rows)
+            cls(2, 7, rows, *index)
         assert str(e.value) == message
 
 
@@ -197,7 +204,7 @@ def test_product_kernel_is_cached_by_shape():
     matfield._product_kernel.cache_clear()
     rng = random.Random(5)
     for p in (7, 2**61 - 1, P256):
-        x = NilpotentMatrix(mat(index_k_rows(rng, 5, 5), p), 5)
+        x = nilpotent(mat(index_k_rows(rng, 5, 5), p), 5)
         mat_mul(random_matrix(rng, 5, p), random_matrix(rng, 5, p))
         exp_scaled(rng.randrange(p), x)
         term_rows(x)
@@ -205,7 +212,7 @@ def test_product_kernel_is_cached_by_shape():
     assert matfield._product_kernel.cache_info().currsize == 1
     assert matfield._product_kernel(5, 5) is matfield._product_kernel(5, 5)
     assert matfield._product_kernel.cache_info().currsize == 1
-    exp_scaled(3, NilpotentMatrix(mat(index_k_rows(rng, 5, 3), P256), 3))
+    exp_scaled(3, nilpotent(mat(index_k_rows(rng, 5, 3), P256), 3))
     assert matfield._product_kernel.cache_info().currsize == 2
     matfield._product_kernel(3, 5)
     assert matfield._product_kernel.cache_info().currsize == 2
@@ -238,7 +245,7 @@ def test_exponential_against_rational_oracle_at_every_shape(p):
         one = [list(row) for row in identity(n, p).rows]
         for k in range(1, n + 1):
             rows = index_k_rows(rng, n, k)
-            nm = NilpotentMatrix(mat(rows, p), k)
+            nm = nilpotent(mat(rows, p), k)
             terms = term_rows(nm)
             assert len(terms) == k - 1 and all(len(term) == n for term in terms)
             assert [list(row) for row in exp_scaled(0, nm).rows] == one
@@ -316,14 +323,14 @@ def test_nilpotent_matrix_validates_index():
     nm = NilpotentMatrix.from_matrix(shift)
     assert nm.index == 3
     with pytest.raises(NotNilpotentError, match=r"^nilpotency index is 3, not 2$"):
-        NilpotentMatrix(shift, 2)  # not yet zero at power 2
+        nilpotent(shift, 2)  # not yet zero at power 2
     with pytest.raises(NotNilpotentError, match=r"^nilpotency index is 1, not 2$"):
-        NilpotentMatrix(zeros(3, 7), 2)  # index not minimal
+        nilpotent(zeros(3, 7), 2)  # index not minimal
     for claim in (0, -1, 4):  # outside [1, n]: the proof is the one index check
         with pytest.raises(NotNilpotentError, match=rf"^nilpotency index is 3, not {claim}$"):
-            NilpotentMatrix(shift, claim)
+            nilpotent(shift, claim)
     with pytest.raises(NotNilpotentError, match=r"^matrix is not nilpotent$"):
-        NilpotentMatrix(identity(3, 7), 2)
+        nilpotent(identity(3, 7), 2)
     with pytest.raises(NotNilpotentError, match=r"^matrix is not nilpotent$"):
         NilpotentMatrix.from_matrix(identity(3, 7))
 
@@ -335,7 +342,7 @@ def test_a_nilpotency_proof_walks_the_powers_once(monkeypatch):
     for k in (1, 2, 3):
         base = mat([[int(j == i + 1 and i + 1 < k) for j in range(3)] for i in range(3)], 7)
         muls.clear()
-        NilpotentMatrix(base, k)
+        nilpotent(base, k)
         assert len(muls) == (k - 2 if k == 3 else k - 1)
     # a wrong claim, in [1, n] or not, costs one walk, not a second one to
     # find the true index: 1 product for the index-3 shift, 2 for the
@@ -344,7 +351,7 @@ def test_a_nilpotency_proof_walks_the_powers_once(monkeypatch):
         for claim in (0, 2, 4):
             muls.clear()
             with pytest.raises(NotNilpotentError):
-                NilpotentMatrix(wrong, claim)
+                nilpotent(wrong, claim)
             assert len(muls) == walk
 
 
@@ -387,7 +394,7 @@ def assert_verdicts_agree(rows, p, claim_all=True):
     index = walk_index(rows, p)
     assert built_outcome(NilpotentMatrix.from_matrix, a) == walk_outcome(index, n, p), (rows, p)
     if claim_all or index is not None:
-        assert built_outcome(NilpotentMatrix, a, n) == walk_outcome(index, n, p, n), (rows, p)
+        assert built_outcome(nilpotent, a, n) == walk_outcome(index, n, p, n), (rows, p)
 
 
 def conjugated(rng, rows, p):
@@ -444,11 +451,11 @@ def test_nilpotency_over_composite_modulus_stops_at_n():
     a = mat([[2, 0], [0, 2]], 8)
     assert is_nilpotent(a) == (False, None)
     with pytest.raises(NotNilpotentError):
-        NilpotentMatrix(a, 2)
+        nilpotent(a, 2)
     with pytest.raises(NotNilpotentError):
         NilpotentMatrix.from_matrix(a)
     with pytest.raises(NotNilpotentError):
-        NilpotentMatrix(mat([[2]], 4), 1)
+        nilpotent(mat([[2]], 4), 1)
 
 
 def test_mat_exp_shift3_mod7_known_value():
@@ -469,7 +476,7 @@ def test_mat_exp_against_rational_oracle():
         p = rng.choice([7, 101, 2**31 - 1, P256])
         nm = NilpotentMatrix.from_matrix(random_nilpotent(rng, n, p))
         got = mat_exp(nm).rows
-        want = rational_exp([list(r) for r in nm.base.rows], nm.index, p)
+        want = rational_exp([list(r) for r in nm.rows], nm.index, p)
         assert [list(r) for r in got] == want
 
 
@@ -501,7 +508,7 @@ def test_exp_scaled_zero_and_negative():
         pair = sample_noncommuting_pair(params.n, p, RngHandle(b"\x0d" * 32))
         for nm in pair:
             for t in (0, 1, p - 1, p, 2 ** PROFILES[name]["kappa3"] - 1, p * p + 3):
-                scaled = [[t * e for e in row] for row in nm.base.rows]
+                scaled = [[t * e for e in row] for row in nm.rows]
                 want = rational_exp(scaled, nm.index, p)
                 assert [list(r) for r in exp_scaled(t, nm).rows] == want
 
@@ -515,7 +522,7 @@ def test_exp_scaled_one_parameter_law():
         t, s = rng.randrange(2 * p), rng.randrange(2 * p)
         lhs = mat_mul(exp_scaled(t, nm), exp_scaled(s, nm))
         assert lhs == exp_scaled(t + s, nm)
-        scaled = [[t * e for e in row] for row in nm.base.rows]
+        scaled = [[t * e for e in row] for row in nm.rows]
         want = rational_exp(scaled, nm.index, p)
         assert [list(r) for r in exp_scaled(t, nm).rows] == want
 
@@ -527,10 +534,10 @@ def test_exponential_holds_the_largest_sums_at_the_codec_limits():
     # before its one reduction; the oracle comparison checks every entry
     n, p = 16, P4096
     assert is_probable_prime(p) and p.bit_length() == 4096
-    nm = NilpotentMatrix(mat([[p - 1 if j > i else 0 for j in range(n)] for i in range(n)], p), n)
+    nm = nilpotent(mat([[p - 1 if j > i else 0 for j in range(n)] for i in range(n)], p), n)
     scalars = (p - 1, 2**4095 + 12345)
     for t in scalars:
-        want = rational_exp([[t * e % p for e in row] for row in nm.base.rows], n, p)
+        want = rational_exp([[t * e % p for e in row] for row in nm.rows], n, p)
         assert [list(r) for r in exp_scaled(t, nm).rows] == want
     # the sums above do need more than 2*bits(p) bits per entry
     terms = term_rows(nm)
@@ -546,7 +553,7 @@ def test_exp_composite_modulus_raises_parameter_error():
     # 2! has no inverse mod 6: the exponential's table cannot be built, so
     # both constructors raise before any exponential is asked for
     a = mat(SHIFT4_MOD6, 6)
-    for build in (lambda: NilpotentMatrix(a, 4), lambda: NilpotentMatrix.from_matrix(a)):
+    for build in (lambda: nilpotent(a, 4), lambda: NilpotentMatrix.from_matrix(a)):
         with pytest.raises(ParameterError, match="modulus must be prime"):
             build()
 
@@ -555,25 +562,26 @@ def test_validated_generator_without_factorial_inverses_keeps_no_table():
     # p = 2 <= n = 3 leaves no room for 2!: no constructor returns a
     # nilpotent matrix without its table, it raises instead
     a = mat([list(r) for r in SHIFT3], 2)
-    for build in (lambda: NilpotentMatrix(a, 3), lambda: NilpotentMatrix.from_matrix(a)):
+    for build in (lambda: nilpotent(a, 3), lambda: NilpotentMatrix.from_matrix(a)):
         with pytest.raises(ParameterError, match="need p > n"):
             build()
 
 
 def test_stored_table_is_invisible_to_value_semantics(monkeypatch):
-    assert [f.name for f in dataclasses.fields(NilpotentMatrix)] == ["base", "index"]
+    assert [f.name for f in dataclasses.fields(NilpotentMatrix)] == ["n", "p", "rows", "index"]
     walked = record_proofs(monkeypatch)
     rng = random.Random(717)
     for p in (101, P256):
         nm = NilpotentMatrix.from_matrix(random_nilpotent(rng, 5, p))
-        fresh = NilpotentMatrix(FieldMatrix(5, p, nm.base.rows), nm.index)
+        # new row tuples, so that each proof's walk is found by its own rows
+        fresh = NilpotentMatrix(5, p, tuple(tuple([*row]) for row in nm.rows), nm.index)
         # both constructors keep the rows their proof walked, and the tables are equal
         assert nm._terms == fresh._terms
         for built in (nm, fresh):
             assert_table_holds_proof_rows(built, walked)
         assert nm == fresh and hash(nm) == hash(fresh) and repr(nm) == repr(fresh)
         assert "_terms" not in repr(nm)
-        assert canonical_bytes(nm.base) == canonical_bytes(fresh.base)
+        assert canonical_bytes(nm) == canonical_bytes(fresh)
         t = rng.randrange(p)
         assert exp_scaled(t, nm) == exp_scaled(t, fresh)
         assert mat_exp(nm) == mat_exp(fresh)
@@ -637,6 +645,23 @@ def test_group_element_is_an_invertible_field_matrix():
     plain = FieldMatrix(g.n, g.p, g.rows)
     assert g != plain and plain != g
     assert g == GroupElement(g.n, g.p, g.rows) and hash(g) == hash(GroupElement(3, 7, g.rows))
+
+
+def test_nilpotent_matrix_is_a_field_matrix_proven_nilpotent():
+    assert [f.name for f in dataclasses.fields(NilpotentMatrix)] == ["n", "p", "rows", "index"]
+    nm = NilpotentMatrix(3, 7, SHIFT3, 3)
+    assert isinstance(nm, FieldMatrix) and not isinstance(nm, GroupElement)
+    assert nm == NilpotentMatrix.from_matrix(FieldMatrix(3, 7, SHIFT3))
+    # no plain matrix or group element with the same rows equals it; a
+    # nilpotent matrix is singular, so the group element is built unchecked
+    twins = (FieldMatrix(3, 7, SHIFT3), trusted(GroupElement, n=3, p=7, rows=SHIFT3))
+    for twin in twins:
+        assert nm != twin and twin != nm
+    # a product of two nilpotent matrices, or of one and a group element, is plain
+    one = unit_element(3, 7)
+    for a, b in ((nm, nm), (nm, one), (one, nm), (nm, twins[0])):
+        assert type(mat_mul(a, b)) is FieldMatrix
+    assert mat_mul(nm, nm) == FieldMatrix(3, 7, ((0, 0, 1), (0, 0, 0), (0, 0, 0)))
 
 
 def test_group_mul_and_inverse():

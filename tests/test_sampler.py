@@ -178,7 +178,7 @@ def test_sample_nilpotent_properties():
     rng = RngHandle(SEED)
     for n, p in ((2, 7), (3, 7), (3, 251), (5, 101)):
         nm = sample_nilpotent(n, p, rng)
-        ok, ell = is_nilpotent(nm.base)
+        ok, ell = is_nilpotent(nm)
         assert ok and nm.index == ell and 2 <= ell <= n
 
 
@@ -209,7 +209,7 @@ def test_sample_nilpotent_not_always_triangular():
     lower_hits = 0
     for _ in range(20):
         nm = sample_nilpotent(3, 101, rng)
-        if any(nm.base.rows[i][j] for i in range(3) for j in range(i + 1)):
+        if any(nm.rows[i][j] for i in range(3) for j in range(i + 1)):
             lower_hits += 1
     assert lower_hits > 10
 
@@ -218,8 +218,8 @@ def test_sample_noncommuting_pair():
     rng = RngHandle(SEED)
     for n, p in ((2, 7), (3, 251)):
         s, t = sample_noncommuting_pair(n, p, rng)
-        assert s.base != t.base
-        assert not commutes(s.base, t.base)
+        assert s != t
+        assert not commutes(s, t)
         # the exponential images inherit non-commutativity in general position
         gs, gt = mat_exp(s), mat_exp(t)
         assert mat_mul(gs, gt) != mat_mul(gt, gs)

@@ -169,7 +169,7 @@ def test_decoded_key_keeps_its_proof_tables_and_encrypts_alike():
         pk, _ = keygen(params, RngHandle(SEED))
         decoded = decode(encode(pk))
         for gen in (decoded.left_gen, decoded.right_gen):
-            assert term_rows(gen) == exp_terms_oracle(gen.base, gen.index)
+            assert term_rows(gen) == exp_terms_oracle(gen, gen.index)
         m = m_rng.bitstr(params.msg_len)
         cts = [encode(encrypt(key, m, RngHandle(b"\x0b" * 32))) for key in (decoded, pk)]
         assert cts[0] == cts[1]
@@ -216,8 +216,8 @@ def test_correctness_identity_at_group_level():
 def test_toy_closed_form_of_rand_product():
     """With shift-matrix generators the randomizer product has a known shape."""
     p = 7
-    upper = NilpotentMatrix(FieldMatrix(2, p, ((0, 1), (0, 0))), 2)
-    lower = NilpotentMatrix(FieldMatrix(2, p, ((0, 0), (1, 0))), 2)
+    upper = NilpotentMatrix(2, p, ((0, 1), (0, 0)), 2)
+    lower = NilpotentMatrix(2, p, ((0, 0), (1, 0)), 2)
     left_factor = GroupElement(2, p, ((1, 2), (0, 1)))   # exp(2*upper)
     right_factor = GroupElement(2, p, ((1, 0), (3, 1)))  # exp(3*lower)
     key_product = group_mul(left_factor, right_factor)

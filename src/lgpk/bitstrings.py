@@ -14,10 +14,17 @@ from dataclasses import dataclass
 from .errors import EncodingError
 
 
-def mask_tail(data: bytes, nbits: int) -> bytes:
-    """Zero the unused high bits of the final byte of an nbits-long string."""
+def _check_length(nbits: int) -> None:
+    """One form per bit length: a non-negative `int`, its type checked first."""
+    if type(nbits) is not int:
+        raise EncodingError(f"bit length must be an int, not {type(nbits).__name__}")
     if nbits < 0:
         raise EncodingError("negative bit length")
+
+
+def mask_tail(data: bytes, nbits: int) -> bytes:
+    """Zero the unused high bits of the final byte of an nbits-long string."""
+    _check_length(nbits)
     if len(data) != (nbits + 7) // 8:
         raise EncodingError(f"need {(nbits + 7) // 8} bytes for {nbits} bits, got {len(data)}")
     r = nbits % 8
@@ -54,7 +61,8 @@ class BitStr:
     data: bytes
 
     def __post_init__(self):
-        # mask_tail also rejects a negative length and a wrong byte count
+        # mask_tail also rejects a length that is not an int or is negative,
+        # and a wrong byte count
         if self.data != mask_tail(self.data, self.nbits):
             raise EncodingError("unused high bits of final byte must be zero")
         # one form per value: a bytearray would neither hash nor stay fixed
@@ -67,6 +75,7 @@ class BitStr:
 
     @classmethod
     def from_int(cls, value: int, nbits: int) -> "BitStr":
+        _check_length(nbits)
         if value < 0 or value >> nbits:
             raise EncodingError(f"value does not fit in {nbits} bits")
         return trusted(cls, nbits=nbits, data=value.to_bytes((nbits + 7) // 8, "little"))

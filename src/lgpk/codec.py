@@ -16,8 +16,7 @@ as its table, the primality check grows about 7.6x per doubling of the
 modulus length, and `encrypt` draws and hashes kappa2 + msg_len bits. At the
 limits (n = 16, 4096-bit p; kappa2 = kappa3 = kappa4 = msg_len = 128),
 decoding a public key and then encrypting under it peaks at 5.5 MiB under
-`tracemalloc` (11.0 MiB when each power was one packed integer) and takes
-3.6-4.7 s to decode and 0.43-0.64 s to encrypt (2 cores, Python 3.11.7).
+`tracemalloc`.
 Only a frame whose checksum matches reaches the semantic phase. It builds the
 typed objects through their validating constructors, and `decode_prefix` alone
 turns what they reject into SemanticDecodeError: entries >= p, wrong nilpotency

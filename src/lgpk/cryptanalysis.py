@@ -51,6 +51,7 @@ from .matfield import (
     exp_scaled,
     group_mul,
     is_probable_prime,
+    require_int,
     rows_mul,
 )
 from .sampler import RngHandle, sample_noncommuting_pair, sample_prime
@@ -72,6 +73,8 @@ class NafInstance:
     bound_right: int
 
     def __post_init__(self):
+        require_int("bound_left", self.bound_left)
+        require_int("bound_right", self.bound_right)
         if self.bound_left < 1 or self.bound_right < 1:
             raise ParameterError("search bounds must be >= 1")
         a, b, t = self.left_gen, self.right_gen, self.target

@@ -172,6 +172,13 @@ def _strong_lucas(n: int, q: int) -> bool:
     return False
 
 
+def require_int(name: str, value) -> None:
+    """Refuse any integer field that is not exactly an `int` (a float, a bool)
+    before a comparison reads it: one form per value."""
+    if type(value) is not int:
+        raise ParameterError(f"{name} must be an int, not {type(value).__name__}")
+
+
 @dataclass(frozen=True)
 class ParameterSet:
     """Security parameters: prime bit length kappa1, rank n, the prime p itself,
@@ -191,6 +198,10 @@ class ParameterSet:
     toy: bool = True
 
     def __post_init__(self):
+        for name in ("kappa1", "n", "p", "kappa2", "kappa3", "kappa4", "msg_len"):
+            require_int(name, getattr(self, name))
+        if type(self.toy) is not bool:
+            raise ParameterError(f"toy must be a bool, not {type(self.toy).__name__}")
         if self.n < 2:
             raise ParameterError(f"rank n must be >= 2, got {self.n}")
         if not self.toy and self.n < 5:
@@ -231,14 +242,16 @@ class FieldMatrix:
     rows: Rows
 
     def __post_init__(self):
+        require_int("matrix dimension", self.n)
+        require_int("modulus", self.p)
         if self.n < 1:
             raise ParameterError("matrix dimension must be >= 1")
         if self.p < 2:
             raise ParameterError("modulus must be >= 2")
-        if len(self.rows) != self.n or any(len(r) != self.n for r in self.rows):
-            raise ParameterError(f"expected {self.n}x{self.n} rows")
         if type(self.rows) is not tuple or any(type(r) is not tuple for r in self.rows):
             raise ParameterError("rows must be a tuple of tuples")
+        if len(self.rows) != self.n or any(len(r) != self.n for r in self.rows):
+            raise ParameterError(f"expected {self.n}x{self.n} rows")
         for row in self.rows:
             for e in row:
                 if type(e) is not int:
@@ -246,20 +259,11 @@ class FieldMatrix:
                 if not 0 <= e < self.p:
                     raise ParameterError(f"entry {e} out of range [0, {self.p})")
 
-    @classmethod
-    def from_rows(cls, rows, p: int) -> "FieldMatrix":
-        n = len(rows)
-        return cls(n, p, tuple(tuple(e % p for e in row) for row in rows))
-
 
 @cache
 def _unit_rows(n: int) -> Rows:
     """The rows of the n x n identity, one shared tuple per n."""
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
-def identity(n: int, p: int) -> FieldMatrix:
-    return FieldMatrix(n, p, _unit_rows(n))
 
 
 def _check_compatible(a: FieldMatrix, b: FieldMatrix):
@@ -465,8 +469,7 @@ class NilpotentMatrix(FieldMatrix):
     proof walks, for as long as the matrix lives. `_terms` is not a field, so
     equality, hash, repr and the codec ignore it. When some m < index has no
     inverse mod p (p <= n, or p composite), both constructors raise
-    ParameterError. The inherited `from_rows` builds no NilpotentMatrix: it
-    has no index to give."""
+    ParameterError."""
 
     index: int
 
@@ -474,6 +477,7 @@ class NilpotentMatrix(FieldMatrix):
         """Check the rows, then prove the claimed index: the proof's powers
         end at a^(index-1)."""
         super().__post_init__()
+        require_int("nilpotency index", self.index)
         powers = _nilpotency_proof(self)
         if len(powers) + 1 != self.index:
             raise NotNilpotentError(f"nilpotency index is {len(powers) + 1}, not {self.index}")
@@ -554,6 +558,7 @@ def exp_rows(t: int, x: NilpotentMatrix) -> Rows:
     the rows i of I, x, x^2, ...: one `_product_kernel(index, n)` call per
     row, the kernel `mat_mul` runs when index = n, and no matrix product.
     """
+    require_int("scalar", t)
     if t < 0:
         raise ParameterError("scalar must be non-negative")
     inverses, blocks = x._terms

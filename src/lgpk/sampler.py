@@ -126,8 +126,8 @@ def _draw_invertible(n: int, p: int, rng: RngHandle) -> tuple[FieldMatrix, Group
 
 
 def sample_invertible(n: int, p: int, rng: RngHandle) -> GroupElement:
-    """Uniform element of GL_n(p); mat_inv has just proved it invertible."""
-    return trusted(GroupElement, n=n, p=p, rows=_draw_invertible(n, p, rng)[0].rows)
+    """Uniform element of GL_n(p), built through its checking constructor."""
+    return GroupElement(n, p, _draw_invertible(n, p, rng)[0].rows)
 
 
 def sample_nilpotent(n: int, p: int, rng: RngHandle) -> NilpotentMatrix:

@@ -10,7 +10,7 @@ import hashlib
 from math import factorial
 
 from lgpk import matfield
-from lgpk.matfield import FieldMatrix, GroupElement, NilpotentMatrix, identity
+from lgpk.matfield import FieldMatrix, GroupElement, NilpotentMatrix
 
 
 def slow_mat_mul(a, b, p):
@@ -194,8 +194,15 @@ def trial_division_prime(n):
     return True
 
 
-def mat(rows, p):
-    return FieldMatrix.from_rows(rows, p)
+def mat(rows, p, cls=FieldMatrix):
+    """A cls matrix from rows of any ints, as lists or tuples: each entry is
+    reduced mod p into the one form the checking constructor accepts."""
+    return cls(len(rows), p, tuple(tuple(e % p for e in row) for row in rows))
+
+
+def identity(n, p):
+    """The n x n identity as a plain FieldMatrix, with rows of its own."""
+    return FieldMatrix(n, p, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
 
 def nilpotent(a, index):
@@ -217,7 +224,7 @@ def lin_comb(*terms):
     """sum of c * a over (c, a) terms of n x n matrices mod p, entry by entry."""
     n, p = terms[0][1].n, terms[0][1].p
     rows = [[sum(c * a.rows[i][j] for c, a in terms) for j in range(n)] for i in range(n)]
-    return FieldMatrix.from_rows(rows, p)
+    return mat(rows, p)
 
 
 def count_calls(monkeypatch, module, name, aliases=()):
@@ -258,5 +265,5 @@ def assert_table_holds_proof_rows(nm, walked):
     assert list(inverses) == [pow(m, -1, p) for m in range(1, index)]
     assert len(blocks) == n and all(len(block) == index for block in blocks)
     for i, block in enumerate(blocks):
-        assert block[0] is identity(n, p).rows[i]
+        assert block[0] is matfield._unit_rows(n)[i]
         assert all(block[m] is powers[m - 1].rows[i] for m in range(1, index))

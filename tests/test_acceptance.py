@@ -12,14 +12,13 @@ from statistics import median
 
 import pytest
 
-from conftest import lin_comb, nilpotent, rational_exp, unit_element
+from conftest import lin_comb, mat, nilpotent, rational_exp, unit_element
 from lgpk import codec
 from lgpk.bitstrings import BitStr
 from lgpk.cli import build_kat_bundle
 from lgpk.cryptanalysis import NafInstance, naf_bruteforce, naf_mitm
 from lgpk.errors import BudgetRefusal, NotInvertibleError
 from lgpk.matfield import (
-    FieldMatrix,
     GroupElement,
     NilpotentMatrix,
     canonical_bytes,
@@ -51,7 +50,7 @@ def test_criterion_1_exponential_algebra():
                 # exp(0) is the identity
                 assert exp_scaled(0, x) == ident
                 # exp(X) and exp(-X) are mutually inverse
-                minus = FieldMatrix.from_rows([[-e for e in row] for row in x.rows], p)
+                minus = mat([[-e for e in row] for row in x.rows], p)
                 neg = nilpotent(minus, x.index)
                 assert group_mul(mat_exp(x), mat_exp(neg)) == ident
                 # scalars add, images multiply
@@ -163,7 +162,7 @@ def test_criterion_3_oracle_equivalence_exhaustive():
             assert len(mats) == p ** (n * n - n)
             for rows in mats:
                 t0 = time.monotonic()
-                nil = NilpotentMatrix.from_matrix(FieldMatrix.from_rows(rows, p))
+                nil = NilpotentMatrix.from_matrix(mat(rows, p))
                 fast = mat_exp(nil).rows
                 t1 = time.monotonic()
                 slow = rational_exp([list(r) for r in rows], nil.index, p)
@@ -238,7 +237,7 @@ def test_criterion_5_every_tamper_is_rejected():
                     changed = [list(row) for row in rows]
                     changed[r][c] = (changed[r][c] + delta) % p
                     try:
-                        g = GroupElement.from_rows(changed, p)
+                        g = mat(changed, p, GroupElement)
                     except NotInvertibleError:
                         rejected += 1  # singular: not even a group element
                         continue

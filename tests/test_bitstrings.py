@@ -27,6 +27,16 @@ def test_constructor_validates_length_and_tail():
         BitStr(8, bytearray(b"\x01"))  # would not hash
 
 
+@pytest.mark.parametrize("nbits", [8.0, True, "8", None])
+def test_constructors_check_the_length_type(nbits):
+    # 8.0 and True passed every length and tail check, and from_int(1, True)
+    # built a value with a bool length unchecked
+    for build in (lambda: BitStr(nbits, b"\x01"), lambda: BitStr.from_int(1, nbits)):
+        with pytest.raises(EncodingError) as e:
+            build()
+        assert str(e.value) == f"bit length must be an int, not {type(nbits).__name__}"
+
+
 def test_int_round_trip_little_endian():
     s = BitStr.from_int(0x1234, 16)
     assert s.data == b"\x34\x12"
@@ -36,6 +46,8 @@ def test_int_round_trip_little_endian():
         BitStr.from_int(16, 4)
     with pytest.raises(EncodingError):
         BitStr.from_int(-1, 4)
+    with pytest.raises(EncodingError, match="negative bit length"):
+        BitStr.from_int(1, -1)  # was a bare ValueError from the shift
 
 
 def test_first_bits_are_low_bits():

@@ -9,7 +9,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from conftest import count_calls
+from conftest import count_calls, identity
 
 from lgpk import cli, codec, cryptanalysis, matfield
 from lgpk.bitstrings import BitStr
@@ -22,7 +22,7 @@ from lgpk.errors import (
     ParameterError,
     SemanticDecodeError,
 )
-from lgpk.matfield import GroupElement, ParameterSet, identity
+from lgpk.matfield import GroupElement, ParameterSet
 from lgpk.sampler import RngHandle
 from lgpk.scheme import Ciphertext, PrivateKey, encrypt
 

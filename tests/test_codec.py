@@ -6,7 +6,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from conftest import count_calls, unit_element, zeros
+from conftest import count_calls, identity, unit_element, zeros
 
 from lgpk import matfield
 from lgpk.bitstrings import BitStr, trusted
@@ -41,7 +41,6 @@ from lgpk.matfield import (
     NilpotentMatrix,
     ParameterSet,
     canonical_bytes,
-    identity,
 )
 from lgpk.sampler import RngHandle
 from lgpk.scheme import Ciphertext, PrivateKey, PublicKey, decrypt, encrypt, keygen

@@ -71,6 +71,20 @@ def test_instance_validation():
         NafInstance(upper, lower, unit_element(2, 11), 5, 5)
 
 
+@pytest.mark.parametrize("bounds, message", [
+    ((16.0, 16), "bound_left must be an int, not float"),
+    ((16, 16.0), "bound_right must be an int, not float"),
+    ((True, 16), "bound_left must be an int, not bool"),
+    ((16, "16"), "bound_right must be an int, not str"),
+])
+def test_instance_bounds_must_be_ints(bounds, message):
+    # a float bound was accepted, and the brute-force scan then raised TypeError
+    upper, lower = shift_pair(7)
+    with pytest.raises(ParameterError) as e:
+        NafInstance(upper, lower, unit_element(2, 7), *bounds)
+    assert str(e.value) == message
+
+
 def test_instance_rejects_a_composite_modulus():
     # over Z_15, v*R = (3, 0, 0) for the scanned v = e_1: the rows of y and
     # y + 5 agree while exp(y*R) and exp((y+5)*R) differ in row 2

@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from conftest import unit_element
+from conftest import mat, unit_element
 from lgpk.bitstrings import BitStr
 from lgpk.errors import EncodingError, ParameterError
 from lgpk.hashsuite import (
@@ -92,7 +92,7 @@ def test_domain_separation():
 
 def test_h2_depends_only_on_matrix_value():
     a = GroupElement(2, 7, ((1, 2), (0, 1)))
-    b = GroupElement.from_rows([[8, 9], [7, 8]], 7)  # same residues
+    b = mat([[8, 9], [7, 8]], 7, GroupElement)  # same residues
     assert a == b
     assert h2(CFG, a) == h2(CFG, b)
 

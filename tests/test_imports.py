@@ -98,7 +98,6 @@ TRUSTED_CALL_SITES = sorted([
     ("matfield", "NilpotentMatrix.from_matrix"),
     ("matfield", "exp_scaled"),
     ("sampler", "make_params"),
-    ("sampler", "sample_invertible"),
 ])
 
 

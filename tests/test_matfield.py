@@ -9,6 +9,7 @@ import pytest
 from conftest import (
     assert_table_holds_proof_rows,
     count_calls,
+    identity,
     lin_comb,
     mat,
     miller_rabin_prime,
@@ -43,7 +44,6 @@ from lgpk.matfield import (
     exp_rows,
     exp_scaled,
     group_mul,
-    identity,
     is_invertible,
     is_nilpotent,
     is_probable_prime,
@@ -80,11 +80,6 @@ def random_nilpotent(rng, n, p):
     upper = [[rng.randrange(p) if j > i else 0 for j in range(n)] for i in range(n)]
     q = random_invertible(rng, n, p)
     return mat_mul(mat_mul(q, mat(upper, p)), mat_inv(q))
-
-
-def test_from_rows_reduces_mod_p():
-    a = FieldMatrix.from_rows([[8, -1], [14, 7]], 7)
-    assert a.rows == ((1, 6), (0, 0))
 
 
 def test_entry_out_of_range_rejected():
@@ -124,8 +119,42 @@ def test_constructor_rejects_too_small_dimension(build, message):
         build()
     assert str(e.value) == message
 
+
+@pytest.mark.parametrize("n, p, rows, message", [
+    (2, 7.0, ((0, 1), (0, 0)), "modulus must be an int, not float"),
+    (2, True, ((0, 1), (0, 0)), "modulus must be an int, not bool"),
+    (2.0, 7, ((0, 1), (0, 0)), "matrix dimension must be an int, not float"),
+    (2, 7, None, "rows must be a tuple of tuples"),
+], ids=["float-modulus", "bool-modulus", "float-dimension", "none-rows"])
+def test_matrix_constructors_check_a_field_type_before_its_value(n, p, rows, message):
+    # a float modulus passed every comparison and made mat_mul return float
+    # entries; rows of None met len() before the type check, a bare TypeError
+    for cls, index in ((FieldMatrix, ()), (GroupElement, ()), (NilpotentMatrix, (2,))):
+        with pytest.raises(ParameterError) as e:
+            cls(n, p, rows, *index)
+        assert str(e.value) == message
+
+
+@pytest.mark.parametrize("index", [2.0, True, "2", None])
+def test_nilpotent_matrix_index_must_be_an_int(index):
+    # 2.0 == 2, so the proof of the index accepted a float
+    with pytest.raises(ParameterError) as e:
+        NilpotentMatrix(2, 7, ((0, 1), (0, 0)), index)
+    assert str(e.value) == f"nilpotency index must be an int, not {type(index).__name__}"
+
+
+@pytest.mark.parametrize("t", [2.5, 2.0, True, "2"])
+def test_exponential_scalar_must_be_an_int(t):
+    # exp_scaled(2.5, x) built a GroupElement of float entries unchecked
+    x = NilpotentMatrix(2, 7, ((0, 1), (0, 0)), 2)
+    for exp in (exp_rows, exp_scaled):
+        with pytest.raises(ParameterError) as e:
+            exp(t, x)
+        assert str(e.value) == f"scalar must be an int, not {type(t).__name__}"
+
+
 def test_identity_and_zeros():
-    assert identity(3, 5).rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert matfield._unit_rows(3) == identity(3, 5).rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     assert zeros(2, 5).rows == ((0, 0), (0, 0))
 
 
@@ -629,7 +658,7 @@ def test_commutes_agrees_with_full_products():
 
 def test_group_element_rejects_singular():
     with pytest.raises(NotInvertibleError):
-        GroupElement.from_rows([[1, 2], [2, 4]], 7)
+        GroupElement(2, 7, ((1, 2), (2, 4)))
 
 
 def test_group_element_is_an_invertible_field_matrix():
@@ -962,3 +991,23 @@ def test_parameter_set_rejects_nonpositive_lengths(name):
     for bad in (0, -1):
         with pytest.raises(ParameterError, match=f"{name} must be positive"):
             ParameterSet(**{**fields, name: bad})
+
+
+@pytest.mark.parametrize("name, bad, message", [
+    ("kappa1", 8.0, "kappa1 must be an int, not float"),
+    ("n", 2.0, "n must be an int, not float"),
+    ("p", 251.0, "p must be an int, not float"),
+    ("kappa2", 64.0, "kappa2 must be an int, not float"),
+    ("kappa3", True, "kappa3 must be an int, not bool"),
+    ("kappa4", "8", "kappa4 must be an int, not str"),
+    ("msg_len", 128.0, "msg_len must be an int, not float"),
+    ("toy", 1, "toy must be a bool, not int"),
+    ("toy", None, "toy must be a bool, not NoneType"),
+])
+def test_parameter_set_checks_each_field_type(name, bad, message):
+    # kappa1=8.0 was accepted, and codec.encode of the set then raised
+    # AttributeError
+    fields = dict(kappa1=8, n=2, p=251, kappa2=64, kappa3=8, kappa4=8, msg_len=128)
+    with pytest.raises(ParameterError) as e:
+        ParameterSet(**{**fields, name: bad})
+    assert str(e.value) == message

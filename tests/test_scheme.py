@@ -1,7 +1,7 @@
 from collections import Counter
 
 import pytest
-from conftest import assert_table_holds_proof_rows, count_calls, record_proofs
+from conftest import assert_table_holds_proof_rows, count_calls, identity, record_proofs
 
 from lgpk import codec, matfield, sampler
 from lgpk.bitstrings import BitStr
@@ -15,7 +15,6 @@ from lgpk.matfield import (
     ParameterSet,
     exp_scaled,
     group_mul,
-    identity,
     mat_mul,
     term_rows,
 )

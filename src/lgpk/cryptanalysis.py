@@ -51,7 +51,7 @@ from .matfield import (
     exp_scaled,
     group_mul,
     is_probable_prime,
-    require_int,
+    require_type,
     rows_mul,
 )
 from .sampler import RngHandle, sample_noncommuting_pair, sample_prime
@@ -59,6 +59,21 @@ from .sampler import RngHandle, sample_noncommuting_pair, sample_prime
 BRUTE_PAIR_BUDGET = 1 << 32
 MITM_TABLE_BUDGET = 1 << 22
 LANES = 256  # y values per brute-force chunk: the lanes of one int
+
+
+def _check_search(inst, noun: str, *elements: GroupElement) -> None:
+    """The checks of both instance kinds: bounds that are ints >= 1,
+    generators and `elements` (named `noun`) of one dimension and one prime
+    modulus, and generators that do not commute."""
+    require_type("bound_left", inst.bound_left, int)
+    require_type("bound_right", inst.bound_right, int)
+    if inst.bound_left < 1 or inst.bound_right < 1:
+        raise ParameterError("search bounds must be >= 1")
+    a, b = inst.left_gen, inst.right_gen
+    if not (all(m.n == a.n and m.p == a.p for m in (b, *elements)) and is_probable_prime(a.p)):
+        raise ParameterError(f"generators and {noun} must share dimension and a prime modulus")
+    if commutes(a, b):
+        raise ParameterError("generators must not commute")
 
 
 @dataclass(frozen=True)
@@ -73,15 +88,7 @@ class NafInstance:
     bound_right: int
 
     def __post_init__(self):
-        require_int("bound_left", self.bound_left)
-        require_int("bound_right", self.bound_right)
-        if self.bound_left < 1 or self.bound_right < 1:
-            raise ParameterError("search bounds must be >= 1")
-        a, b, t = self.left_gen, self.right_gen, self.target
-        if not (a.n == b.n == t.n and a.p == b.p == t.p and is_probable_prime(a.p)):
-            raise ParameterError("generators and target must share dimension and a prime modulus")
-        if commutes(a, b):
-            raise ParameterError("generators must not commute")
+        _check_search(self, "target", self.target)
 
 
 @dataclass(frozen=True)
@@ -95,6 +102,9 @@ class NaiInstance:
     product_two: GroupElement
     bound_left: int
     bound_right: int
+
+    def __post_init__(self):
+        _check_search(self, "products", self.product_one, self.product_two)
 
 
 @dataclass(frozen=True)

@@ -18,37 +18,38 @@ F_p, the index of a nonzero multiple of a nilpotent matrix.
 
 Every matrix product runs a straight-line kernel that `_product_kernel(k, m)`
 compiles once per process and shape: `mat_mul` through `rows_mul`, the
-rows-level product that the factoring solvers call on bare row tuples, and
-every exponential directly. A kernel's source text is built from the ranges
-of its shape alone, never from p or matrix data, so one kernel serves every
-modulus and the cache holds one entry per shape. It does the exact integer
-sums of a triple loop (125 multiplications and 25 reductions at n = 5) with
-no `map` or `sum` per entry, and its compile time grows with the shape's
-k * m entries. Every caller in the package asks for a shape (k, n) with
-k <= n at dimension n: (n, n) for a product and (index, n) for an
-exponential, and the solvers' row products use only those two kinds. So
-dimensions up to n compile at most n(n+1)/2 kernels, 136 for every key the
-codec accepts (n <= 16).
+rows-level product that the factoring solvers call on bare row tuples. A
+kernel's source text is built from the ranges of its shape alone, never from
+p or matrix data, so one kernel serves every modulus and the cache holds one
+entry per shape. It does the exact integer sums of a triple loop (125
+multiplications and 25 reductions at n = 5) with no `map` or `sum` per
+entry, and its compile time grows with the shape's k * m entries. Products
+ask for (n, n) at dimension n; only brute force's `_row_at` asks for
+(index, n), 2 <= index < n, when a generator is below full index. So the
+keys the codec accepts (2 <= n <= 16) compile at most 15 product kernels,
+and brute force at most 105 more.
 
 Exponentials are evaluated from a table of the plain powers X^m
-(1 <= m < index): exp(tX) = I + sum of (t^m/m!) * X^m, with no matrix
-products. One rule decides who keeps a table: every `NilpotentMatrix` does.
-Both constructors prove nilpotency by walking X, X^2, ..., X^(index-1) and
-then showing X^index = 0, and they keep those powers as the table at no extra
-product. For index n the last step costs no product either when n! is a unit
-mod p: tr(X^k) = 0 for k = 1..n proves X^n = 0.
+(m < index): exp(tX) = I + sum of (t^m/m!) * X^m, with no matrix products.
+One rule decides who keeps a table: every `NilpotentMatrix` does. Both
+constructors prove nilpotency by walking X, X^2, ..., X^(index-1) and then
+showing X^index = 0, and they keep those powers' entries as the table at no
+extra product. For index n the last step costs no product either when n! is
+a unit mod p: tr(X^k) = 0 for k = 1..n proves X^n = 0.
 
-The table is a pair (inverses, blocks). inverses holds m^-1 mod p for
-m = 1..index-1, so each t^m/m! is one step from the last. blocks[i] is
-(row i of I, row i of X, ..., row i of X^(index-1)): the powers' own row
-tuples, not copies, and one shared identity row tuple per n. Row i of exp(tX)
-is the coefficient row (1, t, t^2/2!, ...) times block i, one call of
-`_product_kernel(index, n)`. At index n, the index of every paper key, that
-is mat_mul's own (n, n) kernel, so no exponential compiles code of its own.
-Beyond its own rows X, a generator keeps X^2, ..., X^(index-1) and its blocks:
-about 6.8 KB at the paper profile (n = 5, 256-bit p) and 2.1 MB at the
-codec's limits (n = 16, 4096-bit p), against 7.7 KB and 4.2 MB when each
-power was one packed integer (`tracemalloc`, one generator of index n).
+The table is a pair (inverses, flat). inverses holds m^-1 mod p for
+m = 1..index-1, so each t^m/m! is one step from the last. flat is one tuple
+of n^2 * index residues, entry-major: for each entry in row-major order, that
+entry of I, X, X^2, ..., X^(index-1). It holds the powers' own int objects,
+not their row tuples, which die with the proof. An exponential is one call
+of `_exp_kernel(index)`, compiled once per process and index from
+range(index) alone, so every key the codec accepts compiles at most 16 of
+them. Beyond its own rows X, a generator keeps the entries of X^2, ...,
+X^(index-1) and the flat tuple: about 6.1 KB at the paper profile (n = 5,
+256-bit p) and 2.09 MB at the codec's limits (n = 16, 4096-bit p), against
+6.8 KB and 2.10 MB when it kept each power's row tuples and n row blocks
+(`tracemalloc`, one generator of index n; at the limits the residues
+themselves dominate).
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain
+from itertools import accumulate, chain
 from math import factorial, gcd, isqrt, prod
 from typing import Optional
 
@@ -172,11 +173,13 @@ def _strong_lucas(n: int, q: int) -> bool:
     return False
 
 
-def require_int(name: str, value) -> None:
-    """Refuse any integer field that is not exactly an `int` (a float, a bool)
-    before a comparison reads it: one form per value."""
-    if type(value) is not int:
-        raise ParameterError(f"{name} must be an int, not {type(value).__name__}")
+def require_type(name: str, value, cls: type) -> None:
+    """Refuse a field that is not exactly a `cls` (a float or a bool for an
+    int, a subclass or a plain matrix for a proven one) before a comparison
+    reads it: one form per value."""
+    if type(value) is not cls:
+        article = "an" if cls.__name__[0] in "aeiou" else "a"
+        raise ParameterError(f"{name} must be {article} {cls.__name__}, not {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -199,9 +202,8 @@ class ParameterSet:
 
     def __post_init__(self):
         for name in ("kappa1", "n", "p", "kappa2", "kappa3", "kappa4", "msg_len"):
-            require_int(name, getattr(self, name))
-        if type(self.toy) is not bool:
-            raise ParameterError(f"toy must be a bool, not {type(self.toy).__name__}")
+            require_type(name, getattr(self, name), int)
+        require_type("toy", self.toy, bool)
         if self.n < 2:
             raise ParameterError(f"rank n must be >= 2, got {self.n}")
         if not self.toy and self.n < 5:
@@ -242,8 +244,8 @@ class FieldMatrix:
     rows: Rows
 
     def __post_init__(self):
-        require_int("matrix dimension", self.n)
-        require_int("modulus", self.p)
+        require_type("matrix dimension", self.n, int)
+        require_type("modulus", self.p, int)
         if self.n < 1:
             raise ParameterError("matrix dimension must be >= 1")
         if self.p < 2:
@@ -464,8 +466,8 @@ def commutes(a: FieldMatrix, b: FieldMatrix) -> bool:
 class NilpotentMatrix(FieldMatrix):
     """A FieldMatrix proven nilpotent, with its exact index; never equal to a
     plain one or to a GroupElement. It keeps the table `_terms` =
-    (inverses, blocks) that exp_scaled and term_rows read (format in the
-    module docstring): both constructors keep the rows of the powers their
+    (inverses, flat) that exp_scaled and term_rows read (format in the
+    module docstring): both constructors keep the entries of the powers their
     proof walks, for as long as the matrix lives. `_terms` is not a field, so
     equality, hash, repr and the codec ignore it. When some m < index has no
     inverse mod p (p <= n, or p composite), both constructors raise
@@ -477,7 +479,7 @@ class NilpotentMatrix(FieldMatrix):
         """Check the rows, then prove the claimed index: the proof's powers
         end at a^(index-1)."""
         super().__post_init__()
-        require_int("nilpotency index", self.index)
+        require_type("nilpotency index", self.index, int)
         powers = _nilpotency_proof(self)
         if len(powers) + 1 != self.index:
             raise NotNilpotentError(f"nilpotency index is {len(powers) + 1}, not {self.index}")
@@ -506,38 +508,61 @@ def group_mul(a: GroupElement, b: GroupElement) -> GroupElement:
     return mat_mul(a, b)
 
 
-def _table(powers: list[FieldMatrix], n: int, p: int) -> tuple[tuple[int, ...], tuple[Rows, ...]]:
-    """(inverses, blocks) for the powers a, a^2, ..., a^(index-1) given:
-    inverses[m-1] = m^-1 mod p, and blocks[i] = (row i of I, row i of a, ...,
-    row i of a^(index-1)), the powers' own row tuples. Raises ParameterError
-    when p <= n or when some m < index has no inverse mod p (a composite p).
+def _table(powers: list[FieldMatrix], n: int, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(inverses, flat) for the powers a, a^2, ..., a^(index-1) given:
+    inverses[m-1] = m^-1 mod p, and flat the entries of I, a, ...,
+    a^(index-1) interleaved entry by entry, row-major, the powers' own ints.
+    Raises ParameterError when p <= n or when some m < index has no inverse
+    mod p (a composite p).
     """
     if p <= n:
         raise ParameterError(f"need p > n for factorial inverses (p={p}, n={n})")
     inverses = tuple(_inverse(m, p) for m in range(1, len(powers) + 1))
-    return inverses, tuple(zip(_unit_rows(n), *[power.rows for power in powers]))
+    entries = [chain.from_iterable(rows) for rows in (_unit_rows(n), *[a.rows for a in powers])]
+    # through a list, so the kept tuple is allocated once at its size: one
+    # grown from the iterator is resized as it fills, and those resizes left
+    # attack-planted's peak RSS 0.8 MiB higher in about half of its runs
+    return inverses, tuple([*chain.from_iterable(zip(*entries))])
 
 
-def _coefficients(t: int, inverses: tuple[int, ...], p: int) -> list[int]:
-    """[1, t, t^2/2!, ..., t^(index-1)/(index-1)!] mod p, each entry one
-    step c * t * m^-1 from the last."""
-    c, row = 1, [1]
-    for inv_m in inverses:
-        c = c * t * inv_m % p
-        row.append(c)
-    return row
+@cache
+def _exp_kernel(k: int):
+    """exp(t, inverses, flat, p): the n^2 entries of exp(tX) mod p,
+    row-major, from X's table of index k (see the module docstring), with no
+    loop but the one over the entries. It unpacks the k-1 inverses into
+    locals i{m} and steps c{m} = t^m/m! mod p from c0 = 1, each
+    c{m-1} * t * i{m}; then each entry's powers (e0, ..., e(k-1)), e0 that
+    of I, give (e0 + c1*e1 + ... + c(k-1)*e(k-1)) % p, the identity's term
+    added, not multiplied. The source text comes from range(k) alone, so one
+    kernel serves every n and p.
+    """
+    steps = range(1, k)
+    inverses = "".join([f"i{m}, " for m in steps])
+    coefficients = "".join([f"    c{m} = c{m - 1} * t * i{m} % p\n" for m in steps])
+    powers = "".join([f"e{m}, " for m in range(k)])
+    total = " + ".join(["e0", *[f"c{m} * e{m}" for m in steps]])
+    namespace: dict = {}
+    exec(
+        f"def exp(t, inverses, flat, p):\n"
+        f"    [{inverses}] = inverses\n"
+        f"    c0 = 1\n"
+        f"{coefficients}"
+        f"    return [({total}) % p for ({powers}) in zip(*[iter(flat)] * {k})]\n",
+        namespace,
+    )
+    return namespace["exp"]
 
 
 def term_rows(x: NilpotentMatrix) -> tuple[Rows, ...]:
     """The rows of each term X^m/m! mod p, 1 <= m < index: a basis of the
-    span that every exp(tX) - I lies in. Row i of X^m is entry m of x's
-    table block i."""
-    inverses, blocks = x._terms
-    p = x.p
-    coefficients = _coefficients(1, inverses, p)
+    span that every exp(tX) - I lies in. X^m's entries are every index-th
+    entry of x's flat table, from entry m on."""
+    inverses, flat = x._terms
+    n, p, k = x.n, x.p, x.index
+    factorials = accumulate(inverses, lambda c, inv_m: c * inv_m % p)  # 1/m! mod p
     return tuple(
-        tuple(tuple([coefficients[m] * e % p for e in block[m]]) for block in blocks)
-        for m in range(1, x.index)
+        tuple(zip(*[iter([c * e % p for e in flat[m::k]])] * n))
+        for m, c in enumerate(factorials, 1)
     )
 
 
@@ -554,18 +579,16 @@ def mat_exp(x: NilpotentMatrix) -> GroupElement:
 def exp_rows(t: int, x: NilpotentMatrix) -> Rows:
     """The rows of exp(t*x) for a non-negative integer scalar t, reduced mod p.
 
-    Row i is the coefficient row (1, t, t^2/2!, ...) times x's table block i,
-    the rows i of I, x, x^2, ...: one `_product_kernel(index, n)` call per
-    row, the kernel `mat_mul` runs when index = n, and no matrix product.
+    One `_exp_kernel(index)` call gives the n^2 entries, each the coefficient
+    row (1, t, t^2/2!, ...) times that entry of I, x, x^2, ... in x's flat
+    table, and no matrix product; they are cut into rows of n.
     """
-    require_int("scalar", t)
+    require_type("scalar", t, int)
     if t < 0:
         raise ParameterError("scalar must be non-negative")
-    inverses, blocks = x._terms
-    p = x.p
-    coefficients = (_coefficients(t, inverses, p),)
-    product = _product_kernel(x.index, x.n)
-    return tuple([product(coefficients, block, p)[0] for block in blocks])
+    inverses, flat = x._terms
+    entries = _exp_kernel(x.index)(t, inverses, flat, x.p)
+    return tuple(zip(*[iter(entries)] * x.n))
 
 
 def exp_scaled(t: int, x: NilpotentMatrix) -> GroupElement:

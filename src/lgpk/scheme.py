@@ -29,6 +29,7 @@ from .matfield import (
     commutes,
     exp_scaled,
     group_mul,
+    require_type,
 )
 from .sampler import RngHandle, sample_noncommuting_pair
 
@@ -49,6 +50,10 @@ class PublicKey:
     _fingerprint = None
 
     def __post_init__(self):
+        require_type("params", self.params, ParameterSet)
+        require_type("left_gen", self.left_gen, NilpotentMatrix)
+        require_type("right_gen", self.right_gen, NilpotentMatrix)
+        require_type("key_product", self.key_product, GroupElement)
         n, p = self.params.n, self.params.p
         named = (
             ("left generator", self.left_gen),
@@ -75,6 +80,9 @@ class PrivateKey:
     pk_fingerprint: bytes
 
     def __post_init__(self):
+        require_type("left_factor", self.left_factor, GroupElement)
+        require_type("right_factor", self.right_factor, GroupElement)
+        require_type("pk_fingerprint", self.pk_fingerprint, bytes)
         a, b = self.left_factor, self.right_factor
         if a.n != b.n or a.p != b.p:
             raise ParameterError("secret factors live in different groups")
@@ -91,6 +99,11 @@ class Ciphertext:
     sealed_seed: BitStr
     rand_product: GroupElement
     masked_msg: BitStr
+
+    def __post_init__(self):
+        require_type("sealed_seed", self.sealed_seed, BitStr)
+        require_type("rand_product", self.rand_product, GroupElement)
+        require_type("masked_msg", self.masked_msg, BitStr)
 
 
 def keygen(params: ParameterSet, rng: RngHandle) -> tuple[PublicKey, PrivateKey]:

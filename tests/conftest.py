@@ -254,16 +254,19 @@ def record_proofs(monkeypatch):
     return walked
 
 
-def assert_table_holds_proof_rows(nm, walked):
-    """nm's table `_terms = (inverses, blocks)` holds m^-1 mod p for
-    m = 1..index-1 and n blocks of index rows. Row m of block i is row i of
-    the m-th power that nm's proof walked, and row 0 the shared identity row:
-    the tuples themselves, not copies."""
-    inverses, blocks = nm._terms
+def assert_table_holds_proof_entries(nm, walked):
+    """nm's table `_terms = (inverses, flat)` holds m^-1 mod p for
+    m = 1..index-1 and one flat tuple of n^2 * index ints: for each entry in
+    row-major order, that entry of I, then of the powers that nm's proof
+    walked, the ints themselves, not copies. It keeps no row tuple."""
+    inverses, flat = nm._terms
     n, p, index = nm.n, nm.p, nm.index
     powers = [found for found in walked if found and found[0].rows is nm.rows][-1]
     assert list(inverses) == [pow(m, -1, p) for m in range(1, index)]
-    assert len(blocks) == n and all(len(block) == index for block in blocks)
-    for i, block in enumerate(blocks):
-        assert block[0] is matfield._unit_rows(n)[i]
-        assert all(block[m] is powers[m - 1].rows[i] for m in range(1, index))
+    assert type(flat) is tuple and len(flat) == n * n * index
+    assert all(type(e) is int for e in flat)
+    for i in range(n):
+        for j in range(n):
+            entry = flat[(i * n + j) * index:(i * n + j + 1) * index]
+            assert entry[0] == int(i == j)
+            assert all(entry[m] is powers[m - 1].rows[i][j] for m in range(1, index))

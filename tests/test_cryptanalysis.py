@@ -479,7 +479,7 @@ def test_bruteforce_lanes_hold_values_near_p(bits):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_solves_compile_only_the_shapes_planting_compiled(n):
-    # (k, n) with k <= n: a product's (n, n) and each exponential's
+    # (k, n) with k <= n: a product's (n, n) and brute force's `_row_at`
     # (index, n); any other shape would outlive the solve in the cache
     rng = RngHandle(bytes([n]) * 32)
     for _ in range(4):
@@ -559,6 +559,32 @@ def test_mitm_solves_at_a_left_bound_of_the_pair_budget():
     upper, lower = shift_pair(4294967291)
     sol = naf_mitm(planted(upper, lower, 3, 2, BRUTE_PAIR_BUDGET, 4))
     assert (sol.left_scalar, sol.right_scalar, sol.ops) == (3, 2, 4 + 3 + 1)
+
+
+# (arguments from the shift pair mod 7 and a product g, message); each
+# built, and failed only inside nai_via_naf, before NaiInstance checked
+NAI_REFUSALS = {
+    "float-bound": (lambda u, l, g: (u, l, g, g, 4.0, 4), "bound_left must be an int, not float"),
+    "bool-bound": (lambda u, l, g: (u, l, g, g, 4, True), "bound_right must be an int, not bool"),
+    "zero-bound": (lambda u, l, g: (u, l, g, g, 4, 0), "search bounds must be >= 1"),
+    "commuting": (lambda u, l, g: (u, u, g, g, 4, 4), "generators must not commute"),
+    "dimension": (lambda u, l, g: (u, l, g, unit_element(3, 7), 4, 4),
+                  "generators and products must share dimension and a prime modulus"),
+    "modulus": (lambda u, l, g: (u, l, unit_element(2, 11), g, 4, 4),
+                "generators and products must share dimension and a prime modulus"),
+    "composite": (lambda u, l, g: (*shift_pair(15), unit_element(2, 15), unit_element(2, 15), 4, 4),
+                  "generators and products must share dimension and a prime modulus"),
+}
+
+
+@pytest.mark.parametrize("case", NAI_REFUSALS)
+def test_nai_instance_validation(case):
+    upper, lower = shift_pair(7)
+    product = group_mul(exp_scaled(1, upper), exp_scaled(2, lower))
+    arguments, message = NAI_REFUSALS[case]
+    with pytest.raises(ParameterError) as e:
+        NaiInstance(*arguments(upper, lower, product))
+    assert str(e.value) == message
 
 
 def test_nai_known_toy_instance():

@@ -16,8 +16,10 @@ the real one, byte for byte, and x = -c_1, y = d_1.
 The solver lives in this file; the library has none yet.
 """
 
+from math import factorial
+
 import pytest
-from conftest import identity
+from conftest import identity, slow_mat_mul
 
 from lgpk.codec import encode, pk_fingerprint
 from lgpk.matfield import (
@@ -105,6 +107,22 @@ def test_linear_decomposition_recovers_the_private_key(profile):
         broken = recovered_key(pk, cs, ds)
         assert encode(broken) == encode(sk), (profile, seed)
         assert decrypts_fresh_ciphertext(broken, pk, rng), (profile, seed)
+
+
+@pytest.mark.parametrize("profile", ["toy", "small", "paper"])
+def test_term_rows_are_the_scaled_powers_on_these_keys(profile):
+    # the bases above: term m is X^m * (m!)^-1 mod p, from the slow product
+    for seed in range(5):
+        rng = RngHandle(bytes([seed]) * 32)
+        pk, _ = keygen(make_params(profile, rng), rng)
+        p = pk.params.p
+        for gen in (pk.left_gen, pk.right_gen):
+            power, want = gen.rows, []
+            for m in range(1, gen.index):
+                inverse = pow(factorial(m), -1, p)
+                want.append(tuple(tuple(inverse * e % p for e in row) for row in power))
+                power = slow_mat_mul(power, gen.rows, p)
+            assert term_rows(gen) == tuple(want), (profile, seed)
 
 
 def test_an_equivalent_key_from_a_rank_deficient_system_still_decrypts():

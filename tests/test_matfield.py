@@ -1,13 +1,15 @@
 import dataclasses
+import gc
 import itertools
 import json
 import random
-from math import isqrt
+import tracemalloc
+from math import factorial, isqrt
 from pathlib import Path
 
 import pytest
 from conftest import (
-    assert_table_holds_proof_rows,
+    assert_table_holds_proof_entries,
     count_calls,
     identity,
     lin_comb,
@@ -230,35 +232,93 @@ def index_k_rows(rng, n, k):
 
 
 def test_product_kernel_is_cached_by_shape():
-    matfield._product_kernel.cache_clear()
     rng = random.Random(5)
-    for p in (7, 2**61 - 1, P256):
-        x = nilpotent(mat(index_k_rows(rng, 5, 5), p), 5)
-        mat_mul(random_matrix(rng, 5, p), random_matrix(rng, 5, p))
-        exp_scaled(rng.randrange(p), x)
+    gens = [nilpotent(mat(index_k_rows(rng, 5, k), p), k) for p in (7, 2**61 - 1, P256)
+            for k in (3, 5)]
+    matfield._product_kernel.cache_clear()
+    for x in gens:
+        mat_mul(random_matrix(rng, 5, x.p), random_matrix(rng, 5, x.p))
+        exp_scaled(rng.randrange(x.p), x)
         term_rows(x)
-    # products and index-5 exponentials at n = 5 share mat_mul's kernel
+    # products at n = 5 share one kernel at every p, and no exponential
+    # runs a product kernel, whatever its index
     assert matfield._product_kernel.cache_info().currsize == 1
     assert matfield._product_kernel(5, 5) is matfield._product_kernel(5, 5)
     assert matfield._product_kernel.cache_info().currsize == 1
-    exp_scaled(3, nilpotent(mat(index_k_rows(rng, 5, 3), P256), 3))
-    assert matfield._product_kernel.cache_info().currsize == 2
+    # brute force's `_row_at` asks for (index, n) below full index
     matfield._product_kernel(3, 5)
     assert matfield._product_kernel.cache_info().currsize == 2
 
 
-def test_paper_key_compiles_only_the_product_kernel():
+def test_exp_kernel_is_cached_by_index():
+    # one kernel per index, shared by every n and p: the 16 indexes of the
+    # keys the codec accepts compile at most 16
+    rng = random.Random(6)
+    gens = [nilpotent(mat(index_k_rows(rng, n, k), p), k)
+            for n in (3, 5, 16) for k in (1, 3, n) for p in (17, P256)]
+    matfield._exp_kernel.cache_clear()
+    for x in gens:
+        exp_scaled(rng.randrange(x.p), x)
+    assert matfield._exp_kernel.cache_info().currsize == 4  # indexes 1, 3, 5 and 16
+    assert matfield._exp_kernel(3) is matfield._exp_kernel(3)
+    for k in range(1, 17):
+        matfield._exp_kernel(k)
+    assert matfield._exp_kernel.cache_info().currsize == 16
+
+
+def test_paper_key_compiles_one_product_and_one_exp_kernel():
     # a fresh process that makes a paper key, a round trip and a public-key
-    # decode compiles mat_mul's (5, 5) kernel and nothing else
+    # decode compiles mat_mul's (5, 5) kernel, the index-5 exponential's and
+    # nothing else
     matfield._product_kernel.cache_clear()
+    matfield._exp_kernel.cache_clear()
     rng = RngHandle(b"\x0e" * 32)
     pk, sk = keygen(make_params("paper", rng), rng)
     msg = rng.bitstr(pk.params.msg_len)
     assert decrypt(sk, pk, encrypt(pk, msg, rng)) == msg
     assert decode(encode(pk)) == pk
-    assert matfield._product_kernel.cache_info().currsize == 1
+    caches = (matfield._product_kernel, matfield._exp_kernel)
+    assert [cache.cache_info().currsize for cache in caches] == [1, 1]
     matfield._product_kernel(5, 5)
-    assert matfield._product_kernel.cache_info().currsize == 1
+    matfield._exp_kernel(5)
+    assert [cache.cache_info().currsize for cache in caches] == [1, 1]
+
+
+def test_paper_generator_holds_fewer_bytes_than_the_block_table():
+    # measured the same way, a paper generator held 6,780-6,796 B when its
+    # table kept the row tuples of X^2, ..., X^4 and n row blocks; the flat
+    # table keeps the powers' entries alone
+    rng = RngHandle(b"\x0e" * 32)
+    pk, _ = keygen(make_params("paper", rng), rng)
+    for gen in (pk.left_gen, pk.right_gen):
+        NilpotentMatrix(gen.n, gen.p, gen.rows, gen.index)  # compile the kernels first
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            copy = NilpotentMatrix(gen.n, gen.p, gen.rows, gen.index)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert copy == gen
+        assert held < 6_400, held
+
+
+def block_exp_oracle(t, rows, index, p):
+    """The rows of exp(tX) in the block form the flat table replaced: row i
+    is the coefficient row (1, t, t^2/2!, ...) times rows i of I, X, ...,
+    X^(index-1), with the powers from the slow product and each coefficient
+    t^m * (m!)^-1 from `pow`."""
+    n = len(rows)
+    powers = [[[int(i == j) for j in range(n)] for i in range(n)]]
+    for _ in range(1, index):
+        powers.append(slow_mat_mul(powers[-1], rows, p))
+    coefficients = [pow(t, m, p) * pow(factorial(m), -1, p) for m in range(index)]
+    return [
+        [sum(c * power[i][j] for c, power in zip(coefficients, powers)) % p for j in range(n)]
+        for i in range(n)
+    ]
 
 
 EXP_PRIMES = (17, 2**61 - 1, P256)  # 17: the smallest prime above 16
@@ -268,7 +328,8 @@ EXP_PRIMES = (17, 2**61 - 1, P256)  # 17: the smallest prime above 16
 def test_exponential_against_rational_oracle_at_every_shape(p):
     # every n = 1..16 and every index 1..n: the zero matrix, n = 1 and
     # generators below full index included. t = 0 gives the identity, a t
-    # above p the value of its residue, and t = p - 1 the inverse of t = 1
+    # above p the value of its residue, and t = p - 1 the inverse of t = 1.
+    # The flat table gives what the block form gave, row by row
     rng = random.Random(p)
     for n in range(1, 17):
         one = [list(row) for row in identity(n, p).rows]
@@ -284,6 +345,7 @@ def test_exponential_against_rational_oracle_at_every_shape(p):
                 for t in scalars:
                     assert [list(row) for row in exp_scaled(t, nm).rows] == want
                     assert exp_rows(t, nm) == exp_scaled(t, nm).rows
+                    assert [list(row) for row in exp_rows(t, nm)] == block_exp_oracle(t, rows, k, p)
                 # the terms X^m/m! sum to the same exponential
                 summed = lin_comb((1, identity(n, p)), *[
                     (pow(residue, m, p), FieldMatrix(n, p, term)) for m, term in enumerate(terms, 1)
@@ -604,10 +666,10 @@ def test_stored_table_is_invisible_to_value_semantics(monkeypatch):
         nm = NilpotentMatrix.from_matrix(random_nilpotent(rng, 5, p))
         # new row tuples, so that each proof's walk is found by its own rows
         fresh = NilpotentMatrix(5, p, tuple(tuple([*row]) for row in nm.rows), nm.index)
-        # both constructors keep the rows their proof walked, and the tables are equal
+        # both constructors keep the entries their proof walked, and the tables are equal
         assert nm._terms == fresh._terms
         for built in (nm, fresh):
-            assert_table_holds_proof_rows(built, walked)
+            assert_table_holds_proof_entries(built, walked)
         assert nm == fresh and hash(nm) == hash(fresh) and repr(nm) == repr(fresh)
         assert "_terms" not in repr(nm)
         assert canonical_bytes(nm) == canonical_bytes(fresh)

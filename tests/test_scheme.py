@@ -1,7 +1,8 @@
+import dataclasses
 from collections import Counter
 
 import pytest
-from conftest import assert_table_holds_proof_rows, count_calls, identity, record_proofs
+from conftest import assert_table_holds_proof_entries, count_calls, identity, record_proofs
 
 from lgpk import codec, matfield, sampler
 from lgpk.bitstrings import BitStr
@@ -50,6 +51,55 @@ def test_keygen_binds_sk_to_pk():
     pk, sk = toy_keypair()
     assert sk.pk_fingerprint == pk_fingerprint(pk)
 
+
+
+def plain(m):
+    """m's rows as a plain FieldMatrix, which passes every value check."""
+    return FieldMatrix(m.n, m.p, m.rows)
+
+
+# (field, its wrong value from (pk, sk, ct), message): each wrong value has
+# the right shape, so only the type check refuses it. A plain generator was
+# accepted, and `encrypt` under it then raised AttributeError
+WRONG_TYPES = {
+    PublicKey: [
+        ("params", lambda pk, sk, ct: dataclasses.asdict(pk.params),
+         "params must be a ParameterSet, not dict"),
+        ("left_gen", lambda pk, sk, ct: plain(pk.left_gen),
+         "left_gen must be a NilpotentMatrix, not FieldMatrix"),
+        ("right_gen", lambda pk, sk, ct: pk.key_product,
+         "right_gen must be a NilpotentMatrix, not GroupElement"),
+        ("key_product", lambda pk, sk, ct: plain(pk.key_product),
+         "key_product must be a GroupElement, not FieldMatrix"),
+    ],
+    PrivateKey: [
+        ("left_factor", lambda pk, sk, ct: plain(sk.left_factor),
+         "left_factor must be a GroupElement, not FieldMatrix"),
+        ("right_factor", lambda pk, sk, ct: pk.right_gen,
+         "right_factor must be a GroupElement, not NilpotentMatrix"),
+        ("pk_fingerprint", lambda pk, sk, ct: bytearray(sk.pk_fingerprint),
+         "pk_fingerprint must be a bytes, not bytearray"),
+    ],
+    Ciphertext: [
+        ("sealed_seed", lambda pk, sk, ct: ct.sealed_seed.data,
+         "sealed_seed must be a BitStr, not bytes"),
+        ("rand_product", lambda pk, sk, ct: plain(ct.rand_product),
+         "rand_product must be a GroupElement, not FieldMatrix"),
+        ("masked_msg", lambda pk, sk, ct: None, "masked_msg must be a BitStr, not NoneType"),
+    ],
+}
+WRONG_TYPE_CASES = [(cls, *case) for cls, cases in WRONG_TYPES.items() for case in cases]
+
+
+@pytest.mark.parametrize("cls, field, wrong, message", WRONG_TYPE_CASES,
+                         ids=[f"{cls.__name__}-{field}" for cls, field, *_ in WRONG_TYPE_CASES])
+def test_scheme_values_check_each_field_type(cls, field, wrong, message):
+    pk, sk = toy_keypair()
+    ct = encrypt(pk, BitStr.from_int(1, TOY.msg_len), RngHandle(SEED))
+    value = {PublicKey: pk, PrivateKey: sk, Ciphertext: ct}[cls]
+    with pytest.raises(ParameterError) as e:
+        dataclasses.replace(value, **{field: wrong(pk, sk, ct)})
+    assert str(e.value) == message
 
 
 def test_private_key_rejects_a_short_fingerprint():
@@ -118,7 +168,7 @@ def test_paper_keygen_builds_each_table_once(monkeypatch):
     # tables, and 1 for the key product; commutes takes none
     assert len(muls) == 11
     for gen in (pk.left_gen, pk.right_gen):
-        assert_table_holds_proof_rows(gen, walked)
+        assert_table_holds_proof_entries(gen, walked)
 
 
 def test_paper_round_trip_multiplies_through_mat_mul(monkeypatch):

@@ -28,7 +28,7 @@ def mask_tail(data: bytes, nbits: int) -> bytes:
     if len(data) != (nbits + 7) // 8:
         raise EncodingError(f"need {(nbits + 7) // 8} bytes for {nbits} bits, got {len(data)}")
     r = nbits % 8
-    if r == 0 or not data:
+    if r == 0:
         return data
     return data[:-1] + bytes([data[-1] & ((1 << r) - 1)])
 

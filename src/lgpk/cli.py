@@ -337,7 +337,8 @@ def build_kat_bundle(profile_name: str, seed: bytes) -> str:
     message = rng.bitstr(params.msg_len)
     r_left, r_right = h1(params, sigma, message)
     emit(op="h1", sigma=sigma.hex(), m=message.hex(),
-         r_left=r_left.hex(), r_right=r_right.hex())
+         r_left=r_left.to_bytes((params.kappa3 + 7) // 8, "little").hex(),
+         r_right=r_right.to_bytes((params.kappa4 + 7) // 8, "little").hex())
     emit(op="h2", g=canonical_bytes(unit).hex(), out=h2(params, unit).hex())
     emit(op="h3", sigma=sigma.hex(), out=h3(params, sigma).hex())
 

@@ -33,21 +33,18 @@ def xof_bits(domain: int, payload: bytes, nbits: int) -> BitStr:
     return trusted(BitStr, nbits=nbits, data=mask_tail(xof.digest((nbits + 7) // 8), nbits))
 
 
-def h1(params: ParameterSet, sigma: BitStr, m: BitStr) -> tuple[BitStr, BitStr]:
-    """Derive the two exponent scalars from (σ, m).
+def h1(params: ParameterSet, sigma: BitStr, m: BitStr) -> tuple[int, int]:
+    """Derive the two exponent scalars (r_s, r_t) from (σ, m).
 
     The XOF output is truncated to κ3+κ4 bits; the first κ3 bits become r_s
-    and the remaining κ4 bits become r_t.
+    and the remaining κ4 bits become r_t, both as integers.
     """
     if sigma.nbits != params.kappa2:
         raise EncodingError(f"sigma must be {params.kappa2} bits, got {sigma.nbits}")
     if m.nbits != params.msg_len:
         raise EncodingError(f"message must be {params.msg_len} bits, got {m.nbits}")
-    joint = xof_bits(DOMAIN_H1, sigma.data + m.data, params.kappa3 + params.kappa4)
-    v = joint.to_int()
-    r_s = BitStr.from_int(v & ((1 << params.kappa3) - 1), params.kappa3)
-    r_t = BitStr.from_int(v >> params.kappa3, params.kappa4)
-    return r_s, r_t
+    v = xof_bits(DOMAIN_H1, sigma.data + m.data, params.kappa3 + params.kappa4).to_int()
+    return v & ((1 << params.kappa3) - 1), v >> params.kappa3
 
 
 def h2(params: ParameterSet, g: GroupElement) -> BitStr:

@@ -10,7 +10,7 @@ collapses to a single opaque rejection.
 Ops of interest can be tallied in an optional collections.Counter, under the
 keys "exp_maps" (exponential-map evaluations) and "group_mults" (group
 multiplications); encryption performs exactly 2 and 3, decryption exactly 2
-and 5.
+and 5, and each routine adds its fixed counts to the Counter once.
 """
 
 from __future__ import annotations
@@ -126,22 +126,19 @@ def keygen(params: ParameterSet, rng: RngHandle) -> tuple[PublicKey, PrivateKey]
     return pk, sk
 
 
-def _seal(pk: PublicKey, seed: BitStr, m: BitStr, ops: Counter) -> Ciphertext:
+def _seal(pk: PublicKey, seed: BitStr, m: BitStr, ops: Optional[Counter]) -> Ciphertext:
     """The deterministic core of encryption: 2 exponential maps, 3 group
     multiplications. Encryption seals a fresh seed; decryption re-seals the
     seed it recovered and compares, so the scheme encrypts in one place."""
     params = pk.params
-    r_left, r_right = (r.to_int() for r in h1(params, seed, m))
+    r_left, r_right = h1(params, seed, m)
     left_rand = exp_scaled(r_left, pk.left_gen)
-    ops["exp_maps"] += 1
     right_rand = exp_scaled(r_right, pk.right_gen)
-    ops["exp_maps"] += 1
     inner = group_mul(left_rand, pk.key_product)
-    ops["group_mults"] += 1
     sandwich = group_mul(inner, right_rand)
-    ops["group_mults"] += 1
     rand_product = group_mul(left_rand, right_rand)
-    ops["group_mults"] += 1
+    if ops is not None:
+        ops.update(exp_maps=2, group_mults=3)
     sealed_seed = h2(params, sandwich) ^ seed
     masked_msg = h3(params, seed) ^ m
     return Ciphertext(sealed_seed, rand_product, masked_msg)
@@ -152,7 +149,6 @@ def encrypt(
 ) -> Ciphertext:
     """Encrypt an msg_len-bit message: 2 exponential maps, 3 group multiplications.
     `h1`, the first step of the seal, rejects a message of another length."""
-    ops = ops if ops is not None else Counter()
     return _seal(pk, rng.bitstr(pk.params.kappa2), m, ops)
 
 
@@ -173,15 +169,14 @@ def decrypt(
     params = pk.params
     if sk.left_factor.n != params.n or sk.left_factor.p != params.p:
         raise KeyMismatchError("private key factors do not live in the public key's group")
-    ops = ops if ops is not None else Counter()
     if ct.sealed_seed.nbits != params.kappa2 or ct.masked_msg.nbits != params.msg_len:
         return None
     if ct.rand_product.n != params.n or ct.rand_product.p != params.p:
         return None
     inner = group_mul(sk.left_factor, ct.rand_product)
-    ops["group_mults"] += 1
     sandwich = group_mul(inner, sk.right_factor)
-    ops["group_mults"] += 1
+    if ops is not None:
+        ops.update(group_mults=2)
     seed = ct.sealed_seed ^ h2(params, sandwich)
     m = ct.masked_msg ^ h3(params, seed)
     # comparisons are bitwise on the canonical representations

@@ -29,7 +29,7 @@ def test_output_lengths():
     sigma = BitStr.from_int(0, CFG.kappa2)
     m = BitStr.from_int(0, CFG.msg_len)
     r_s, r_t = h1(CFG, sigma, m)
-    assert (r_s.nbits, r_t.nbits) == (CFG.kappa3, CFG.kappa4)
+    assert r_s < 2**CFG.kappa3 and r_t < 2**CFG.kappa4
     assert h2(CFG, unit_element(2, 7)).nbits == CFG.kappa2
     assert h3(CFG, sigma).nbits == CFG.msg_len
 
@@ -56,7 +56,7 @@ def test_h1_split_reassembles_to_joint_stream():
     m = BitStr.from_int(3, 32)
     r_s, r_t = h1(cfg, sigma, m)
     joint = xof_bits(DOMAIN_H1, sigma.data + m.data, 16)
-    assert r_s.to_int() | (r_t.to_int() << cfg.kappa3) == joint.to_int()
+    assert r_s | r_t << cfg.kappa3 == joint.to_int()
 
 
 def test_h1_kat_pinned():
@@ -65,10 +65,11 @@ def test_h1_kat_pinned():
     sigma = BitStr.from_int(0, 128)
     m = BitStr.from_int(0, 128)
     r_s, r_t = h1(cfg, sigma, m)
-    assert r_s.hex() == "e9231d84e03125dc53f9d38b55c60a68"
-    assert r_t.hex() == "38d9c198005272c5569dedab70456559"
+    r_s_bytes, r_t_bytes = r_s.to_bytes(16, "little"), r_t.to_bytes(16, "little")
+    assert r_s_bytes.hex() == "e9231d84e03125dc53f9d38b55c60a68"
+    assert r_t_bytes.hex() == "38d9c198005272c5569dedab70456559"
     oracle = hashlib.shake_256(bytes([0x01, 0x01]) + bytes(32)).digest(32)
-    assert r_s.data + r_t.data == oracle
+    assert r_s_bytes + r_t_bytes == oracle
 
 
 def test_h2_kat_pinned():

@@ -147,6 +147,17 @@ def test_decrypt_operation_counts():
     assert ops == Counter(exp_maps=2, group_mults=5)
 
 
+def test_operation_counts_add_across_calls():
+    pk, sk = toy_keypair()
+    ops = Counter()
+    ct = encrypt(pk, BitStr.from_int(5, TOY.msg_len), RngHandle(SEED), ops)
+    decrypt(sk, pk, ct, ops)
+    assert ops == Counter(exp_maps=4, group_mults=8)
+    short = BitStr.from_int(0, TOY.kappa2 - 1)
+    assert decrypt(sk, pk, Ciphertext(short, ct.rand_product, ct.masked_msg), ops) is None
+    assert ops == Counter(exp_maps=4, group_mults=8)
+
+
 def test_key_generators_exponentiate_without_products(monkeypatch):
     pk, _ = toy_keypair(params=SMALL)
     decoded = decode(encode(pk))
@@ -253,7 +264,7 @@ def test_correctness_identity_at_group_level():
         rng = RngHandle(seed + b"!")
         m = rng.bitstr(TOY.msg_len)
         sigma = rng.bitstr(TOY.kappa2)
-        r_left, r_right = (r.to_int() for r in h1(pk.params, sigma, m))
+        r_left, r_right = h1(pk.params, sigma, m)
         left_rand = exp_scaled(r_left, pk.left_gen)
         right_rand = exp_scaled(r_right, pk.right_gen)
         lhs = mat_mul(mat_mul(left_rand, pk.key_product), right_rand)
@@ -279,7 +290,7 @@ def test_toy_closed_form_of_rand_product():
 
     replay = RngHandle(SEED)
     sigma = replay.bitstr(TINY.kappa2)
-    r_left, r_right = (r.to_int() % p for r in h1(TINY, sigma, m))
+    r_left, r_right = (r % p for r in h1(TINY, sigma, m))
     expected = ((1 + r_left * r_right) % p, r_left), (r_right, 1)
     assert ct.rand_product.rows == expected
     assert decrypt(sk, pk, ct) == m

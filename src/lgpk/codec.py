@@ -12,7 +12,7 @@ wrong magic/version/kind/suite, CRC mismatch, non-canonical primitive bytes
 byte), n above MAX_DIM, a modulus longer than MAX_PRIME_BITS, and a kappa2 or
 msg_len above MAX_LENGTH_BITS. The limits come before any semantic work: the
 nilpotency proof grows as n^4, each decoded generator keeps up to n-1 powers
-as its table, the primality check grows about 7.6x per doubling of the
+as its table, the primality check grows about 7x per doubling of the
 modulus length, and `encrypt` draws and hashes kappa2 + msg_len bits. At the
 limits (n = 16, 4096-bit p; kappa2 = kappa3 = kappa4 = msg_len = 128),
 decoding a public key and then encrypting under it peaks at 5.5 MiB under

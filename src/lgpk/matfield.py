@@ -27,7 +27,9 @@ entry, and its compile time grows with the shape's k * m entries. Products
 ask for (n, n) at dimension n; only brute force's `_row_at` asks for
 (index, n), 2 <= index < n, when a generator is below full index. So the
 keys the codec accepts (2 <= n <= 16) compile at most 15 product kernels,
-and brute force at most 105 more.
+and brute force at most 105 more. A third family, `_rank_kernel(n)` from
+range(n) alone, runs first in `is_invertible`: at most 16 for the matrices
+the codec accepts (n <= 16), the largest 1,240 multiply-and-reduce steps.
 
 Exponentials are evaluated from a table of the plain powers X^m
 (m < index): exp(tX) = I + sum of (t^m/m!) * X^m, with no matrix products.
@@ -145,31 +147,35 @@ def _strong_lucas(n: int, q: int) -> bool:
     (D/n) = -1.
 
     With n + 1 = k * 2^s and k odd, n passes when U_k = 0 or V_(k*2^r) = 0
-    (mod n) for some 0 <= r < s. The ladder carries only (V_m, V_(m+1), Q^m),
-    with V_2m = V_m^2 - 2Q^m and V_(2m+1) = V_m V_(m+1) - Q^m (Joye and
-    Quisquater, "Efficient computation of full Lucas sequences", Electronics
-    Letters 32, 1996). U_k follows from D U_k = 2V_(k+1) - V_k, and D is a unit
-    mod n because (D/n) = -1, so U_k = 0 exactly when 2V_(k+1) = V_k.
+    (mod n) for some 0 <= r < s. The ladder runs on the Q = 1 sequence
+    V'_m = V_m(P', 1), P' = Q^-1 - 2, as V_2m(1, Q) = Q^m V'_m (alpha * beta
+    = Q): it carries (V'_j, V'_(j+1)), j = (k - 1)/2, at two products a bit
+    and no power of Q. As D and Q are units mod n, U_k, V_k and V_(k*2^r)
+    (r >= 1) vanish exactly when V'_j = V'_(j+1), V'_j + V'_(j+1) = 0 and
+    V'_(k*2^(r-1)) = 0: D U_k = Q^(j+1) (V'_(j+1) - V'_j) and V_k =
+    Q^(j+1) (V'_(j+1) + V'_j). If gcd(Q, n) != 1, a prime dividing both makes
+    every U_m and V_m (m >= 1) 1 mod it, so n fails.
     """
+    if gcd(q, n) != 1:
+        return False
     k, s = n + 1, 0
     while k % 2 == 0:
         k //= 2
         s += 1
-    reduce_qm = q != -1  # else Q^m is +-1: unreduced, it costs no big product
-    v, w, qm = 1, (1 - 2 * q) % n, q % n if reduce_qm else q  # V_1, V_2, Q^1
-    for bit in bin(k)[3:]:
+    pp = (pow(q, -1, n) - 2) % n
+    v, w = 2, pp  # V'_0, V'_1
+    for bit in bin(k // 2)[2:]:
         if bit == "1":
-            v, w, qm = (v * w - qm) % n, (w * w - 2 * qm * q) % n, qm * qm * q
+            v, w = (v * w - pp) % n, (w * w - 2) % n
         else:
-            v, w, qm = (v * v - 2 * qm) % n, (v * w - qm) % n, qm * qm
-        if reduce_qm:
-            qm %= n
-    if (2 * w - v) % n == 0 or v == 0:
+            v, w = (v * v - 2) % n, (v * w - pp) % n
+    if v == w or (v + w) % n == 0:
         return True
+    x = (v * w - pp) % n  # V'_k
     for _ in range(s - 1):
-        v, qm = (v * v - 2 * qm) % n, qm * qm % n
-        if v == 0:
+        if x == 0:
             return True
+        x = (x * x - 2) % n
     return False
 
 
@@ -381,9 +387,28 @@ def det(a: FieldMatrix) -> int:
     return prod(m[i][i] for i in range(n)) * _inverse(scale, p) % p
 
 
+@cache
+def _rank_kernel(n: int):
+    """unit(rows, p): whether the n pivots e_cc of an unpivoted, fraction-free
+    elimination of n x n rows mod p, e_ij = (e_cc * e_ij - e_ic * e_cj) % p
+    for every i, j > c, have a product that is a unit mod p. The source text
+    comes from range(n) alone (see the module docstring)."""
+    cells = range(n)
+    rows = "".join(["(" + "".join([f"e{i}_{j}, " for j in cells]) + "), " for i in cells])
+    steps = "".join([f"    e{i}_{j} = (e{c}_{c} * e{i}_{j} - e{i}_{c} * e{c}_{j}) % p\n"
+                     for c in cells for i in cells[c + 1:] for j in cells[c + 1:]])
+    pivots = " * ".join([f"e{c}_{c}" for c in cells])
+    namespace: dict = {"gcd": gcd}
+    exec(f"def unit(rows, p):\n    {rows}= rows\n{steps}    return gcd({pivots} % p, p) == 1\n",
+         namespace)
+    return namespace["unit"]
+
+
 def is_invertible(a: FieldMatrix) -> bool:
-    """Whether a has full rank mod p: the pivots of the forward pass alone."""
-    return len(_forward(a.rows, a.p)[0]) == a.n
+    """Whether a has full rank mod p: yes when `_rank_kernel(n)`'s pivots are
+    units, as each of its steps is then an invertible row operation, else as
+    the pivots of `_forward` say, the one path that raises ParameterError."""
+    return _rank_kernel(a.n)(a.rows, a.p) or len(_forward(a.rows, a.p)[0]) == a.n
 
 
 def mat_inv(a: FieldMatrix) -> "GroupElement":

@@ -107,8 +107,8 @@ def uv_strong_lucas(n, d, q):
     and V_(m+1) = (D U_m + V_m)/2 to step. With n + 1 = k * 2^s and k odd, n
     passes when U_k = 0 or V_(k*2^r) = 0 for some 0 <= r < s.
 
-    The package carries V alone and reads U_k off V_k and V_(k+1); this
-    ladder computes U directly.
+    The package runs the Q = 1 sequence V_2m / Q^m alone and reads U_k off two
+    of its terms; this ladder computes U directly, with Q itself.
     """
     k, s = n + 1, 0
     while k % 2 == 0:

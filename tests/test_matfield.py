@@ -4,7 +4,7 @@ import itertools
 import json
 import random
 import tracemalloc
-from math import factorial, isqrt
+from math import factorial, gcd, isqrt
 from pathlib import Path
 
 import pytest
@@ -266,22 +266,39 @@ def test_exp_kernel_is_cached_by_index():
     assert matfield._exp_kernel.cache_info().currsize == 16
 
 
-def test_paper_key_compiles_one_product_and_one_exp_kernel():
+def test_rank_kernel_is_cached_by_dimension():
+    # one kernel per n, shared by every p: the 16 dimensions of the matrices
+    # the codec accepts compile at most 16
+    rng = random.Random(7)
+    matfield._rank_kernel.cache_clear()
+    for p in (17, 2**61 - 1, P256):
+        for n in (1, 5, 16):
+            assert is_invertible(random_invertible(rng, n, p))
+    assert matfield._rank_kernel.cache_info().currsize == 3  # n = 1, 5 and 16
+    assert matfield._rank_kernel(5) is matfield._rank_kernel(5)
+    for n in range(1, 17):
+        matfield._rank_kernel(n)
+    assert matfield._rank_kernel.cache_info().currsize == 16
+
+
+def test_paper_key_compiles_one_product_exp_and_rank_kernel():
     # a fresh process that makes a paper key, a round trip and a public-key
-    # decode compiles mat_mul's (5, 5) kernel, the index-5 exponential's and
-    # nothing else
+    # decode compiles mat_mul's (5, 5) kernel, the index-5 exponential's,
+    # the n = 5 rank kernel and nothing else
     matfield._product_kernel.cache_clear()
     matfield._exp_kernel.cache_clear()
+    matfield._rank_kernel.cache_clear()
     rng = RngHandle(b"\x0e" * 32)
     pk, sk = keygen(make_params("paper", rng), rng)
     msg = rng.bitstr(pk.params.msg_len)
     assert decrypt(sk, pk, encrypt(pk, msg, rng)) == msg
     assert decode(encode(pk)) == pk
-    caches = (matfield._product_kernel, matfield._exp_kernel)
-    assert [cache.cache_info().currsize for cache in caches] == [1, 1]
+    caches = (matfield._product_kernel, matfield._exp_kernel, matfield._rank_kernel)
+    assert [cache.cache_info().currsize for cache in caches] == [1, 1, 1]
     matfield._product_kernel(5, 5)
     matfield._exp_kernel(5)
-    assert [cache.cache_info().currsize for cache in caches] == [1, 1]
+    matfield._rank_kernel(5)
+    assert [cache.cache_info().currsize for cache in caches] == [1, 1, 1]
 
 
 def test_paper_generator_holds_fewer_bytes_than_the_block_table():
@@ -850,20 +867,26 @@ def test_is_probable_prime_rejects_pseudoprimes():
 
 def test_v_ladder_matches_uv_ladder_oracle():
     verdicts = []
+    shared = []  # verdicts where gcd(Q, n) > 1, which the ladder rejects before it starts
     for n in range(3, 20000, 2):
         if isqrt(n) ** 2 != n:
             d, q = _selfridge(n)
             verdict = _strong_lucas(n, q)
             assert verdict == uv_strong_lucas(n, d, q), n
             verdicts.append(verdict)
+            if gcd(q, n) != 1:
+                shared.append(verdict)
     assert True in verdicts and False in verdicts
+    assert len(shared) == 973 and not any(shared)
     for n in LUCAS_PSEUDOPRIMES:
         assert _strong_lucas(n, _selfridge(n)[1]) and uv_strong_lucas(n, *_selfridge(n)), n
 
 
 def test_v_ladder_matches_uv_ladder_oracle_at_paper_size():
-    # 256-bit ladders, half of them with Q = -1, whose Q^m the ladder keeps
-    # unreduced; every other candidate is a prime, so both verdicts occur
+    # 256-bit ladders, half of them with Q = -1: the ladder takes the same
+    # steps for every Q, but its P' = Q^-1 - 2 is n - 3 there and a full-size
+    # residue otherwise, and the pinned primes below take both classes; every
+    # other candidate is a prime, so both verdicts occur
     rng = random.Random(2561)
     verdicts = {True: [], False: []}  # keyed by whether Q = -1
     while min(map(len, verdicts.values())) < 50:
@@ -917,6 +940,17 @@ def test_is_invertible_agrees_with_cofactor_det():
         expected = slow_det([list(r) for r in a.rows], p)
         assert is_invertible(a) == (expected != 0)
         assert det(a) == expected
+    # beyond the cofactor oracle's reach, dense matrices and singular ones
+    # (last row a multiple of the first, so that only the last pivot
+    # vanishes) against row_reduce's rank
+    for p in (2**61 - 1, P256):
+        for n in range(6, 17):
+            rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+            c = rng.randrange(1, p)
+            singular = rows[:-1] + [[c * e % p for e in rows[0]]]
+            for r in (rows, singular):
+                full = len(row_reduce(r, p)[0]) == n
+                assert is_invertible(mat(r, p)) == full == (r is rows), (n, p)
 
 
 def _raised(f, *args):
@@ -926,6 +960,21 @@ def _raised(f, *args):
     except ParameterError as e:
         return str(e)
     return None
+
+
+def unit_pivot_rows(rng, n, p, last=None):
+    """Dense rows L * U mod p: L unit lower triangular, U upper triangular with
+    unit diagonal entries but the last, which is `last` when given. Each
+    leading k x k minor of L * U is the product of U's first k diagonal
+    entries, so elimination without row swaps meets exactly those pivots, up
+    to unit factors."""
+    units = [u for u in range(1, p) if gcd(u, p) == 1]
+    lower = [[rng.randrange(p) if j < i else int(i == j) for j in range(n)] for i in range(n)]
+    upper = [[rng.choice(units) if i == j else rng.randrange(p) if i < j else 0
+              for j in range(n)] for i in range(n)]
+    if last is not None:
+        upper[-1][-1] = last
+    return slow_mat_mul(lower, upper, p)
 
 
 def test_elimination_differential_on_sparse_matrices():
@@ -940,7 +989,8 @@ def test_elimination_differential_on_sparse_matrices():
             rows = [[rng.randrange(p) if rng.random() < 0.5 else 0 for _ in range(n)]
                     for _ in range(n)]
             if n > 1 and rng.random() < 0.2:
-                rows[-1] = [rng.randrange(p) * e % p for e in rows[0]]
+                c = rng.randrange(p)
+                rows[-1] = [c * e % p for e in rows[0]]
             a = mat(rows, p)
             augmented = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
             message = _raised(row_reduce, rows, p)
@@ -961,6 +1011,19 @@ def test_elimination_differential_on_sparse_matrices():
                 with pytest.raises(NotInvertibleError):
                     mat_inv(a)
     assert composite_errors > 50
+    # dense matrices over a composite modulus whose first n - 1 pivots are
+    # units: the rank kernel decides when the last is one too, and the forward
+    # pass when it is 0 or a nonzero non-unit, where it raises
+    for p, non_unit in ((15, 3), (768, 6)):
+        for n in range(1, 9):
+            for last in (None, 0, non_unit):
+                rows = unit_pivot_rows(rng, n, p, last)
+                a = mat(rows, p)
+                message = _raised(row_reduce, rows, p)
+                assert _raised(is_invertible, a) == _raised(det, a) == message, (rows, p)
+                assert (message is None) == (last != non_unit)
+                if message is None:
+                    assert is_invertible(a) == (last is None) == (len(row_reduce(rows, p)[0]) == n)
 
 
 def has_nonzero_minor(rows, k, p, with_last=False):

@@ -27,9 +27,7 @@ entry, and its compile time grows with the shape's k * m entries. Products
 ask for (n, n) at dimension n; only brute force's `_row_at` asks for
 (index, n), 2 <= index < n, when a generator is below full index. So the
 keys the codec accepts (2 <= n <= 16) compile at most 15 product kernels,
-and brute force at most 105 more. A third family, `_rank_kernel(n)` from
-range(n) alone, runs first in `is_invertible`: at most 16 for the matrices
-the codec accepts (n <= 16), the largest 1,240 multiply-and-reduce steps.
+and brute force at most 105 more.
 
 Exponentials are evaluated from a table of the plain powers X^m
 (m < index): exp(tX) = I + sum of (t^m/m!) * X^m, with no matrix products.
@@ -387,28 +385,25 @@ def det(a: FieldMatrix) -> int:
     return prod(m[i][i] for i in range(n)) * _inverse(scale, p) % p
 
 
-@cache
-def _rank_kernel(n: int):
-    """unit(rows, p): whether the n pivots e_cc of an unpivoted, fraction-free
-    elimination of n x n rows mod p, e_ij = (e_cc * e_ij - e_ic * e_cj) % p
-    for every i, j > c, have a product that is a unit mod p. The source text
-    comes from range(n) alone (see the module docstring)."""
-    cells = range(n)
-    rows = "".join(["(" + "".join([f"e{i}_{j}, " for j in cells]) + "), " for i in cells])
-    steps = "".join([f"    e{i}_{j} = (e{c}_{c} * e{i}_{j} - e{i}_{c} * e{c}_{j}) % p\n"
-                     for c in cells for i in cells[c + 1:] for j in cells[c + 1:]])
-    pivots = " * ".join([f"e{c}_{c}" for c in cells])
-    namespace: dict = {"gcd": gcd}
-    exec(f"def unit(rows, p):\n    {rows}= rows\n{steps}    return gcd({pivots} % p, p) == 1\n",
-         namespace)
-    return namespace["unit"]
+def _unit_pivots(rows, p: int) -> bool:
+    """Whether the n pivots e_cc of an unpivoted, fraction-free elimination of
+    n x n rows mod p, e_ij = (e_cc * e_ij - e_ic * e_cj) % p for every i, j > c,
+    have a product that is a unit mod p; then each step is an invertible row
+    operation. A zero or non-unit pivot only gives False: this pass raises
+    nothing and, unlike a generated kernel, compiles nothing."""
+    d = 1
+    while rows:
+        (e, *head), *rest = rows
+        d = d * e % p
+        rows = [[(e * x - f * y) % p for x, y in zip(tail, head)] for f, *tail in rest]
+    return gcd(d, p) == 1
 
 
 def is_invertible(a: FieldMatrix) -> bool:
-    """Whether a has full rank mod p: yes when `_rank_kernel(n)`'s pivots are
-    units, as each of its steps is then an invertible row operation, else as
-    the pivots of `_forward` say, the one path that raises ParameterError."""
-    return _rank_kernel(a.n)(a.rows, a.p) or len(_forward(a.rows, a.p)[0]) == a.n
+    """Whether a has full rank mod p: yes when `_unit_pivots` finds unit
+    pivots, else as the pivots of `_forward` say, the one path that raises
+    ParameterError for a non-unit pivot."""
+    return _unit_pivots(a.rows, a.p) or len(_forward(a.rows, a.p)[0]) == a.n
 
 
 def mat_inv(a: FieldMatrix) -> "GroupElement":

@@ -266,39 +266,22 @@ def test_exp_kernel_is_cached_by_index():
     assert matfield._exp_kernel.cache_info().currsize == 16
 
 
-def test_rank_kernel_is_cached_by_dimension():
-    # one kernel per n, shared by every p: the 16 dimensions of the matrices
-    # the codec accepts compile at most 16
-    rng = random.Random(7)
-    matfield._rank_kernel.cache_clear()
-    for p in (17, 2**61 - 1, P256):
-        for n in (1, 5, 16):
-            assert is_invertible(random_invertible(rng, n, p))
-    assert matfield._rank_kernel.cache_info().currsize == 3  # n = 1, 5 and 16
-    assert matfield._rank_kernel(5) is matfield._rank_kernel(5)
-    for n in range(1, 17):
-        matfield._rank_kernel(n)
-    assert matfield._rank_kernel.cache_info().currsize == 16
-
-
-def test_paper_key_compiles_one_product_exp_and_rank_kernel():
+def test_paper_key_compiles_one_product_and_one_exp_kernel():
     # a fresh process that makes a paper key, a round trip and a public-key
-    # decode compiles mat_mul's (5, 5) kernel, the index-5 exponential's,
-    # the n = 5 rank kernel and nothing else
+    # decode compiles mat_mul's (5, 5) kernel, the index-5 exponential's and
+    # nothing else
     matfield._product_kernel.cache_clear()
     matfield._exp_kernel.cache_clear()
-    matfield._rank_kernel.cache_clear()
     rng = RngHandle(b"\x0e" * 32)
     pk, sk = keygen(make_params("paper", rng), rng)
     msg = rng.bitstr(pk.params.msg_len)
     assert decrypt(sk, pk, encrypt(pk, msg, rng)) == msg
     assert decode(encode(pk)) == pk
-    caches = (matfield._product_kernel, matfield._exp_kernel, matfield._rank_kernel)
-    assert [cache.cache_info().currsize for cache in caches] == [1, 1, 1]
+    caches = (matfield._product_kernel, matfield._exp_kernel)
+    assert [cache.cache_info().currsize for cache in caches] == [1, 1]
     matfield._product_kernel(5, 5)
     matfield._exp_kernel(5)
-    matfield._rank_kernel(5)
-    assert [cache.cache_info().currsize for cache in caches] == [1, 1, 1]
+    assert [cache.cache_info().currsize for cache in caches] == [1, 1]
 
 
 def test_paper_generator_holds_fewer_bytes_than_the_block_table():
@@ -978,7 +961,8 @@ def unit_pivot_rows(rng, n, p, last=None):
 
 
 def test_elimination_differential_on_sparse_matrices():
-    # is_invertible and det run the forward pass alone, mat_inv the whole
+    # det runs the forward pass alone, is_invertible the unpivoted pass and
+    # then the forward pass when that finds no unit pivots, mat_inv the whole
     # reduction of [a | I]; they must agree with the cofactor determinant,
     # with each other, and on the zero divisor a composite modulus meets
     rng = random.Random(2024)
@@ -1012,8 +996,9 @@ def test_elimination_differential_on_sparse_matrices():
                     mat_inv(a)
     assert composite_errors > 50
     # dense matrices over a composite modulus whose first n - 1 pivots are
-    # units: the rank kernel decides when the last is one too, and the forward
-    # pass when it is 0 or a nonzero non-unit, where it raises
+    # units: the unpivoted pass of is_invertible decides when the last is one
+    # too, and the forward pass when it is 0 or a nonzero non-unit, where it
+    # raises
     for p, non_unit in ((15, 3), (768, 6)):
         for n in range(1, 9):
             for last in (None, 0, non_unit):

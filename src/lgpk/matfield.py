@@ -58,7 +58,7 @@ import operator
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, chain
-from math import factorial, gcd, isqrt, prod
+from math import factorial, gcd, isqrt
 from typing import Optional
 
 from .bitstrings import trusted
@@ -324,47 +324,63 @@ def mat_mul(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
     return trusted(cls, n=a.n, p=a.p, rows=rows_mul(a.rows, b.rows, a.p))
 
 
-def _forward(rows, p: int) -> tuple[list[int], list[list[int]], int]:
-    """The forward pass of `row_reduce`, to row echelon form. Rows below a
-    pivot are zero left of its column and become zero in it, so their updates
-    write that 0 and start one column to its right."""
-    m = [[e % p for e in row] for row in rows]
-    pivot_cols: list[int] = []
-    scale = 1
-    for col in range(len(m[0]) if m else 0):
-        r = len(pivot_cols)
-        top = next((i for i in range(r, len(m)) if m[i][col]), None)
+def _forward(rows, p: int) -> list[tuple[int, int, list]]:
+    """The one forward elimination, to row echelon form, by fraction-free
+    steps (Bareiss, Math. Comp. 22, 1968) on rows reduced mod p. Column by
+    column, the pivot row is the first with a nonzero entry e there; if it is
+    row `top` > 0 of the rows left, it trades places with row 0. Every other
+    row with a nonzero entry f there becomes e * row - f * pivot row mod p,
+    and a row whose entry is 0 is left as it is. Each step drops the column
+    it cleared from the rows left, and a column with no nonzero entry is
+    dropped too.
+
+    Returns one step (col, top, rows) per pivot: its column, the position
+    the pivot row came from, and the rows the step cleared, pivot row first,
+    from column col on. The rank is the number of steps. The product of the
+    pivots is checked once: when it is not a unit mod p, the first pivot that
+    is not raises ParameterError, since p is composite.
+    """
+    steps: list[tuple[int, int, list]] = []
+    d = 1
+    for col in range(len(rows[0]) if rows else 0):
+        if not rows:
+            break
+        top = 0 if rows[0][0] else next((i for i, row in enumerate(rows) if row[0]), None)
         if top is None:
+            rows = [row[1:] for row in rows]
             continue
-        if top != r:
-            m[r], m[top] = m[top], m[r]
-            scale = -scale
-        pivot, head = m[r][col], m[r][col + 1:]
-        if gcd(pivot, p) != 1:
-            raise _not_prime(pivot, p)
-        for row in m[r + 1:]:
-            f = row[col]
-            if f:
-                row[col] = 0
-                row[col + 1:] = [(pivot * x - f * y) % p for x, y in zip(row[col + 1:], head)]
-                scale = scale * pivot % p
-        pivot_cols.append(col)
-    return pivot_cols, m, scale
+        if top:
+            rows = [rows[top], *rows[1:top], rows[0], *rows[top + 1:]]
+        steps.append((col, top, rows))
+        (e, *head), *rest = rows
+        d = d * e % p
+        rows = [[(e * x - f * y) % p for x, y in zip(tail, head)] if f else tail
+                for f, *tail in rest]
+    if gcd(d, p) != 1:
+        for _, _, cleared in steps:
+            if gcd(cleared[0][0], p) != 1:
+                raise _not_prime(cleared[0][0], p)
+    return steps
 
 
 def row_reduce(rows, p: int) -> tuple[list[int], list[list[int]]]:
     """The reduced row echelon form mod p of a matrix of any shape.
 
-    The pivot of each column is its first nonzero entry at or below the next
-    pivot row. Each pivot clears the rows below it (`_forward`); then, from the
-    last pivot up, each pivot row is scaled to a pivot of 1 and clears its
-    column in the rows above. A pivot sharing a factor with p raises
-    ParameterError: p is composite. Returns (pivot_cols, reduced): the rank is
-    len(pivot_cols), and column pivot_cols[i] is 1 in reduced row i and 0 in
-    every other row. That form is unique to the row space, so reordering the
-    rows or scaling them by units leaves the result unchanged.
+    The entries are reduced mod p and each pivot clears the rows below it
+    (`_forward`), which raises ParameterError for a pivot sharing a factor
+    with p: p is composite. Then, from the last pivot up, each pivot row is
+    scaled to a pivot of 1 and clears its column in the rows above. Returns
+    (pivot_cols, reduced): the rank is len(pivot_cols), and column
+    pivot_cols[i] is 1 in reduced row i and 0 in every other row. That form
+    is unique to the row space, so reordering the rows or scaling them by
+    units leaves the result unchanged.
     """
-    pivot_cols, m, _ = _forward(rows, p)
+    rows = [[e % p for e in row] for row in rows]
+    width = len(rows[0]) if rows else 0
+    steps = _forward(rows, p)
+    pivot_cols = [col for col, _, _ in steps]
+    m = [[0] * col + cleared[0] for col, _, cleared in steps]
+    m += [[0] * width for _ in range(len(rows) - len(m))]
     for r in reversed(range(len(pivot_cols))):
         col = pivot_cols[r]
         inv = _inverse(m[r][col], p)
@@ -377,33 +393,24 @@ def row_reduce(rows, p: int) -> tuple[list[int], list[list[int]]]:
 
 
 def det(a: FieldMatrix) -> int:
-    """Determinant mod p from the forward pass (triangular) and one inverse."""
-    n, p = a.n, a.p
-    pivot_cols, m, scale = _forward(a.rows, p)
-    if len(pivot_cols) < n:
+    """Determinant mod p from `_forward`: the product of its pivots, over the
+    scale of its steps, -1 for each swap and the pivot e to the power of the
+    number of rows each step scaled by e."""
+    p = a.p
+    steps = _forward(a.rows, p)
+    if len(steps) < a.n:
         return 0
-    return prod(m[i][i] for i in range(n)) * _inverse(scale, p) % p
-
-
-def _unit_pivots(rows, p: int) -> bool:
-    """Whether the n pivots e_cc of an unpivoted, fraction-free elimination of
-    n x n rows mod p, e_ij = (e_cc * e_ij - e_ic * e_cj) % p for every i, j > c,
-    have a product that is a unit mod p; then each step is an invertible row
-    operation. A zero or non-unit pivot only gives False: this pass raises
-    nothing and, unlike a generated kernel, compiles nothing."""
-    d = 1
-    while rows:
-        (e, *head), *rest = rows
-        d = d * e % p
-        rows = [[(e * x - f * y) % p for x, y in zip(tail, head)] for f, *tail in rest]
-    return gcd(d, p) == 1
+    pivots, scale = 1, 1
+    for _, top, ((e, *_), *rest) in steps:
+        pivots = pivots * e % p
+        scale = scale * pow(e, sum(1 for row in rest if row[0]), p) * (-1 if top else 1) % p
+    return pivots * _inverse(scale, p) % p
 
 
 def is_invertible(a: FieldMatrix) -> bool:
-    """Whether a has full rank mod p: yes when `_unit_pivots` finds unit
-    pivots, else as the pivots of `_forward` say, the one path that raises
-    ParameterError for a non-unit pivot."""
-    return _unit_pivots(a.rows, a.p) or len(_forward(a.rows, a.p)[0]) == a.n
+    """Whether a has full rank mod p: as many pivots as rows in `_forward`,
+    which raises ParameterError for a non-unit pivot."""
+    return len(_forward(a.rows, a.p)) == a.n
 
 
 def mat_inv(a: FieldMatrix) -> "GroupElement":

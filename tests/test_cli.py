@@ -633,6 +633,19 @@ def test_sweep_below_rank_2_exits_2_before_sampling(n, capsys, monkeypatch):
     assert capsys.readouterr().err == "error: --n must be >= 2\n"
 
 
+@pytest.mark.parametrize("seed", ["00" * 32, "01" * 32])
+def test_sweep_refuses_a_prime_size_not_above_n_for_every_seed(seed, capsys, monkeypatch):
+    # 3-bit primes are 5 and 7: the seed that drew 7 ran, the one that drew 5
+    # exited 2 after the draw
+    def fail(bits, rng):
+        raise AssertionError("sampled a prime")
+
+    monkeypatch.setattr(cryptanalysis, "sample_prime", fail)
+    assert run("sweep", "--n", "5", "--p-bits", "3", "--bounds-bits", "2", "--seed", seed) == 2
+    assert capsys.readouterr().err == (
+        "error: the smallest 3-bit prime is 5, but p must exceed n=5 so factorial inverses exist\n"
+    )
+
 
 def test_sweep_rejects_bad_grid(capsys):
     assert run("sweep", "--p-bits", "8", "--bounds-bits", "7") == 2

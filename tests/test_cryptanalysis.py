@@ -688,6 +688,26 @@ def test_sweep_refuses_rank_below_2_before_sampling(monkeypatch, n):
     assert rng.take(8) == RngHandle(SEED).take(8)
 
 
+@pytest.mark.parametrize("n, p_bits, least", [(5, [3], 5), (7, [3], 5), (11, [8, 4], 11), (16, [4], 11)])
+def test_sweep_refuses_a_prime_size_not_above_n_before_sampling(monkeypatch, n, p_bits, least):
+    # exp needs p > n; a prime size whose smallest prime is <= n failed only
+    # for the seeds that drew such a prime, after a prime and matrices were drawn
+    monkeypatch.setattr(cryptanalysis, "sample_prime", None)
+    rng = RngHandle(SEED)
+    with pytest.raises(ParameterError, match=(
+        rf"^the smallest {p_bits[-1]}-bit prime is {least}, but p must exceed n={n} "
+        r"so factorial inverses exist$"
+    )):
+        hardness_sweep(n, p_bits, [2], rng)
+    assert rng.take(8) == RngHandle(SEED).take(8)
+
+
+def test_sweep_takes_a_prime_size_just_above_n():
+    # 3-bit primes are 5 and 7, so n = 4 is the largest rank they serve
+    rows = hardness_sweep(4, [3], [2], RngHandle(SEED))
+    assert [(row.n, row.found) for row in rows] == [(4, "yes"), (4, "yes")]
+
+
 def test_sweep_takes_a_3_bit_prime():
     # sample_prime's floor is a sweep's too: 3 bits is the smallest it accepts
     rows = hardness_sweep(2, [3], [2], RngHandle(SEED))

@@ -961,8 +961,7 @@ def unit_pivot_rows(rng, n, p, last=None):
 
 
 def test_elimination_differential_on_sparse_matrices():
-    # det runs the forward pass alone, is_invertible the unpivoted pass and
-    # then the forward pass when that finds no unit pivots, mat_inv the whole
+    # det and is_invertible run the forward pass alone, mat_inv the whole
     # reduction of [a | I]; they must agree with the cofactor determinant,
     # with each other, and on the zero divisor a composite modulus meets
     rng = random.Random(2024)
@@ -996,9 +995,10 @@ def test_elimination_differential_on_sparse_matrices():
                     mat_inv(a)
     assert composite_errors > 50
     # dense matrices over a composite modulus whose first n - 1 pivots are
-    # units: the unpivoted pass of is_invertible decides when the last is one
-    # too, and the forward pass when it is 0 or a nonzero non-unit, where it
-    # raises
+    # units and meet no row swap: the forward pass raises exactly when the
+    # last pivot is a nonzero non-unit; they are dense, so nearly every row
+    # below a pivot is scaled by it, and det's correction for those scales
+    # is largest here
     for p, non_unit in ((15, 3), (768, 6)):
         for n in range(1, 9):
             for last in (None, 0, non_unit):
@@ -1009,6 +1009,8 @@ def test_elimination_differential_on_sparse_matrices():
                 assert (message is None) == (last != non_unit)
                 if message is None:
                     assert is_invertible(a) == (last is None) == (len(row_reduce(rows, p)[0]) == n)
+                    if n <= 6:
+                        assert det(a) == slow_det(rows, p), (rows, p)
 
 
 def has_nonzero_minor(rows, k, p, with_last=False):
@@ -1077,6 +1079,12 @@ def test_is_invertible_composite_modulus_raises_parameter_error():
             is_invertible(a)
         with pytest.raises(ParameterError, match="modulus must be prime"):
             GroupElement(a.n, a.p, a.rows)
+    # the pivot 5 leaves the row with a 0 below it untouched, so the next
+    # pivot is 2; a pass that scaled that row too would meet 5 * 2 = 4
+    a = mat([[5, 0], [0, 2]], 6)
+    message = "2 has no inverse mod 6: the modulus must be prime"
+    assert _raised(is_invertible, a) == _raised(det, a) == _raised(mat_inv, a) == message
+    assert _raised(row_reduce, a.rows, a.p) == _raised(GroupElement, a.n, a.p, a.rows) == message
     assert is_invertible(identity(3, 6))
 
 

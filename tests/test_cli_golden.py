@@ -175,6 +175,7 @@ CASES = [
     ("sweep-p-bits-past-widest", f"sweep --p-bits 4097 --bounds-bits 4 --seed {SEED_A}"),
     ("sweep-p-bits-negative", f"sweep --p-bits -5 --bounds-bits 2 --seed {SEED_A}"),
     ("sweep-p-bits-zero-after-valid", f"sweep --p-bits 8,0 --bounds-bits 2 --seed {SEED_A}"),
+    ("sweep-prime-not-above-n", f"sweep --n 5 --p-bits 3 --bounds-bits 2 --seed {SEED_A}"),
     ("kat-to-file", f"kat --profile toy --seed {SEED_A} --out {{d}}/kat.jsonl"),
     ("kat-no-seed", "kat --profile toy"),
     ("kat-bad-seed", "kat --seed xyz"),

@@ -391,13 +391,10 @@ def hardness_sweep(
                 f"bound of 2^{s_max} per scalar cannot be planted faithfully "
                 f"inside a {p_bits}-bit prime"
             )
-        # every draw must exceed n, not only the lucky ones
-        least = next(filter(is_probable_prime, range(1 << (p_bits - 1), n + 1)), None)
-        if least is not None:
-            raise ParameterError(
-                f"the smallest {p_bits}-bit prime is {least}, but p must exceed n={n} "
-                f"so factorial inverses exist"
-            )
+        # every p_bits-bit prime must exceed n, not only the one drawn
+        if least := next(filter(is_probable_prime, range(1 << (p_bits - 1), n + 1)), None):
+            raise ParameterError(f"the smallest {p_bits}-bit prime is {least}, but p must "
+                                 f"exceed n={n} so factorial inverses exist")
     if n < 2:  # sample_nilpotent's floor, checked before any draw
         raise ParameterError("nilpotent sampling needs n >= 2")
     x_master = rng.randbits(s_max)

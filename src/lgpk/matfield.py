@@ -58,7 +58,7 @@ import operator
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, chain
-from math import factorial, gcd, isqrt
+from math import factorial, gcd, isqrt, prod
 from typing import Optional
 
 from .bitstrings import trusted
@@ -325,23 +325,16 @@ def mat_mul(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
 
 
 def _forward(rows, p: int) -> list[tuple[int, int, list]]:
-    """The one forward elimination, to row echelon form, by fraction-free
-    steps (Bareiss, Math. Comp. 22, 1968) on rows reduced mod p. Column by
-    column, the pivot row is the first with a nonzero entry e there; if it is
-    row `top` > 0 of the rows left, it trades places with row 0. Every other
-    row with a nonzero entry f there becomes e * row - f * pivot row mod p,
-    and a row whose entry is 0 is left as it is. Each step drops the column
-    it cleared from the rows left, and a column with no nonzero entry is
-    dropped too.
-
-    Returns one step (col, top, rows) per pivot: its column, the position
-    the pivot row came from, and the rows the step cleared, pivot row first,
-    from column col on. The rank is the number of steps. The product of the
-    pivots is checked once: when it is not a unit mod p, the first pivot that
-    is not raises ParameterError, since p is composite.
-    """
-    steps: list[tuple[int, int, list]] = []
-    d = 1
+    """The one forward elimination, to row echelon form, of rows reduced mod
+    p, fraction-free as in Bareiss (Math. Comp. 22, 1968) but with no
+    division. Each column's pivot row is the first with a nonzero entry e
+    there, swapped with row 0 from its position `top` > 0. Every other row
+    with a nonzero entry f there becomes e * row - f * pivot row mod p, a
+    row with a 0 there is left as it is, and the column is dropped, as is a
+    column of zeros. Returns one step (col, top, rows) per pivot, with the
+    rows it cleared from column col on, pivot row first. When the pivots'
+    product is not a unit mod p, the first that is not raises ParameterError."""
+    steps = []
     for col in range(len(rows[0]) if rows else 0):
         if not rows:
             break
@@ -353,34 +346,30 @@ def _forward(rows, p: int) -> list[tuple[int, int, list]]:
             rows = [rows[top], *rows[1:top], rows[0], *rows[top + 1:]]
         steps.append((col, top, rows))
         (e, *head), *rest = rows
-        d = d * e % p
         rows = [[(e * x - f * y) % p for x, y in zip(tail, head)] if f else tail
                 for f, *tail in rest]
-    if gcd(d, p) != 1:
-        for _, _, cleared in steps:
-            if gcd(cleared[0][0], p) != 1:
-                raise _not_prime(cleared[0][0], p)
+    pivots = [cleared[0][0] for _, _, cleared in steps]
+    if gcd(prod(pivots), p) != 1:
+        raise _not_prime(next(e for e in pivots if gcd(e, p) != 1), p)
     return steps
 
 
 def row_reduce(rows, p: int) -> tuple[list[int], list[list[int]]]:
     """The reduced row echelon form mod p of a matrix of any shape.
 
-    The entries are reduced mod p and each pivot clears the rows below it
-    (`_forward`), which raises ParameterError for a pivot sharing a factor
-    with p: p is composite. Then, from the last pivot up, each pivot row is
-    scaled to a pivot of 1 and clears its column in the rows above. Returns
-    (pivot_cols, reduced): the rank is len(pivot_cols), and column
-    pivot_cols[i] is 1 in reduced row i and 0 in every other row. That form
-    is unique to the row space, so reordering the rows or scaling them by
-    units leaves the result unchanged.
+    The entries, reduced mod p, run through `_forward`, which raises
+    ParameterError for a pivot sharing a factor with p: p is composite.
+    Then, from the last pivot up, each pivot row is scaled to a pivot of 1
+    and clears its column in the rows above. Returns (pivot_cols, reduced):
+    the rank is len(pivot_cols), and column pivot_cols[i] is 1 in reduced
+    row i and 0 in every other row. That form is unique to the row space,
+    so reordering the rows or scaling them by units leaves it unchanged.
     """
     rows = [[e % p for e in row] for row in rows]
-    width = len(rows[0]) if rows else 0
     steps = _forward(rows, p)
     pivot_cols = [col for col, _, _ in steps]
     m = [[0] * col + cleared[0] for col, _, cleared in steps]
-    m += [[0] * width for _ in range(len(rows) - len(m))]
+    m += [[0] * len(row) for row in rows[len(m):]]
     for r in reversed(range(len(pivot_cols))):
         col = pivot_cols[r]
         inv = _inverse(m[r][col], p)
@@ -393,9 +382,8 @@ def row_reduce(rows, p: int) -> tuple[list[int], list[list[int]]]:
 
 
 def det(a: FieldMatrix) -> int:
-    """Determinant mod p from `_forward`: the product of its pivots, over the
-    scale of its steps, -1 for each swap and the pivot e to the power of the
-    number of rows each step scaled by e."""
+    """Determinant mod p: the product of `_forward`'s pivots over -1 per swap
+    and each pivot e to the power of the number of rows it scaled by e."""
     p = a.p
     steps = _forward(a.rows, p)
     if len(steps) < a.n:

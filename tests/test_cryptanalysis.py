@@ -702,16 +702,12 @@ def test_sweep_refuses_a_prime_size_not_above_n_before_sampling(monkeypatch, n, 
     assert rng.take(8) == RngHandle(SEED).take(8)
 
 
-def test_sweep_takes_a_prime_size_just_above_n():
-    # 3-bit primes are 5 and 7, so n = 4 is the largest rank they serve
-    rows = hardness_sweep(4, [3], [2], RngHandle(SEED))
-    assert [(row.n, row.found) for row in rows] == [(4, "yes"), (4, "yes")]
-
-
 def test_sweep_takes_a_3_bit_prime():
-    # sample_prime's floor is a sweep's too: 3 bits is the smallest it accepts
-    rows = hardness_sweep(2, [3], [2], RngHandle(SEED))
-    assert [(row.p_bits, row.found) for row in rows] == [(3, "yes"), (3, "yes")]
+    # sample_prime's floor is a sweep's too: 3 bits is the smallest it
+    # accepts; its primes are 5 and 7, so n = 4 is the largest rank they serve
+    for n in (2, 4):
+        rows = hardness_sweep(n, [3], [2], RngHandle(SEED))
+        assert [(row.n, row.p_bits, row.found) for row in rows] == [(n, 3, "yes"), (n, 3, "yes")]
 
 
 def test_sweep_plants_scalars_up_to_one_bit_below_the_prime():

@@ -59,7 +59,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, chain
 from math import factorial, gcd, isqrt, prod
-from typing import Optional
+from typing import Iterator, Optional
 
 from .bitstrings import trusted
 from .errors import NotInvertibleError, NotNilpotentError, ParameterError
@@ -324,17 +324,18 @@ def mat_mul(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
     return trusted(cls, n=a.n, p=a.p, rows=rows_mul(a.rows, b.rows, a.p))
 
 
-def _forward(rows, p: int) -> list[tuple[int, int, list]]:
+def _forward(rows, p: int) -> Iterator[tuple[int, int, list]]:
     """The one forward elimination, to row echelon form, of rows reduced mod
     p, fraction-free as in Bareiss (Math. Comp. 22, 1968) but with no
     division. Each column's pivot row is the first with a nonzero entry e
     there, swapped with row 0 from its position `top` > 0. Every other row
     with a nonzero entry f there becomes e * row - f * pivot row mod p, a
     row with a 0 there is left as it is, and the column is dropped, as is a
-    column of zeros. Returns one step (col, top, rows) per pivot, with the
-    rows it cleared from column col on, pivot row first. When the pivots'
-    product is not a unit mod p, the first that is not raises ParameterError."""
-    steps = []
+    column of zeros. Yields one step (col, top, rows) per pivot, with the
+    rows it clears from column col on, pivot row first, and keeps no rows.
+    After the last step, when the pivots' product is not a unit mod p, the
+    first that is not raises ParameterError, so every caller takes them all."""
+    pivots = []
     for col in range(len(rows[0]) if rows else 0):
         if not rows:
             break
@@ -344,14 +345,13 @@ def _forward(rows, p: int) -> list[tuple[int, int, list]]:
             continue
         if top:
             rows = [rows[top], *rows[1:top], rows[0], *rows[top + 1:]]
-        steps.append((col, top, rows))
+        yield col, top, rows
         (e, *head), *rest = rows
+        pivots.append(e)
         rows = [[(e * x - f * y) % p for x, y in zip(tail, head)] if f else tail
                 for f, *tail in rest]
-    pivots = [cleared[0][0] for _, _, cleared in steps]
     if gcd(prod(pivots), p) != 1:
         raise _not_prime(next(e for e in pivots if gcd(e, p) != 1), p)
-    return steps
 
 
 def row_reduce(rows, p: int) -> tuple[list[int], list[list[int]]]:
@@ -366,10 +366,9 @@ def row_reduce(rows, p: int) -> tuple[list[int], list[list[int]]]:
     so reordering the rows or scaling them by units leaves it unchanged.
     """
     rows = [[e % p for e in row] for row in rows]
-    steps = _forward(rows, p)
-    pivot_cols = [col for col, _, _ in steps]
-    m = [[0] * col + cleared[0] for col, _, cleared in steps]
-    m += [[0] * len(row) for row in rows[len(m):]]
+    echelon = [(col, [0] * col + cleared[0]) for col, _, cleared in _forward(rows, p)]
+    pivot_cols = [col for col, _ in echelon]
+    m = [row for _, row in echelon] + [[0] * len(row) for row in rows[len(echelon):]]
     for r in reversed(range(len(pivot_cols))):
         col = pivot_cols[r]
         inv = _inverse(m[r][col], p)
@@ -385,20 +384,18 @@ def det(a: FieldMatrix) -> int:
     """Determinant mod p: the product of `_forward`'s pivots over -1 per swap
     and each pivot e to the power of the number of rows it scaled by e."""
     p = a.p
-    steps = _forward(a.rows, p)
-    if len(steps) < a.n:
-        return 0
-    pivots, scale = 1, 1
-    for _, top, ((e, *_), *rest) in steps:
+    rank, pivots, scale = 0, 1, 1
+    for _, top, ((e, *_), *rest) in _forward(a.rows, p):
+        rank += 1
         pivots = pivots * e % p
         scale = scale * pow(e, sum(1 for row in rest if row[0]), p) * (-1 if top else 1) % p
-    return pivots * _inverse(scale, p) % p
+    return pivots * _inverse(scale, p) % p if rank == a.n else 0
 
 
 def is_invertible(a: FieldMatrix) -> bool:
     """Whether a has full rank mod p: as many pivots as rows in `_forward`,
     which raises ParameterError for a non-unit pivot."""
-    return len(_forward(a.rows, a.p)) == a.n
+    return sum(1 for _ in _forward(a.rows, a.p)) == a.n
 
 
 def mat_inv(a: FieldMatrix) -> "GroupElement":

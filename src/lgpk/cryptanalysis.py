@@ -3,7 +3,7 @@
 Factoring: given a product exp(x*L)*exp(y*R) of exponentials of known
 non-commuting nilpotent generators, recover the scalar pair. Both solvers
 follow only the row v*exp(x*L)*exp(y*R), for one vector v chosen from the
-generators, and confirm a row hit by the full n x n product. Along x and
+generators, and confirm a hit on it by the full n x n product. Along x and
 along y the row is a polynomial of degree below that generator's index, so a
 few row products give its forward differences, and `itertools` running sums
 walk them in C: no row product per pair or per probe, and no Python call per
@@ -12,10 +12,11 @@ x. A solve works on row tuples alone: the rows of exponentials
 matrix object built.
 
 The brute-force solver tries every pair of the (x, y) grid, prefiltering on
-one coordinate of the row. It packs that coordinate for up to `LANES`
-consecutive y into the lanes of one int and steps x by lane-wise additions
-mod p, so a few big-int operations test a whole chunk of y at each x (SIMD
-within a register); it stores one chunk, never a value per pair. The
+one coordinate of the row less the target's. It packs that coordinate for up
+to `LANES` consecutive y into the lanes of one int and steps x by lane-wise
+additions mod p, so a few big-int operations test a whole chunk of y at each
+x (SIMD within a register), and a hit is a zero lane, handed to the full
+product with no row rebuilt; it stores one chunk, never a value per pair. The
 meet-in-the-middle solver tabulates the rows for every y, packed into ints,
 and probes them with exp(-x*L) applied to the target, trading memory for a
 linear-time scan.
@@ -38,7 +39,6 @@ import time
 from collections import deque
 from dataclasses import astuple, dataclass, fields
 from itertools import accumulate, chain, compress, count, islice, repeat, tee
-from math import comb
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import BudgetRefusal, ParameterError
@@ -147,7 +147,9 @@ def _diff_rows(rows: Rows, t: int, gen: NilpotentMatrix) -> list[Rows]:
     a unit that commutes with gen, so it vanishes from gen's index on.
     `rows_mul` reduces the -1s."""
     p = gen.p
-    diff = [[e - (i == j) for j, e in enumerate(row)] for i, row in enumerate(exp_rows(t, gen))]
+    diff = [list(row) for row in exp_rows(t, gen)]
+    for i, row in enumerate(diff):
+        row[i] -= 1  # S - I: the identity comes off the diagonal alone
     blocks = [rows]
     for _ in range(1, gen.index):
         blocks.append(rows_mul(blocks[-1], diff, p))
@@ -169,26 +171,16 @@ def _walks(diffs: Sequence[Iterable[int]], length: int, p: int) -> Iterator[Iter
     return map(map, repeat(operator.mod), values, map(repeat, repeat(p), repeat(length)))
 
 
-def _row_at(diffs: Sequence[tuple[int, ...]], t: int, p: int) -> tuple[int, ...]:
-    """The row at t, sum over i of C(t, i) * diffs[i] mod p, from its forward
-    differences at t = 0 (Newton's forward formula): one `rows_mul`."""
-    return rows_mul(([comb(t, i) for i in range(len(diffs))],), diffs, p)[0]
-
-
-def _first_hit(inst: NafInstance, by_y: list[Rows], goal: tuple[int, ...], x: int,
-               y0: int, hits: int, width: int) -> Optional[NafSolution]:
+def _first_hit(inst: NafInstance, x: int, y0: int, hits: int, width: int) -> Optional[NafSolution]:
     """The first pair (x, y0 + k), lowest lane k first, among the prefilter
-    hits (bit width*(k+1) - 1 set in `hits`) whose full row matches `goal`
-    and whose product `_confirm` accepts."""
-    p = inst.target.p
+    hits (bit width*(k+1) - 1 set in `hits`) whose product `_confirm` accepts."""
     while hits:
         lane = hits & -hits
         hits ^= lane
         y = y0 + lane.bit_length() // width - 1
-        if _row_at([_row_at(d, x, p) for d in by_y], y, p) == goal:
-            sol = _confirm(inst, x, y, x * inst.bound_right + y + 1)
-            if sol is not None:
-                return sol
+        sol = _confirm(inst, x, y, x * inst.bound_right + y + 1)
+        if sol is not None:
+            return sol
     return None
 
 
@@ -201,17 +193,16 @@ def naf_bruteforce(inst: NafInstance) -> Optional[NafSolution]:
     With G = exp(L) - I and E = exp(R) - I, its forward differences in x are
     v*G^a*exp(y*R), polynomials in y with differences v*G^a*E^i: the only
     row products made, all on row tuples. The scan runs:
-    - a prefilter on one coordinate of the row, SIMD within a register: for
-      each chunk of at most `LANES` consecutive y, the y walks (`_walks`) of
-      that coordinate's x-differences fill one int per difference, one
-      byte-aligned lane per y, whose top (guard) bit a sum of two lanes never
-      reaches. An x step adds each difference into the one before it,
-      lane-wise mod p, and an XOR with the goal and a guard-bit test mark the
-      matching lanes: a few big-int operations per x for the whole chunk,
-      and no Python call per x;
-    - the full row, rebuilt from the differences, at each marked lane,
-      lowest y first;
-    - `_confirm`, the full product, at each pair whose full row matches.
+    - a prefilter on one coordinate of the row minus the goal's, SIMD within
+      a register: for each chunk of at most `LANES` consecutive y, the y walks
+      (`_walks`) of that coordinate's x-differences fill one int per
+      difference, one byte-aligned lane per y, whose top (guard) bit a sum of
+      two lanes never reaches. An x step adds each difference into the one
+      before it, lane-wise mod p, and a guard-bit test marks the zero lanes,
+      the pairs whose coordinate matches the goal's: a few big-int
+      operations per x for the whole chunk, and no Python call per x;
+    - `_confirm`, the full product, at each marked lane, lowest y first, with
+      no row rebuilt in between: the prefilter's false hits are few.
     Chunks run in y order, and each scans only the x below the best pair
     found so far, so the x-major winner is the one returned. Memory is the
     differences and one chunk, whatever the bounds.
@@ -232,8 +223,11 @@ def naf_bruteforce(inst: NafInstance) -> Optional[NafSolution]:
     # grid one y long, with x; 0 if none does
     steps = [r for d in by_y[1:] for r in d] if inst.bound_right > 1 else by_y[0][1:]
     j = next((j for j in range(len(start)) if any(r[j] for r in steps)), 0)
+    # coordinate j of by_y, the row at x = y = 0 less the goal's: a hit is a 0
+    columns = [[r[j] for r in d] for d in by_y]
+    columns[0][0] -= goal[j]
     # walks[a] gives, for y = 0, 1, ..., the a-th x-difference at x = 0
-    walks = list(_walks([[r[j] for r in d] for d in by_y], inst.bound_right, p))
+    walks = list(_walks(columns, inst.bound_right, p))
     size = (p.bit_length() + 9) // 8  # bytes per lane: a sum below 2p stays under the guard bit
     width = 8 * size
     top = width - 1
@@ -246,21 +240,20 @@ def naf_bruteforce(inst: NafInstance) -> Optional[NafSolution]:
         ones = int.from_bytes((b"\x01" + bytes(size - 1)) * k, "little")
         guard = ones << top
         low, bias, pones = guard - ones, guard - p * ones, p * ones
-        target = goal[j] * ones
         # s[a]: the a-th x-difference at the current x, one lane per y of the chunk
         s = [int.from_bytes(b"".join(map(int.to_bytes, islice(walk, k), repeat(size),
                                          repeat("little"))), "little") for walk in walks]
         for x in range(limit):
-            hits = ((s[0] ^ target) + low & guard) ^ guard
+            hits = (s[0] + low & guard) ^ guard  # the guard bit of each zero lane
             if hits:
-                sol = _first_hit(inst, by_y, goal, x, y0, hits, width)
+                sol = _first_hit(inst, x, y0, hits, width)
                 if sol is not None:
                     best, limit = sol, x
                     break
             for a in stepped:
                 t = s[a] + s[a + 1]
-                c = t + bias >> top & ones  # 1 in each lane at or past p
-                s[a] = t - (pones & (c << width) - c)
+                g = t + bias & guard  # the guard bit of each lane at or past p
+                s[a] = t - (pones & g - (g >> top))
     return best
 
 

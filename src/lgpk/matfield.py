@@ -16,18 +16,15 @@ results are built unchecked by `bitstrings.trusted`: on validated inputs each
 operation keeps entries reduced mod p, products invertible and, over the field
 F_p, the index of a nonzero multiple of a nilpotent matrix.
 
-Every matrix product runs a straight-line kernel that `_product_kernel(k, m)`
-compiles once per process and shape: `mat_mul` through `rows_mul`, the
-rows-level product that the factoring solvers call on bare row tuples. A
-kernel's source text is built from the ranges of its shape alone, never from
-p or matrix data, so one kernel serves every modulus and the cache holds one
-entry per shape. It does the exact integer sums of a triple loop (125
-multiplications and 25 reductions at n = 5) with no `map` or `sum` per
-entry, and its compile time grows with the shape's k * m entries. Products
-ask for (n, n) at dimension n; only brute force's `_row_at` asks for
-(index, n), 2 <= index < n, when a generator is below full index. So the
-keys the codec accepts (2 <= n <= 16) compile at most 15 product kernels,
-and brute force at most 105 more.
+Every matrix product runs a straight-line kernel that `_product_kernel(n)`
+compiles once per process and dimension: `mat_mul` through `rows_mul`, the
+rows-level product that the factoring solvers call on bare row tuples, which
+always multiplies by an n x n matrix. A kernel's source text is built from
+range(n) alone, never from p or matrix data, so one kernel serves every
+modulus and the cache holds one entry per dimension: at most 15 for the keys
+the codec accepts (2 <= n <= 16). It does the exact integer sums of a triple
+loop (125 multiplications and 25 reductions at n = 5) with no `map` or `sum`
+per entry, and its compile time grows with its n^2 entries.
 
 Exponentials are evaluated from a table of the plain powers X^m
 (m < index): exp(tX) = I + sum of (t^m/m!) * X^m, with no matrix products.
@@ -280,19 +277,19 @@ def _check_compatible(a: FieldMatrix, b: FieldMatrix):
 
 
 @cache
-def _product_kernel(k: int, m: int):
+def _product_kernel(n: int):
     """product(arows, brows, p): the rows of A times B mod p, for rows of A
-    with k entries and k rows of B with m entries each, with no loop but the
-    one over A's rows. It unpacks B's k*m entries into locals b{s}_{j} once,
-    then gives each row (a0, ..., a(k-1)) of A the m entries
-    (a0*b0_j + ... + a(k-1)*b(k-1)_j) % p. The source text comes from range(k)
-    and range(m) alone (see the module docstring).
+    with n entries and the n x n rows of B, with no loop but the one over A's
+    rows. It unpacks B's n^2 entries into locals b{s}_{j} once, then gives
+    each row (a0, ..., a(n-1)) of A the n entries
+    (a0*b0_j + ... + a(n-1)*b(n-1)_j) % p. The source text comes from range(n)
+    alone (see the module docstring).
     """
-    inner, cols = range(k), range(m)
-    brows = "".join(["(" + "".join([f"b{s}_{j}, " for j in cols]) + "), " for s in inner])
-    arow = "".join([f"a{s}, " for s in inner])
+    dims = range(n)
+    brows = "".join(["(" + "".join([f"b{s}_{j}, " for j in dims]) + "), " for s in dims])
+    arow = "".join([f"a{s}, " for s in dims])
     entries = "".join(
-        ["(" + " + ".join([f"a{s} * b{s}_{j}" for s in inner]) + ") % p, " for j in cols]
+        ["(" + " + ".join([f"a{s} * b{s}_{j}" for s in dims]) + ") % p, " for j in dims]
     )
     namespace: dict = {}
     exec(
@@ -306,15 +303,15 @@ def _product_kernel(k: int, m: int):
 
 def rows_mul(arows, brows, p: int) -> Rows:
     """The rows of A times B mod p, for the rows `arows` of A and `brows` of B:
-    any number of rows of k entries times k rows of m entries, by
-    `_product_kernel(k, m)`. The rows-level product of `mat_mul` and of the
+    any number of rows of n entries times the n x n rows of B, by
+    `_product_kernel(n)`. The rows-level product of `mat_mul` and of the
     factoring solvers, which build no matrix object."""
-    return _product_kernel(len(brows), len(brows[0]))(arows, brows, p)
+    return _product_kernel(len(brows))(arows, brows, p)
 
 
 def mat_mul(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
     """Schoolbook product reduced mod p, the same exact integer sums as a
-    triple loop, by the straight-line kernel `_product_kernel(n, n)`, which
+    triple loop, by the straight-line kernel `_product_kernel(n)`, which
     is faster than sums over `map` and is compiled once per process. The
     product of two group elements is a group element; any other product,
     two nilpotent matrices' included, is a plain FieldMatrix.

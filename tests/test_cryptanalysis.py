@@ -283,9 +283,11 @@ def test_row0_decoys_are_not_reported(left, right):
 
 def test_shift_pair_scans_confirm_few_false_hits(monkeypatch):
     # row 0 of exp(y*lower) is (1, 0) for every y, so a row-0 scan handed
-    # every y to the full check: 416 failed confirmations over the grid
-    # targets and 252 over the decoys. (1, 1)*exp(y*lower) moves with y and
-    # (1, 1)*exp(x*upper) with x.
+    # more pairs to the full check: 718 failed confirmations over the grid
+    # targets and 531 over the decoys, meet-in-the-middle's 114 and 48 of
+    # them against 0 and 42 here. (1, 1)*exp(y*lower) moves with y and
+    # (1, 1)*exp(x*upper) with x. Brute force confirms each of its
+    # prefilter's hits, so its false hits are most of the count.
     upper, lower = shift_pair(7)
     failed = []
     real = cryptanalysis._confirm
@@ -297,20 +299,35 @@ def test_shift_pair_scans_confirm_few_false_hits(monkeypatch):
             naf_bruteforce(inst)
             naf_mitm(inst)
         counts.append(len(failed))
-    assert counts == [42, 98]
+    assert counts == [626, 497]
 
 
 def test_bruteforce_prefilters_on_a_coordinate_that_moves_with_x_on_a_grid_one_y_long(monkeypatch):
     # the row is (1 + (1+x)*y, 1+x). With bound_right 1, coordinate 0 reads 1
     # at every x, so a prefilter on it (chosen by the y-differences) passes
-    # all 2^10 x's, each rebuilding its row (3 `_row_at` calls); coordinate 1
-    # moves with x and lets only the planted x through
+    # all 2^10 x's, each handed to `_confirm`; coordinate 1 moves with x and
+    # lets only the planted x through
     upper, lower = shift_pair(4294967291)
-    calls = count_calls(monkeypatch, cryptanalysis, "_row_at")
+    calls = count_calls(monkeypatch, cryptanalysis, "_confirm")
     x = (1 << 10) - 1
     sol = naf_bruteforce(planted(upper, lower, x, 0, 1 << 10, 1))
     assert (sol.left_scalar, sol.right_scalar, sol.ops) == (x, 0, 1 << 10)
-    assert len(calls) == 3
+    assert len(calls) == 1
+
+
+def test_bruteforce_confirms_the_hits_of_one_x_lowest_y_first(monkeypatch):
+    # the scanned row is (1 + (1+x)*y, 1+x), prefiltered on coordinate 0, and
+    # the goal at (4, 3) mod 5 is (1, 0): y = 0 passes at every x, and at
+    # x = 4, where 1 + x = 0, every y does. So x = 4 hands y = 0, 1, 2 to
+    # `_confirm` before the planted 3, and stops there, short of y = 4.
+    upper, lower = shift_pair(5)
+    confirmed = []
+    real = cryptanalysis._confirm
+    monkeypatch.setattr(cryptanalysis, "_confirm",
+                        lambda inst, x, y, ops: confirmed.append((x, y)) or real(inst, x, y, ops))
+    sol = naf_bruteforce(planted(upper, lower, 4, 3, 5, 5))
+    assert (sol.left_scalar, sol.right_scalar, sol.ops) == (4, 3, 24)
+    assert confirmed == [(0, 0), (1, 0), (2, 0), (3, 0), (4, 0), (4, 1), (4, 2), (4, 3)]
 
 
 def test_bruteforce_scans_a_long_row_in_constant_memory():
@@ -373,12 +390,11 @@ def test_solves_make_a_constant_number_of_products(monkeypatch):
             assert (sol.left_scalar, sol.right_scalar) == (13, 11)
             counts[solver.__name__, bound] = {name: len(seen) for name, seen in calls.items()}
     zero = dict.fromkeys(names[:4], 0)
-    # brute force: the goal row, 2 + 2 blocks of difference rows, 3 + 1
-    # `_row_at` calls and the confirm; meet-in-the-middle: 2 + 2 difference
-    # rows, the probe rows and the confirm. exp_rows: two steps each, and the
-    # confirm's two.
+    # brute force: the goal row, 2 + 2 blocks of difference rows and the
+    # confirm; meet-in-the-middle: 2 + 2 difference rows, the probe rows and
+    # the confirm. exp_rows: two steps each, and the confirm's two.
     for bound in (16, 64):
-        assert counts["naf_bruteforce", bound] == {**zero, "rows_mul": 10, "exp_rows": 4}
+        assert counts["naf_bruteforce", bound] == {**zero, "rows_mul": 6, "exp_rows": 4}
         assert counts["naf_mitm", bound] == {**zero, "rows_mul": 6, "exp_rows": 4}
 
 
@@ -479,8 +495,8 @@ def test_bruteforce_lanes_hold_values_near_p(bits):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_solves_compile_only_the_shapes_planting_compiled(n):
-    # (k, n) with k <= n: a product's (n, n) and brute force's `_row_at`
-    # (index, n); any other shape would outlive the solve in the cache
+    # one kernel, the dimension's: every product multiplies by an n x n
+    # matrix, and any other kernel would outlive the solve in the cache
     rng = RngHandle(bytes([n]) * 32)
     for _ in range(4):
         matfield._product_kernel.cache_clear()
@@ -491,9 +507,8 @@ def test_solves_compile_only_the_shapes_planting_compiled(n):
             sol = solver(inst)
             assert (sol.left_scalar, sol.right_scalar) == (5, 6)
         assert matfield._product_kernel.cache_info().currsize == shapes
-        for k in range(1, n + 1):
-            matfield._product_kernel(k, n)
-        assert matfield._product_kernel.cache_info().currsize == n
+        matfield._product_kernel(n)
+        assert matfield._product_kernel.cache_info().currsize == 1
 
 
 def image_census(left, right, p):

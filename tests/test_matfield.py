@@ -203,22 +203,21 @@ RECTANGLE_PRIMES = (3, P256)
 
 @pytest.mark.parametrize("p", RECTANGLE_PRIMES, ids=[f"p{p.bit_length()}bit" for p in RECTANGLE_PRIMES])
 def test_rows_product_against_slow_oracle_on_rectangles(p):
-    # r x k rows times k x m rows, for every k and m in 1..16: both padded
-    # with zeros to one square for the oracle, whose product is then cut
-    # back to r x m
+    # r x n rows times n x n rows, for every n in 1..16 and r from 1 to
+    # past n: both padded with zeros to one square for the oracle, whose
+    # product is then cut back to r x n
     rng = random.Random(p.bit_length())
-    for k in range(1, 17):
-        for m in range(1, 17):
-            for r in (1, rng.randrange(2, 6)):
-                a = [[rng.randrange(p) for _ in range(k)] for _ in range(r)]
-                b = [[rng.randrange(p) for _ in range(m)] for _ in range(k)]
-                for arows, brows in ((a, b), ([[p - 1] * k] * r, [[p - 1] * m] * k)):
-                    s = max(r, k, m)
-                    square = slow_mat_mul(padded(arows, s), padded(brows, s), p)
-                    want = [row[:m] for row in square[:r]]
-                    got = rows_mul(tuple(map(tuple, arows)), tuple(map(tuple, brows)), p)
-                    assert type(got) is tuple and all(type(row) is tuple for row in got)
-                    assert [list(row) for row in got] == want, (r, k, m)
+    for n in range(1, 17):
+        for r in (1, rng.randrange(2, 6), n + 2):
+            a = [[rng.randrange(p) for _ in range(n)] for _ in range(r)]
+            b = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+            for arows, brows in ((a, b), ([[p - 1] * n] * r, [[p - 1] * n] * n)):
+                s = max(r, n)
+                square = slow_mat_mul(padded(arows, s), padded(brows, s), p)
+                want = [row[:n] for row in square[:r]]
+                got = rows_mul(tuple(map(tuple, arows)), tuple(map(tuple, brows)), p)
+                assert type(got) is tuple and all(type(row) is tuple for row in got)
+                assert [list(row) for row in got] == want, (r, n)
 
 
 def index_k_rows(rng, n, k):
@@ -243,11 +242,8 @@ def test_product_kernel_is_cached_by_shape():
     # products at n = 5 share one kernel at every p, and no exponential
     # runs a product kernel, whatever its index
     assert matfield._product_kernel.cache_info().currsize == 1
-    assert matfield._product_kernel(5, 5) is matfield._product_kernel(5, 5)
+    assert matfield._product_kernel(5) is matfield._product_kernel(5)
     assert matfield._product_kernel.cache_info().currsize == 1
-    # brute force's `_row_at` asks for (index, n) below full index
-    matfield._product_kernel(3, 5)
-    assert matfield._product_kernel.cache_info().currsize == 2
 
 
 def test_exp_kernel_is_cached_by_index():
@@ -279,7 +275,7 @@ def test_paper_key_compiles_one_product_and_one_exp_kernel():
     assert decode(encode(pk)) == pk
     caches = (matfield._product_kernel, matfield._exp_kernel)
     assert [cache.cache_info().currsize for cache in caches] == [1, 1]
-    matfield._product_kernel(5, 5)
+    matfield._product_kernel(5)
     matfield._exp_kernel(5)
     assert [cache.cache_info().currsize for cache in caches] == [1, 1]
 

@@ -17,9 +17,10 @@ to `LANES` consecutive y into the lanes of one int and steps x by lane-wise
 additions mod p, so a few big-int operations test a whole chunk of y at each
 x (SIMD within a register), and a hit is a zero lane, handed to the full
 product with no row rebuilt; it stores one chunk, never a value per pair. The
-meet-in-the-middle solver tabulates the rows for every y, packed into ints,
-and probes them with exp(-x*L) applied to the target, trading memory for a
-linear-time scan.
+meet-in-the-middle solver tabulates, for every y, the fewest coordinates of
+the row that tell the table's rows apart (one, on a large p), packed into
+ints, and probes them with exp(-x*L) applied to the target, trading memory
+for a linear-time scan.
 `solvers()` is the one table of the solvers by name; every caller reads it.
 
 Insertion: given two such products, produce the product with component-wise
@@ -133,10 +134,10 @@ def _scan_vector(inst: NafInstance) -> tuple[int, ...]:
     return tuple(int(i in ones) for i in idx)
 
 
-def _confirm(inst: NafInstance, x: int, y: int, ops: int) -> Optional[NafSolution]:
-    """The full check behind a row hit: the n x n product of the rows of
-    exp(x*L) and exp(y*R) equals the target's rows."""
-    product = rows_mul(exp_rows(x, inst.left_gen), exp_rows(y, inst.right_gen), inst.target.p)
+def _confirm(inst: NafInstance, xrows: Rows, x: int, y: int, ops: int) -> Optional[NafSolution]:
+    """The full check behind a row hit: the n x n product of `xrows`, the rows
+    of exp(x*L), and those of exp(y*R) equals the target's rows."""
+    product = rows_mul(xrows, exp_rows(y, inst.right_gen), inst.target.p)
     return NafSolution(x, y, ops) if product == inst.target.rows else None
 
 
@@ -173,12 +174,14 @@ def _walks(diffs: Sequence[Iterable[int]], length: int, p: int) -> Iterator[Iter
 
 def _first_hit(inst: NafInstance, x: int, y0: int, hits: int, width: int) -> Optional[NafSolution]:
     """The first pair (x, y0 + k), lowest lane k first, among the prefilter
-    hits (bit width*(k+1) - 1 set in `hits`) whose product `_confirm` accepts."""
+    hits (bit width*(k+1) - 1 set in `hits`) whose product `_confirm` accepts;
+    the rows of exp(x*L) are made once for all of them."""
+    xrows = exp_rows(x, inst.left_gen)
     while hits:
         lane = hits & -hits
         hits ^= lane
         y = y0 + lane.bit_length() // width - 1
-        sol = _confirm(inst, x, y, x * inst.bound_right + y + 1)
+        sol = _confirm(inst, xrows, x, y, x * inst.bound_right + y + 1)
         if sol is not None:
             return sol
     return None
@@ -276,10 +279,22 @@ def naf_mitm(inst: NafInstance) -> Optional[NafSolution]:
 
     Both sides are walks (`_keys`): the table rows have y-differences v*E^i
     (E = exp(R) - I), the probe rows x-differences v*H^a*target
-    (H = exp(-L) - I). The table maps each packed row to its first y, and
-    probes test membership, with no Python step per entry or probe. A hit
-    confirms its first y alone: v*R != 0 makes v*R, v*R^2, ... independent over
-    Z_p (p prime), so rows repeat only for y's equal mod p: the same product.
+    (H = exp(-L) - I). The table maps each packed key to its first y, and
+    probes test membership, with no Python step per entry or probe. Full
+    rows repeat only for y's equal mod p, the same product: v*R != 0 makes
+    v*R, v*R^2, ... independent over Z_p (p prime). So a full-row hit
+    confirms its first y alone.
+
+    A key packs only the first m coordinates of the row, those that move
+    with y first. m is the least below n with p^m >= bound_left *
+    bound_right, else n, so a solve expects at most about one probe hit
+    that `_confirm` rejects (probes x table keys / p^m <= 1). When the table
+    holds min(bound_right, p) keys, as many as there are distinct full rows,
+    its keys map one-to-one onto them, each with the same first y: a probe
+    whose full row is in the table hits that y, and one that matches on m
+    coordinates alone fails `_confirm`. So the winner and `ops` are those of
+    full-row keys. A table with fewer keys is built once more from all n
+    coordinates, which always tell its rows apart.
     """
     if inst.bound_right > MITM_TABLE_BUDGET:
         raise BudgetRefusal(
@@ -291,17 +306,23 @@ def naf_mitm(inst: NafInstance) -> Optional[NafSolution]:
             f"meet-in-the-middle needs {inst.bound_left} probes, "
             f"over the budget of {BRUTE_PAIR_BUDGET}"
         )
-    p = inst.target.p
+    p, n = inst.target.p, inst.target.n
     start = _scan_vector(inst)
     right = [row for (row,) in _diff_rows((start,), 1, inst.right_gen)]
-    table: dict[int, int] = {}
-    deque(map(table.setdefault, _keys(right, inst.bound_right, p), count()), maxlen=0)
+    order = sorted(range(n), key=lambda c: not any(r[c] for r in right[1:]))
+    width = next((m for m in range(1, n) if p ** m >= inst.bound_left * inst.bound_right), n)
+    for cols in (order[:width], order):
+        table: dict[int, int] = {}
+        deque(map(table.setdefault, _keys([[r[c] for c in cols] for r in right],
+                                          inst.bound_right, p), count()), maxlen=0)
+        if len(table) == min(inst.bound_right, p):  # the keys tell the rows apart
+            break
     # exp(L)^-1 = exp(-L) = exp((p-1)*L): scalars act mod p
     probe = rows_mul([row for (row,) in _diff_rows((start,), p - 1, inst.left_gen)],
                      inst.target.rows, p)
-    keys, hit_keys = tee(_keys(probe, inst.bound_left, p))
+    keys, hit_keys = tee(_keys([[r[c] for c in cols] for r in probe], inst.bound_left, p))
     for x, key in compress(zip(count(), hit_keys), map(table.__contains__, keys)):
-        sol = _confirm(inst, x, table[key], inst.bound_right + x + 1)
+        sol = _confirm(inst, exp_rows(x, inst.left_gen), x, table[key], inst.bound_right + x + 1)
         if sol is not None:
             return sol
     return None

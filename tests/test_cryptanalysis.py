@@ -241,6 +241,56 @@ def test_mitm_table_keys_below_p_are_distinct(left, right):
     keys = list(cryptanalysis._keys(diffs, p, p))
     assert len(keys) == p and len(set(keys)) == p
     assert list(cryptanalysis._keys(diffs, 2 * p, p))[p:] == keys  # and repeat with period p
+    # so a table keyed on all n coordinates, naf_mitm's fallback, always
+    # passes the size check that a narrower table can fail
+    for bound_right in (p, 2 * p):
+        table = dict.fromkeys(cryptanalysis._keys(diffs, bound_right, p))
+        assert len(table) == min(bound_right, p)
+
+
+def record_key_widths(monkeypatch):
+    """The number of coordinates in each `_keys` call, in call order."""
+    widths = []
+    real = cryptanalysis._keys
+
+    def recorded(diffs, length, p):
+        widths.append(len(diffs[0]))
+        return real(diffs, length, p)
+
+    monkeypatch.setattr(cryptanalysis, "_keys", recorded)
+    return widths
+
+
+def test_mitm_keys_the_workload_shape_on_one_coordinate(monkeypatch):
+    # n = 3, a 16-bit p and 64 x 64 bounds: p >= 64 * 64 probes x table
+    # keys, so one coordinate keys both the table and the probes
+    rng = RngHandle(SEED)
+    p = sample_prime(16, rng)
+    left, right = sample_noncommuting_pair(3, p, rng)
+    widths = record_key_widths(monkeypatch)
+    assert_solvers_match_oracle(planted(left, right, 13, 11, 64, 64))
+    assert widths == [1, 1]
+    # (1, 1)*exp(y*upper) = (1, 1+y): the coordinate that moves with y keys
+    # the table, not coordinate 0, which would make every key the same
+    upper, lower = shift_pair(4294967291)
+    widths.clear()
+    assert_solvers_match_oracle(planted(lower, upper, 13, 11, 64, 64))
+    assert widths == [1, 1]
+
+
+def test_mitm_rebuilds_a_table_whose_first_coordinate_repeats(monkeypatch):
+    # v = e_0 and R = -5*E01 + E02 + 2*E21, so R^2 = 2*E01 (index 3) and the
+    # leading coordinate of v*exp(y*R) is -5y + y^2 = a*y + b*C(y, 2) with
+    # a = -4, b = 2: y1 + y2 = 1 - 2a/b = 5 gives the same key, as for y = 1
+    # and 4. p >= 8 * 8, so the first table is keyed on that coordinate alone.
+    p = 65537
+    right = NilpotentMatrix(3, p, ((0, p - 5, 1), (0, 0, 0), (0, 2, 0)), 3)
+    left = NilpotentMatrix(3, p, ((0, 0, 1), (0, 0, 0), (0, 0, 0)), 2)
+    widths = record_key_widths(monkeypatch)
+    inst = planted(left, right, 3, 4, 8, 8)
+    assert cryptanalysis._scan_vector(inst) == (1, 0, 0)
+    assert_solvers_match_oracle(inst)
+    assert widths == [1, 3, 3]  # the table twice, the second time from all n; the probes
 
 
 def row0_decoy(good):
@@ -324,7 +374,8 @@ def test_bruteforce_confirms_the_hits_of_one_x_lowest_y_first(monkeypatch):
     confirmed = []
     real = cryptanalysis._confirm
     monkeypatch.setattr(cryptanalysis, "_confirm",
-                        lambda inst, x, y, ops: confirmed.append((x, y)) or real(inst, x, y, ops))
+                        lambda inst, xrows, x, y, ops:
+                        confirmed.append((x, y)) or real(inst, xrows, x, y, ops))
     sol = naf_bruteforce(planted(upper, lower, 4, 3, 5, 5))
     assert (sol.left_scalar, sol.right_scalar, sol.ops) == (4, 3, 24)
     assert confirmed == [(0, 0), (1, 0), (2, 0), (3, 0), (4, 0), (4, 1), (4, 2), (4, 3)]

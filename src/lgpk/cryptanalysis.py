@@ -2,24 +2,18 @@
 
 Factoring: given a product exp(x*L)*exp(y*R) of exponentials of known
 non-commuting nilpotent generators, recover the scalar pair. Both solvers
-follow only the row v*exp(x*L)*exp(y*R), for one vector v chosen from the
-generators, and confirm a hit on it by the full n x n product. Along x and
-along y the row is a polynomial of degree below that generator's index, so a
-few row products give its forward differences, and `itertools` running sums
-walk them in C: no row product per pair or per probe, and no Python call per
-x. A solve works on row tuples alone: the rows of exponentials
-(`matfield.exp_rows`) and their products (`matfield.rows_mul`), with no
-matrix object built.
+compare two rows, for one vector v chosen from the generators: the table
+side v*exp(y*R), taken in y, and the probe side v*exp(-x*L)*target, taken in
+x, equal at every solution. A hit on them is confirmed by the full n x n
+product. Each side is a polynomial of degree below its generator's index, so
+a few row products give its forward differences, and `itertools` running
+sums walk them in C: no row product per pair or per probe, and no Python
+call per x. A solve works on row tuples alone (`matfield.exp_rows`,
+`matfield.rows_mul`), with no matrix object built.
 
-The brute-force solver tries every pair of the (x, y) grid, prefiltering on
-one coordinate of the row less the target's. It packs that coordinate for up
-to `LANES` consecutive y into the lanes of one int and steps x by lane-wise
-additions mod p, so a few big-int operations test a whole chunk of y at each
-x (SIMD within a register), and a hit is a zero lane, handed to the full
-product with no row rebuilt; it stores one chunk, never a value per pair. The
-meet-in-the-middle solver tabulates, for every y, the fewest coordinates of
-the row that tell the table's rows apart (one, on a large p), packed into
-ints, and probes them with exp(-x*L) applied to the target, trading memory
+The brute-force solver tests every pair on one coordinate of the two sides,
+a whole chunk of y per big-int operation; the meet-in-the-middle solver
+hashes the table side on a few coordinates and probes it, trading memory
 for a linear-time scan.
 `solvers()` is the one table of the solvers by name; every caller reads it.
 
@@ -141,20 +135,33 @@ def _confirm(inst: NafInstance, xrows: Rows, x: int, y: int, ops: int) -> Option
     return NafSolution(x, y, ops) if product == inst.target.rows else None
 
 
-def _diff_rows(rows: Rows, t: int, gen: NilpotentMatrix) -> list[Rows]:
-    """The blocks of row tuples rows*(S - I)^i for i below gen's index,
-    S = exp(t*gen), each one `rows_mul` of the last: for each row r of
-    `rows`, the forward differences at s = 0 of r*S^s. S - I is t*gen times
-    a unit that commutes with gen, so it vanishes from gen's index on.
-    `rows_mul` reduces the -1s."""
-    p = gen.p
-    diff = [list(row) for row in exp_rows(t, gen)]
-    for i, row in enumerate(diff):
-        row[i] -= 1  # S - I: the identity comes off the diagonal alone
-    blocks = [rows]
+def _diff_rows(row: tuple[int, ...], t: int, gen: NilpotentMatrix) -> list[tuple[int, ...]]:
+    """The rows row*(S - I)^i for i below gen's index, S = exp(t*gen), each
+    one `rows_mul` of the last: the forward differences at s = 0 of
+    row*S^s. S - I is t*gen times a unit that commutes with gen, so it
+    vanishes from gen's index on. `rows_mul` reduces the -1s."""
+    diff = [list(r) for r in exp_rows(t, gen)]
+    for i, r in enumerate(diff):
+        r[i] -= 1  # S - I: the identity comes off the diagonal alone
+    rows = [row]
     for _ in range(1, gen.index):
-        blocks.append(rows_mul(blocks[-1], diff, p))
-    return blocks
+        rows += rows_mul(rows[-1:], diff, gen.p)
+    return rows
+
+
+def _sides(inst: NafInstance) -> tuple[list[tuple[int, ...]], Rows, list[int]]:
+    """The y-differences of the table side v*exp(y*R), the x-differences of
+    the probe side v*exp(-x*L)*target (v from `_scan_vector`), and an order
+    of the coordinates: those that move with y first, or on a grid one y
+    long, those that move with x. exp(-L) = exp((p-1)*L): scalars act mod
+    p."""
+    p = inst.target.p
+    start = _scan_vector(inst)
+    right = _diff_rows(start, 1, inst.right_gen)
+    probe = rows_mul(_diff_rows(start, p - 1, inst.left_gen), inst.target.rows, p)
+    moving = (right if inst.bound_right > 1 else probe)[1:]
+    order = sorted(range(len(start)), key=lambda c: not any(r[c] for r in moving))
+    return right, probe, order
 
 
 def _walks(diffs: Sequence[Iterable[int]], length: int, p: int) -> Iterator[Iterator[int]]:
@@ -192,23 +199,17 @@ def naf_bruteforce(inst: NafInstance) -> Optional[NafSolution]:
     it the smallest y) wins. `ops` reports the number of pairs tried up to the
     winner, x * bound_right + y + 1.
 
-    The scan follows the row v*exp(x*L)*exp(y*R) (v from `_scan_vector`).
-    With G = exp(L) - I and E = exp(R) - I, its forward differences in x are
-    v*G^a*exp(y*R), polynomials in y with differences v*G^a*E^i: the only
-    row products made, all on row tuples. The scan runs:
-    - a prefilter on one coordinate of the row minus the goal's, SIMD within
-      a register: for each chunk of at most `LANES` consecutive y, the y walks
-      (`_walks`) of that coordinate's x-differences fill one int per
-      difference, one byte-aligned lane per y, whose top (guard) bit a sum of
-      two lanes never reaches. An x step adds each difference into the one
-      before it, lane-wise mod p, and a guard-bit test marks the zero lanes,
-      the pairs whose coordinate matches the goal's: a few big-int
-      operations per x for the whole chunk, and no Python call per x;
-    - `_confirm`, the full product, at each marked lane, lowest y first, with
-      no row rebuilt in between: the prefilter's false hits are few.
+    Every pair is prefiltered on one coordinate of the two sides (`_sides`),
+    the first of their order. For each chunk of at most `LANES` consecutive
+    y, the table side's values fill one int, one lane of whole bytes per y,
+    whose top (guard) bit a value below p leaves clear. At each x, the
+    probe side's value u, from a walk (`_walks`), is xor-ed into every lane,
+    and a guard-bit test marks the zero lanes, the pairs that agree: a few
+    big-int operations per x for the whole chunk, and no Python call per x.
+    `_first_hit` hands the marked pairs, lowest y first, to the full product.
     Chunks run in y order, and each scans only the x below the best pair
-    found so far, so the x-major winner is the one returned. Memory is the
-    differences and one chunk, whatever the bounds.
+    found so far, so the x-major winner is the one returned. Memory is one
+    chunk, whatever the bounds.
     """
     total = inst.bound_left * inst.bound_right
     if total > BRUTE_PAIR_BUDGET:
@@ -217,46 +218,29 @@ def naf_bruteforce(inst: NafInstance) -> Optional[NafSolution]:
             f"pair trials, over the budget of {BRUTE_PAIR_BUDGET}"
         )
     p = inst.target.p
-    start = _scan_vector(inst)
-    goal = rows_mul((start,), inst.target.rows, p)[0]
-    left = [row for (row,) in _diff_rows((start,), 1, inst.left_gen)]
-    # by_y[i][a] = v*G^a*E^i: the x-differences of the i-th y-difference
-    by_y = _diff_rows(left, 1, inst.right_gen)
-    # the prefilter coordinate: the first that moves with y anywhere, or on a
-    # grid one y long, with x; 0 if none does
-    steps = [r for d in by_y[1:] for r in d] if inst.bound_right > 1 else by_y[0][1:]
-    j = next((j for j in range(len(start)) if any(r[j] for r in steps)), 0)
-    # coordinate j of by_y, the row at x = y = 0 less the goal's: a hit is a 0
-    columns = [[r[j] for r in d] for d in by_y]
-    columns[0][0] -= goal[j]
-    # walks[a] gives, for y = 0, 1, ..., the a-th x-difference at x = 0
-    walks = list(_walks(columns, inst.bound_right, p))
-    size = (p.bit_length() + 9) // 8  # bytes per lane: a sum below 2p stays under the guard bit
+    right, probe, order = _sides(inst)
+    j = order[0]
+    (table_walk,) = _walks([(r[j],) for r in right], inst.bound_right, p)
+    size = (p.bit_length() + 8) // 8  # bytes per lane: one bit above p's
     width = 8 * size
-    top = width - 1
-    stepped = range(len(walks) - 1)  # every difference but the constant last
     best, limit = None, inst.bound_left
     for y0 in range(0, inst.bound_right, LANES):
         if not limit:
             break
         k = min(LANES, inst.bound_right - y0)
         ones = int.from_bytes((b"\x01" + bytes(size - 1)) * k, "little")
-        guard = ones << top
-        low, bias, pones = guard - ones, guard - p * ones, p * ones
-        # s[a]: the a-th x-difference at the current x, one lane per y of the chunk
-        s = [int.from_bytes(b"".join(map(int.to_bytes, islice(walk, k), repeat(size),
-                                         repeat("little"))), "little") for walk in walks]
-        for x in range(limit):
-            hits = (s[0] + low & guard) ^ guard  # the guard bit of each zero lane
-            if hits:
-                sol = _first_hit(inst, x, y0, hits, width)
+        guard = ones << width - 1
+        low = guard - ones
+        table = int.from_bytes(b"".join(map(int.to_bytes, islice(table_walk, k), repeat(size),
+                                            repeat("little"))), "little")
+        (probe_walk,) = _walks([(r[j],) for r in probe], limit, p)
+        for x, u in enumerate(probe_walk):
+            marks = (table ^ u * ones) + low & guard  # the guard bit of each nonzero lane
+            if marks != guard:
+                sol = _first_hit(inst, x, y0, marks ^ guard, width)
                 if sol is not None:
                     best, limit = sol, x
                     break
-            for a in stepped:
-                t = s[a] + s[a + 1]
-                g = t + bias & guard  # the guard bit of each lane at or past p
-                s[a] = t - (pones & g - (g >> top))
     return best
 
 
@@ -271,30 +255,26 @@ def _keys(diffs: Sequence[tuple[int, ...]], length: int, p: int) -> Iterator[int
 
 
 def naf_mitm(inst: NafInstance) -> Optional[NafSolution]:
-    """Meet-in-the-middle: tabulate v*exp(y*R) (v from `_scan_vector`) for
-    all y, then probe v*exp(x*L)^-1*target for each x. Cost is
-    bound_left + bound_right rows instead of their product; `ops` counts
-    table entries built plus probes made. Ties resolve to the smallest x,
-    then the smallest y.
+    """Meet-in-the-middle: tabulate the table side (`_sides`) for all y,
+    then probe it with the probe side for each x. Cost is bound_left +
+    bound_right rows instead of their product; `ops` counts table entries
+    built plus probes made. Ties resolve to the smallest x, then the
+    smallest y.
 
-    Both sides are walks (`_keys`): the table rows have y-differences v*E^i
-    (E = exp(R) - I), the probe rows x-differences v*H^a*target
-    (H = exp(-L) - I). The table maps each packed key to its first y, and
-    probes test membership, with no Python step per entry or probe. Full
-    rows repeat only for y's equal mod p, the same product: v*R != 0 makes
-    v*R, v*R^2, ... independent over Z_p (p prime). So a full-row hit
-    confirms its first y alone.
+    Both sides are walks (`_keys`), packed into ints. The table maps each
+    key to its first y, and probes test membership, with no Python step per
+    entry or probe. Full rows of the table side repeat only for y's equal
+    mod p, the same product: v*R != 0 makes v*R, v*R^2, ... independent over
+    Z_p (p prime). So a full-row hit confirms its first y alone.
 
-    A key packs only the first m coordinates of the row, those that move
-    with y first. m is the least below n with p^m >= bound_left *
-    bound_right, else n, so a solve expects at most about one probe hit
-    that `_confirm` rejects (probes x table keys / p^m <= 1). When the table
-    holds min(bound_right, p) keys, as many as there are distinct full rows,
-    its keys map one-to-one onto them, each with the same first y: a probe
-    whose full row is in the table hits that y, and one that matches on m
-    coordinates alone fails `_confirm`. So the winner and `ops` are those of
-    full-row keys. A table with fewer keys is built once more from all n
-    coordinates, which always tell its rows apart.
+    A key packs only the first m coordinates of the order. m is the least
+    below n with p^m >= bound_left * bound_right, else n, so a solve expects
+    at most about one probe hit that `_confirm` rejects. When the table
+    holds min(bound_right, p) keys, as many as there are distinct full
+    rows, its keys map one-to-one onto them, each with the same first y, so
+    the winner and `ops` are those of full-row keys. A table with fewer keys
+    is built once more from all n coordinates, which always tell its rows
+    apart.
     """
     if inst.bound_right > MITM_TABLE_BUDGET:
         raise BudgetRefusal(
@@ -307,9 +287,7 @@ def naf_mitm(inst: NafInstance) -> Optional[NafSolution]:
             f"over the budget of {BRUTE_PAIR_BUDGET}"
         )
     p, n = inst.target.p, inst.target.n
-    start = _scan_vector(inst)
-    right = [row for (row,) in _diff_rows((start,), 1, inst.right_gen)]
-    order = sorted(range(n), key=lambda c: not any(r[c] for r in right[1:]))
+    right, probe, order = _sides(inst)
     width = next((m for m in range(1, n) if p ** m >= inst.bound_left * inst.bound_right), n)
     for cols in (order[:width], order):
         table: dict[int, int] = {}
@@ -317,9 +295,6 @@ def naf_mitm(inst: NafInstance) -> Optional[NafSolution]:
                                           inst.bound_right, p), count()), maxlen=0)
         if len(table) == min(inst.bound_right, p):  # the keys tell the rows apart
             break
-    # exp(L)^-1 = exp(-L) = exp((p-1)*L): scalars act mod p
-    probe = rows_mul([row for (row,) in _diff_rows((start,), p - 1, inst.left_gen)],
-                     inst.target.rows, p)
     keys, hit_keys = tee(_keys([[r[c] for c in cols] for r in probe], inst.bound_left, p))
     for x, key in compress(zip(count(), hit_keys), map(table.__contains__, keys)):
         sol = _confirm(inst, exp_rows(x, inst.left_gen), x, table[key], inst.bound_right + x + 1)

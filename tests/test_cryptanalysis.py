@@ -4,6 +4,7 @@ import sys
 import time
 import tracemalloc
 from collections import Counter
+from itertools import product
 from math import comb
 from pathlib import Path
 
@@ -237,7 +238,7 @@ def test_mitm_table_keys_below_p_are_distinct(left, right):
     p = left.p
     inst = NafInstance(left, right, unit_element(left.n, p), p, p)
     start = cryptanalysis._scan_vector(inst)
-    diffs = [row for (row,) in cryptanalysis._diff_rows((start,), 1, right)]
+    diffs = cryptanalysis._diff_rows(start, 1, right)
     keys = list(cryptanalysis._keys(diffs, p, p))
     assert len(keys) == p and len(set(keys)) == p
     assert list(cryptanalysis._keys(diffs, 2 * p, p))[p:] == keys  # and repeat with period p
@@ -335,9 +336,10 @@ def test_shift_pair_scans_confirm_few_false_hits(monkeypatch):
     # row 0 of exp(y*lower) is (1, 0) for every y, so a row-0 scan handed
     # more pairs to the full check: 718 failed confirmations over the grid
     # targets and 531 over the decoys, meet-in-the-middle's 114 and 48 of
-    # them against 0 and 42 here. (1, 1)*exp(y*lower) moves with y and
-    # (1, 1)*exp(x*upper) with x. Brute force confirms each of its
-    # prefilter's hits, so its false hits are most of the count.
+    # them against 0 and 42 here. The table side (1, 1)*exp(y*lower) =
+    # (1 + y, 1) moves with y in coordinate 0, the one both solvers compare
+    # first. Brute force confirms every pair that this one coordinate passes,
+    # 551 and 441 of the counts; meet-in-the-middle keys on the whole row.
     upper, lower = shift_pair(7)
     failed = []
     real = cryptanalysis._confirm
@@ -349,36 +351,43 @@ def test_shift_pair_scans_confirm_few_false_hits(monkeypatch):
             naf_bruteforce(inst)
             naf_mitm(inst)
         counts.append(len(failed))
-    assert counts == [626, 497]
+    assert counts == [551, 483]
 
 
-def test_bruteforce_prefilters_on_a_coordinate_that_moves_with_x_on_a_grid_one_y_long(monkeypatch):
-    # the row is (1 + (1+x)*y, 1+x). With bound_right 1, coordinate 0 reads 1
-    # at every x, so a prefilter on it (chosen by the y-differences) passes
-    # all 2^10 x's, each handed to `_confirm`; coordinate 1 moves with x and
-    # lets only the planted x through
+@pytest.mark.parametrize("solver, table", [(naf_bruteforce, 0), (naf_mitm, 1)], ids=["brute", "mitm"])
+def test_bruteforce_prefilters_on_a_coordinate_that_moves_with_x_on_a_grid_one_y_long(
+        monkeypatch, solver, table):
+    # the table side is (1, 1) and the probe side (1, 1+x0-x) at the planted
+    # x0. With bound_right 1, coordinate 0 reads 1 on both sides at every x,
+    # so a comparison on it (chosen by the y-differences) passes all 2^10
+    # x's, each handed to `_confirm`; coordinate 1 moves with x and lets only
+    # the planted x through, in both solvers
     upper, lower = shift_pair(4294967291)
     calls = count_calls(monkeypatch, cryptanalysis, "_confirm")
     x = (1 << 10) - 1
-    sol = naf_bruteforce(planted(upper, lower, x, 0, 1 << 10, 1))
-    assert (sol.left_scalar, sol.right_scalar, sol.ops) == (x, 0, 1 << 10)
+    sol = solver(planted(upper, lower, x, 0, 1 << 10, 1))
+    assert (sol.left_scalar, sol.right_scalar, sol.ops) == (x, 0, table + (1 << 10))
     assert len(calls) == 1
 
 
 def test_bruteforce_confirms_the_hits_of_one_x_lowest_y_first(monkeypatch):
-    # the scanned row is (1 + (1+x)*y, 1+x), prefiltered on coordinate 0, and
-    # the goal at (4, 3) mod 5 is (1, 0): y = 0 passes at every x, and at
-    # x = 4, where 1 + x = 0, every y does. So x = 4 hands y = 0, 1, 2 to
-    # `_confirm` before the planted 3, and stops there, short of y = 4.
-    upper, lower = shift_pair(5)
+    # v = e_3 and R the lower shift, so the table side e_3*exp(y*R) is
+    # (y^3/6, y^2/2, y, 1), compared on coordinate 0; mod 7, y^3 is 1 at
+    # y = 1, 2 and 4. The probe side's coordinate 0 is 6 + 4*(2 - x) at the
+    # planted (2, 4): the table's at y = 0 and 7 when x = 0, at none when
+    # x = 1, and when x = 2 at y = 1, 2 and 4. So x = 2 hands y = 1 and 2
+    # to `_confirm` before the planted 4, and stops there, short of y = 8.
+    p = 7
+    left = NilpotentMatrix(4, p, ((0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 1, 0, 0)), 2)
+    right = NilpotentMatrix(4, p, ((0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)), 4)
     confirmed = []
     real = cryptanalysis._confirm
     monkeypatch.setattr(cryptanalysis, "_confirm",
                         lambda inst, xrows, x, y, ops:
                         confirmed.append((x, y)) or real(inst, xrows, x, y, ops))
-    sol = naf_bruteforce(planted(upper, lower, 4, 3, 5, 5))
-    assert (sol.left_scalar, sol.right_scalar, sol.ops) == (4, 3, 24)
-    assert confirmed == [(0, 0), (1, 0), (2, 0), (3, 0), (4, 0), (4, 1), (4, 2), (4, 3)]
+    sol = naf_bruteforce(planted(left, right, 2, 4, 9, 9))
+    assert (sol.left_scalar, sol.right_scalar, sol.ops) == (2, 4, 23)
+    assert confirmed == [(0, 0), (0, 7), (2, 1), (2, 2), (2, 4)]
 
 
 def test_bruteforce_scans_a_long_row_in_constant_memory():
@@ -441,9 +450,9 @@ def test_solves_make_a_constant_number_of_products(monkeypatch):
             assert (sol.left_scalar, sol.right_scalar) == (13, 11)
             counts[solver.__name__, bound] = {name: len(seen) for name, seen in calls.items()}
     zero = dict.fromkeys(names[:4], 0)
-    # brute force: the goal row, 2 + 2 blocks of difference rows and the
-    # confirm; meet-in-the-middle: 2 + 2 difference rows, the probe rows and
-    # the confirm. exp_rows: two steps each, and the confirm's two.
+    # each solver: 2 + 2 difference rows of the two sides, the probe rows
+    # times the target and the confirm. exp_rows: two steps, and the
+    # confirm's two.
     for bound in (16, 64):
         assert counts["naf_bruteforce", bound] == {**zero, "rows_mul": 6, "exp_rows": 4}
         assert counts["naf_mitm", bound] == {**zero, "rows_mul": 6, "exp_rows": 4}
@@ -533,8 +542,8 @@ def test_bruteforce_matches_a_pair_by_pair_scan(monkeypatch, n, lanes):
 
 @pytest.mark.parametrize("bits", [14, 15, 16, 17, 30, 31, 32, 33])
 def test_bruteforce_lanes_hold_values_near_p(bits):
-    # a lane is ceil((bits(p) + 2) / 8) bytes: exactly bits(p) + 2 bits at
-    # 14 and 30 bits, and a byte more just past them
+    # a lane is ceil((bits(p) + 1) / 8) bytes: exactly bits(p) + 1 bits at
+    # 15 and 31 bits, and a byte more just past them
     rng = RngHandle(bytes([bits]) * 32)
     for _ in range(3):
         p = sample_prime(bits, rng)
@@ -542,6 +551,23 @@ def test_bruteforce_lanes_hold_values_near_p(bits):
         left, right = sample_noncommuting_pair(3, p, rng)
         sol = naf_bruteforce(planted(left, right, 15, 15, 16, 16))
         assert (sol.left_scalar, sol.right_scalar, sol.ops) == (15, 15, 256)
+
+
+def test_solvers_match_a_pair_by_pair_scan_at_the_workload_shape():
+    # n = 2 and 3, 16- to 32-bit primes and 64 x 64 bounds, the shape of the
+    # attack-planted benchmark's instances: brute force's lanes are 3, 4 and
+    # 5 bytes wide here, and meet-in-the-middle keys on one coordinate
+    rng = RngHandle(b"\x64" * 32)
+    plants = ((63, 63), (0, 63), (63, 0), (31, 17))
+    for i, (bits, (x, y)) in enumerate(product((16, 24, 32), plants)):
+        left, right = sample_noncommuting_pair(2 + i % 2, sample_prime(bits, rng), rng)
+        inst = planted(left, right, x, y, 64, 64)
+        expected = reference_bruteforce(inst)
+        assert expected[:2] == (x, y)
+        sol = naf_bruteforce(inst)
+        assert (sol.left_scalar, sol.right_scalar, sol.ops) == expected
+        sol = naf_mitm(inst)
+        assert (sol.left_scalar, sol.right_scalar, sol.ops) == (x, y, 64 + x + 1)
 
 
 @pytest.mark.parametrize("n", [2, 3])
